@@ -66,6 +66,63 @@ void BM_MrrGenerate(benchmark::State& state) {
 }
 BENCHMARK(BM_MrrGenerate)->Arg(1000)->Arg(10'000);
 
+/// In-place growth of a 10k-sample collection over `pieces` by
+/// range(0) samples on range(1) sampling workers: sampling, stitch and
+/// index segment.
+void RunMrrExtend(benchmark::State& state,
+                  const std::vector<InfluenceGraph>& pieces) {
+  const int64_t base = 10'000;
+  const int64_t grow = state.range(0);
+  const int threads = static_cast<int>(state.range(1));
+  const MrrCollection seed_collection = MrrCollection::Generate(
+      pieces, base, 19, DiffusionModel::kIndependentCascade, threads);
+  MrrCollection mrr = seed_collection;
+  for (auto _ : state) {
+    // A fresh copy, not copy-assignment: that would keep the grown
+    // capacity and hide the allocation the timed Extend makes.
+    state.PauseTiming();
+    mrr = MrrCollection(seed_collection);
+    state.ResumeTiming();
+    mrr.Extend(pieces, base + grow, threads);
+    benchmark::DoNotOptimize(mrr.TotalSize());
+  }
+  state.SetItemsProcessed(state.iterations() * grow);
+}
+
+void BM_MrrExtend(benchmark::State& state) {
+  RunMrrExtend(state, Env().pieces);
+}
+BENCHMARK(BM_MrrExtend)
+    ->Args({1'000, 1})
+    ->Args({10'000, 1})
+    ->Args({10'000, 2})
+    ->UseRealTime();
+
+/// The same growth on a dblp-like graph (scale 0.2, n = 100k) where the
+/// new samples number fewer than n: the index segment is built on one
+/// shard there (its key counts would outweigh the segment), but the
+/// sampling must still use every worker.
+void BM_MrrExtendLargeGraph(benchmark::State& state) {
+  static const auto* env = [] {
+    struct LargeEnv {
+      Dataset dataset = MakeDblpLike(0.2, 11);
+      std::vector<InfluenceGraph> pieces;
+    };
+    auto* e = new LargeEnv();
+    Rng rng(11);
+    const Campaign campaign =
+        Campaign::SampleUniformPieces(3, e->dataset.num_topics, &rng);
+    e->pieces =
+        BuildPieceGraphs(*e->dataset.graph, *e->dataset.probs, campaign);
+    return e;
+  }();
+  RunMrrExtend(state, env->pieces);
+}
+BENCHMARK(BM_MrrExtendLargeGraph)
+    ->Args({10'000, 1})
+    ->Args({10'000, 2})
+    ->UseRealTime();
+
 void BM_CoverageAddRemove(benchmark::State& state) {
   MicroEnv& env = Env();
   const LogisticAdoptionModel model(2.0, 1.0);

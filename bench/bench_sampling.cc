@@ -14,7 +14,7 @@
 // scripts/check_perf_regression.py gates against the baseline.
 //
 // Flags: --dataset=lastfm --ell=3 --theta=20000 --extend_rounds=3
-//        --sampling_threads=1,4,16
+//        --sampling_threads=1,2,4,16  (2 is what oipa_serve contexts use)
 //        --adaptive_initial=2000 --adaptive_max=128000
 //        --output=BENCH_sampling.json
 
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
   result.Set("dataset", dataset).Set("ell", ell).Set("theta", theta);
 
   const std::vector<int64_t> sampling_threads =
-      flags.GetIntList("sampling_threads", {1, 4, 16});
+      flags.GetIntList("sampling_threads", {1, 2, 4, 16});
 
   // ------------------------------------------------ generation throughput
   {

@@ -1,6 +1,7 @@
 #include "cli/cli.h"
 
 #include <algorithm>
+#include <cmath>
 #include <csignal>
 #include <fstream>
 #include <memory>
@@ -687,6 +688,12 @@ Status ParseCliConfig(const FlagParser& flags, CliConfig* config) {
     return Status::InvalidArgument("--max_theta must be >= --theta");
   }
   if (c.trials < 1) return Status::InvalidArgument("--trials must be >= 1");
+  if (!std::isfinite(c.alpha) || c.alpha <= 0.0) {
+    return Status::InvalidArgument("--alpha must be finite and > 0");
+  }
+  if (!std::isfinite(c.beta) || c.beta <= 0.0) {
+    return Status::InvalidArgument("--beta must be finite and > 0");
+  }
   if (flags.Has("threads") &&
       (c.threads < 0 || c.threads > kMaxBabWorkers)) {
     // Rejected at parse time: the request layer would refuse the same

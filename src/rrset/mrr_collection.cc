@@ -1,5 +1,6 @@
 #include "rrset/mrr_collection.h"
 
+#include <algorithm>
 #include <atomic>
 
 #include "diffusion/lt_cascade.h"
@@ -12,6 +13,50 @@ namespace oipa {
 namespace {
 
 std::atomic<int64_t> g_generated_samples{0};
+
+/// Index shards for one segment over `samples` samples holding
+/// `postings` memberships under `keys` index keys: at most `threads`, at
+/// most one per sample, and few enough that the shards' key-count
+/// arrays (one int64 per key each) take no more words than the segment
+/// itself (keys + 1 offsets plus one id per posting). Without the last
+/// cap the scratch would grow as threads * l * (n+1) however small the
+/// segment.
+int IndexShards(int threads, int64_t samples, int64_t keys,
+                int64_t postings) {
+  const int64_t fit = (keys + 1 + postings) / keys;
+  return static_cast<int>(
+      std::max<int64_t>(1, std::min({int64_t{threads}, samples, fit})));
+}
+
+/// Cuts [begin, end) into `shards` contiguous ranges, non-empty when
+/// shards <= end - begin: shard s covers [bounds[s], bounds[s+1]).
+std::vector<int64_t> ShardBounds(int64_t begin, int64_t end, int shards) {
+  std::vector<int64_t> bounds(shards + 1);
+  for (int s = 0; s <= shards; ++s) {
+    bounds[s] = begin + (end - begin) * s / shards;
+  }
+  return bounds;
+}
+
+/// Resizes `v` to `size` elements, reserving max(size, 2 * capacity)
+/// when it runs out of room: a fresh collection's arrays come out exact,
+/// and a run of small in-place Extends stays amortised O(new samples).
+template <typename T>
+void GrowTo(std::vector<T>* v, size_t size) {
+  if (size > v->capacity()) v->reserve(std::max(size, 2 * v->capacity()));
+  v->resize(size);
+}
+
+/// One Extend shard's samples in shard-local buffers. Each shard sits on
+/// its own cache lines: every push_back writes its vector's header, and
+/// headers of neighbouring shards sharing a line would bounce it
+/// between cores (false sharing).
+struct alignas(64) SampleShard {
+  std::vector<VertexId> roots;
+  std::vector<int64_t> set_ends;  // end of each RR set within `nodes`
+  std::vector<VertexId> nodes;
+  int64_t node_base = 0;  // where `nodes` lands in nodes_
+};
 
 }  // namespace
 
@@ -66,53 +111,72 @@ void MrrCollection::Extend(const std::vector<InfluenceGraph>& piece_graphs,
     }
   }
 
-  // Shard-local buffers stitched afterwards, so results are independent
-  // of the thread count (per-sample seeds fix the randomness).
-  const int shards = ResolveThreadCount(num_threads);
-  std::vector<std::vector<VertexId>> shard_roots(shards);
-  std::vector<std::vector<int32_t>> shard_sizes(shards);
-  std::vector<std::vector<VertexId>> shard_nodes(shards);
+  const int workers = ResolveThreadCount(num_threads);
+  const int shard_count =
+      static_cast<int>(std::min<int64_t>(workers, extra));
+  const std::vector<int64_t> bounds =
+      ShardBounds(begin, new_theta, shard_count);
+  std::vector<SampleShard> shards(shard_count);
 
-  ParallelFor(extra, shards, [&](int shard, int64_t lo, int64_t hi) {
-    RrSampler sampler(n);
-    std::vector<VertexId> set;
-    auto& roots = shard_roots[shard];
-    auto& sizes = shard_sizes[shard];
-    auto& nodes = shard_nodes[shard];
+  // Sample. Sample i draws only from PerSampleSeed(base_seed_, i, .), so
+  // the shard layout never changes a bit of the output.
+  ParallelFor(shard_count, shard_count, [&](int, int64_t lo, int64_t hi) {
     for (int64_t s = lo; s < hi; ++s) {
-      const int64_t i = begin + s;
-      Rng root_rng(PerSampleSeed(base_seed_, i, -1));
-      const VertexId root = static_cast<VertexId>(root_rng.NextBounded(n));
-      roots.push_back(root);
-      for (int j = 0; j < ell; ++j) {
-        Rng rng(PerSampleSeed(base_seed_, i, j));
-        if (model_ == DiffusionModel::kLinearThreshold) {
-          SampleLtRrSet(piece_graphs[j].graph(), lt_weights[j], root,
-                        &rng, &set);
-        } else {
-          sampler.Sample(piece_graphs[j], root, &rng, &set);
+      SampleShard& shard = shards[s];
+      const int64_t samples = bounds[s + 1] - bounds[s];
+      shard.roots.reserve(samples);
+      shard.set_ends.reserve(samples * ell);
+      shard.nodes.reserve(samples * ell);
+      RrSampler sampler(n);
+      std::vector<VertexId> set;
+      for (int64_t i = bounds[s]; i < bounds[s + 1]; ++i) {
+        Rng root_rng(PerSampleSeed(base_seed_, i, -1));
+        const VertexId root =
+            static_cast<VertexId>(root_rng.NextBounded(n));
+        shard.roots.push_back(root);
+        for (int j = 0; j < ell; ++j) {
+          Rng rng(PerSampleSeed(base_seed_, i, j));
+          if (model_ == DiffusionModel::kLinearThreshold) {
+            SampleLtRrSet(piece_graphs[j].graph(), lt_weights[j], root,
+                          &rng, &set);
+          } else {
+            sampler.Sample(piece_graphs[j], root, &rng, &set);
+          }
+          shard.nodes.insert(shard.nodes.end(), set.begin(), set.end());
+          shard.set_ends.push_back(
+              static_cast<int64_t>(shard.nodes.size()));
         }
-        sizes.push_back(static_cast<int32_t>(set.size()));
-        nodes.insert(nodes.end(), set.begin(), set.end());
       }
     }
   });
 
-  for (int shard = 0; shard < shards; ++shard) {
-    roots_.insert(roots_.end(), shard_roots[shard].begin(),
-                  shard_roots[shard].end());
-    for (int32_t size : shard_sizes[shard]) {
-      offsets_.push_back(offsets_.back() + size);
-    }
-    nodes_.insert(nodes_.end(), shard_nodes[shard].begin(),
-                  shard_nodes[shard].end());
+  // Stitch: every shard copies its samples to positions fixed by the
+  // shards before it.
+  int64_t total_nodes = static_cast<int64_t>(nodes_.size());
+  for (SampleShard& shard : shards) {
+    shard.node_base = total_nodes;
+    total_nodes += static_cast<int64_t>(shard.nodes.size());
   }
+  GrowTo(&roots_, new_theta);
+  GrowTo(&offsets_, new_theta * ell + 1);
+  GrowTo(&nodes_, total_nodes);
+  ParallelFor(shard_count, shard_count, [&](int, int64_t lo, int64_t hi) {
+    for (int64_t s = lo; s < hi; ++s) {
+      const SampleShard& shard = shards[s];
+      std::copy(shard.roots.begin(), shard.roots.end(),
+                roots_.begin() + bounds[s]);
+      int64_t* offsets = offsets_.data() + bounds[s] * ell + 1;
+      for (const int64_t end : shard.set_ends) {
+        *offsets++ = shard.node_base + end;
+      }
+      std::copy(shard.nodes.begin(), shard.nodes.end(),
+                nodes_.begin() + shard.node_base);
+    }
+  });
   theta_ = new_theta;
-  OIPA_CHECK_EQ(static_cast<int64_t>(roots_.size()), theta_);
-  OIPA_CHECK_EQ(static_cast<int64_t>(offsets_.size()),
-                theta_ * ell + 1);
+  shards.clear();  // frees the shard buffers before the index is built
 
-  AppendIndexSegment(begin);
+  AppendIndexSegment(begin, new_theta, workers);
   g_generated_samples.fetch_add(extra, std::memory_order_relaxed);
 }
 
@@ -151,41 +215,66 @@ MrrCollection MrrCollection::FromParts(
   mc.roots_ = std::move(roots);
   mc.offsets_ = std::move(offsets);
   mc.nodes_ = std::move(nodes);
-  if (theta > 0 && num_vertices > 0) mc.AppendIndexSegment(0);
+  if (theta > 0 && num_vertices > 0) {
+    mc.AppendIndexSegment(0, theta, GetNumThreads());
+  }
   return mc;
 }
 
-void MrrCollection::AppendIndexSegment(int64_t begin) {
-  if (begin == theta_) return;  // zero-sample growth: nothing to index
-  const int64_t keys =
-      static_cast<int64_t>(num_pieces_) * (num_vertices_ + 1);
+void MrrCollection::AppendIndexSegment(int64_t begin, int64_t end,
+                                       int workers) {
+  const int64_t keys = IndexKey(num_pieces_, 0);
+  const int64_t postings =
+      offsets_[end * num_pieces_] - offsets_[begin * num_pieces_];
+  const int shard_count =
+      IndexShards(workers, end - begin, keys, postings);
+  const std::vector<int64_t> bounds = ShardBounds(begin, end, shard_count);
+
+  // cursors[s][key]: shard s's memberships under `key`.
+  std::vector<std::vector<int64_t>> cursors(shard_count);
+  ParallelFor(shard_count, shard_count, [&](int, int64_t lo, int64_t hi) {
+    for (int64_t s = lo; s < hi; ++s) {
+      std::vector<int64_t>& counts = cursors[s];
+      counts.assign(keys, 0);
+      for (int64_t i = bounds[s]; i < bounds[s + 1]; ++i) {
+        for (int j = 0; j < num_pieces_; ++j) {
+          int64_t* piece_counts = counts.data() + IndexKey(j, 0);
+          for (const VertexId v : Set(i, j)) ++piece_counts[v];
+        }
+      }
+    }
+  });
+
   IndexSegment seg;
   seg.begin_sample = begin;
-  seg.end_sample = theta_;
-  seg.offsets.assign(keys + 1, 0);
-  for (int64_t i = begin; i < theta_; ++i) {
-    for (int j = 0; j < num_pieces_; ++j) {
-      for (VertexId v : Set(i, j)) {
-        const int64_t key =
-            static_cast<int64_t>(j) * (num_vertices_ + 1) + v;
-        ++seg.offsets[key + 1];
-      }
+  seg.end_sample = end;
+  seg.offsets.resize(keys + 1);
+  // Exclusive prefix sum in (key, shard) order: each count becomes the
+  // shard's first write position under that key.
+  int64_t next = 0;
+  for (int64_t key = 0; key < keys; ++key) {
+    seg.offsets[key] = next;
+    for (std::vector<int64_t>& shard_cursors : cursors) {
+      const int64_t count = shard_cursors[key];
+      shard_cursors[key] = next;
+      next += count;
     }
   }
-  for (int64_t k = 0; k < keys; ++k) seg.offsets[k + 1] += seg.offsets[k];
-  seg.samples.resize(
-      static_cast<size_t>(offsets_[theta_ * num_pieces_] -
-                          offsets_[begin * num_pieces_]));
-  std::vector<int64_t> fill(seg.offsets.begin(), seg.offsets.end() - 1);
-  for (int64_t i = begin; i < theta_; ++i) {
-    for (int j = 0; j < num_pieces_; ++j) {
-      for (VertexId v : Set(i, j)) {
-        const int64_t key =
-            static_cast<int64_t>(j) * (num_vertices_ + 1) + v;
-        seg.samples[fill[key]++] = i;
+  seg.offsets[keys] = next;
+  OIPA_CHECK_EQ(next, postings);
+  seg.samples.resize(static_cast<size_t>(next));
+  ParallelFor(shard_count, shard_count, [&](int, int64_t lo, int64_t hi) {
+    for (int64_t s = lo; s < hi; ++s) {
+      for (int64_t i = bounds[s]; i < bounds[s + 1]; ++i) {
+        for (int j = 0; j < num_pieces_; ++j) {
+          int64_t* piece_cursors = cursors[s].data() + IndexKey(j, 0);
+          for (const VertexId v : Set(i, j)) {
+            seg.samples[piece_cursors[v]++] = i;
+          }
+        }
       }
     }
-  }
+  });
   segments_.push_back(std::move(seg));
 }
 

@@ -27,7 +27,9 @@ enum class DiffusionModel {
 /// bit-identical (roots, offsets, nodes, and inverted-index queries) to a
 /// fresh Generate(theta2), regardless of thread count. Growth appends an
 /// inverted-index segment covering only the new samples, so an Extend
-/// costs O(new samples), never a full index rebuild.
+/// costs amortised O(new samples), never a full index rebuild. Sampling,
+/// the stitch into the flat arrays, and the segment's index build all
+/// run sharded over contiguous sample ranges.
 class MrrCollection {
  public:
   /// Generates theta samples over `piece_graphs` (all sharing one social
@@ -101,8 +103,7 @@ class MrrCollection {
   template <typename Fn>
   void ForEachSampleContaining(int piece, VertexId v, Fn&& fn,
                                int64_t min_sample = 0) const {
-    const int64_t key =
-        static_cast<int64_t>(piece) * (num_vertices_ + 1) + v;
+    const int64_t key = IndexKey(piece, v);
     for (const IndexSegment& seg : segments_) {
       if (seg.end_sample <= min_sample) continue;
       const int64_t* p = seg.samples.data() + seg.offsets[key];
@@ -121,8 +122,7 @@ class MrrCollection {
   template <typename Fn>
   void ForEachSampleSpan(int piece, VertexId v, Fn&& fn,
                          int64_t min_sample = 0) const {
-    const int64_t key =
-        static_cast<int64_t>(piece) * (num_vertices_ + 1) + v;
+    const int64_t key = IndexKey(piece, v);
     for (const IndexSegment& seg : segments_) {
       if (seg.end_sample <= min_sample) continue;
       const int64_t* p = seg.samples.data() + seg.offsets[key];
@@ -176,8 +176,22 @@ class MrrCollection {
 
   MrrCollection() = default;
 
-  /// Builds the index segment for samples [begin, theta_).
-  void AppendIndexSegment(int64_t begin);
+  /// Inverted-index key of (piece, v): keys run over
+  /// [0, num_pieces * (n+1)).
+  int64_t IndexKey(int piece, VertexId v) const {
+    return static_cast<int64_t>(piece) * (num_vertices_ + 1) + v;
+  }
+
+  /// The one index-segment builder. Appends the segment for samples
+  /// [begin, end), which must already be stored. The range is cut into
+  /// at most `workers` contiguous shards, few enough that their
+  /// per-shard key counts (l*(n+1) int64 each) together take no more
+  /// words than the segment itself. Each shard counts its memberships
+  /// per key, an exclusive prefix sum over (key, shard) turns the counts
+  /// into write cursors, and the shards scatter their postings in
+  /// parallel; every posting list stays ascending because shard s's
+  /// samples precede shard s+1's.
+  void AppendIndexSegment(int64_t begin, int64_t end, int workers);
 
   int64_t theta_ = 0;
   int num_pieces_ = 0;

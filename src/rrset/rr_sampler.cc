@@ -29,13 +29,10 @@ void RrSampler::Sample(const InfluenceGraph& ig, VertexId root, Rng* rng,
   size_t head = 0;
   while (head < queue_.size()) {
     const VertexId u = queue_[head++];
-    const auto nbrs = g.InNeighbors(u);
-    const auto eids = g.InEdgeIds(u);
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      const VertexId w = nbrs[i];
+    for (const InfluenceGraph::LiveInEdge& e : ig.LiveInEdges(u)) {
+      const VertexId w = e.src;
       if (visit_epoch_[w] == epoch_) continue;
-      const float p = ig.EdgeProb(eids[i]);
-      if (p > 0.0f && rng->NextFloat() < p) {
+      if (rng->NextFloat() < e.prob) {
         visit_epoch_[w] = epoch_;
         queue_.push_back(w);
         out->push_back(w);

@@ -23,7 +23,9 @@ class RrSampler {
   /// Samples the RR set of `root` on `ig`, appending members (root
   /// included) to `out` (cleared first). Edge (u -> v) is considered live
   /// with probability ig.EdgeProb(e) — evaluated lazily during the reverse
-  /// BFS, which is equivalent to sampling the world up front.
+  /// BFS, which is equivalent to sampling the world up front. The BFS
+  /// walks ig.LiveInEdges: a p = 0 edge can never fire and draws no
+  /// random number, so skipping it leaves the draw stream unchanged.
   void Sample(const InfluenceGraph& ig, VertexId root, Rng* rng,
               std::vector<VertexId>* out);
 

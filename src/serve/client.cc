@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -91,6 +92,9 @@ StatusOr<std::string> AttemptOnce(const std::string& host, int port,
                sizeof(io_timeout));
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &io_timeout,
                sizeof(io_timeout));
+  // The request goes out as one small write; do not let Nagle delay it.
+  const int nodelay = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
 
   size_t sent = 0;
   while (sent < framed.size()) {

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -269,6 +270,10 @@ void PlanServer::AcceptLoop() {
     write_timeout.tv_usec = (options_.write_timeout_ms % 1000) * 1000;
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &write_timeout,
                  sizeof(write_timeout));
+    // Each response is one small write; Nagle's algorithm would hold it
+    // while an earlier response on the connection is unacknowledged.
+    const int nodelay = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
     MutexLock lock(&mu_);

@@ -1,9 +1,12 @@
 #include "serve/wire.h"
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "serve/json_parser.h"
+#include "util/threading.h"
 
 namespace oipa {
 namespace serve {
@@ -36,6 +39,20 @@ Status ReadInt(const JsonValue& obj, const std::string& key,
   return Status::Ok();
 }
 
+/// ReadInt for fields stored as int: values outside int's range are
+/// rejected rather than narrowed.
+Status ReadInt32(const JsonValue& obj, const std::string& key, int* out) {
+  int64_t value = *out;
+  OIPA_RETURN_IF_ERROR(ReadInt(obj, key, &value));
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("field '" + key +
+                                   "' is out of range for a 32-bit integer");
+  }
+  *out = static_cast<int>(value);
+  return Status::Ok();
+}
+
 Status ReadDouble(const JsonValue& obj, const std::string& key,
                   double* out) {
   const JsonValue* v = obj.Find(key);
@@ -60,18 +77,14 @@ Status ReadSection(const JsonValue& root, const std::string& key,
 Status ParseDataset(const JsonValue& section, DatasetSpec* spec) {
   OIPA_RETURN_IF_ERROR(ReadString(section, "name", &spec->name));
   OIPA_RETURN_IF_ERROR(ReadInt(section, "n", &spec->n));
-  int64_t topics = spec->num_topics;
-  OIPA_RETURN_IF_ERROR(ReadInt(section, "topics", &topics));
-  spec->num_topics = static_cast<int>(topics);
+  OIPA_RETURN_IF_ERROR(ReadInt32(section, "topics", &spec->num_topics));
   OIPA_RETURN_IF_ERROR(ReadDouble(section, "scale", &spec->scale));
   OIPA_RETURN_IF_ERROR(
       ReadDouble(section, "pool_fraction", &spec->pool_fraction));
   int64_t seed = static_cast<int64_t>(spec->seed);
   OIPA_RETURN_IF_ERROR(ReadInt(section, "seed", &seed));
   spec->seed = static_cast<uint64_t>(seed);
-  int64_t ell = spec->ell;
-  OIPA_RETURN_IF_ERROR(ReadInt(section, "ell", &ell));
-  spec->ell = static_cast<int>(ell);
+  OIPA_RETURN_IF_ERROR(ReadInt32(section, "ell", &spec->ell));
   OIPA_RETURN_IF_ERROR(ReadDouble(section, "alpha", &spec->alpha));
   OIPA_RETURN_IF_ERROR(ReadDouble(section, "beta", &spec->beta));
 
@@ -94,6 +107,13 @@ Status ParseDataset(const JsonValue& section, DatasetSpec* spec) {
   if (spec->ell < 1) {
     return Status::InvalidArgument("dataset.ell must be >= 1");
   }
+  // The logistic adoption model requires both parameters positive.
+  if (!std::isfinite(spec->alpha) || spec->alpha <= 0.0) {
+    return Status::InvalidArgument("dataset.alpha must be finite and > 0");
+  }
+  if (!std::isfinite(spec->beta) || spec->beta <= 0.0) {
+    return Status::InvalidArgument("dataset.beta must be finite and > 0");
+  }
   return Status::Ok();
 }
 
@@ -104,9 +124,7 @@ Status ParseSampling(const JsonValue& section, SamplingSpec* spec) {
   int64_t seed = static_cast<int64_t>(spec->seed);
   OIPA_RETURN_IF_ERROR(ReadInt(section, "seed", &seed));
   spec->seed = static_cast<uint64_t>(seed);
-  int64_t threads = spec->threads;
-  OIPA_RETURN_IF_ERROR(ReadInt(section, "threads", &threads));
-  spec->threads = static_cast<int>(threads);
+  OIPA_RETURN_IF_ERROR(ReadInt32(section, "threads", &spec->threads));
   OIPA_RETURN_IF_ERROR(ReadDouble(section, "epsilon", &spec->epsilon));
   OIPA_RETURN_IF_ERROR(ReadInt(section, "max_theta", &spec->max_theta));
   OIPA_RETURN_IF_ERROR(ReadString(section, "stopping", &spec->stopping));
@@ -114,8 +132,10 @@ Status ParseSampling(const JsonValue& section, SamplingSpec* spec) {
   if (spec->theta < 1) {
     return Status::InvalidArgument("sampling.theta must be >= 1");
   }
-  if (spec->threads < 0) {
-    return Status::InvalidArgument("sampling.threads must be >= 0");
+  if (spec->threads < 0 || spec->threads > kMaxExplicitThreads) {
+    return Status::InvalidArgument("sampling.threads must be in [0, " +
+                                   std::to_string(kMaxExplicitThreads) +
+                                   "]");
   }
   if (spec->holdout_theta < -1) {
     return Status::InvalidArgument(
@@ -137,9 +157,7 @@ Status ParsePlan(const JsonValue& section, PlanSpec* spec) {
   OIPA_RETURN_IF_ERROR(ReadDouble(section, "epsilon", &spec->epsilon));
   OIPA_RETURN_IF_ERROR(ReadString(section, "bound", &spec->bound));
   OIPA_RETURN_IF_ERROR(ReadInt(section, "max_nodes", &spec->max_nodes));
-  int64_t threads = spec->threads;
-  OIPA_RETURN_IF_ERROR(ReadInt(section, "threads", &threads));
-  spec->threads = static_cast<int>(threads);
+  OIPA_RETURN_IF_ERROR(ReadInt32(section, "threads", &spec->threads));
   int64_t seed = static_cast<int64_t>(spec->seed);
   OIPA_RETURN_IF_ERROR(ReadInt(section, "seed", &seed));
   spec->seed = static_cast<uint64_t>(seed);
@@ -162,9 +180,10 @@ Status ParsePlan(const JsonValue& section, PlanSpec* spec) {
     }
     spec->budgets.clear();
     for (size_t i = 0; i < v->size(); ++i) {
-      if (!v->at(i).is_int() || v->at(i).int_value() < 1) {
+      if (!v->at(i).is_int() || v->at(i).int_value() < 1 ||
+          v->at(i).int_value() > std::numeric_limits<int>::max()) {
         return Status::InvalidArgument(
-            "field 'budgets' must hold integers >= 1");
+            "field 'budgets' must hold 32-bit integers >= 1");
       }
       spec->budgets.push_back(static_cast<int>(v->at(i).int_value()));
     }
@@ -189,8 +208,10 @@ Status ParsePlan(const JsonValue& section, PlanSpec* spec) {
   if (spec->max_nodes < 1) {
     return Status::InvalidArgument("plan.max_nodes must be >= 1");
   }
-  if (spec->threads < 0) {
-    return Status::InvalidArgument("plan.threads must be >= 0");
+  if (spec->threads < 0 || spec->threads > kMaxExplicitThreads) {
+    return Status::InvalidArgument("plan.threads must be in [0, " +
+                                   std::to_string(kMaxExplicitThreads) +
+                                   "]");
   }
   return Status::Ok();
 }

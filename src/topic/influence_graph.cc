@@ -1,5 +1,7 @@
 #include "topic/influence_graph.h"
 
+#include <limits>
+
 #include "util/logging.h"
 
 namespace oipa {
@@ -10,9 +12,25 @@ InfluenceGraph::InfluenceGraph(const Graph* graph,
   OIPA_CHECK(graph_ != nullptr);
   OIPA_CHECK_EQ(static_cast<EdgeId>(edge_probs_.size()),
                 graph_->num_edges());
+  int64_t live = 0;
   for (float p : edge_probs_) {
     OIPA_CHECK_GE(p, 0.0f);
     OIPA_CHECK_LE(p, 1.0f);
+    live += p > 0.0f;
+  }
+  OIPA_CHECK_LE(live, int64_t{std::numeric_limits<uint32_t>::max()});
+  const VertexId n = graph_->num_vertices();
+  live_in_offsets_.reserve(static_cast<size_t>(n) + 1);
+  live_in_offsets_.push_back(0);
+  live_in_.reserve(static_cast<size_t>(live));
+  for (VertexId v = 0; v < n; ++v) {
+    const auto nbrs = graph_->InNeighbors(v);
+    const auto eids = graph_->InEdgeIds(v);
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      const float p = edge_probs_[eids[i]];
+      if (p > 0.0f) live_in_.push_back({nbrs[i], p});
+    }
+    live_in_offsets_.push_back(static_cast<uint32_t>(live_in_.size()));
   }
 }
 

@@ -12,10 +12,6 @@ namespace {
 
 std::atomic<int> g_num_threads{0};  // 0 = auto
 
-/// Hard ceiling on explicit thread overrides — an OS-resource guard,
-/// far above any sensible worker count.
-constexpr long kMaxExplicitThreads = 1024;
-
 /// OIPA_THREADS, parsed once; 0 when unset, empty, or malformed.
 /// Oversized values saturate at the ceiling (never silently fall back
 /// to auto-detection, which would hand out FEWER threads).
@@ -28,7 +24,7 @@ int EnvNumThreads() {
     char* end = nullptr;
     const long parsed = std::strtol(s, &end, 10);
     if (end == s || *end != '\0' || parsed < 0) return 0;
-    return static_cast<int>(std::min(parsed, kMaxExplicitThreads));
+    return static_cast<int>(std::min<long>(parsed, kMaxExplicitThreads));
   }();
   return value;
 }
@@ -80,8 +76,7 @@ int GetNumThreads() {
     // Explicit override: honored verbatim (oversubscription is legal and
     // lets tests force multi-shard paths on small machines), with only a
     // generous OS-resource safety ceiling instead of the auto path's 16.
-    return static_cast<int>(
-        std::min(static_cast<long>(n), kMaxExplicitThreads));
+    return std::min(n, kMaxExplicitThreads);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return std::clamp(static_cast<int>(hw == 0 ? 1 : hw), 1, 16);
@@ -93,10 +88,7 @@ void SetNumThreads(int n) {
 }
 
 int ResolveThreadCount(int num_threads) {
-  if (num_threads > 0) {
-    return static_cast<int>(
-        std::min(static_cast<long>(num_threads), kMaxExplicitThreads));
-  }
+  if (num_threads > 0) return std::min(num_threads, kMaxExplicitThreads);
   return GetNumThreads();
 }
 

@@ -120,6 +120,10 @@ class CondVar {
   std::condition_variable cv_;
 };
 
+/// Hard ceiling on explicit thread overrides — an OS-resource guard,
+/// far above any sensible worker count.
+inline constexpr int kMaxExplicitThreads = 1024;
+
 /// Number of worker threads used by ParallelFor and the parallel
 /// branch-and-bound engine. Resolution order:
 ///   1. SetNumThreads(n > 0)      — programmatic override,

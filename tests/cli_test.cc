@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
 #include <regex>
 #include <sstream>
@@ -450,6 +451,20 @@ TEST(CliParseTest, ServeCommandParsesDaemonFlags) {
   EXPECT_EQ(config.workers, 3);
   EXPECT_EQ(config.max_contexts, 2);
   EXPECT_EQ(config.store_budget_mb, 64);
+}
+
+TEST(CliDispatchTest, NonPositiveOrNonFiniteAdoptionParametersExit2) {
+  // The logistic model aborts on alpha/beta <= 0; the flag parser must
+  // reject them before any pipeline stage runs.
+  for (const char* flag : {"--alpha=0", "--alpha=-1", "--alpha=nan",
+                           "--beta=0", "--beta=-0.5", "--beta=inf"}) {
+    const CliRun run = InvokeCli(TinyArgs("plan", {flag}));
+    EXPECT_EQ(run.code, 2) << flag;
+    const std::string name(flag, std::strchr(flag, '='));
+    EXPECT_NE(run.err.find(name + " must be finite and > 0"),
+              std::string::npos)
+        << flag << ": " << run.err;
+  }
 }
 
 TEST(CliDispatchTest, RemotePlanRejectsMalformedServer) {

@@ -8,6 +8,7 @@
 #include <span>
 #include <vector>
 
+#include "data/datasets.h"
 #include "diffusion/cascade.h"
 #include "rrset/coverage_kernels.h"
 #include "graph/generators.h"
@@ -308,6 +309,163 @@ TEST(MrrCollectionTest, ThreadCountInvariance) {
       EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
     }
   }
+}
+
+// ------------------------------------------------- Pinned bit-identity
+
+/// Order-sensitive FNV-1a over everything a collection exposes: each
+/// root, each RR set's size (the offsets) and members (the nodes), and
+/// every posting list as ForEachSampleSpan yields it. Span boundaries
+/// are not hashed, so a grown (multi-segment) collection hashes equal to
+/// a fresh one exactly when every concatenated posting list agrees.
+uint64_t CollectionHash(const MrrCollection& mrr) {
+  uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+  mix(static_cast<uint64_t>(mrr.theta()));
+  for (int64_t i = 0; i < mrr.theta(); ++i) {
+    mix(static_cast<uint64_t>(mrr.root(i)));
+    for (int j = 0; j < mrr.num_pieces(); ++j) {
+      const auto set = mrr.Set(i, j);
+      mix(set.size());
+      for (const VertexId v : set) mix(static_cast<uint64_t>(v));
+    }
+  }
+  for (int j = 0; j < mrr.num_pieces(); ++j) {
+    for (VertexId v = 0; v < mrr.num_vertices(); ++v) {
+      uint64_t postings = 0;
+      mrr.ForEachSampleSpan(j, v, [&](std::span<const int64_t> ids) {
+        for (const int64_t i : ids) mix(static_cast<uint64_t>(i));
+        postings += ids.size();
+      });
+      mix(postings);
+    }
+  }
+  return h;
+}
+
+/// lastfm (dataset seed 1), l = 3 pieces, sampling seed 1: the pinned
+/// workload of the bit-identity suite.
+struct PinnedWorkload {
+  static constexpr int64_t kTheta = 20'000;
+  PinnedWorkload() : dataset(MakeLastFmLike(1)) {
+    Rng rng(1);
+    campaign = Campaign::SampleUniformPieces(3, dataset.num_topics, &rng);
+    pieces = BuildPieceGraphs(*dataset.graph, *dataset.probs, campaign);
+  }
+  Dataset dataset;
+  Campaign campaign;
+  std::vector<InfluenceGraph> pieces;
+};
+
+const PinnedWorkload& Pinned() {
+  static const PinnedWorkload* workload = new PinnedWorkload();
+  return *workload;
+}
+
+/// Hashes of the pinned workload's collection as sampled before the
+/// live in-adjacency and the sharded index build: any change to the
+/// draw stream, the stitch order, or posting order moves them.
+constexpr uint64_t kPinnedHashIc = 11625510916604521372ull;
+constexpr uint64_t kPinnedHashLt = 9641396495602583457ull;
+
+class PinnedHashTest
+    : public ::testing::TestWithParam<std::tuple<DiffusionModel, int>> {};
+
+TEST_P(PinnedHashTest, FreshAndGrownCollectionsMatchThePinnedHash) {
+  const auto [model, threads] = GetParam();
+  const PinnedWorkload& w = Pinned();
+  const uint64_t pinned = model == DiffusionModel::kIndependentCascade
+                              ? kPinnedHashIc
+                              : kPinnedHashLt;
+  const int64_t theta = PinnedWorkload::kTheta;
+  const MrrCollection fresh =
+      MrrCollection::Generate(w.pieces, theta, 1, model, threads);
+  EXPECT_EQ(CollectionHash(fresh), pinned);
+
+  MrrCollection grown =
+      MrrCollection::Generate(w.pieces, theta / 3, 1, model, threads);
+  grown.Extend(w.pieces, 2 * theta / 3, threads);
+  grown.Extend(w.pieces, theta, threads);
+  EXPECT_EQ(grown.num_index_segments(), 3);
+  EXPECT_EQ(CollectionHash(grown), pinned);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModelsAndThreads, PinnedHashTest,
+    ::testing::Combine(::testing::Values(DiffusionModel::kIndependentCascade,
+                                         DiffusionModel::kLinearThreshold),
+                       ::testing::Values(1, 2, 3, 7, 16)));
+
+TEST(MrrShardingTest, FewerNewSamplesThanShards) {
+  const PinnedWorkload& w = Pinned();
+  const MrrCollection reference = MrrCollection::Generate(
+      w.pieces, 12, 1, DiffusionModel::kIndependentCascade, 1);
+  // 5 samples over 16 requested workers, then grows of 1 and 6.
+  MrrCollection grown = MrrCollection::Generate(
+      w.pieces, 5, 1, DiffusionModel::kIndependentCascade, 16);
+  grown.Extend(w.pieces, 6, 16);
+  grown.Extend(w.pieces, 12, 16);
+  EXPECT_EQ(grown.num_index_segments(), 3);
+  ExpectMrrBitIdentical(grown, reference);
+  EXPECT_EQ(CollectionHash(grown), CollectionHash(reference));
+}
+
+TEST(MrrShardingTest, AllZeroProbabilityPieceYieldsRootOnlySets) {
+  const PinnedWorkload& w = Pinned();
+  const Graph& g = *w.dataset.graph;
+  std::vector<InfluenceGraph> pieces = {
+      w.pieces[0], InfluenceGraph::Uniform(g, 0.0f), w.pieces[2]};
+  const MrrCollection serial = MrrCollection::Generate(
+      pieces, 3'000, 1, DiffusionModel::kIndependentCascade, 1);
+  const MrrCollection sharded = MrrCollection::Generate(
+      pieces, 3'000, 1, DiffusionModel::kIndependentCascade, 7);
+  ExpectMrrBitIdentical(serial, sharded);
+  std::vector<std::vector<int64_t>> rooted_at(g.num_vertices());
+  for (int64_t i = 0; i < serial.theta(); ++i) {
+    const auto set = serial.Set(i, 1);
+    ASSERT_EQ(set.size(), 1u) << i;
+    EXPECT_EQ(set[0], serial.root(i)) << i;
+    rooted_at[serial.root(i)].push_back(i);
+  }
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_EQ(serial.SamplesContaining(1, v), rooted_at[v]) << v;
+  }
+  // The other pieces draw exactly what they draw beside a live piece 1.
+  const MrrCollection normal = MrrCollection::Generate(
+      w.pieces, 3'000, 1, DiffusionModel::kIndependentCascade, 1);
+  for (int64_t i = 0; i < serial.theta(); ++i) {
+    for (const int j : {0, 2}) {
+      const auto a = serial.Set(i, j);
+      const auto b = normal.Set(i, j);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << i << "," << j;
+    }
+  }
+}
+
+TEST(MrrShardingTest, FromPartsRebuildsTheGeneratedIndex) {
+  const PinnedWorkload& w = Pinned();
+  MrrCollection generated = MrrCollection::Generate(
+      w.pieces, 4'000, 1, DiffusionModel::kIndependentCascade, 3);
+  generated.Extend(w.pieces, 9'000, 3);
+  std::vector<VertexId> roots;
+  std::vector<int64_t> offsets = {0};
+  std::vector<VertexId> nodes;
+  for (int64_t i = 0; i < generated.theta(); ++i) {
+    roots.push_back(generated.root(i));
+    for (int j = 0; j < generated.num_pieces(); ++j) {
+      const auto set = generated.Set(i, j);
+      nodes.insert(nodes.end(), set.begin(), set.end());
+      offsets.push_back(static_cast<int64_t>(nodes.size()));
+    }
+  }
+  const MrrCollection rebuilt = MrrCollection::FromParts(
+      generated.theta(), generated.num_pieces(), generated.num_vertices(),
+      std::move(roots), std::move(offsets), std::move(nodes),
+      generated.base_seed(), generated.model(), /*extendable=*/true);
+  EXPECT_EQ(rebuilt.num_index_segments(), 1);
+  ExpectMrrBitIdentical(rebuilt, generated);
+  EXPECT_EQ(CollectionHash(rebuilt), CollectionHash(generated));
 }
 
 // -------------------------------------------------------- CoverageState

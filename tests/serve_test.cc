@@ -12,17 +12,23 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "oipa/api/solver.h"
+#include "oipa/api/solver_registry.h"
 #include "rrset/sample_store.h"
 #include "serve/client.h"
 #include "serve/json_parser.h"
 #include "serve/server.h"
 #include "serve/wire.h"
 #include "util/fault_injector.h"
+#include "util/threading.h"
 
 namespace oipa {
 namespace serve {
@@ -137,6 +143,48 @@ TEST(WireTest, RejectsOutOfDomainFields) {
   }
 }
 
+TEST(WireTest, RejectsNonPositiveAdoptionParameters) {
+  // LogisticAdoptionModel aborts on alpha/beta <= 0, so these must be
+  // refused at parse time.
+  for (const char* bad : {
+           R"({"dataset":{"name":"lastfm","alpha":0}})",
+           R"({"dataset":{"alpha":-2.5}})",
+           R"({"dataset":{"beta":0}})",
+           R"({"dataset":{"beta":-1}})",
+       }) {
+    const StatusOr<WireRequest> r = ParseWireRequest(bad);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  EXPECT_TRUE(ParseWireRequest(R"({"dataset":{"alpha":0.5,"beta":3}})").ok());
+}
+
+TEST(WireTest, RejectsIntegersThatDoNotFitTheirField) {
+  // 4294967297 = 2^32 + 1 would narrow to 1, and -4294967295 to 1.
+  for (const char* bad : {
+           R"({"dataset":{"topics":4294967297}})",
+           R"({"dataset":{"topics":-4294967295}})",
+           R"({"dataset":{"ell":4294967297}})",
+           R"({"sampling":{"threads":4294967297}})",
+           R"({"sampling":{"threads":1025}})",
+           R"({"plan":{"threads":4294967297}})",
+           R"({"plan":{"threads":1025}})",
+           R"({"plan":{"budgets":[4294967297]}})",
+           R"({"plan":{"budgets":[2,2147483648]}})",
+       }) {
+    const StatusOr<WireRequest> r = ParseWireRequest(bad);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  const StatusOr<WireRequest> widest = ParseWireRequest(
+      R"({"sampling":{"threads":1024},"plan":{"threads":1024,)"
+      R"("budgets":[2147483647]}})");
+  ASSERT_TRUE(widest.ok()) << widest.status().ToString();
+  EXPECT_EQ(widest->sampling.threads, 1024);
+  EXPECT_EQ(widest->plan.threads, 1024);
+  EXPECT_EQ(widest->plan.budgets, std::vector<int>({2147483647}));
+}
+
 // ---------------------------------------------------------- fixture
 
 /// Sends `lines` on one connection, then reads until `expected`
@@ -191,24 +239,126 @@ JsonValue Parse(const std::string& line) {
 std::string TinyRequest(const std::string& id, int dataset_seed,
                         const std::string& budgets,
                         const std::string& extra_plan = "",
-                        int64_t theta = 1'500) {
+                        int64_t theta = 1'500,
+                        const std::string& method = "bab") {
   return std::string("{\"id\":\"") + id +
          "\",\"dataset\":{\"n\":250,\"seed\":" +
          std::to_string(dataset_seed) +
          "},\"sampling\":{\"theta\":" + std::to_string(theta) +
-         "},\"plan\":{\"method\":\"bab\",\"budgets\":" + budgets +
-         extra_plan + "}}";
+         "},\"plan\":{\"method\":\"" + method + "\",\"budgets\":" +
+         budgets + extra_plan + "}}";
+}
+
+/// A solver that parks the worker running it until the test opens the
+/// gate, then answers exactly like "bab". It holds the daemon's workers
+/// busy for as long as a test needs, however fast real solves get.
+class GateSolver : public Solver {
+ public:
+  std::string_view name() const override { return "test-gate"; }
+  std::string_view description() const override {
+    return "bab, once the test opens the gate";
+  }
+  StatusOr<PlanResponse> Solve(const PlanningContext& context,
+                               const SampleSnapshot& samples,
+                               const PlanRequest& request,
+                               int budget) const override {
+    {
+      MutexLock lock(&mu_);
+      ++entered_;
+      while (!open_) cv_.Wait(&mu_);
+    }
+    const StatusOr<const Solver*> bab = SolverRegistry::Global().Find("bab");
+    if (!bab.ok()) return bab.status();
+    return (*bab)->Solve(context, samples, request, budget);
+  }
+
+  /// Closes the gate and forgets earlier arrivals.
+  void Close() {
+    MutexLock lock(&mu_);
+    open_ = false;
+    entered_ = 0;
+  }
+  void Open() {
+    MutexLock lock(&mu_);
+    open_ = true;
+    cv_.NotifyAll();
+  }
+  /// Solves that reached the gate since the last Close().
+  int entered() const {
+    MutexLock lock(&mu_);
+    return entered_;
+  }
+
+ private:
+  mutable Mutex mu_;
+  mutable CondVar cv_;
+  mutable int entered_ OIPA_GUARDED_BY(mu_) = 0;
+  bool open_ OIPA_GUARDED_BY(mu_) = true;
+};
+
+/// The process-wide gate solver, registered on first use.
+GateSolver& Gate() {
+  static GateSolver* const gate = [] {
+    auto solver = std::make_unique<GateSolver>();
+    GateSolver* raw = solver.get();
+    const Status registered =
+        SolverRegistry::Global().Register(std::move(solver));
+    EXPECT_TRUE(registered.ok()) << registered.ToString();
+    return raw;
+  }();
+  return *gate;
+}
+
+/// Polls `done` every millisecond; false if it still fails after 30 s.
+bool Eventually(const std::function<bool()>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
 }
 
 class ServeFixture : public ::testing::Test {
  protected:
   void TearDown() override {
+    // A test that failed midway must not leave a worker parked, or the
+    // server's drain would wait forever.
+    Gate().Open();
     // Tests with a nonzero store budget must not leak retention into
     // later suites sharing the process-wide registry; chaos tests must
     // not leak armed faults or parked recovery snapshots either.
     FaultInjector::Disable();
     SampleStore::ClearRecoveredSnapshots();
     SampleStore::SetRegistryBudget(0);
+  }
+
+  /// Occupies one worker: sends a request for the gate solver from a
+  /// background thread and returns once its solve is parked at the
+  /// gate. The test opens the gate, then joins the returned thread.
+  std::thread StartGatedBlocker() {
+    Gate().Close();
+    std::thread blocker([port = server_->port()] {
+      const StatusOr<std::string> response = RequestOverTcp(
+          "127.0.0.1", port,
+          TinyRequest("blocker", 1, "[2]", "", 1'500, "test-gate"));
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      EXPECT_TRUE(Parse(*response).Find("ok")->bool_value()) << *response;
+    });
+    EXPECT_TRUE(Eventually([] { return Gate().entered() > 0; }));
+    return blocker;
+  }
+
+  /// One field of a fresh health probe (-1 if the probe failed).
+  int64_t HealthField(const char* field) {
+    const std::vector<std::string> lines = SendLinesAndCollect(
+        server_->port(), {R"({"id":"probe","type":"health"})"}, 1);
+    if (lines.size() != 1) return -1;
+    const JsonValue response = Parse(lines[0]);
+    const JsonValue* health = response.Find("health");
+    if (health == nullptr || health->Find(field) == nullptr) return -1;
+    return health->Find(field)->int_value();
   }
 
   void StartServer(ServerOptions options) {
@@ -277,6 +427,7 @@ TEST_F(ServeFixture, MalformedInputGetsStructuredErrorsNotAborts) {
       R"({"dataset":{"name":"imdb"}})",
       R"({"id":"bad-solver","plan":{"method":"frobnicate"}})",
       R"({"id":"bad-deadline","plan":{"deadline_ms":-1}})",
+      R"({"id":"bad-alpha","dataset":{"name":"lastfm","alpha":0}})",
       TinyRequest("still-alive", 1, "[2]"),
   };
   const std::vector<std::string> responses =
@@ -287,6 +438,7 @@ TEST_F(ServeFixture, MalformedInputGetsStructuredErrorsNotAborts) {
   // workers, so classify by content instead of arrival order.
   int ok_count = 0, invalid_count = 0;
   bool saw_dataset_error = false, saw_deadline_error = false;
+  bool saw_alpha_error = false;
   bool saw_solver_not_found = false, saw_still_alive = false;
   for (const std::string& line : responses) {
     const JsonValue r = Parse(line);
@@ -306,17 +458,22 @@ TEST_F(ServeFixture, MalformedInputGetsStructuredErrorsNotAborts) {
     if (message.find("deadline_ms") != std::string::npos) {
       saw_deadline_error = true;
     }
+    if (message.find("dataset.alpha") != std::string::npos) {
+      saw_alpha_error = true;
+    }
     if (code == "NotFound" &&
         r.Find("id")->string_value() == "bad-solver") {
       saw_solver_not_found = true;
     }
   }
-  // The connection survived four bad requests; the fifth one solved.
+  // The connection survived five bad requests; the sixth one solved.
   EXPECT_EQ(ok_count, 1);
   EXPECT_TRUE(saw_still_alive);
-  EXPECT_EQ(invalid_count, 3);  // bad JSON, bad dataset, bad deadline
+  // Bad JSON, bad dataset, bad deadline, bad alpha.
+  EXPECT_EQ(invalid_count, 4);
   EXPECT_TRUE(saw_dataset_error);
   EXPECT_TRUE(saw_deadline_error);
+  EXPECT_TRUE(saw_alpha_error);
   EXPECT_TRUE(saw_solver_not_found);
 }
 
@@ -325,26 +482,18 @@ TEST_F(ServeFixture, QueuedCompatibleRequestsShareOneSweep) {
   options.workers = 1;  // forces queueing behind the blocker
   StartServer(options);
 
-  // Occupy the single worker with an expensive different-context
-  // request (big dataset build + sampling pass) while r-a/r-b (same
-  // context, different budgets) queue up behind it. Every blocker in
-  // this file uses a distinct dataset seed: the sample-store registry
-  // is process-global, and a warm registry hit would let the blocker
-  // finish before the queued requests arrive.
-  std::thread blocker([&] {
-    const std::string request =
-        "{\"id\":\"blocker\",\"dataset\":{\"n\":4000,\"seed\":991},"
-        "\"sampling\":{\"theta\":150000},"
-        "\"plan\":{\"method\":\"bab\",\"budgets\":[8]}}";
-    const StatusOr<std::string> response =
-        RequestOverTcp("127.0.0.1", server_->port(), request);
-    ASSERT_TRUE(response.ok());
-    EXPECT_TRUE(Parse(*response).Find("ok")->bool_value());
+  // Park the single worker at the gate while r-a/r-b (same context,
+  // different budgets) queue up behind it; open it once both wait.
+  std::thread blocker = StartGatedBlocker();
+  std::vector<std::string> responses;
+  std::thread client([&] {
+    responses = SendLinesAndCollect(
+        server_->port(),
+        {TinyRequest("r-a", 1, "[4]"), TinyRequest("r-b", 1, "[6]")}, 2);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  const std::vector<std::string> responses = SendLinesAndCollect(
-      server_->port(),
-      {TinyRequest("r-a", 1, "[4]"), TinyRequest("r-b", 1, "[6]")}, 2);
+  EXPECT_TRUE(Eventually([&] { return HealthField("queue_depth") == 2; }));
+  Gate().Open();
+  client.join();
   blocker.join();
   ASSERT_EQ(responses.size(), 2u);
 
@@ -653,25 +802,23 @@ TEST_F(ServeFixture, OverloadRejectionsCarryRetryAfterMs) {
   StartServer(options);
 
   // Occupy the single worker so the queue backs up behind it.
-  std::thread blocker([&] {
-    const std::string request =
-        "{\"id\":\"blocker\",\"dataset\":{\"n\":4000,\"seed\":992},"
-        "\"sampling\":{\"theta\":150000},"
-        "\"plan\":{\"method\":\"bab\",\"budgets\":[8]}}";
-    const StatusOr<std::string> response =
-        RequestOverTcp("127.0.0.1", server_->port(), request);
-    ASSERT_TRUE(response.ok());
-    EXPECT_TRUE(Parse(*response).Find("ok")->bool_value());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::thread blocker = StartGatedBlocker();
 
   // Three distinct-context requests: the first fills the depth-1
   // queue, the rest must be rejected with a structured back-off hint.
-  const std::vector<std::string> responses = SendLinesAndCollect(
-      server_->port(),
-      {TinyRequest("f1", 1, "[2]"), TinyRequest("f2", 2, "[2]"),
-       TinyRequest("f3", 3, "[2]")},
-      3);
+  // The first is answered only after the gate opens.
+  std::vector<std::string> responses;
+  std::thread client([&] {
+    responses = SendLinesAndCollect(
+        server_->port(),
+        {TinyRequest("f1", 1, "[2]"), TinyRequest("f2", 2, "[2]"),
+         TinyRequest("f3", 3, "[2]")},
+        3);
+  });
+  EXPECT_TRUE(Eventually(
+      [&] { return HealthField("rejected_queue_full") == 2; }));
+  Gate().Open();
+  client.join();
   blocker.join();
   ASSERT_EQ(responses.size(), 3u);
 
@@ -704,25 +851,23 @@ TEST_F(ServeFixture, PerConnectionInflightCapRejectsGreedyPipeliner) {
   options.workers = 1;
   options.max_inflight_per_conn = 1;
   StartServer(options);
-  std::thread blocker([&] {
-    const std::string request =
-        "{\"id\":\"blocker\",\"dataset\":{\"n\":4000,\"seed\":993},"
-        "\"sampling\":{\"theta\":150000},"
-        "\"plan\":{\"method\":\"bab\",\"budgets\":[8]}}";
-    const StatusOr<std::string> response =
-        RequestOverTcp("127.0.0.1", server_->port(), request);
-    ASSERT_TRUE(response.ok());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::thread blocker = StartGatedBlocker();
 
   // One connection pipelines three requests; with the cap at 1 only
   // the first may occupy the queue — the global queue stays available
   // to other connections.
-  const std::vector<std::string> responses = SendLinesAndCollect(
-      server_->port(),
-      {TinyRequest("p1", 1, "[2]"), TinyRequest("p2", 2, "[2]"),
-       TinyRequest("p3", 3, "[2]")},
-      3);
+  std::vector<std::string> responses;
+  std::thread client([&] {
+    responses = SendLinesAndCollect(
+        server_->port(),
+        {TinyRequest("p1", 1, "[2]"), TinyRequest("p2", 2, "[2]"),
+         TinyRequest("p3", 3, "[2]")},
+        3);
+  });
+  EXPECT_TRUE(
+      Eventually([&] { return HealthField("rejected_inflight") == 2; }));
+  Gate().Open();
+  client.join();
   blocker.join();
   int ok_count = 0, rejected_count = 0;
   for (const std::string& line : responses) {
@@ -744,21 +889,14 @@ TEST_F(ServeFixture, HealthBypassesTheQueueAndReportsCounters) {
   ServerOptions options;
   options.workers = 1;
   StartServer(options);
-  std::thread blocker([&] {
-    const std::string request =
-        "{\"id\":\"blocker\",\"dataset\":{\"n\":4000,\"seed\":994},"
-        "\"sampling\":{\"theta\":150000},"
-        "\"plan\":{\"method\":\"bab\",\"budgets\":[8]}}";
-    const StatusOr<std::string> response =
-        RequestOverTcp("127.0.0.1", server_->port(), request);
-    ASSERT_TRUE(response.ok());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::thread blocker = StartGatedBlocker();
 
   // The health probe is answered by the reader thread while the only
   // worker is busy — it cannot be stuck behind the solve.
   const std::vector<std::string> responses = SendLinesAndCollect(
       server_->port(), {R"({"id":"h1","type":"health"})"}, 1);
+  Gate().Open();
+  blocker.join();
   ASSERT_EQ(responses.size(), 1u);
   const JsonValue r = Parse(responses[0]);
   ASSERT_TRUE(r.Find("ok")->bool_value()) << responses[0];
@@ -778,7 +916,6 @@ TEST_F(ServeFixture, HealthBypassesTheQueueAndReportsCounters) {
   }
   ASSERT_NE(health->Find("context_cache"), nullptr);
   ASSERT_NE(health->Find("store_registry"), nullptr);
-  blocker.join();
 }
 
 TEST_F(ServeFixture, HalfClosedAndAbortedConnectionsDoNotWedgeWorkers) {
