@@ -1,6 +1,7 @@
 // Google-benchmark micro benchmarks for the performance-critical
-// primitives: RR sampling, MRR generation, coverage updates, tangent
-// refinement, and bound evaluations.
+// primitives: dataset and piece-graph builds, RR sampling, MRR
+// generation, coverage updates, tangent refinement, and bound
+// evaluations.
 
 #include <benchmark/benchmark.h>
 
@@ -47,8 +48,10 @@ void BM_RrSample(benchmark::State& state) {
   std::vector<VertexId> out;
   const VertexId n = env.dataset.graph->num_vertices();
   for (auto _ : state) {
+    out.clear();
     sampler.Sample(env.pieces[0],
-                   static_cast<VertexId>(rng.NextBounded(n)), &rng, &out);
+                   static_cast<VertexId>(rng.NextBounded(n)), rng.Next(),
+                   &out);
     benchmark::DoNotOptimize(out.data());
   }
 }
@@ -122,6 +125,46 @@ BENCHMARK(BM_MrrExtendLargeGraph)
     ->Args({10'000, 1})
     ->Args({10'000, 2})
     ->UseRealTime();
+
+/// One dataset build: range(0) = 0 is lastfm, 1 is synthetic n = 10k
+/// (graph generation, topic probabilities and promoter pool).
+void BM_MakeDataset(benchmark::State& state) {
+  const bool synthetic = state.range(0) == 1;
+  state.SetLabel(synthetic ? "synthetic-10k" : "lastfm");
+  for (auto _ : state) {
+    const Dataset ds = synthetic ? MakeSynthetic(10'000, 10, 0.1, 1)
+                                 : MakeLastFmLike(7);
+    benchmark::DoNotOptimize(ds.graph->num_edges());
+  }
+}
+BENCHMARK(BM_MakeDataset)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// The l = 3 piece graphs of a synthetic n = 10k dataset on range(0)
+/// workers.
+void BM_BuildPieceGraphs(benchmark::State& state) {
+  static const auto* env = [] {
+    struct PieceEnv {
+      Dataset dataset = MakeSynthetic(10'000, 10, 0.1, 1);
+      Campaign campaign;
+    };
+    auto* e = new PieceEnv();
+    Rng rng(5);
+    e->campaign =
+        Campaign::SampleUniformPieces(3, e->dataset.num_topics, &rng);
+    return e;
+  }();
+  const int threads = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    const std::vector<InfluenceGraph> pieces = BuildPieceGraphs(
+        *env->dataset.graph, *env->dataset.probs, env->campaign, threads);
+    benchmark::DoNotOptimize(pieces.data());
+  }
+}
+BENCHMARK(BM_BuildPieceGraphs)
+    ->Arg(1)
+    ->Arg(2)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_CoverageAddRemove(benchmark::State& state) {
   MicroEnv& env = Env();

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <csignal>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <sstream>
@@ -669,6 +670,14 @@ Status ParseCliConfig(const FlagParser& flags, CliConfig* config) {
   c.output = flags.GetString("output", c.output);
 
   if (c.n < 1) return Status::InvalidArgument("--n must be >= 1");
+  if (c.dataset == "synthetic" &&
+      (c.n < kMinSyntheticVertices ||
+       c.n > std::numeric_limits<VertexId>::max())) {
+    return Status::InvalidArgument(
+        "--n must be in [" + std::to_string(kMinSyntheticVertices) + ", " +
+        std::to_string(std::numeric_limits<VertexId>::max()) +
+        "] for the synthetic dataset");
+  }
   if (c.num_topics < 1) {
     return Status::InvalidArgument("--topics must be >= 1");
   }

@@ -26,12 +26,13 @@ std::vector<VertexId> SamplePromoterPool(VertexId n, double fraction,
 
 Dataset MakeSynthetic(VertexId n, int num_topics, double pool_fraction,
                       uint64_t seed) {
-  OIPA_CHECK_GE(n, 1);
+  OIPA_CHECK_GE(n, kMinSyntheticVertices);
   OIPA_CHECK_GE(num_topics, 1);
   Dataset ds;
   ds.name = "synthetic";
   ds.num_topics = num_topics;
-  ds.graph = std::make_unique<Graph>(GenerateHolmeKim(n, 4, 0.4, seed));
+  ds.graph = std::make_unique<Graph>(
+      GenerateHolmeKim(n, kMinSyntheticVertices - 1, 0.4, seed));
   ds.probs = std::make_unique<EdgeTopicProbs>(AssignWeightedCascadeTopics(
       *ds.graph, num_topics, /*avg_nonzeros=*/2.5, seed + 1));
   ds.promoter_pool =

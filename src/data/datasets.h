@@ -46,9 +46,14 @@ Dataset MakeDblpLike(double scale = 0.1, uint64_t seed = 11);
 /// ~100K vertices).
 Dataset MakeTweetLike(double scale = 0.01, uint64_t seed = 13);
 
+/// Smallest vertex count MakeSynthetic accepts: its Holme-Kim graph
+/// grows from a clique of 4 + 1 vertices.
+inline constexpr VertexId kMinSyntheticVertices = 5;
+
 /// Free-form synthetic dataset (the CLI's and the serve daemon's
 /// default): clustered power-law Holme-Kim graph with weighted-cascade
-/// topic probabilities and a `pool_fraction` promoter pool.
+/// topic probabilities and a `pool_fraction` promoter pool. Requires
+/// n >= kMinSyntheticVertices.
 Dataset MakeSynthetic(VertexId n, int num_topics, double pool_fraction,
                       uint64_t seed);
 

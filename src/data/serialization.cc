@@ -149,7 +149,7 @@ StatusOr<Dataset> LoadDataset(const std::string& path) {
       }
       entries.push_back({topics[cursor], values[cursor]});
     }
-    ds.probs->SetEdge(e, std::move(entries));
+    ds.probs->SetEdge(e, entries);
   }
   if (!ReadVector(in, &ds.promoter_pool)) {
     return Status::InvalidArgument(path + ": bad promoter pool");

@@ -25,11 +25,15 @@ class GraphBuilder {
   /// Ensures the graph has at least `n` vertices.
   void ReserveVertices(VertexId n);
 
+  /// Reserves room for `m` pending directed edges.
+  void ReserveEdges(size_t m) { edges_.reserve(m); }
+
   VertexId num_vertices() const { return num_vertices_; }
   size_t num_pending_edges() const { return edges_.size(); }
 
   /// Sorts, deduplicates, removes self-loops, and builds the CSR graph.
-  /// The builder is left empty afterwards.
+  /// Edges are bucketed by source in linear time and each source's
+  /// targets sorted on their own. The builder is left empty afterwards.
   Graph Build();
 
  private:

@@ -116,7 +116,7 @@ EdgeTopicProbs LearnTicProbabilities(const Graph& graph,
         entries.push_back({z, static_cast<float>(p)});
       }
     }
-    learned.SetEdge(e, std::move(entries));
+    learned.SetEdge(e, entries);
   }
   return learned;
 }

@@ -74,7 +74,8 @@ StatusOr<std::shared_ptr<const PlanningContext>> PlanningContext::Build(
   ctx->options_ = options;
   if (mrr != nullptr) {
     ctx->pieces_ = std::make_shared<const std::vector<InfluenceGraph>>(
-        BuildPieceGraphs(*ctx->graph_, *ctx->probs_, *ctx->campaign_));
+        BuildPieceGraphs(*ctx->graph_, *ctx->probs_, *ctx->campaign_,
+                         options.sampling_threads));
     ctx->store_ =
         SampleStore::Adopt(ctx->pieces_, std::move(mrr), std::move(holdout));
   } else if (options.share_samples) {
@@ -90,7 +91,8 @@ StatusOr<std::shared_ptr<const PlanningContext>> PlanningContext::Build(
     ctx->pieces_ = ctx->store_->pieces();
   } else {
     ctx->pieces_ = std::make_shared<const std::vector<InfluenceGraph>>(
-        BuildPieceGraphs(*ctx->graph_, *ctx->probs_, *ctx->campaign_));
+        BuildPieceGraphs(*ctx->graph_, *ctx->probs_, *ctx->campaign_,
+                         options.sampling_threads));
     ctx->store_ = SampleStore::Create(ctx->pieces_, StoreOptions(options));
   }
   return std::shared_ptr<const PlanningContext>(std::move(ctx));

@@ -28,11 +28,11 @@ struct ContextOptions {
   int64_t holdout_theta = -1;
   uint64_t seed = 1;
   DiffusionModel diffusion = DiffusionModel::kIndependentCascade;
-  /// Worker threads for sample generation/growth: 0 defers to
-  /// GetNumThreads(), N > 0 uses exactly N. Samples are bit-identical
-  /// at any thread count (see MrrCollection::Generate), so this only
-  /// changes sampling wall-clock — and is excluded from the shared
-  /// store's registry key.
+  /// Worker threads for the piece-graph build and sample generation/
+  /// growth: 0 defers to GetNumThreads(), N > 0 uses exactly N. Both
+  /// are bit-identical at any thread count (see BuildPieceGraphs and
+  /// MrrCollection::Generate), so this only changes build and sampling
+  /// wall-clock — and is excluded from the shared store's registry key.
   int sampling_threads = 0;
   /// Resolve the sample store through the process-wide SampleStore
   /// registry (MRR samples are independent of the adoption model, so

@@ -57,7 +57,8 @@ MaxCliqueReduction::MaxCliqueReduction(
     const int topic = src < n_ ? src : src - n_;
     OIPA_CHECK_GE(topic, 0);
     OIPA_CHECK_LT(topic, n_);
-    probs_.SetEdge(e, {{topic, 1.0f}});
+    const TopicProb entry{topic, 1.0f};
+    probs_.SetEdge(e, {&entry, 1});
   }
 
   std::vector<ViralPiece> pieces;

@@ -41,19 +41,18 @@ std::vector<int64_t> ShardBounds(int64_t begin, int64_t end, int shards) {
 /// Resizes `v` to `size` elements, reserving max(size, 2 * capacity)
 /// when it runs out of room: a fresh collection's arrays come out exact,
 /// and a run of small in-place Extends stays amortised O(new samples).
+/// New slots are left unwritten (DefaultInitVector).
 template <typename T>
-void GrowTo(std::vector<T>* v, size_t size) {
+void GrowTo(DefaultInitVector<T>* v, size_t size) {
   if (size > v->capacity()) v->reserve(std::max(size, 2 * v->capacity()));
   v->resize(size);
 }
 
-/// One Extend shard's samples in shard-local buffers. Each shard sits on
-/// its own cache lines: every push_back writes its vector's header, and
-/// headers of neighbouring shards sharing a line would bounce it
-/// between cores (false sharing).
+/// One Extend shard's RR-set members, staged until the shards before it
+/// are sized. Each shard sits on its own cache lines: every push_back
+/// writes its vector's header, and headers of neighbouring shards
+/// sharing a line would bounce it between cores (false sharing).
 struct alignas(64) SampleShard {
-  std::vector<VertexId> roots;
-  std::vector<int64_t> set_ends;  // end of each RR set within `nodes`
   std::vector<VertexId> nodes;
   int64_t node_base = 0;  // where `nodes` lands in nodes_
 };
@@ -117,58 +116,55 @@ void MrrCollection::Extend(const std::vector<InfluenceGraph>& piece_graphs,
   const std::vector<int64_t> bounds =
       ShardBounds(begin, new_theta, shard_count);
   std::vector<SampleShard> shards(shard_count);
+  GrowTo(&roots_, new_theta);
+  GrowTo(&offsets_, new_theta * ell + 1);
 
   // Sample. Sample i draws only from PerSampleSeed(base_seed_, i, .), so
-  // the shard layout never changes a bit of the output.
+  // the shard layout never changes a bit of the output. Roots go straight
+  // to roots_[i] and each RR set's end within its shard's `nodes` to
+  // offsets_[i*l+j+1]; the stitch rebases the ends.
   ParallelFor(shard_count, shard_count, [&](int, int64_t lo, int64_t hi) {
     for (int64_t s = lo; s < hi; ++s) {
-      SampleShard& shard = shards[s];
-      const int64_t samples = bounds[s + 1] - bounds[s];
-      shard.roots.reserve(samples);
-      shard.set_ends.reserve(samples * ell);
-      shard.nodes.reserve(samples * ell);
+      std::vector<VertexId>& nodes = shards[s].nodes;
+      nodes.reserve((bounds[s + 1] - bounds[s]) * ell);
       RrSampler sampler(n);
-      std::vector<VertexId> set;
+      std::vector<VertexId> lt_set;
       for (int64_t i = bounds[s]; i < bounds[s + 1]; ++i) {
         Rng root_rng(PerSampleSeed(base_seed_, i, -1));
         const VertexId root =
             static_cast<VertexId>(root_rng.NextBounded(n));
-        shard.roots.push_back(root);
+        roots_[i] = root;
+        int64_t* set_ends = offsets_.data() + i * ell + 1;
         for (int j = 0; j < ell; ++j) {
-          Rng rng(PerSampleSeed(base_seed_, i, j));
+          const uint64_t seed = PerSampleSeed(base_seed_, i, j);
           if (model_ == DiffusionModel::kLinearThreshold) {
+            Rng rng(seed);
             SampleLtRrSet(piece_graphs[j].graph(), lt_weights[j], root,
-                          &rng, &set);
+                          &rng, &lt_set);
+            nodes.insert(nodes.end(), lt_set.begin(), lt_set.end());
           } else {
-            sampler.Sample(piece_graphs[j], root, &rng, &set);
+            sampler.Sample(piece_graphs[j], root, seed, &nodes);
           }
-          shard.nodes.insert(shard.nodes.end(), set.begin(), set.end());
-          shard.set_ends.push_back(
-              static_cast<int64_t>(shard.nodes.size()));
+          set_ends[j] = static_cast<int64_t>(nodes.size());
         }
       }
     }
   });
 
-  // Stitch: every shard copies its samples to positions fixed by the
-  // shards before it.
+  // Stitch: every shard rebases its ends and copies its members to
+  // positions fixed by the shards before it.
   int64_t total_nodes = static_cast<int64_t>(nodes_.size());
   for (SampleShard& shard : shards) {
     shard.node_base = total_nodes;
     total_nodes += static_cast<int64_t>(shard.nodes.size());
   }
-  GrowTo(&roots_, new_theta);
-  GrowTo(&offsets_, new_theta * ell + 1);
   GrowTo(&nodes_, total_nodes);
   ParallelFor(shard_count, shard_count, [&](int, int64_t lo, int64_t hi) {
     for (int64_t s = lo; s < hi; ++s) {
       const SampleShard& shard = shards[s];
-      std::copy(shard.roots.begin(), shard.roots.end(),
-                roots_.begin() + bounds[s]);
-      int64_t* offsets = offsets_.data() + bounds[s] * ell + 1;
-      for (const int64_t end : shard.set_ends) {
-        *offsets++ = shard.node_base + end;
-      }
+      int64_t* ends = offsets_.data() + bounds[s] * ell + 1;
+      int64_t* const ends_end = offsets_.data() + bounds[s + 1] * ell + 1;
+      for (; ends != ends_end; ++ends) *ends += shard.node_base;
       std::copy(shard.nodes.begin(), shard.nodes.end(),
                 nodes_.begin() + shard.node_base);
     }
@@ -182,9 +178,9 @@ void MrrCollection::Extend(const std::vector<InfluenceGraph>& piece_graphs,
 
 MrrCollection MrrCollection::FromParts(
     int64_t theta, int num_pieces, VertexId num_vertices,
-    std::vector<VertexId> roots, std::vector<int64_t> offsets,
-    std::vector<VertexId> nodes, uint64_t base_seed, DiffusionModel model,
-    bool extendable) {
+    DefaultInitVector<VertexId> roots, DefaultInitVector<int64_t> offsets,
+    DefaultInitVector<VertexId> nodes, uint64_t base_seed,
+    DiffusionModel model, bool extendable) {
   OIPA_CHECK_GE(theta, 0);
   OIPA_CHECK_GT(num_pieces, 0);
   OIPA_CHECK_GE(num_vertices, 0);

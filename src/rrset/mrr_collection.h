@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "topic/influence_graph.h"
+#include "util/default_init_allocator.h"
 
 namespace oipa {
 
@@ -29,7 +30,8 @@ enum class DiffusionModel {
 /// inverted-index segment covering only the new samples, so an Extend
 /// costs amortised O(new samples), never a full index rebuild. Sampling,
 /// the stitch into the flat arrays, and the segment's index build all
-/// run sharded over contiguous sample ranges.
+/// run sharded over contiguous sample ranges. Sampling writes roots and
+/// RR-set ends in place; only the members are staged per shard.
 class MrrCollection {
  public:
   /// Generates theta samples over `piece_graphs` (all sharing one social
@@ -68,9 +70,9 @@ class MrrCollection {
   /// to the original (the append-aware IO path).
   static MrrCollection FromParts(int64_t theta, int num_pieces,
                                  VertexId num_vertices,
-                                 std::vector<VertexId> roots,
-                                 std::vector<int64_t> offsets,
-                                 std::vector<VertexId> nodes,
+                                 DefaultInitVector<VertexId> roots,
+                                 DefaultInitVector<int64_t> offsets,
+                                 DefaultInitVector<VertexId> nodes,
                                  uint64_t base_seed = 0,
                                  DiffusionModel model =
                                      DiffusionModel::kIndependentCascade,
@@ -170,8 +172,8 @@ class MrrCollection {
   struct IndexSegment {
     int64_t begin_sample = 0;
     int64_t end_sample = 0;
-    std::vector<int64_t> offsets;  // l*(n+1) + 1
-    std::vector<int64_t> samples;
+    DefaultInitVector<int64_t> offsets;  // l*(n+1) + 1
+    DefaultInitVector<int64_t> samples;
   };
 
   MrrCollection() = default;
@@ -199,9 +201,11 @@ class MrrCollection {
   uint64_t base_seed_ = 0;
   DiffusionModel model_ = DiffusionModel::kIndependentCascade;
   bool extendable_ = false;
-  std::vector<VertexId> roots_;
-  std::vector<int64_t> offsets_{0};  // theta*l + 1
-  std::vector<VertexId> nodes_;
+  // Grown without a zero-fill: Extend's parallel passes write every new
+  // slot (and touch its page first) before anything reads it.
+  DefaultInitVector<VertexId> roots_;
+  DefaultInitVector<int64_t> offsets_{0};  // theta*l + 1
+  DefaultInitVector<VertexId> nodes_;
   std::vector<IndexSegment> segments_;
 };
 

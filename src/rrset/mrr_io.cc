@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/default_init_allocator.h"
 #include "util/fault_injector.h"
 
 namespace oipa {
@@ -39,8 +40,10 @@ void WriteVector(std::ofstream& out, const std::vector<T>& v) {
             static_cast<std::streamsize>(v.size() * sizeof(T)));
 }
 
+/// Reads a size-prefixed array into `v`. The read overwrites every slot,
+/// so the storage is not zero-filled first.
 template <typename T>
-bool ReadVector(std::ifstream& in, std::vector<T>* v) {
+bool ReadVector(std::ifstream& in, DefaultInitVector<T>* v) {
   uint64_t size = 0;
   if (!ReadPod(in, &size)) return false;
   if (size > (1ULL << 34)) return false;
@@ -103,9 +106,9 @@ StatusOr<MrrCollection> ReadCollectionBlob(std::ifstream& in,
       return Status::InvalidArgument(path + ": bad MRR provenance header");
     }
   }
-  std::vector<VertexId> roots;
-  std::vector<int64_t> offsets;
-  std::vector<VertexId> nodes;
+  DefaultInitVector<VertexId> roots;
+  DefaultInitVector<int64_t> offsets;
+  DefaultInitVector<VertexId> nodes;
   if (!ReadVector(in, &roots) || !ReadVector(in, &offsets) ||
       !ReadVector(in, &nodes)) {
     return Status::InvalidArgument(path + ": truncated MRR arrays");

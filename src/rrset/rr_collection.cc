@@ -32,7 +32,6 @@ void RrCollection::Extend(const InfluenceGraph& ig, int64_t extra) {
 
   ParallelFor(extra, [&](int shard, int64_t lo, int64_t hi) {
     RrSampler sampler(n);
-    std::vector<VertexId> set;
     auto& roots = shard_roots[shard];
     auto& sizes = shard_sizes[shard];
     auto& nodes = shard_nodes[shard];
@@ -40,11 +39,10 @@ void RrCollection::Extend(const InfluenceGraph& ig, int64_t extra) {
       const int64_t sample = begin_sample + s;
       Rng root_rng(PerSampleSeed(base_seed_, sample, -1));
       const VertexId root = static_cast<VertexId>(root_rng.NextBounded(n));
-      Rng rng(PerSampleSeed(base_seed_, sample, 0));
-      sampler.Sample(ig, root, &rng, &set);
+      const size_t before = nodes.size();
+      sampler.Sample(ig, root, PerSampleSeed(base_seed_, sample, 0), &nodes);
       roots.push_back(root);
-      sizes.push_back(static_cast<int32_t>(set.size()));
-      nodes.insert(nodes.end(), set.begin(), set.end());
+      sizes.push_back(static_cast<int32_t>(nodes.size() - before));
     }
   });
 

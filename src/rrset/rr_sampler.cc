@@ -1,5 +1,7 @@
 #include "rrset/rr_sampler.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace oipa {
@@ -7,34 +9,33 @@ namespace oipa {
 RrSampler::RrSampler(VertexId num_vertices)
     : visit_epoch_(num_vertices, 0) {}
 
-void RrSampler::Sample(const InfluenceGraph& ig, VertexId root, Rng* rng,
-                       std::vector<VertexId>* out) {
+void RrSampler::Sample(const InfluenceGraph& ig, VertexId root,
+                       uint64_t seed, std::vector<VertexId>* out) {
   const Graph& g = ig.graph();
   OIPA_CHECK_EQ(static_cast<VertexId>(visit_epoch_.size()),
                 g.num_vertices());
   OIPA_CHECK_GE(root, 0);
   OIPA_CHECK_LT(root, g.num_vertices());
 
-  out->clear();
+  size_t head = out->size();
+  out->push_back(root);
+  if (ig.LiveInEdges(root).empty()) return;
+
   ++epoch_;
   if (epoch_ == 0) {  // wrapped: reset stamps
     std::fill(visit_epoch_.begin(), visit_epoch_.end(), 0u);
     epoch_ = 1;
   }
-
-  queue_.clear();
   visit_epoch_[root] = epoch_;
-  queue_.push_back(root);
-  out->push_back(root);
-  size_t head = 0;
-  while (head < queue_.size()) {
-    const VertexId u = queue_[head++];
+  Rng rng(seed);
+  // Indexed, not iterated: push_back may move the buffer.
+  for (; head < out->size(); ++head) {
+    const VertexId u = (*out)[head];
     for (const InfluenceGraph::LiveInEdge& e : ig.LiveInEdges(u)) {
       const VertexId w = e.src;
       if (visit_epoch_[w] == epoch_) continue;
-      if (rng->NextFloat() < e.prob) {
+      if (rng.NextFloat() < e.prob) {
         visit_epoch_[w] = epoch_;
-        queue_.push_back(w);
         out->push_back(w);
       }
     }

@@ -20,19 +20,20 @@ class RrSampler {
  public:
   explicit RrSampler(VertexId num_vertices);
 
-  /// Samples the RR set of `root` on `ig`, appending members (root
-  /// included) to `out` (cleared first). Edge (u -> v) is considered live
-  /// with probability ig.EdgeProb(e) — evaluated lazily during the reverse
-  /// BFS, which is equivalent to sampling the world up front. The BFS
-  /// walks ig.LiveInEdges: a p = 0 edge can never fire and draws no
-  /// random number, so skipping it leaves the draw stream unchanged.
-  void Sample(const InfluenceGraph& ig, VertexId root, Rng* rng,
+  /// Samples the RR set of `root` on `ig` and appends its members, root
+  /// first, to `out`; the appended range doubles as the BFS queue. Edge
+  /// (u -> v) is live with probability ig.EdgeProb(e), drawn lazily
+  /// during the reverse BFS from an Rng seeded with `seed` — equivalent
+  /// to sampling the world up front. The BFS walks ig.LiveInEdges: a
+  /// p = 0 edge can never fire and draws nothing, so skipping it leaves
+  /// the draw stream unchanged. A root without live in-edges yields
+  /// {root} without seeding the Rng at all.
+  void Sample(const InfluenceGraph& ig, VertexId root, uint64_t seed,
               std::vector<VertexId>* out);
 
  private:
   std::vector<uint32_t> visit_epoch_;
   uint32_t epoch_ = 0;
-  std::vector<VertexId> queue_;
 };
 
 /// Derives the deterministic per-sample RNG seed used by the collection

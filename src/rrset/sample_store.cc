@@ -393,7 +393,7 @@ std::shared_ptr<SampleStore> MakeStoreForAcquire(
     std::shared_ptr<const Campaign> campaign,
     const SampleStore::Options& options) {
   auto pieces = std::make_shared<const std::vector<InfluenceGraph>>(
-      BuildPieceGraphs(*graph, *probs, *campaign));
+      BuildPieceGraphs(*graph, *probs, *campaign, options.sampling_threads));
   std::shared_ptr<SampleStore> store;
   if (!options.source_key.empty()) {
     store = SampleStore::BuildFromRecovered(pieces, options);

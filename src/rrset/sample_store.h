@@ -71,13 +71,13 @@ class SampleStore {
     int64_t holdout_theta = -1;
     uint64_t seed = 1;
     DiffusionModel diffusion = DiffusionModel::kIndependentCascade;
-    /// Worker threads for sample generation and growth (0 = the
-    /// GetNumThreads() default, N > 0 = exactly N workers). Samples
-    /// are bit-identical at any thread count (PerSampleSeed), so this
-    /// is deliberately NOT part of the Acquire() registry key — two
-    /// requests differing only in sampling_threads share one store
-    /// (the first acquirer's setting generates; growth uses the
-    /// store's stored value).
+    /// Worker threads for the piece-graph build, sample generation
+    /// and growth (0 = the GetNumThreads() default, N > 0 = exactly N
+    /// workers). Piece graphs and samples are bit-identical at any
+    /// thread count (PerSampleSeed), so this is deliberately NOT part
+    /// of the Acquire() registry key — two requests differing only in
+    /// sampling_threads share one store (the first acquirer's setting
+    /// builds and generates; growth uses the store's stored value).
     int sampling_threads = 0;
     /// When non-empty, the Acquire() registry keys graph and probs by
     /// this string instead of by object identity. Callers that rebuild

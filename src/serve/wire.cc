@@ -5,6 +5,7 @@
 #include <limits>
 #include <utility>
 
+#include "data/datasets.h"
 #include "serve/json_parser.h"
 #include "util/threading.h"
 
@@ -94,6 +95,16 @@ Status ParseDataset(const JsonValue& section, DatasetSpec* spec) {
                                    "' (synthetic|lastfm|dblp|tweet)");
   }
   if (spec->n < 1) return Status::InvalidArgument("dataset.n must be >= 1");
+  if (spec->name == "synthetic" &&
+      (spec->n < kMinSyntheticVertices ||
+       spec->n > std::numeric_limits<VertexId>::max())) {
+    // MakeSynthetic aborts below the minimum, and a larger n would
+    // narrow to a negative VertexId.
+    return Status::InvalidArgument(
+        "synthetic dataset.n must be in [" +
+        std::to_string(kMinSyntheticVertices) + ", " +
+        std::to_string(std::numeric_limits<VertexId>::max()) + "]");
+  }
   if (spec->num_topics < 1) {
     return Status::InvalidArgument("dataset.topics must be >= 1");
   }

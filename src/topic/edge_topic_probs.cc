@@ -13,20 +13,21 @@ EdgeTopicProbs::EdgeTopicProbs(EdgeId num_edges, int num_topics)
   offsets_.assign(num_edges + 1, 0);
 }
 
-void EdgeTopicProbs::SetEdge(EdgeId e, std::vector<TopicProb> entries) {
+void EdgeTopicProbs::SetEdge(EdgeId e, std::span<const TopicProb> entries) {
   OIPA_CHECK_EQ(e, next_edge_) << "SetEdge must be called in EdgeId order";
   OIPA_CHECK_LT(e, num_edges());
-  std::sort(entries.begin(), entries.end(),
+  const auto first =
+      entries_.insert(entries_.end(), entries.begin(), entries.end());
+  std::sort(first, entries_.end(),
             [](const TopicProb& a, const TopicProb& b) {
               return a.topic < b.topic;
             });
-  for (size_t i = 0; i < entries.size(); ++i) {
-    OIPA_CHECK_GE(entries[i].topic, 0);
-    OIPA_CHECK_LT(entries[i].topic, num_topics_);
-    OIPA_CHECK_GE(entries[i].prob, 0.0f);
-    OIPA_CHECK_LE(entries[i].prob, 1.0f);
-    if (i > 0) OIPA_CHECK_NE(entries[i].topic, entries[i - 1].topic);
-    entries_.push_back(entries[i]);
+  for (auto it = first; it != entries_.end(); ++it) {
+    OIPA_CHECK_GE(it->topic, 0);
+    OIPA_CHECK_LT(it->topic, num_topics_);
+    OIPA_CHECK_GE(it->prob, 0.0f);
+    OIPA_CHECK_LE(it->prob, 1.0f);
+    if (it != first) OIPA_CHECK_NE(it->topic, (it - 1)->topic);
   }
   offsets_[e + 1] = static_cast<int64_t>(entries_.size());
   ++next_edge_;
@@ -45,13 +46,34 @@ double EdgeTopicProbs::Prob(EdgeId e, int topic) const {
   return 0.0;
 }
 
-double EdgeTopicProbs::PieceProb(EdgeId e, const TopicVector& piece) const {
-  OIPA_CHECK_EQ(piece.num_topics(), num_topics_);
+namespace {
+
+/// t . p(e) over one edge's entries, clamped to [0, 1]; the caller has
+/// checked that `piece` spans the model's topics.
+double ClampedDot(std::span<const TopicProb> entries,
+                  const TopicVector& piece) {
   double p = 0.0;
-  for (const TopicProb& tp : EdgeEntries(e)) {
+  for (const TopicProb& tp : entries) {
     p += piece[tp.topic] * static_cast<double>(tp.prob);
   }
   return std::clamp(p, 0.0, 1.0);
+}
+
+}  // namespace
+
+double EdgeTopicProbs::PieceProb(EdgeId e, const TopicVector& piece) const {
+  OIPA_CHECK_EQ(piece.num_topics(), num_topics_);
+  return ClampedDot(EdgeEntries(e), piece);
+}
+
+std::vector<float> EdgeTopicProbs::PieceProbs(
+    const TopicVector& piece) const {
+  OIPA_CHECK_EQ(piece.num_topics(), num_topics_);
+  std::vector<float> out(static_cast<size_t>(num_edges()));
+  for (EdgeId e = 0; e < num_edges(); ++e) {
+    out[e] = static_cast<float>(ClampedDot(EdgeEntries(e), piece));
+  }
+  return out;
 }
 
 double EdgeTopicProbs::MeanProb(EdgeId e) const {

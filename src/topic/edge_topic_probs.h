@@ -26,8 +26,16 @@ class EdgeTopicProbs {
   EdgeTopicProbs(EdgeId num_edges, int num_topics);
 
   /// Builder-style population: call once per edge in increasing EdgeId
-  /// order; entries must have valid topic ids and probs in [0, 1].
-  void SetEdge(EdgeId e, std::vector<TopicProb> entries);
+  /// order; entries must have valid, distinct topic ids and probs in
+  /// [0, 1]. They are appended and sorted by topic in place, so callers
+  /// can pass one reused buffer for every edge.
+  void SetEdge(EdgeId e, std::span<const TopicProb> entries);
+
+  /// Reserves room for `entries` (topic, probability) pairs in total,
+  /// so a builder that knows an upper bound never reallocates.
+  void Reserve(int64_t entries) {
+    entries_.reserve(static_cast<size_t>(entries));
+  }
 
   EdgeId num_edges() const {
     return static_cast<EdgeId>(offsets_.size()) - 1;
@@ -48,6 +56,10 @@ class EdgeTopicProbs {
   /// p(t, e) = t . p(e): probability that piece `t` crosses edge e,
   /// clamped to [0, 1].
   double PieceProb(EdgeId e, const TopicVector& piece) const;
+
+  /// PieceProb of every edge, as floats (a piece's influence graph);
+  /// the piece's topic count is checked once, not per edge.
+  std::vector<float> PieceProbs(const TopicVector& piece) const;
 
   /// Topic-blind probability: mean of p(e|z) over all |Z| topics (zeros
   /// included). This is the edge weight the topic-agnostic IM baseline

@@ -1,8 +1,10 @@
 #include "topic/influence_graph.h"
 
 #include <limits>
+#include <optional>
 
 #include "util/logging.h"
+#include "util/threading.h"
 
 namespace oipa {
 
@@ -38,11 +40,7 @@ InfluenceGraph InfluenceGraph::ForPiece(const Graph& graph,
                                         const EdgeTopicProbs& probs,
                                         const TopicVector& piece) {
   OIPA_CHECK_EQ(probs.num_edges(), graph.num_edges());
-  std::vector<float> edge_probs(graph.num_edges());
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    edge_probs[e] = static_cast<float>(probs.PieceProb(e, piece));
-  }
-  return InfluenceGraph(&graph, std::move(edge_probs));
+  return InfluenceGraph(&graph, probs.PieceProbs(piece));
 }
 
 InfluenceGraph InfluenceGraph::TopicBlind(const Graph& graph,
@@ -71,12 +69,20 @@ InfluenceGraph InfluenceGraph::WeightedCascade(const Graph& graph) {
 
 std::vector<InfluenceGraph> BuildPieceGraphs(const Graph& graph,
                                              const EdgeTopicProbs& probs,
-                                             const Campaign& campaign) {
+                                             const Campaign& campaign,
+                                             int num_threads) {
+  const int ell = campaign.num_pieces();
+  std::vector<std::optional<InfluenceGraph>> built(ell);
+  ParallelFor(ell, num_threads, [&](int, int64_t lo, int64_t hi) {
+    for (int64_t j = lo; j < hi; ++j) {
+      built[j].emplace(InfluenceGraph::ForPiece(
+          graph, probs, campaign.piece(static_cast<int>(j)).topics));
+    }
+  });
   std::vector<InfluenceGraph> out;
-  out.reserve(campaign.num_pieces());
-  for (int j = 0; j < campaign.num_pieces(); ++j) {
-    out.push_back(
-        InfluenceGraph::ForPiece(graph, probs, campaign.piece(j).topics));
+  out.reserve(ell);
+  for (std::optional<InfluenceGraph>& piece : built) {
+    out.push_back(std::move(*piece));
   }
   return out;
 }

@@ -68,10 +68,13 @@ class InfluenceGraph {
 };
 
 /// Builds one InfluenceGraph per campaign piece. The returned graphs alias
-/// `graph`, which must outlive them.
+/// `graph`, which must outlive them. The pieces are independent and are
+/// built on up to `num_threads` workers (ResolveThreadCount convention:
+/// 0 = GetNumThreads()); the result is the same at any count.
 std::vector<InfluenceGraph> BuildPieceGraphs(const Graph& graph,
                                              const EdgeTopicProbs& probs,
-                                             const Campaign& campaign);
+                                             const Campaign& campaign,
+                                             int num_threads = 1);
 
 }  // namespace oipa
 

@@ -21,17 +21,24 @@ int SampleNonZeroCount(double avg_nonzeros, int num_topics, Rng* rng) {
   return std::clamp(count, 1, num_topics);
 }
 
-/// Picks `count` distinct topics uniformly.
-std::vector<int> SampleTopics(int num_topics, int count, Rng* rng) {
-  std::vector<int> chosen;
-  chosen.reserve(count);
-  while (static_cast<int>(chosen.size()) < count) {
+/// Most topics SampleNonZeroCount gives one edge.
+int MaxNonZeroCount(double avg_nonzeros, int num_topics) {
+  OIPA_CHECK_GE(avg_nonzeros, 1.0);
+  return static_cast<int>(
+      std::min<double>(std::ceil(avg_nonzeros), num_topics));
+}
+
+/// Picks `count` distinct topics uniformly into `chosen` (cleared
+/// first).
+void SampleTopics(int num_topics, int count, Rng* rng,
+                  std::vector<int>* chosen) {
+  chosen->clear();
+  while (static_cast<int>(chosen->size()) < count) {
     const int z = static_cast<int>(rng->NextBounded(num_topics));
-    if (std::find(chosen.begin(), chosen.end(), z) == chosen.end()) {
-      chosen.push_back(z);
+    if (std::find(chosen->begin(), chosen->end(), z) == chosen->end()) {
+      chosen->push_back(z);
     }
   }
-  return chosen;
 }
 
 }  // namespace
@@ -42,14 +49,20 @@ EdgeTopicProbs AssignWeightedCascadeTopics(const Graph& graph,
                                            uint64_t seed) {
   Rng rng(seed);
   EdgeTopicProbs probs(graph.num_edges(), num_topics);
+  probs.Reserve(graph.num_edges() *
+                MaxNonZeroCount(avg_nonzeros, num_topics));
+  // Per-edge scratch, reused: it grows to the largest topic count.
+  std::vector<int> topics;
+  std::vector<double> weights;
+  std::vector<TopicProb> entries;
   for (EdgeId e = 0; e < graph.num_edges(); ++e) {
     const int64_t indeg = graph.InDegree(graph.edge(e).dst);
     const double base = indeg > 0 ? 1.0 / static_cast<double>(indeg) : 0.0;
     const int count = SampleNonZeroCount(avg_nonzeros, num_topics, &rng);
-    const std::vector<int> topics = SampleTopics(num_topics, count, &rng);
-    const std::vector<double> weights = rng.NextDirichlet(count, 1.0);
-    std::vector<TopicProb> entries;
-    entries.reserve(count);
+    SampleTopics(num_topics, count, &rng, &topics);
+    weights.resize(count);
+    rng.NextDirichlet(1.0, weights);
+    entries.clear();
     for (int i = 0; i < count; ++i) {
       // The jitter keeps per-topic probabilities heterogeneous even for
       // edges with equal in-degree.
@@ -58,7 +71,7 @@ EdgeTopicProbs AssignWeightedCascadeTopics(const Graph& graph,
           std::clamp(base * weights[i] * count * jitter, 0.0, 1.0);
       entries.push_back({topics[i], static_cast<float>(p)});
     }
-    probs.SetEdge(e, std::move(entries));
+    probs.SetEdge(e, entries);
   }
   return probs;
 }
@@ -68,15 +81,18 @@ EdgeTopicProbs AssignTrivalencyTopics(const Graph& graph, int num_topics,
   Rng rng(seed);
   static constexpr float kLevels[3] = {0.1f, 0.01f, 0.001f};
   EdgeTopicProbs probs(graph.num_edges(), num_topics);
+  probs.Reserve(graph.num_edges() *
+                MaxNonZeroCount(avg_nonzeros, num_topics));
+  std::vector<int> topics;
+  std::vector<TopicProb> entries;
   for (EdgeId e = 0; e < graph.num_edges(); ++e) {
     const int count = SampleNonZeroCount(avg_nonzeros, num_topics, &rng);
-    const std::vector<int> topics = SampleTopics(num_topics, count, &rng);
-    std::vector<TopicProb> entries;
-    entries.reserve(count);
+    SampleTopics(num_topics, count, &rng, &topics);
+    entries.clear();
     for (int z : topics) {
       entries.push_back({z, kLevels[rng.NextBounded(3)]});
     }
-    probs.SetEdge(e, std::move(entries));
+    probs.SetEdge(e, entries);
   }
   return probs;
 }
@@ -93,7 +109,9 @@ EdgeTopicProbs AssignAffinityTopics(
   const int num_topics =
       node_topics.empty() ? 1 : node_topics[0].num_topics();
   EdgeTopicProbs probs(graph.num_edges(), num_topics);
+  probs.Reserve(graph.num_edges() * std::min(top_k, num_topics));
   std::vector<std::pair<double, int>> affinity;
+  std::vector<TopicProb> entries;
   for (EdgeId e = 0; e < graph.num_edges(); ++e) {
     const Edge& edge = graph.edge(e);
     const TopicVector& tu = node_topics[edge.src];
@@ -119,8 +137,7 @@ EdgeTopicProbs AssignAffinityTopics(
     const int64_t indeg = graph.InDegree(edge.dst);
     const double mass =
         indeg > 0 ? scale / static_cast<double>(indeg) : scale;
-    std::vector<TopicProb> entries;
-    entries.reserve(affinity.size());
+    entries.clear();
     for (const auto& [a, z] : affinity) {
       const double p =
           total > 0.0 ? std::clamp(mass * a / total * affinity.size(), 0.0,
@@ -128,7 +145,7 @@ EdgeTopicProbs AssignAffinityTopics(
                       : 0.0;
       entries.push_back({z, static_cast<float>(p)});
     }
-    probs.SetEdge(e, std::move(entries));
+    probs.SetEdge(e, entries);
   }
   return probs;
 }

@@ -46,20 +46,25 @@ double Rng::NextGamma(double shape) {
 std::vector<double> Rng::NextDirichlet(int dim, double alpha) {
   OIPA_CHECK_GT(dim, 0);
   std::vector<double> out(dim);
+  NextDirichlet(alpha, out);
+  return out;
+}
+
+void Rng::NextDirichlet(double alpha, std::span<double> out) {
+  OIPA_CHECK(!out.empty());
   double sum = 0.0;
-  for (int i = 0; i < dim; ++i) {
-    out[i] = NextGamma(alpha);
-    sum += out[i];
+  for (double& x : out) {
+    x = NextGamma(alpha);
+    sum += x;
   }
   if (sum <= 0.0) {
     // Degenerate draw (can happen for very small alpha); fall back to a
     // random vertex of the simplex.
-    const int j = static_cast<int>(NextBounded(dim));
-    for (int i = 0; i < dim; ++i) out[i] = (i == j) ? 1.0 : 0.0;
-    return out;
+    const size_t j = NextBounded(out.size());
+    for (size_t i = 0; i < out.size(); ++i) out[i] = (i == j) ? 1.0 : 0.0;
+    return;
   }
-  for (int i = 0; i < dim; ++i) out[i] /= sum;
-  return out;
+  for (double& x : out) x /= sum;
 }
 
 int SampleDiscrete(const std::vector<double>& weights, Rng* rng) {

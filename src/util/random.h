@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -87,6 +88,11 @@ class Rng {
 
   /// Samples a Dirichlet(alpha,...,alpha) vector of dimension `dim`.
   std::vector<double> NextDirichlet(int dim, double alpha);
+
+  /// Fills `out` (non-empty) with a Dirichlet(alpha,...,alpha) draw of
+  /// dimension out.size(); the same draws as the vector form, without
+  /// allocating.
+  void NextDirichlet(double alpha, std::span<double> out);
 
   /// Fisher-Yates shuffles `items` in place.
   template <typename T>

@@ -467,6 +467,20 @@ TEST(CliDispatchTest, NonPositiveOrNonFiniteAdoptionParametersExit2) {
   }
 }
 
+TEST(CliDispatchTest, SyntheticSizeOutsideTheGeneratorRangeExits2) {
+  // n = 3 trips the Holme-Kim generator's n >= m + 1 CHECK and
+  // 2147483648 narrows to a negative VertexId; both must exit 2.
+  for (const char* flag : {"--n=3", "--n=4", "--n=2147483648"}) {
+    const CliRun run = InvokeCli(TinyArgs("generate", {flag}));
+    EXPECT_EQ(run.code, 2) << flag;
+    EXPECT_NE(run.err.find("--n must be in [5, 2147483647]"),
+              std::string::npos)
+        << flag << ": " << run.err;
+  }
+  const CliRun smallest = InvokeCli(TinyArgs("generate", {"--n=5"}));
+  EXPECT_EQ(smallest.code, 0) << smallest.err;
+}
+
 TEST(CliDispatchTest, RemotePlanRejectsMalformedServer) {
   const CliRun run =
       InvokeCli(TinyArgs("plan", {"--server=no-port-here"}));

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 
 #include "data/datasets.h"
@@ -67,6 +69,47 @@ TEST(DatasetTest, ByNameDispatch) {
   EXPECT_EQ(ds.name, "lastfm");
   const Dataset ds2 = MakeDatasetByName("tweet", 0.001, 3);
   EXPECT_EQ(ds2.name, "tweet");
+}
+
+/// Order-sensitive FNV-1a over a dataset's edges, its topic-probability
+/// entries (topic and the float's bits) and its promoter pool.
+uint64_t DatasetHash(const Dataset& ds) {
+  uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+  const Graph& g = *ds.graph;
+  mix(static_cast<uint64_t>(g.num_vertices()));
+  mix(static_cast<uint64_t>(g.num_edges()));
+  for (const Edge& e : g.edges()) {
+    mix(static_cast<uint64_t>(e.src));
+    mix(static_cast<uint64_t>(e.dst));
+  }
+  mix(static_cast<uint64_t>(ds.probs->num_topics()));
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const auto entries = ds.probs->EdgeEntries(e);
+    mix(entries.size());
+    for (const TopicProb& tp : entries) {
+      mix(static_cast<uint64_t>(tp.topic));
+      mix(std::bit_cast<uint32_t>(tp.prob));
+    }
+  }
+  mix(ds.promoter_pool.size());
+  for (const VertexId v : ds.promoter_pool) mix(static_cast<uint64_t>(v));
+  return h;
+}
+
+/// Hashes of the datasets as built before the linear graph assembly and
+/// the allocation-free topic models: any change to a generator's draw
+/// stream, the edge order, or an entry's bits moves them.
+TEST(DatasetTest, BuildsMatchThePinnedHashes) {
+  EXPECT_EQ(DatasetHash(MakeLastFmLike(1)), 17316850983909218046ull);
+  EXPECT_EQ(DatasetHash(MakeLastFmLike(2)), 10974890596837018878ull);
+  EXPECT_EQ(DatasetHash(MakeLastFmLike(99)), 15462318040020937245ull);
+  EXPECT_EQ(DatasetHash(MakeSynthetic(10'000, 10, 0.1, 1)),
+            6222182370504032631ull);
+  EXPECT_EQ(DatasetHash(MakeSynthetic(20'000, 10, 0.1, 1000)),
+            7646643224224133755ull);
+  EXPECT_EQ(DatasetHash(MakeDblpLike(0.01, 11)), 11326695040064876059ull);
+  EXPECT_EQ(DatasetHash(MakeTweetLike(0.001, 13)), 4292899155303823257ull);
 }
 
 TEST(SerializationTest, RoundtripPreservesEverything) {

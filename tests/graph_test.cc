@@ -9,6 +9,7 @@
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_io.h"
+#include "util/random.h"
 #include "util/stats.h"
 
 namespace oipa {
@@ -124,6 +125,44 @@ TEST(GraphBuilderTest, BuilderResetsAfterBuild) {
   EXPECT_EQ(b.num_pending_edges(), 0u);
   const Graph g2 = b.Build();
   EXPECT_EQ(g2.num_vertices(), 0);
+}
+
+TEST(GraphBuilderTest, MatchesSortUniqueDropSelfLoops) {
+  // Reference: a full sort, then unique, then dropping self-loops.
+  Rng rng(5);
+  for (int trial = 0; trial < 20; ++trial) {
+    const VertexId n = 1 + static_cast<VertexId>(rng.NextBounded(60));
+    // Trailing vertices past every endpoint stay isolated.
+    const VertexId endpoints = 1 + static_cast<VertexId>(rng.NextBounded(n));
+    const int m = static_cast<int>(rng.NextBounded(400));
+    GraphBuilder builder(n);
+    std::vector<Edge> reference;
+    for (int i = 0; i < m; ++i) {
+      const VertexId u = static_cast<VertexId>(rng.NextBounded(endpoints));
+      // One edge in four is a self-loop, one a repeat of an earlier edge.
+      VertexId v = static_cast<VertexId>(rng.NextBounded(endpoints));
+      if (i % 4 == 1) v = u;
+      if (i % 4 == 3 && !reference.empty()) {
+        const Edge& again = reference[rng.NextBounded(reference.size())];
+        builder.AddEdge(again.src, again.dst);
+        reference.push_back(again);
+        continue;
+      }
+      builder.AddEdge(u, v);
+      reference.push_back({u, v});
+    }
+    std::sort(reference.begin(), reference.end());
+    reference.erase(std::unique(reference.begin(), reference.end()),
+                    reference.end());
+    reference.erase(
+        std::remove_if(reference.begin(), reference.end(),
+                       [](const Edge& e) { return e.src == e.dst; }),
+        reference.end());
+
+    const Graph g = builder.Build();
+    EXPECT_EQ(g.num_vertices(), n) << trial;
+    EXPECT_EQ(g.edges(), reference) << trial;
+  }
 }
 
 // --------------------------------------------------------- Fixed shapes

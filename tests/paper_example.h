@@ -42,7 +42,8 @@ struct PaperExample {
           (edge.src == kA && edge.dst == kB) ||
           (edge.src == kB && edge.dst == kC) ||
           (edge.src == kC && edge.dst == kD);
-      probs.SetEdge(e, {{topic0 ? 0 : 1, 1.0f}});
+      const TopicProb entry{topic0 ? 0 : 1, 1.0f};
+      probs.SetEdge(e, {&entry, 1});
     }
 
     campaign.AddPiece({"t1", TopicVector::PureTopic(2, 0)});

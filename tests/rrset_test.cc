@@ -32,9 +32,8 @@ TEST(RrSamplerTest, DeterministicGraphYieldsAncestors) {
   const Graph g = MakePath(5);
   const InfluenceGraph ig = InfluenceGraph::Uniform(g, 1.0f);
   RrSampler sampler(g.num_vertices());
-  Rng rng(1);
   std::vector<VertexId> set;
-  sampler.Sample(ig, 3, &rng, &set);
+  sampler.Sample(ig, 3, 1, &set);
   std::sort(set.begin(), set.end());
   EXPECT_EQ(set, (std::vector<VertexId>{0, 1, 2, 3}));
 }
@@ -43,9 +42,8 @@ TEST(RrSamplerTest, ZeroProbabilityYieldsRootOnly) {
   const Graph g = MakeCompleteDigraph(5);
   const InfluenceGraph ig = InfluenceGraph::Uniform(g, 0.0f);
   RrSampler sampler(g.num_vertices());
-  Rng rng(1);
   std::vector<VertexId> set;
-  sampler.Sample(ig, 2, &rng, &set);
+  sampler.Sample(ig, 2, 1, &set);
   EXPECT_EQ(set, (std::vector<VertexId>{2}));
 }
 
@@ -53,12 +51,22 @@ TEST(RrSamplerTest, ReusableAcrossCalls) {
   const Graph g = MakeCycle(6);
   const InfluenceGraph ig = InfluenceGraph::Uniform(g, 1.0f);
   RrSampler sampler(g.num_vertices());
-  Rng rng(1);
   std::vector<VertexId> set;
   for (int i = 0; i < 10; ++i) {
-    sampler.Sample(ig, i % 6, &rng, &set);
+    set.clear();
+    sampler.Sample(ig, i % 6, static_cast<uint64_t>(i), &set);
     EXPECT_EQ(set.size(), 6u);  // cycle: everything reaches everything
   }
+}
+
+TEST(RrSamplerTest, AppendsAfterExistingMembers) {
+  const Graph g = MakePath(5);
+  const InfluenceGraph ig = InfluenceGraph::Uniform(g, 1.0f);
+  RrSampler sampler(g.num_vertices());
+  std::vector<VertexId> out = {4, 4};
+  sampler.Sample(ig, 2, 1, &out);
+  sampler.Sample(ig, 0, 1, &out);  // vertex 0 has no in-edge
+  EXPECT_EQ(out, (std::vector<VertexId>{4, 4, 2, 1, 0, 0}));
 }
 
 TEST(PerSampleSeedTest, DistinctAcrossSamplesAndPieces) {
@@ -448,9 +456,9 @@ TEST(MrrShardingTest, FromPartsRebuildsTheGeneratedIndex) {
   MrrCollection generated = MrrCollection::Generate(
       w.pieces, 4'000, 1, DiffusionModel::kIndependentCascade, 3);
   generated.Extend(w.pieces, 9'000, 3);
-  std::vector<VertexId> roots;
-  std::vector<int64_t> offsets = {0};
-  std::vector<VertexId> nodes;
+  DefaultInitVector<VertexId> roots;
+  DefaultInitVector<int64_t> offsets = {0};
+  DefaultInitVector<VertexId> nodes;
   for (int64_t i = 0; i < generated.theta(); ++i) {
     roots.push_back(generated.root(i));
     for (int j = 0; j < generated.num_pieces(); ++j) {

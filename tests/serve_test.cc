@@ -120,6 +120,8 @@ TEST(WireTest, RejectsOutOfDomainFields) {
   for (const char* bad : {
            R"({"dataset":{"name":"imdb"}})",
            R"({"dataset":{"n":0}})",
+           R"({"dataset":{"name":"synthetic","n":4}})",
+           R"({"dataset":{"n":2147483648}})",
            R"({"dataset":{"pool_fraction":0.0}})",
            R"({"sampling":{"theta":0}})",
            R"({"sampling":{"epsilon":-0.1}})",
@@ -475,6 +477,40 @@ TEST_F(ServeFixture, MalformedInputGetsStructuredErrorsNotAborts) {
   EXPECT_TRUE(saw_deadline_error);
   EXPECT_TRUE(saw_alpha_error);
   EXPECT_TRUE(saw_solver_not_found);
+}
+
+TEST_F(ServeFixture, OutOfRangeSyntheticSizeIsRejectedAndServingGoesOn) {
+  // Either would abort the daemon if it reached the dataset build: n = 3
+  // in the Holme-Kim generator, 2^31 by narrowing to a negative
+  // VertexId in MakeSynthetic.
+  StartServer({});
+  const std::vector<std::string> lines = {
+      R"({"id":"tiny","dataset":{"name":"synthetic","n":3}})",
+      R"({"id":"huge","dataset":{"name":"synthetic","n":2147483648}})",
+      TinyRequest("next", 1, "[2]"),
+  };
+  const std::vector<std::string> responses =
+      SendLinesAndCollect(server_->port(), lines, lines.size());
+  ASSERT_EQ(responses.size(), lines.size());
+  int rejected = 0;
+  bool answered_next = false;
+  for (const std::string& line : responses) {
+    const JsonValue r = Parse(line);
+    if (r.Find("ok")->bool_value()) {
+      answered_next = r.Find("id")->string_value() == "next";
+      continue;
+    }
+    const JsonValue* error = r.Find("error");
+    ASSERT_NE(error, nullptr) << line;
+    EXPECT_EQ(error->Find("code")->string_value(), "InvalidArgument");
+    EXPECT_NE(error->Find("message")->string_value().find(
+                  "synthetic dataset.n must be in [5, 2147483647]"),
+              std::string::npos)
+        << line;
+    ++rejected;
+  }
+  EXPECT_EQ(rejected, 2);
+  EXPECT_TRUE(answered_next);
 }
 
 TEST_F(ServeFixture, QueuedCompatibleRequestsShareOneSweep) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "data/datasets.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "topic/campaign.h"
@@ -65,7 +66,7 @@ TEST(TopicVectorTest, SampleDirichletOnSimplex) {
 
 TEST(EdgeTopicProbsTest, SetAndQuery) {
   EdgeTopicProbs probs(2, 4);
-  probs.SetEdge(0, {{1, 0.5f}, {3, 0.25f}});
+  probs.SetEdge(0, std::vector<TopicProb>{{1, 0.5f}, {3, 0.25f}});
   probs.SetEdge(1, {});
   EXPECT_EQ(probs.num_edges(), 2);
   EXPECT_EQ(probs.num_entries(), 2);
@@ -78,26 +79,45 @@ TEST(EdgeTopicProbsTest, SetAndQuery) {
 
 TEST(EdgeTopicProbsTest, EntriesSortedByTopic) {
   EdgeTopicProbs probs(1, 4);
-  probs.SetEdge(0, {{3, 0.1f}, {0, 0.2f}});
+  probs.SetEdge(0, std::vector<TopicProb>{{3, 0.1f}, {0, 0.2f}});
   const auto entries = probs.EdgeEntries(0);
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_EQ(entries[0].topic, 0);
   EXPECT_EQ(entries[1].topic, 3);
 }
 
+TEST(EdgeTopicProbsTest, ReusedBufferSortsOnlyTheAppendedEdge) {
+  EdgeTopicProbs probs(2, 4);
+  std::vector<TopicProb> entries = {{3, 0.1f}, {1, 0.2f}};
+  probs.SetEdge(0, entries);
+  entries = {{2, 0.3f}, {0, 0.4f}};
+  probs.SetEdge(1, entries);
+  const auto first = probs.EdgeEntries(0);
+  const auto second = probs.EdgeEntries(1);
+  ASSERT_EQ(first.size(), 2u);
+  ASSERT_EQ(second.size(), 2u);
+  EXPECT_EQ(first[0].topic, 1);
+  EXPECT_EQ(first[1].topic, 3);
+  EXPECT_EQ(second[0].topic, 0);
+  EXPECT_FLOAT_EQ(second[0].prob, 0.4f);
+  EXPECT_EQ(second[1].topic, 2);
+}
+
 TEST(EdgeTopicProbsTest, PieceProbIsDotProduct) {
   EdgeTopicProbs probs(1, 3);
-  probs.SetEdge(0, {{0, 0.4f}, {2, 0.8f}});
+  probs.SetEdge(0, std::vector<TopicProb>{{0, 0.4f}, {2, 0.8f}});
   TopicVector piece(3);
   piece[0] = 0.5;
   piece[2] = 0.5;
   EXPECT_NEAR(probs.PieceProb(0, piece), 0.5 * 0.4 + 0.5 * 0.8, 1e-6);
+  EXPECT_EQ(probs.PieceProbs(piece),
+            std::vector<float>{static_cast<float>(probs.PieceProb(0, piece))});
   EXPECT_NEAR(probs.MeanProb(0), (0.4 + 0.8) / 3.0, 1e-6);
 }
 
 TEST(EdgeTopicProbsTest, PieceProbClampedToOne) {
   EdgeTopicProbs probs(1, 1);
-  probs.SetEdge(0, {{0, 1.0f}});
+  probs.SetEdge(0, std::vector<TopicProb>{{0, 1.0f}});
   TopicVector piece(1);
   piece[0] = 1.0;
   EXPECT_DOUBLE_EQ(probs.PieceProb(0, piece), 1.0);
@@ -128,8 +148,8 @@ TEST(CampaignTest, SparsePiecesHaveRequestedSupport) {
 TEST(InfluenceGraphTest, ForPieceCollapsesProbabilities) {
   const Graph g = MakePath(3);  // edges 0->1, 1->2
   EdgeTopicProbs probs(2, 2);
-  probs.SetEdge(0, {{0, 1.0f}});
-  probs.SetEdge(1, {{1, 0.5f}});
+  probs.SetEdge(0, std::vector<TopicProb>{{0, 1.0f}});
+  probs.SetEdge(1, std::vector<TopicProb>{{1, 0.5f}});
   const InfluenceGraph ig0 =
       InfluenceGraph::ForPiece(g, probs, TopicVector::PureTopic(2, 0));
   EXPECT_FLOAT_EQ(ig0.EdgeProb(0), 1.0f);
@@ -143,7 +163,7 @@ TEST(InfluenceGraphTest, ForPieceCollapsesProbabilities) {
 TEST(InfluenceGraphTest, TopicBlindIsMean) {
   const Graph g = MakePath(2);
   EdgeTopicProbs probs(1, 4);
-  probs.SetEdge(0, {{0, 0.8f}, {1, 0.4f}});
+  probs.SetEdge(0, std::vector<TopicProb>{{0, 0.8f}, {1, 0.4f}});
   const InfluenceGraph blind = InfluenceGraph::TopicBlind(g, probs);
   EXPECT_NEAR(blind.EdgeProb(0), (0.8 + 0.4) / 4.0, 1e-6);
 }
@@ -172,6 +192,31 @@ TEST(InfluenceGraphTest, BuildPieceGraphsOnePerPiece) {
   EXPECT_EQ(pieces.size(), 3u);
   for (const auto& ig : pieces) {
     EXPECT_EQ(&ig.graph(), &g);
+  }
+}
+
+TEST(InfluenceGraphTest, BuildPieceGraphsIsThreadCountInvariant) {
+  const Dataset ds = MakeLastFmLike(1);
+  Rng rng(3);
+  const Campaign c = Campaign::SampleUniformPieces(5, ds.num_topics, &rng);
+  const std::vector<InfluenceGraph> serial =
+      BuildPieceGraphs(*ds.graph, *ds.probs, c, 1);
+  const std::vector<InfluenceGraph> parallel =
+      BuildPieceGraphs(*ds.graph, *ds.probs, c, 4);
+  ASSERT_EQ(serial.size(), 5u);
+  ASSERT_EQ(parallel.size(), 5u);
+  for (size_t j = 0; j < serial.size(); ++j) {
+    EXPECT_EQ(&parallel[j].graph(), ds.graph.get());
+    EXPECT_EQ(serial[j].edge_probs(), parallel[j].edge_probs()) << j;
+    for (VertexId v = 0; v < ds.graph->num_vertices(); ++v) {
+      const auto a = serial[j].LiveInEdges(v);
+      const auto b = parallel[j].LiveInEdges(v);
+      ASSERT_EQ(a.size(), b.size()) << j << "," << v;
+      for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].src, b[i].src) << j << "," << v;
+        EXPECT_EQ(a[i].prob, b[i].prob) << j << "," << v;
+      }
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/default_init_allocator.h"
 #include "util/flags.h"
 #include "util/math.h"
 #include "util/random.h"
@@ -157,6 +158,32 @@ TEST(RngTest, DirichletSumsToOne) {
     }
     EXPECT_NEAR(sum, 1.0, 1e-9);
   }
+}
+
+TEST(RngTest, DirichletIntoBufferDrawsLikeTheVectorForm) {
+  Rng vector_rng(37);
+  Rng buffer_rng(37);
+  std::vector<double> buffer(5);
+  for (double alpha : {0.05, 1.0, 4.0}) {
+    buffer_rng.NextDirichlet(alpha, buffer);
+    EXPECT_EQ(vector_rng.NextDirichlet(5, alpha), buffer) << alpha;
+  }
+  EXPECT_EQ(vector_rng.Next(), buffer_rng.Next());
+}
+
+TEST(DefaultInitVectorTest, ResizeDoesNotOverwriteStorage) {
+  // Unsigned char, whose indeterminate values may be read: a regrown
+  // slot still holds what the storage held, where std::vector would
+  // have zeroed it.
+  DefaultInitVector<unsigned char> v(64, 7);
+  const unsigned char* storage = v.data();
+  v.resize(0);
+  v.resize(64);
+  ASSERT_EQ(v.data(), storage);
+  EXPECT_EQ(v[0], 7);
+  EXPECT_EQ(v[63], 7);
+  v.resize(80, 9);  // explicit values are still written
+  EXPECT_EQ(v[79], 9);
 }
 
 TEST(RngTest, ShufflePreservesElements) {
