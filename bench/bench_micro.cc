@@ -1,19 +1,25 @@
 // Google-benchmark micro benchmarks for the performance-critical
 // primitives: dataset and piece-graph builds, RR sampling, MRR
-// generation, coverage updates, tangent refinement, and bound
-// evaluations.
+// generation, sample-store builds and growth, coverage kernels and
+// updates, plan scoring, tangent refinement, and bound evaluations.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "data/datasets.h"
+#include "oipa/adoption.h"
 #include "oipa/bound_evaluator.h"
 #include "oipa/tangent_bound.h"
+#include "rrset/coverage_kernels.h"
 #include "rrset/coverage_state.h"
 #include "rrset/mrr_collection.h"
 #include "rrset/rr_collection.h"
 #include "rrset/rr_sampler.h"
+#include "rrset/sample_store.h"
 #include "topic/campaign.h"
 #include "topic/influence_graph.h"
 #include "util/random.h"
@@ -165,6 +171,159 @@ BENCHMARK(BM_BuildPieceGraphs)
     ->Arg(2)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
+
+/// Non-owning handle on the shared lastfm pieces, for SampleStore.
+std::shared_ptr<const std::vector<InfluenceGraph>> EnvPieces() {
+  return {std::shared_ptr<const std::vector<InfluenceGraph>>(),
+          &Env().pieces};
+}
+
+/// The daemon's context build on lastfm: a store of 100k in-sample and
+/// 100k holdout samples on range(0) sampling workers. Also reports the
+/// store's bytes per sample: in-sample (samples plus inverted index)
+/// and holdout (samples only).
+void BM_SampleStoreBuild(benchmark::State& state) {
+  SampleStore::Options options;
+  options.theta = 100'000;
+  options.holdout_theta = 100'000;
+  options.seed = 19;
+  options.sampling_threads = static_cast<int>(state.range(0));
+  std::shared_ptr<SampleStore> store;
+  for (auto _ : state) {
+    store.reset();
+    store = SampleStore::Create(EnvPieces(), options);
+    benchmark::DoNotOptimize(store.get());
+  }
+  const SampleSnapshot snap = store->snapshot();
+  state.counters["mrr_bytes_per_sample"] =
+      static_cast<double>(snap.mrr->MemoryBytes()) / options.theta;
+  state.counters["holdout_bytes_per_sample"] =
+      static_cast<double>(snap.holdout->MemoryBytes()) /
+      options.holdout_theta;
+  state.SetItemsProcessed(state.iterations() * 2 * options.theta);
+}
+BENCHMARK(BM_SampleStoreBuild)
+    ->Arg(1)
+    ->Arg(2)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+/// SampleStore::Grow on lastfm from 50k to 100k samples (in-sample and
+/// holdout) on range(0) sampling workers: the copy-on-grow generation
+/// copies the existing samples once and samples the rest.
+void BM_SampleStoreGrow(benchmark::State& state) {
+  SampleStore::Options options;
+  options.theta = 50'000;
+  options.seed = 19;
+  options.sampling_threads = static_cast<int>(state.range(0));
+  std::shared_ptr<SampleStore> store;
+  for (auto _ : state) {
+    // The previous store dies, and the next is built, untimed.
+    state.PauseTiming();
+    store.reset();
+    store = SampleStore::Create(EnvPieces(), options);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(store->Grow(100'000).ok());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * 50'000);
+}
+BENCHMARK(BM_SampleStoreGrow)
+    ->Arg(1)
+    ->Arg(2)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+/// Plan scoring on lastfm at theta = 100k: one EstimateAdoptionUtility
+/// scan for a 20-assignment plan over the promoter pool, on an indexed
+/// (range(0) = 1) or unindexed (0) collection.
+void BM_EstimateAdoptionUtility(benchmark::State& state) {
+  MicroEnv& env = Env();
+  const bool indexed = state.range(0) == 1;
+  state.SetLabel(indexed ? "indexed" : "unindexed");
+  const MrrCollection mrr = MrrCollection::Generate(
+      env.pieces, 100'000, 31, DiffusionModel::kIndependentCascade, 1,
+      indexed);
+  const LogisticAdoptionModel model(2.0, 1.0);
+  AssignmentPlan plan(3);
+  Rng rng(37);
+  const auto& pool = env.dataset.promoter_pool;
+  while (plan.size() < 20) {
+    plan.Add(static_cast<int>(rng.NextBounded(3)),
+             pool[rng.NextBounded(pool.size())]);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(EstimateAdoptionUtility(mrr, model, plan));
+  }
+  state.SetItemsProcessed(state.iterations() * mrr.theta());
+}
+BENCHMARK(BM_EstimateAdoptionUtility)
+    ->Arg(1)
+    ->Arg(0)
+    ->Unit(benchmark::kMicrosecond);
+
+/// The three coverage kernels on one 32-bit posting span of 4096
+/// random sample ids over 100k samples (l = 3): range(0) selects the
+/// kernel (0 gain, 1 gain + bound, 2 tangent gain) and range(1) the
+/// path — 1 the dispatched entry point (AVX2 clones on capable CPUs
+/// unless OIPA_NO_SIMD is set), 0 the scalar reference kernels that
+/// OIPA_NO_SIMD forces.
+void BM_CoverageKernels(benchmark::State& state) {
+  constexpr int64_t kSamples = 100'000;
+  constexpr int kEll = 3;
+  const int kernel = static_cast<int>(state.range(0));
+  const bool dispatched = state.range(1) == 1;
+  Rng rng(41);
+  std::vector<uint32_t> ids(4096);
+  for (uint32_t& id : ids) {
+    id = static_cast<uint32_t>(rng.NextBounded(kSamples));
+  }
+  std::sort(ids.begin(), ids.end());
+  std::vector<uint16_t> mult(kSamples);
+  std::vector<uint8_t> cover_count(kSamples);
+  std::vector<uint32_t> greedy_epoch(kSamples);
+  std::vector<uint32_t> line_epoch(kSamples);
+  std::vector<double> line_value(kSamples);
+  for (int64_t i = 0; i < kSamples; ++i) {
+    mult[i] = static_cast<uint16_t>(rng.NextBounded(3));
+    cover_count[i] = static_cast<uint8_t>(rng.NextBounded(kEll + 1));
+    greedy_epoch[i] = static_cast<uint32_t>(rng.NextBounded(3));
+    line_epoch[i] = static_cast<uint32_t>(rng.NextBounded(3));
+    line_value[i] = rng.NextDouble();
+  }
+  const std::vector<double> delta_f = {0.4, 0.3, 0.2, 0.0};
+  const std::vector<double> sufmax = {0.4, 0.3, 0.2, 0.0};
+  const std::vector<double> anchor = {0.1, 0.4, 0.7, 0.9};
+  const std::vector<double> slope = {0.3, 0.25, 0.2, 0.1};
+  const std::span<const uint32_t> span(ids);
+  state.SetLabel(dispatched && SimdKernelsActive() ? "simd" : "scalar");
+  for (auto _ : state) {
+    double acc = 0.0;
+    double bound = 0.0;
+    if (kernel == 0) {
+      acc = dispatched ? CoverageGainSum(span, mult.data(),
+                                         cover_count.data(),
+                                         delta_f.data(), 0.0)
+                       : CoverageGainSumScalar(span, mult.data(),
+                                               cover_count.data(),
+                                               delta_f.data(), 0.0);
+    } else if (kernel == 1) {
+      (dispatched ? CoverageGainBoundSum : CoverageGainBoundSumScalar)(
+          span, mult.data(), cover_count.data(), delta_f.data(),
+          sufmax.data(), &acc, &bound);
+    } else {
+      acc = (dispatched ? TangentGainSum : TangentGainSumScalar)(
+          span, mult.data(), greedy_epoch.data(), 1, line_epoch.data(),
+          line_value.data(), cover_count.data(), anchor.data(),
+          slope.data(), 0.0);
+    }
+    benchmark::DoNotOptimize(acc);
+    benchmark::DoNotOptimize(bound);
+  }
+  state.SetItemsProcessed(state.iterations() * ids.size());
+}
+BENCHMARK(BM_CoverageKernels)
+    ->ArgsProduct({{0, 1, 2}, {0, 1}})
+    ->ArgNames({"kernel", "dispatched"});
 
 void BM_CoverageAddRemove(benchmark::State& state) {
   MicroEnv& env = Env();

@@ -683,7 +683,16 @@ Status ParseCliConfig(const FlagParser& flags, CliConfig* config) {
   }
   if (c.k < 1) return Status::InvalidArgument("--k must be >= 1");
   if (c.ell < 1) return Status::InvalidArgument("--ell must be >= 1");
-  if (c.theta < 1) return Status::InvalidArgument("--theta must be >= 1");
+  if (c.theta < 1 || c.theta > MrrCollection::kMaxSamples) {
+    return Status::InvalidArgument(
+        "--theta must be in [1, " +
+        std::to_string(MrrCollection::kMaxSamples) + "]");
+  }
+  if (c.max_theta > MrrCollection::kMaxSamples) {
+    return Status::InvalidArgument(
+        "--max_theta must be <= " +
+        std::to_string(MrrCollection::kMaxSamples));
+  }
   if (c.epsilon <= 0.0 || c.epsilon >= 1.0) {
     return Status::InvalidArgument("--epsilon must be in (0, 1)");
   }

@@ -12,7 +12,10 @@
 namespace oipa {
 
 /// MRR-based adoption-utility estimate of a plan (Equation 6 / Lemma 2):
-/// (n/theta) * sum_i f(#pieces of sample i covered by the plan).
+/// (n/theta) * sum_i f(#pieces of sample i covered by the plan). One scan
+/// over the RR sets, so the collection need not be indexed; the result
+/// is bit-identical to a CoverageState that AddSeeds the plan's
+/// Assignments() in order (the argument is beside the definition).
 double EstimateAdoptionUtility(const MrrCollection& mrr,
                                const LogisticAdoptionModel& model,
                                const AssignmentPlan& plan);

@@ -91,7 +91,8 @@ struct PlanRequest {
   /// the samples as-is. Distinct from SolverOptions::epsilon (the BAB-P
   /// threshold decay).
   double epsilon = 0.0;
-  /// Cap on the grown in-sample theta for progressive solving.
+  /// Cap on the grown in-sample theta for progressive solving; at most
+  /// MrrCollection::kMaxSamples (Solve returns InvalidArgument past it).
   int64_t max_theta = 2'000'000;
   /// Which rule ends the progressive loop (see StoppingRuleKind):
   /// kHoldoutGap stops when in-sample and holdout estimates agree

@@ -1,5 +1,6 @@
 #include "oipa/api/planning_context.h"
 
+#include <string>
 #include <utility>
 
 #include "oipa/adoption.h"
@@ -105,12 +106,16 @@ StatusOr<std::shared_ptr<const PlanningContext>> PlanningContext::Create(
     ContextOptions options) {
   OIPA_RETURN_IF_ERROR(
       ValidateInputs(graph.get(), probs.get(), campaign.get()));
-  if (options.theta < 1) {
-    return Status::InvalidArgument("ContextOptions::theta must be >= 1");
+  const std::string max_samples = std::to_string(MrrCollection::kMaxSamples);
+  if (options.theta < 1 || options.theta > MrrCollection::kMaxSamples) {
+    return Status::InvalidArgument("ContextOptions::theta must be in [1, " +
+                                   max_samples + "]");
   }
-  if (options.holdout_theta < -1) {
+  if (options.holdout_theta < -1 ||
+      options.holdout_theta > MrrCollection::kMaxSamples) {
     return Status::InvalidArgument(
-        "ContextOptions::holdout_theta must be >= -1");
+        "ContextOptions::holdout_theta must be in [-1, " + max_samples +
+        "]");
   }
   return Build(std::move(graph), std::move(probs), std::move(campaign),
                model, options, nullptr, nullptr);
@@ -135,6 +140,11 @@ PlanningContext::BorrowWithSamples(const Graph& graph,
   if (mrr == nullptr) {
     return Status::InvalidArgument(
         "BorrowWithSamples requires a non-null MRR collection");
+  }
+  if (!mrr->indexed()) {
+    // Solvers search the in-sample collection through its index.
+    return Status::InvalidArgument(
+        "BorrowWithSamples requires an indexed in-sample collection");
   }
   for (const MrrCollection* samples : {mrr, holdout}) {
     if (samples == nullptr) continue;

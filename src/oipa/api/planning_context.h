@@ -20,7 +20,9 @@ namespace oipa {
 
 /// Sampling configuration of a PlanningContext.
 struct ContextOptions {
-  /// In-sample MRR samples the solvers optimize on.
+  /// In-sample MRR samples the solvers optimize on. Both theta and
+  /// holdout_theta are capped at MrrCollection::kMaxSamples (Create
+  /// returns InvalidArgument past it).
   int64_t theta = 100'000;
   /// Holdout MRR samples for unbiased plan evaluation: -1 draws `theta`
   /// samples (default), 0 skips the holdout entirely (halves sampling
@@ -105,7 +107,8 @@ class PlanningContext {
   /// Borrows inputs AND pre-generated MRR collections instead of
   /// sampling fresh ones — for benches and tests that must share one
   /// sample set across configurations or exclude sampling from timings.
-  /// `holdout` may be null. All referenced objects must outlive the
+  /// `holdout` may be null and need not be indexed; `mrr` must be
+  /// (InvalidArgument otherwise). All referenced objects must outlive the
   /// context. The store is always private (never registry-shared).
   static StatusOr<std::shared_ptr<const PlanningContext>> BorrowWithSamples(
       const Graph& graph, const EdgeTopicProbs& probs,

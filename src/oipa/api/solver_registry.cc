@@ -316,6 +316,13 @@ Status ValidateRequest(const PlanningContext& context,
         std::to_string(*request.deadline_ms) +
         "); leave it unset for no deadline");
   }
+  if (request.max_theta > MrrCollection::kMaxSamples) {
+    return Status::InvalidArgument(
+        "max_theta must be <= " +
+        std::to_string(MrrCollection::kMaxSamples) +
+        " (the 32-bit sample-id ceiling), got " +
+        std::to_string(request.max_theta));
+  }
   if (request.epsilon > 0.0) {
     if (request.max_theta < 1) {
       return Status::InvalidArgument(

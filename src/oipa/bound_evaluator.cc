@@ -21,6 +21,7 @@ BoundEvaluator::BoundEvaluator(const MrrCollection* mrr,
       num_vertices_(mrr->num_vertices()),
       num_pieces_(mrr->num_pieces()) {
   OIPA_CHECK_EQ(static_cast<int>(pools_.size()), num_pieces_);
+  OIPA_CHECK(mrr_->indexed()) << "BoundEvaluator needs an indexed collection";
   for (const auto& pool : pools_) {
     for (VertexId v : pool) {
       OIPA_CHECK_GE(v, 0);
@@ -89,7 +90,7 @@ double BoundEvaluator::CandidateGain(int piece, VertexId v,
   const uint16_t* mult = state.MultiplicityRow(piece);
   const uint32_t* gepoch = greedy_cover_epoch_[piece].data();
   const uint8_t* counts = state.CoverCounts();
-  mrr_->ForEachSampleSpan(piece, v, [&](std::span<const int64_t> ids) {
+  mrr_->ForEachSampleSpan(piece, v, [&](std::span<const uint32_t> ids) {
     gain = TangentGainSum(ids, mult, gepoch, epoch_, line_epoch_.data(),
                           line_value_.data(), counts,
                           anchor_by_count_.data(), slope_by_count_.data(),

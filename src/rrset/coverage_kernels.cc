@@ -29,13 +29,13 @@ bool ScalarForcedByEnv() {
 /// identical terms, identical posting-order reduction — differing only
 /// in the ISA the compiler may use for the term loop.
 #define OIPA_COVERAGE_GAIN_BODY                                         \
-  const int64_t* p = ids.data();                                        \
+  const uint32_t* p = ids.data();                                       \
   size_t n = ids.size();                                                \
   double terms[kBlock];                                                 \
   while (n > 0) {                                                       \
     const size_t blk = n < kBlock ? n : kBlock;                         \
     for (size_t u = 0; u < blk; ++u) {                                  \
-      const int64_t id = p[u];                                          \
+      const uint32_t id = p[u];                                         \
       const double d = delta_f[cover_count[id]];                        \
       terms[u] = mult[id] == 0 ? d : 0.0;                               \
     }                                                                   \
@@ -46,7 +46,7 @@ bool ScalarForcedByEnv() {
   return acc;
 
 #define OIPA_COVERAGE_GAIN_BOUND_BODY                                   \
-  const int64_t* p = ids.data();                                        \
+  const uint32_t* p = ids.data();                                       \
   size_t n = ids.size();                                                \
   double gain = *gain_acc;                                              \
   double bound = *bound_acc;                                            \
@@ -55,7 +55,7 @@ bool ScalarForcedByEnv() {
   while (n > 0) {                                                       \
     const size_t blk = n < kBlock ? n : kBlock;                         \
     for (size_t u = 0; u < blk; ++u) {                                  \
-      const int64_t id = p[u];                                          \
+      const uint32_t id = p[u];                                         \
       const int c = cover_count[id];                                    \
       const bool uncovered = mult[id] == 0;                             \
       gain_terms[u] = uncovered ? delta_f[c] : 0.0;                     \
@@ -72,13 +72,13 @@ bool ScalarForcedByEnv() {
   *bound_acc = bound;
 
 #define OIPA_TANGENT_GAIN_BODY                                          \
-  const int64_t* p = ids.data();                                        \
+  const uint32_t* p = ids.data();                                       \
   size_t n = ids.size();                                                \
   double terms[kBlock];                                                 \
   while (n > 0) {                                                       \
     const size_t blk = n < kBlock ? n : kBlock;                         \
     for (size_t u = 0; u < blk; ++u) {                                  \
-      const int64_t id = p[u];                                          \
+      const uint32_t id = p[u];                                         \
       const int c = cover_count[id];                                    \
       const bool skip = mult[id] != 0 || greedy_epoch[id] == epoch;     \
       const double lv = line_epoch[id] == epoch ? line_value[id]        \
@@ -99,20 +99,20 @@ bool ScalarForcedByEnv() {
 #define OIPA_KERNELS_HAVE_AVX2 1
 
 __attribute__((target("avx2,fma"))) double CoverageGainSumAvx2(
-    std::span<const int64_t> ids, const uint16_t* mult,
+    std::span<const uint32_t> ids, const uint16_t* mult,
     const uint8_t* cover_count, const double* delta_f, double acc) {
   OIPA_COVERAGE_GAIN_BODY
 }
 
 __attribute__((target("avx2,fma"))) void CoverageGainBoundSumAvx2(
-    std::span<const int64_t> ids, const uint16_t* mult,
+    std::span<const uint32_t> ids, const uint16_t* mult,
     const uint8_t* cover_count, const double* delta_f,
     const double* delta_f_sufmax, double* gain_acc, double* bound_acc) {
   OIPA_COVERAGE_GAIN_BOUND_BODY
 }
 
 __attribute__((target("avx2,fma"))) double TangentGainSumAvx2(
-    std::span<const int64_t> ids, const uint16_t* mult,
+    std::span<const uint32_t> ids, const uint16_t* mult,
     const uint32_t* greedy_epoch, uint32_t epoch,
     const uint32_t* line_epoch, const double* line_value,
     const uint8_t* cover_count, const double* anchor_by_count,
@@ -139,14 +139,14 @@ bool UseSimd() {
 
 }  // namespace
 
-double CoverageGainSumScalar(std::span<const int64_t> ids,
+double CoverageGainSumScalar(std::span<const uint32_t> ids,
                              const uint16_t* mult,
                              const uint8_t* cover_count,
                              const double* delta_f, double acc) {
   OIPA_COVERAGE_GAIN_BODY
 }
 
-void CoverageGainBoundSumScalar(std::span<const int64_t> ids,
+void CoverageGainBoundSumScalar(std::span<const uint32_t> ids,
                                 const uint16_t* mult,
                                 const uint8_t* cover_count,
                                 const double* delta_f,
@@ -155,7 +155,7 @@ void CoverageGainBoundSumScalar(std::span<const int64_t> ids,
   OIPA_COVERAGE_GAIN_BOUND_BODY
 }
 
-double TangentGainSumScalar(std::span<const int64_t> ids,
+double TangentGainSumScalar(std::span<const uint32_t> ids,
                             const uint16_t* mult,
                             const uint32_t* greedy_epoch, uint32_t epoch,
                             const uint32_t* line_epoch,
@@ -166,7 +166,7 @@ double TangentGainSumScalar(std::span<const int64_t> ids,
   OIPA_TANGENT_GAIN_BODY
 }
 
-double CoverageGainSum(std::span<const int64_t> ids, const uint16_t* mult,
+double CoverageGainSum(std::span<const uint32_t> ids, const uint16_t* mult,
                        const uint8_t* cover_count, const double* delta_f,
                        double acc) {
 #if OIPA_KERNELS_HAVE_AVX2
@@ -177,7 +177,7 @@ double CoverageGainSum(std::span<const int64_t> ids, const uint16_t* mult,
   return CoverageGainSumScalar(ids, mult, cover_count, delta_f, acc);
 }
 
-void CoverageGainBoundSum(std::span<const int64_t> ids,
+void CoverageGainBoundSum(std::span<const uint32_t> ids,
                           const uint16_t* mult, const uint8_t* cover_count,
                           const double* delta_f,
                           const double* delta_f_sufmax, double* gain_acc,
@@ -193,7 +193,7 @@ void CoverageGainBoundSum(std::span<const int64_t> ids,
                              delta_f_sufmax, gain_acc, bound_acc);
 }
 
-double TangentGainSum(std::span<const int64_t> ids, const uint16_t* mult,
+double TangentGainSum(std::span<const uint32_t> ids, const uint16_t* mult,
                       const uint32_t* greedy_epoch, uint32_t epoch,
                       const uint32_t* line_epoch, const double* line_value,
                       const uint8_t* cover_count,

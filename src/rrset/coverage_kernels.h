@@ -32,14 +32,14 @@ namespace oipa {
 /// `delta_f` must be indexable at every cover_count value that occurs
 /// (callers pad it with a zero entry at index l so the branchless
 /// gather never reads out of bounds).
-double CoverageGainSum(std::span<const int64_t> ids, const uint16_t* mult,
+double CoverageGainSum(std::span<const uint32_t> ids, const uint16_t* mult,
                        const uint8_t* cover_count, const double* delta_f,
                        double acc);
 
 /// CoverageGainSum plus the matching suffix-max bound sum: for each
 /// uncovered posting adds delta_f[c] to *gain_acc and
 /// delta_f_sufmax[c] to *bound_acc, both in posting order.
-void CoverageGainBoundSum(std::span<const int64_t> ids,
+void CoverageGainBoundSum(std::span<const uint32_t> ids,
                           const uint16_t* mult, const uint8_t* cover_count,
                           const double* delta_f,
                           const double* delta_f_sufmax, double* gain_acc,
@@ -58,7 +58,7 @@ void CoverageGainBoundSum(std::span<const int64_t> ids,
 /// historical loop it never warms the line-value cache (the cached
 /// value would equal the anchor value it reads instead, so results are
 /// bit-identical; ApplyCandidate still initializes the cache).
-double TangentGainSum(std::span<const int64_t> ids, const uint16_t* mult,
+double TangentGainSum(std::span<const uint32_t> ids, const uint16_t* mult,
                       const uint32_t* greedy_epoch, uint32_t epoch,
                       const uint32_t* line_epoch, const double* line_value,
                       const uint8_t* cover_count,
@@ -69,17 +69,17 @@ double TangentGainSum(std::span<const int64_t> ids, const uint16_t* mult,
 /// to SIMD clones. The rrset_test SIMD-vs-scalar suite asserts exact
 /// (bitwise) double equality between these and the dispatched entry
 /// points above.
-double CoverageGainSumScalar(std::span<const int64_t> ids,
+double CoverageGainSumScalar(std::span<const uint32_t> ids,
                              const uint16_t* mult,
                              const uint8_t* cover_count,
                              const double* delta_f, double acc);
-void CoverageGainBoundSumScalar(std::span<const int64_t> ids,
+void CoverageGainBoundSumScalar(std::span<const uint32_t> ids,
                                 const uint16_t* mult,
                                 const uint8_t* cover_count,
                                 const double* delta_f,
                                 const double* delta_f_sufmax,
                                 double* gain_acc, double* bound_acc);
-double TangentGainSumScalar(std::span<const int64_t> ids,
+double TangentGainSumScalar(std::span<const uint32_t> ids,
                             const uint16_t* mult,
                             const uint32_t* greedy_epoch, uint32_t epoch,
                             const uint32_t* line_epoch,

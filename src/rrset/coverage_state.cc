@@ -13,6 +13,7 @@ CoverageState::CoverageState(const MrrCollection* mrr,
       num_pieces_(mrr->num_pieces()),
       f_by_count_(std::move(f_by_count)) {
   OIPA_CHECK_EQ(static_cast<int>(f_by_count_.size()), num_pieces_ + 1);
+  OIPA_CHECK(mrr_->indexed()) << "CoverageState needs an indexed collection";
   // One zero pad entry at index l keeps the kernels' unmasked gathers
   // in bounds for fully covered samples (see the header).
   delta_f_.assign(num_pieces_ + 1, 0.0);
@@ -170,7 +171,7 @@ double CoverageState::GainOfAdding(VertexId v, int piece) const {
   double gain = 0.0;
   const uint16_t* mult = multiplicity_[piece].data();
   const uint8_t* counts = cover_count_.data();
-  mrr_->ForEachSampleSpan(piece, v, [&](std::span<const int64_t> ids) {
+  mrr_->ForEachSampleSpan(piece, v, [&](std::span<const uint32_t> ids) {
     gain = CoverageGainSum(ids, mult, counts, delta_f_.data(), gain);
   });
   return gain * mrr_->UtilityScale();
@@ -183,7 +184,7 @@ std::pair<double, double> CoverageState::GainAndBoundOfAdding(
   double bound = 0.0;
   const uint16_t* mult = multiplicity_[piece].data();
   const uint8_t* counts = cover_count_.data();
-  mrr_->ForEachSampleSpan(piece, v, [&](std::span<const int64_t> ids) {
+  mrr_->ForEachSampleSpan(piece, v, [&](std::span<const uint32_t> ids) {
     CoverageGainBoundSum(ids, mult, counts, delta_f_.data(),
                          delta_f_sufmax_.data(), &gain, &bound);
   });

@@ -14,10 +14,16 @@ namespace {
 
 std::atomic<int64_t> g_generated_samples{0};
 
+/// Free member slots a direct sampling pass keeps ahead of its next
+/// sample (at least; it also keeps twice the largest sample seen), so
+/// that no sample's push_backs run out of room mid-set and let the
+/// vector double on its own.
+constexpr size_t kMinHeadroom = 1024;
+
 /// Index shards for one segment over `samples` samples holding
 /// `postings` memberships under `keys` index keys: at most `threads`, at
 /// most one per sample, and few enough that the shards' key-count
-/// arrays (one int64 per key each) take no more words than the segment
+/// arrays (one word per key each) take no more words than the segment
 /// itself (keys + 1 offsets plus one id per posting). Without the last
 /// cap the scratch would grow as threads * l * (n+1) however small the
 /// segment.
@@ -38,17 +44,55 @@ std::vector<int64_t> ShardBounds(int64_t begin, int64_t end, int shards) {
   return bounds;
 }
 
-/// Resizes `v` to `size` elements, reserving max(size, 2 * capacity)
-/// when it runs out of room: a fresh collection's arrays come out exact,
-/// and a run of small in-place Extends stays amortised O(new samples).
-/// New slots are left unwritten (DefaultInitVector).
+/// Makes room for `size` elements in `v`. Amortised growth reserves at
+/// least twice the old capacity, so a run of small in-place Extends
+/// stays O(new samples); otherwise exactly `size`, so a collection built
+/// for its final size holds no slack.
 template <typename T>
-void GrowTo(DefaultInitVector<T>* v, size_t size) {
-  if (size > v->capacity()) v->reserve(std::max(size, 2 * v->capacity()));
-  v->resize(size);
+void Reserve(DefaultInitVector<T>* v, size_t size, bool amortised) {
+  if (size <= v->capacity()) return;
+  v->reserve(amortised ? std::max(size, 2 * v->capacity()) : size);
 }
 
-/// One Extend shard's RR-set members, staged until the shards before it
+/// Member slots for `samples` more samples at `mean` members each: the
+/// expectation, a 1/64 margin, and `headroom`.
+size_t ExpectedMembers(double mean, int64_t samples, size_t headroom) {
+  const double rest = mean * static_cast<double>(samples);
+  return static_cast<size_t>(rest + rest / 64) + headroom;
+}
+
+/// Appends sample i's l RR sets to `out`, each root first, and stores
+/// each set's end (`out`'s size after it) to set_ends[j]. Sample i draws
+/// only from PerSampleSeed(base_seed, i, .), so where and on which
+/// worker it is drawn never changes a bit of it. `lt_weights` is empty
+/// under IC.
+template <typename Members>
+void AppendSample(const std::vector<InfluenceGraph>& piece_graphs,
+                  const std::vector<std::vector<float>>& lt_weights,
+                  uint64_t base_seed, int64_t i, RrSampler* sampler,
+                  std::vector<VertexId>* lt_set, Members* out,
+                  uint32_t* set_ends) {
+  const VertexId n = piece_graphs[0].graph().num_vertices();
+  Rng root_rng(PerSampleSeed(base_seed, i, -1));
+  const VertexId root = static_cast<VertexId>(root_rng.NextBounded(n));
+  for (size_t j = 0; j < piece_graphs.size(); ++j) {
+    const uint64_t seed = PerSampleSeed(base_seed, i, static_cast<int>(j));
+    if (!lt_weights.empty()) {
+      Rng rng(seed);
+      SampleLtRrSet(piece_graphs[j].graph(), lt_weights[j], root, &rng,
+                    lt_set);
+      out->insert(out->end(), lt_set->begin(), lt_set->end());
+    } else {
+      sampler->Sample(piece_graphs[j], root, seed, out);
+    }
+    OIPA_CHECK_LE(out->size(),
+                  static_cast<size_t>(MrrCollection::kMaxMembers))
+        << "MRR memberships exceed the 32-bit offset layout";
+    set_ends[j] = static_cast<uint32_t>(out->size());
+  }
+}
+
+/// One sharded pass's RR-set members, staged until the shards before it
 /// are sized. Each shard sits on its own cache lines: every push_back
 /// writes its vector's header, and headers of neighbouring shards
 /// sharing a line would bounce it between cores (false sharing).
@@ -65,24 +109,56 @@ int64_t MrrCollection::GeneratedSampleCount() {
 
 MrrCollection MrrCollection::Generate(
     const std::vector<InfluenceGraph>& piece_graphs, int64_t theta,
-    uint64_t seed, DiffusionModel model, int num_threads) {
+    uint64_t seed, DiffusionModel model, int num_threads, bool indexed) {
   OIPA_CHECK_GE(theta, 0);
   OIPA_CHECK(!piece_graphs.empty());
-  const VertexId n = piece_graphs[0].graph().num_vertices();
-
   MrrCollection mc;
-  mc.theta_ = 0;
   mc.num_pieces_ = static_cast<int>(piece_graphs.size());
-  mc.num_vertices_ = n;
+  mc.num_vertices_ = piece_graphs[0].graph().num_vertices();
   mc.base_seed_ = seed;
   mc.model_ = model;
   mc.extendable_ = true;
-  mc.Extend(piece_graphs, theta, num_threads);
+  mc.indexed_ = indexed;
+  mc.Append(piece_graphs, theta, ResolveThreadCount(num_threads),
+            /*amortised=*/false);
   return mc;
 }
 
 void MrrCollection::Extend(const std::vector<InfluenceGraph>& piece_graphs,
                            int64_t new_theta, int num_threads) {
+  Append(piece_graphs, new_theta, ResolveThreadCount(num_threads),
+         /*amortised=*/true);
+}
+
+MrrCollection MrrCollection::ExtendedCopy(
+    const std::vector<InfluenceGraph>& piece_graphs, int64_t new_theta,
+    int num_threads) const {
+  OIPA_CHECK_LE(new_theta, kMaxSamples);
+  const int64_t target = std::max(new_theta, theta_);
+  MrrCollection grown;
+  grown.theta_ = theta_;
+  grown.num_pieces_ = num_pieces_;
+  grown.num_vertices_ = num_vertices_;
+  grown.base_seed_ = base_seed_;
+  grown.model_ = model_;
+  grown.extendable_ = extendable_;
+  grown.indexed_ = indexed_;
+  grown.segments_ = segments_;
+  grown.offsets_.reserve(static_cast<size_t>(target * num_pieces_ + 1));
+  grown.offsets_.assign(offsets_.begin(), offsets_.end());
+  // This collection's mean members per sample predicts the new samples'.
+  const double mean =
+      theta_ > 0 ? static_cast<double>(nodes_.size()) / theta_ : 0.0;
+  grown.nodes_.reserve(nodes_.size() +
+                       ExpectedMembers(mean, target - theta_, kMinHeadroom));
+  grown.nodes_.assign(nodes_.begin(), nodes_.end());
+  grown.Append(piece_graphs, target, ResolveThreadCount(num_threads),
+               /*amortised=*/false);
+  return grown;
+}
+
+void MrrCollection::Append(const std::vector<InfluenceGraph>& piece_graphs,
+                           int64_t new_theta, int workers, bool amortised) {
   OIPA_CHECK(extendable_)
       << "Extend on a collection without sampling provenance";
   OIPA_CHECK_EQ(static_cast<int>(piece_graphs.size()), num_pieces_);
@@ -91,6 +167,8 @@ void MrrCollection::Extend(const std::vector<InfluenceGraph>& piece_graphs,
     OIPA_CHECK_EQ(ig.graph().num_vertices(), n)
         << "all pieces must share the social graph";
   }
+  OIPA_CHECK_LE(new_theta, kMaxSamples)
+      << "theta exceeds the 32-bit sample-id layout";
   if (new_theta <= theta_) return;
   const int64_t begin = theta_;
   const int64_t extra = new_theta - begin;
@@ -110,43 +188,84 @@ void MrrCollection::Extend(const std::vector<InfluenceGraph>& piece_graphs,
     }
   }
 
-  const int workers = ResolveThreadCount(num_threads);
-  const int shard_count =
-      static_cast<int>(std::min<int64_t>(workers, extra));
-  const std::vector<int64_t> bounds =
-      ShardBounds(begin, new_theta, shard_count);
-  std::vector<SampleShard> shards(shard_count);
-  GrowTo(&roots_, new_theta);
-  GrowTo(&offsets_, new_theta * ell + 1);
+  const size_t offsets_size = static_cast<size_t>(new_theta * ell + 1);
+  Reserve(&offsets_, offsets_size, amortised);
+  offsets_.resize(offsets_size);
+  const int shard_count = static_cast<int>(std::min<int64_t>(workers, extra));
+  if (shard_count <= 1) {
+    SampleDirect(piece_graphs, lt_weights, begin, new_theta, amortised);
+  } else {
+    SampleSharded(piece_graphs, lt_weights, begin, new_theta, shard_count,
+                  amortised);
+  }
+  theta_ = new_theta;
+  if (indexed_) AppendIndexSegment(begin, new_theta, workers);
+  g_generated_samples.fetch_add(extra, std::memory_order_relaxed);
+}
 
-  // Sample. Sample i draws only from PerSampleSeed(base_seed_, i, .), so
-  // the shard layout never changes a bit of the output. Roots go straight
-  // to roots_[i] and each RR set's end within its shard's `nodes` to
-  // offsets_[i*l+j+1]; the stitch rebases the ends.
-  ParallelFor(shard_count, shard_count, [&](int, int64_t lo, int64_t hi) {
+void MrrCollection::SampleDirect(
+    const std::vector<InfluenceGraph>& piece_graphs,
+    const std::vector<std::vector<float>>& lt_weights, int64_t begin,
+    int64_t end, bool amortised) {
+  const int ell = num_pieces_;
+  const size_t pass_base = nodes_.size();
+  size_t headroom = kMinHeadroom;
+  // Members are appended in place, so nodes_ must not reallocate on
+  // every doubling: reserve for the whole pass at the collection's own
+  // mean, or — for a fresh collection — for a pilot of 1/8 of the pass
+  // at one member per set, and let the first refill below extrapolate
+  // from what the pilot drew.
+  if (begin > 0) {
+    Reserve(&nodes_,
+            pass_base + ExpectedMembers(static_cast<double>(pass_base) /
+                                            static_cast<double>(begin),
+                                        end - begin, headroom),
+            amortised);
+  } else {
+    Reserve(&nodes_,
+            ExpectedMembers(ell, std::max<int64_t>(1, (end - begin) / 8),
+                            headroom),
+            amortised);
+  }
+  RrSampler sampler(num_vertices_);
+  std::vector<VertexId> lt_set;
+  for (int64_t i = begin; i < end; ++i) {
+    if (nodes_.capacity() - nodes_.size() < headroom) {
+      const int64_t done = i - begin;
+      const double mean =
+          done > 0 ? static_cast<double>(nodes_.size() - pass_base) /
+                         static_cast<double>(done)
+                   : ell;
+      Reserve(&nodes_,
+              nodes_.size() + ExpectedMembers(mean, end - i, headroom),
+              amortised);
+    }
+    const size_t sample_begin = nodes_.size();
+    AppendSample(piece_graphs, lt_weights, base_seed_, i, &sampler, &lt_set,
+                 &nodes_, offsets_.data() + i * ell + 1);
+    headroom = std::max(headroom, 2 * (nodes_.size() - sample_begin));
+  }
+}
+
+void MrrCollection::SampleSharded(
+    const std::vector<InfluenceGraph>& piece_graphs,
+    const std::vector<std::vector<float>>& lt_weights, int64_t begin,
+    int64_t end, int workers, bool amortised) {
+  const int ell = num_pieces_;
+  const std::vector<int64_t> bounds = ShardBounds(begin, end, workers);
+  std::vector<SampleShard> shards(workers);
+
+  // Sample: each RR set's end within its shard's `nodes` goes straight
+  // to offsets_[i*l+j+1]; the stitch rebases the ends.
+  ParallelFor(workers, workers, [&](int, int64_t lo, int64_t hi) {
     for (int64_t s = lo; s < hi; ++s) {
       std::vector<VertexId>& nodes = shards[s].nodes;
       nodes.reserve((bounds[s + 1] - bounds[s]) * ell);
-      RrSampler sampler(n);
+      RrSampler sampler(num_vertices_);
       std::vector<VertexId> lt_set;
       for (int64_t i = bounds[s]; i < bounds[s + 1]; ++i) {
-        Rng root_rng(PerSampleSeed(base_seed_, i, -1));
-        const VertexId root =
-            static_cast<VertexId>(root_rng.NextBounded(n));
-        roots_[i] = root;
-        int64_t* set_ends = offsets_.data() + i * ell + 1;
-        for (int j = 0; j < ell; ++j) {
-          const uint64_t seed = PerSampleSeed(base_seed_, i, j);
-          if (model_ == DiffusionModel::kLinearThreshold) {
-            Rng rng(seed);
-            SampleLtRrSet(piece_graphs[j].graph(), lt_weights[j], root,
-                          &rng, &lt_set);
-            nodes.insert(nodes.end(), lt_set.begin(), lt_set.end());
-          } else {
-            sampler.Sample(piece_graphs[j], root, seed, &nodes);
-          }
-          set_ends[j] = static_cast<int64_t>(nodes.size());
-        }
+        AppendSample(piece_graphs, lt_weights, base_seed_, i, &sampler,
+                     &lt_set, &nodes, offsets_.data() + i * ell + 1);
       }
     }
   });
@@ -158,48 +277,49 @@ void MrrCollection::Extend(const std::vector<InfluenceGraph>& piece_graphs,
     shard.node_base = total_nodes;
     total_nodes += static_cast<int64_t>(shard.nodes.size());
   }
-  GrowTo(&nodes_, total_nodes);
-  ParallelFor(shard_count, shard_count, [&](int, int64_t lo, int64_t hi) {
+  OIPA_CHECK_LE(total_nodes, kMaxMembers)
+      << "MRR memberships exceed the 32-bit offset layout";
+  Reserve(&nodes_, static_cast<size_t>(total_nodes), amortised);
+  nodes_.resize(static_cast<size_t>(total_nodes));
+  ParallelFor(workers, workers, [&](int, int64_t lo, int64_t hi) {
     for (int64_t s = lo; s < hi; ++s) {
       const SampleShard& shard = shards[s];
-      int64_t* ends = offsets_.data() + bounds[s] * ell + 1;
-      int64_t* const ends_end = offsets_.data() + bounds[s + 1] * ell + 1;
-      for (; ends != ends_end; ++ends) *ends += shard.node_base;
+      const uint32_t base = static_cast<uint32_t>(shard.node_base);
+      uint32_t* ends = offsets_.data() + bounds[s] * ell + 1;
+      uint32_t* const ends_end = offsets_.data() + bounds[s + 1] * ell + 1;
+      for (; ends != ends_end; ++ends) *ends += base;
       std::copy(shard.nodes.begin(), shard.nodes.end(),
                 nodes_.begin() + shard.node_base);
     }
   });
-  theta_ = new_theta;
-  shards.clear();  // frees the shard buffers before the index is built
-
-  AppendIndexSegment(begin, new_theta, workers);
-  g_generated_samples.fetch_add(extra, std::memory_order_relaxed);
 }
 
 MrrCollection MrrCollection::FromParts(
     int64_t theta, int num_pieces, VertexId num_vertices,
-    DefaultInitVector<VertexId> roots, DefaultInitVector<int64_t> offsets,
-    DefaultInitVector<VertexId> nodes, uint64_t base_seed,
-    DiffusionModel model, bool extendable) {
+    DefaultInitVector<uint32_t> offsets, DefaultInitVector<VertexId> nodes,
+    uint64_t base_seed, DiffusionModel model, bool extendable,
+    bool indexed) {
   OIPA_CHECK_GE(theta, 0);
+  OIPA_CHECK_LE(theta, kMaxSamples);
   OIPA_CHECK_GT(num_pieces, 0);
   OIPA_CHECK_GE(num_vertices, 0);
-  OIPA_CHECK_EQ(static_cast<int64_t>(roots.size()), theta);
   OIPA_CHECK_EQ(static_cast<int64_t>(offsets.size()),
                 theta * num_pieces + 1);
-  OIPA_CHECK(offsets.empty() || offsets.front() == 0);
-  OIPA_CHECK(offsets.empty() ||
-             offsets.back() == static_cast<int64_t>(nodes.size()));
+  OIPA_CHECK_EQ(offsets.front(), 0u);
+  OIPA_CHECK_EQ(static_cast<size_t>(offsets.back()), nodes.size());
   for (size_t i = 1; i < offsets.size(); ++i) {
-    OIPA_CHECK_LE(offsets[i - 1], offsets[i]);
+    OIPA_CHECK_LT(offsets[i - 1], offsets[i]) << "empty RR set";
   }
   for (VertexId v : nodes) {
     OIPA_CHECK_GE(v, 0);
     OIPA_CHECK_LT(v, num_vertices);
   }
-  for (VertexId r : roots) {
-    OIPA_CHECK_GE(r, 0);
-    OIPA_CHECK_LT(r, num_vertices);
+  for (int64_t i = 0; i < theta; ++i) {
+    const VertexId root = nodes[offsets[i * num_pieces]];
+    for (int j = 1; j < num_pieces; ++j) {
+      OIPA_CHECK_EQ(nodes[offsets[i * num_pieces + j]], root)
+          << "sample " << i << "'s sets disagree on the root";
+    }
   }
   MrrCollection mc;
   mc.theta_ = theta;
@@ -208,10 +328,10 @@ MrrCollection MrrCollection::FromParts(
   mc.base_seed_ = base_seed;
   mc.model_ = model;
   mc.extendable_ = extendable;
-  mc.roots_ = std::move(roots);
+  mc.indexed_ = indexed;
   mc.offsets_ = std::move(offsets);
   mc.nodes_ = std::move(nodes);
-  if (theta > 0 && num_vertices > 0) {
+  if (indexed && theta > 0 && num_vertices > 0) {
     mc.AppendIndexSegment(0, theta, GetNumThreads());
   }
   return mc;
@@ -221,51 +341,53 @@ void MrrCollection::AppendIndexSegment(int64_t begin, int64_t end,
                                        int workers) {
   const int64_t keys = IndexKey(num_pieces_, 0);
   const int64_t postings =
-      offsets_[end * num_pieces_] - offsets_[begin * num_pieces_];
+      static_cast<int64_t>(offsets_[end * num_pieces_]) -
+      offsets_[begin * num_pieces_];
   const int shard_count =
       IndexShards(workers, end - begin, keys, postings);
   const std::vector<int64_t> bounds = ShardBounds(begin, end, shard_count);
 
   // cursors[s][key]: shard s's memberships under `key`.
-  std::vector<std::vector<int64_t>> cursors(shard_count);
+  std::vector<std::vector<uint32_t>> cursors(shard_count);
   ParallelFor(shard_count, shard_count, [&](int, int64_t lo, int64_t hi) {
     for (int64_t s = lo; s < hi; ++s) {
-      std::vector<int64_t>& counts = cursors[s];
+      std::vector<uint32_t>& counts = cursors[s];
       counts.assign(keys, 0);
       for (int64_t i = bounds[s]; i < bounds[s + 1]; ++i) {
         for (int j = 0; j < num_pieces_; ++j) {
-          int64_t* piece_counts = counts.data() + IndexKey(j, 0);
+          uint32_t* piece_counts = counts.data() + IndexKey(j, 0);
           for (const VertexId v : Set(i, j)) ++piece_counts[v];
         }
       }
     }
   });
 
-  IndexSegment seg;
-  seg.begin_sample = begin;
-  seg.end_sample = end;
-  seg.offsets.resize(keys + 1);
+  auto seg = std::make_shared<IndexSegment>();
+  seg->begin_sample = begin;
+  seg->end_sample = end;
+  seg->offsets.resize(keys + 1);
   // Exclusive prefix sum in (key, shard) order: each count becomes the
-  // shard's first write position under that key.
-  int64_t next = 0;
+  // shard's first write position under that key. Every position is
+  // below `postings`, which the member ceiling keeps within 32 bits.
+  uint32_t next = 0;
   for (int64_t key = 0; key < keys; ++key) {
-    seg.offsets[key] = next;
-    for (std::vector<int64_t>& shard_cursors : cursors) {
-      const int64_t count = shard_cursors[key];
+    seg->offsets[key] = next;
+    for (std::vector<uint32_t>& shard_cursors : cursors) {
+      const uint32_t count = shard_cursors[key];
       shard_cursors[key] = next;
       next += count;
     }
   }
-  seg.offsets[keys] = next;
-  OIPA_CHECK_EQ(next, postings);
-  seg.samples.resize(static_cast<size_t>(next));
+  seg->offsets[keys] = next;
+  OIPA_CHECK_EQ(static_cast<int64_t>(next), postings);
+  seg->samples.resize(static_cast<size_t>(next));
   ParallelFor(shard_count, shard_count, [&](int, int64_t lo, int64_t hi) {
     for (int64_t s = lo; s < hi; ++s) {
       for (int64_t i = bounds[s]; i < bounds[s + 1]; ++i) {
         for (int j = 0; j < num_pieces_; ++j) {
-          int64_t* piece_cursors = cursors[s].data() + IndexKey(j, 0);
+          uint32_t* piece_cursors = cursors[s].data() + IndexKey(j, 0);
           for (const VertexId v : Set(i, j)) {
-            seg.samples[piece_cursors[v]++] = i;
+            seg->samples[piece_cursors[v]++] = static_cast<uint32_t>(i);
           }
         }
       }
@@ -278,9 +400,9 @@ int64_t MrrCollection::MemoryBytes() const {
   auto bytes = [](const auto& v) {
     return static_cast<int64_t>(v.capacity() * sizeof(v[0]));
   };
-  int64_t total = bytes(roots_) + bytes(offsets_) + bytes(nodes_);
-  for (const IndexSegment& seg : segments_) {
-    total += bytes(seg.offsets) + bytes(seg.samples);
+  int64_t total = bytes(offsets_) + bytes(nodes_);
+  for (const std::shared_ptr<const IndexSegment>& seg : segments_) {
+    total += bytes(seg->offsets) + bytes(seg->samples);
   }
   return total;
 }

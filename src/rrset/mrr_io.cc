@@ -1,7 +1,9 @@
 #include "rrset/mrr_io.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -40,13 +42,10 @@ void WriteVector(std::ofstream& out, const std::vector<T>& v) {
             static_cast<std::streamsize>(v.size() * sizeof(T)));
 }
 
-/// Reads a size-prefixed array into `v`. The read overwrites every slot,
-/// so the storage is not zero-filled first.
+/// Reads `size` elements into `v`. The read overwrites every slot, so
+/// the storage is not zero-filled first.
 template <typename T>
-bool ReadVector(std::ifstream& in, DefaultInitVector<T>* v) {
-  uint64_t size = 0;
-  if (!ReadPod(in, &size)) return false;
-  if (size > (1ULL << 34)) return false;
+bool ReadElements(std::ifstream& in, uint64_t size, DefaultInitVector<T>* v) {
   v->resize(size);
   in.read(reinterpret_cast<char*>(v->data()),
           static_cast<std::streamsize>(size * sizeof(T)));
@@ -54,7 +53,9 @@ bool ReadVector(std::ifstream& in, DefaultInitVector<T>* v) {
 }
 
 /// Writes one self-describing OIPAMRR2 blob at the stream position
-/// (shared by the collection-level and store-snapshot formats).
+/// (shared by the collection-level and store-snapshot formats). The
+/// format predates the 32-bit in-memory layout and keeps its roots
+/// array and int64 offsets.
 void WriteCollectionBlob(std::ofstream& out, const MrrCollection& mrr) {
   WritePod(out, kMagicV2);
   WritePod(out, static_cast<int64_t>(mrr.theta()));
@@ -83,9 +84,50 @@ void WriteCollectionBlob(std::ofstream& out, const MrrCollection& mrr) {
   WriteVector(out, nodes);
 }
 
-/// Reads and validates one collection blob at the stream position.
+/// Reads `size` on-disk int64 offsets into 32-bit storage, checking as
+/// it goes that they start at 0, strictly increase (no RR set is empty)
+/// and stay within the member ceiling.
+Status ReadOffsets(std::ifstream& in, const std::string& path, uint64_t size,
+                   DefaultInitVector<uint32_t>* offsets) {
+  offsets->resize(size);
+  constexpr uint64_t kChunk = 4096;
+  int64_t chunk[kChunk];
+  int64_t previous = -1;
+  for (uint64_t done = 0; done < size;) {
+    const uint64_t count = std::min(kChunk, size - done);
+    in.read(reinterpret_cast<char*>(chunk),
+            static_cast<std::streamsize>(count * sizeof(int64_t)));
+    if (!in) return Status::InvalidArgument(path + ": truncated MRR arrays");
+    for (uint64_t k = 0; k < count; ++k) {
+      const int64_t offset = chunk[k];
+      if (done + k == 0 && offset != 0) {
+        return Status::InvalidArgument(path + ": offsets must start at 0");
+      }
+      if (offset <= previous) {
+        return Status::InvalidArgument(
+            path + ": offsets must strictly increase (no empty RR set)");
+      }
+      if (offset > MrrCollection::kMaxMembers) {
+        return Status::InvalidArgument(
+            path + ": offsets exceed the 32-bit member layout");
+      }
+      (*offsets)[done + k] = static_cast<uint32_t>(offset);
+      previous = offset;
+    }
+    done += count;
+  }
+  return Status::Ok();
+}
+
+/// Reads and validates one collection blob at the stream position. The
+/// in-memory layout is narrower than the file: blobs past its ceilings
+/// (theta, memberships, offsets above 2^32 - 1) are rejected, and so
+/// are roots that differ from their sets' first members, which is where
+/// the collection keeps them. `indexed` selects whether the loaded
+/// collection gets an inverted index.
 StatusOr<MrrCollection> ReadCollectionBlob(std::ifstream& in,
-                                           const std::string& path) {
+                                           const std::string& path,
+                                           bool indexed) {
   uint64_t magic = 0;
   if (!ReadPod(in, &magic) || (magic != kMagicV1 && magic != kMagicV2)) {
     return Status::InvalidArgument(path + ": bad MRR magic");
@@ -95,6 +137,10 @@ StatusOr<MrrCollection> ReadCollectionBlob(std::ifstream& in,
   if (!ReadPod(in, &theta) || !ReadPod(in, &pieces) || !ReadPod(in, &n) ||
       theta < 0 || pieces <= 0 || n < 0) {
     return Status::InvalidArgument(path + ": bad MRR header");
+  }
+  if (theta > MrrCollection::kMaxSamples) {
+    return Status::InvalidArgument(
+        path + ": theta exceeds the 32-bit sample-id layout");
   }
   uint64_t base_seed = 0;
   int32_t model_raw = 0;
@@ -106,27 +152,38 @@ StatusOr<MrrCollection> ReadCollectionBlob(std::ifstream& in,
       return Status::InvalidArgument(path + ": bad MRR provenance header");
     }
   }
+  // Every RR set holds at least its root, so more sets than the member
+  // ceiling cannot fit either. Sizes are checked before allocating.
+  const uint64_t sets = static_cast<uint64_t>(theta) * pieces;
+  if (sets > static_cast<uint64_t>(MrrCollection::kMaxMembers)) {
+    return Status::InvalidArgument(
+        path + ": RR sets exceed the 32-bit member layout");
+  }
   DefaultInitVector<VertexId> roots;
-  DefaultInitVector<int64_t> offsets;
+  DefaultInitVector<uint32_t> offsets;
   DefaultInitVector<VertexId> nodes;
-  if (!ReadVector(in, &roots) || !ReadVector(in, &offsets) ||
-      !ReadVector(in, &nodes)) {
+  uint64_t size = 0;
+  if (!ReadPod(in, &size)) {
     return Status::InvalidArgument(path + ": truncated MRR arrays");
   }
-  if (static_cast<int64_t>(roots.size()) != theta ||
-      static_cast<int64_t>(offsets.size()) != theta * pieces + 1 ||
-      (offsets.empty() ? !nodes.empty()
-                       : offsets.back() !=
-                             static_cast<int64_t>(nodes.size()))) {
+  if (size != static_cast<uint64_t>(theta)) {
     return Status::InvalidArgument(path + ": inconsistent MRR sizes");
   }
-  if (!offsets.empty() && offsets.front() != 0) {
-    return Status::InvalidArgument(path + ": offsets must start at 0");
+  if (!ReadElements(in, size, &roots) || !ReadPod(in, &size)) {
+    return Status::InvalidArgument(path + ": truncated MRR arrays");
   }
-  for (size_t i = 1; i < offsets.size(); ++i) {
-    if (offsets[i - 1] > offsets[i]) {
-      return Status::InvalidArgument(path + ": non-monotone offsets");
-    }
+  if (size != sets + 1) {
+    return Status::InvalidArgument(path + ": inconsistent MRR sizes");
+  }
+  OIPA_RETURN_IF_ERROR(ReadOffsets(in, path, size, &offsets));
+  if (!ReadPod(in, &size)) {
+    return Status::InvalidArgument(path + ": truncated MRR arrays");
+  }
+  if (size != offsets.back()) {
+    return Status::InvalidArgument(path + ": inconsistent MRR sizes");
+  }
+  if (!ReadElements(in, size, &nodes)) {
+    return Status::InvalidArgument(path + ": truncated MRR arrays");
   }
   for (VertexId v : nodes) {
     if (v < 0 || v >= n) {
@@ -138,10 +195,18 @@ StatusOr<MrrCollection> ReadCollectionBlob(std::ifstream& in,
       return Status::InvalidArgument(path + ": root out of range");
     }
   }
+  for (int64_t i = 0; i < theta; ++i) {
+    for (int j = 0; j < pieces; ++j) {
+      if (nodes[offsets[i * pieces + j]] != roots[i]) {
+        return Status::InvalidArgument(
+            path + ": sample " + std::to_string(i) +
+            "'s root is not the first member of its RR sets");
+      }
+    }
+  }
   return MrrCollection::FromParts(
-      theta, pieces, n, std::move(roots), std::move(offsets),
-      std::move(nodes), base_seed, static_cast<DiffusionModel>(model_raw),
-      extendable_raw != 0);
+      theta, pieces, n, std::move(offsets), std::move(nodes), base_seed,
+      static_cast<DiffusionModel>(model_raw), extendable_raw != 0, indexed);
 }
 
 }  // namespace
@@ -160,7 +225,7 @@ StatusOr<MrrCollection> LoadMrrCollection(const std::string& path) {
   if (FaultInjector::ShouldFail("io.load")) return InjectedFault("io.load");
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open " + path);
-  return ReadCollectionBlob(in, path);
+  return ReadCollectionBlob(in, path, /*indexed=*/true);
 }
 
 Status SaveSampleStore(const SampleStore& store, const std::string& path) {
@@ -192,7 +257,8 @@ StatusOr<std::shared_ptr<SampleStore>> LoadSampleStore(
   if (!ReadPod(in, &has_holdout) || has_holdout < 0 || has_holdout > 1) {
     return Status::InvalidArgument(path + ": bad store-snapshot header");
   }
-  StatusOr<MrrCollection> mrr = ReadCollectionBlob(in, path);
+  StatusOr<MrrCollection> mrr =
+      ReadCollectionBlob(in, path, /*indexed=*/true);
   if (!mrr.ok()) return mrr.status();
   if (pieces != nullptr) {
     // Catch a pieces/snapshot mismatch here as a Status — otherwise it
@@ -214,7 +280,9 @@ StatusOr<std::shared_ptr<SampleStore>> LoadSampleStore(
   }
   std::shared_ptr<const MrrCollection> holdout;
   if (has_holdout == 1) {
-    StatusOr<MrrCollection> loaded = ReadCollectionBlob(in, path);
+    // The holdout only scores finished plans: no index (sample_store.h).
+    StatusOr<MrrCollection> loaded =
+        ReadCollectionBlob(in, path, /*indexed=*/false);
     if (!loaded.ok()) return loaded.status();
     if (loaded->num_pieces() != mrr->num_pieces() ||
         loaded->num_vertices() != mrr->num_vertices()) {

@@ -21,7 +21,12 @@ namespace oipa {
 /// The format is append-aware: a grown collection round-trips exactly,
 /// and because provenance is preserved, save -> load -> Extend produces
 /// the same samples as extending the original. Legacy "OIPAMRR1" files
-/// still load (as non-extendable collections).
+/// still load (as non-extendable collections). The file keeps int64
+/// offsets and a roots array; loading narrows them to the in-memory
+/// 32-bit layout and returns InvalidArgument — never aborts — for a
+/// blob past its ceilings (MrrCollection::kMaxSamples, kMaxMembers),
+/// with an empty RR set, or whose roots differ from their sets' first
+/// members.
 Status SaveMrrCollection(const MrrCollection& mrr, const std::string& path);
 
 StatusOr<MrrCollection> LoadMrrCollection(const std::string& path);
@@ -34,6 +39,7 @@ StatusOr<MrrCollection> LoadMrrCollection(const std::string& path);
 Status SaveSampleStore(const SampleStore& store, const std::string& path);
 
 /// Rebuilds a private (unregistered) SampleStore from a snapshot file.
+/// Like a built store's, the loaded holdout carries no inverted index.
 /// Because sampling provenance round-trips, passing the piece graphs
 /// the store was sampled over makes the loaded store growable again:
 /// save -> load -> Grow continues the exact sample stream. Pass null

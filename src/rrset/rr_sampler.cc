@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/default_init_allocator.h"
 #include "util/logging.h"
 
 namespace oipa {
@@ -9,8 +10,9 @@ namespace oipa {
 RrSampler::RrSampler(VertexId num_vertices)
     : visit_epoch_(num_vertices, 0) {}
 
+template <typename Members>
 void RrSampler::Sample(const InfluenceGraph& ig, VertexId root,
-                       uint64_t seed, std::vector<VertexId>* out) {
+                       uint64_t seed, Members* out) {
   const Graph& g = ig.graph();
   OIPA_CHECK_EQ(static_cast<VertexId>(visit_epoch_.size()),
                 g.num_vertices());
@@ -41,6 +43,11 @@ void RrSampler::Sample(const InfluenceGraph& ig, VertexId root,
     }
   }
 }
+
+template void RrSampler::Sample(const InfluenceGraph&, VertexId, uint64_t,
+                                std::vector<VertexId>*);
+template void RrSampler::Sample(const InfluenceGraph&, VertexId, uint64_t,
+                                DefaultInitVector<VertexId>*);
 
 uint64_t PerSampleSeed(uint64_t base_seed, int64_t sample, int piece) {
   uint64_t state = base_seed ^ (0x9e3779b97f4a7c15ULL *

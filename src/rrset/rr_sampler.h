@@ -27,9 +27,12 @@ class RrSampler {
   /// to sampling the world up front. The BFS walks ig.LiveInEdges: a
   /// p = 0 edge can never fire and draws nothing, so skipping it leaves
   /// the draw stream unchanged. A root without live in-edges yields
-  /// {root} without seeding the Rng at all.
+  /// {root} without seeding the Rng at all. `Members` is
+  /// std::vector<VertexId> or DefaultInitVector<VertexId> (the MRR
+  /// collection's flat member array).
+  template <typename Members>
   void Sample(const InfluenceGraph& ig, VertexId root, uint64_t seed,
-              std::vector<VertexId>* out);
+              Members* out);
 
  private:
   std::vector<uint32_t> visit_epoch_;

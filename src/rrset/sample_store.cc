@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <map>
+#include <string>
 #include <utility>
 
 #include "util/fault_injector.h"
@@ -13,11 +15,30 @@ namespace oipa {
 
 namespace {
 
-std::shared_ptr<const MrrCollection> GenerateCollection(
-    const std::vector<InfluenceGraph>& pieces,
-    const SampleStore::Options& options, int64_t theta, uint64_t seed) {
-  return std::make_shared<const MrrCollection>(MrrCollection::Generate(
-      pieces, theta, seed, options.diffusion, options.sampling_threads));
+/// Runs the in-sample job and the holdout job (either may be empty) side
+/// by side in one parallel region, splitting the store's sampling
+/// workers between them; the in-sample collection, which also builds
+/// the index, gets the larger half. A job alone gets every worker. Each
+/// job receives its worker count; samples are bit-identical at any.
+void SideBySide(int sampling_threads, const std::function<void(int)>& mrr_job,
+                const std::function<void(int)>& holdout_job) {
+  const int workers = ResolveThreadCount(sampling_threads);
+  if (!mrr_job || !holdout_job) {
+    if (mrr_job) mrr_job(workers);
+    if (holdout_job) holdout_job(workers);
+    return;
+  }
+  const int holdout_workers = std::max(1, workers / 2);
+  const int mrr_workers = std::max(1, workers - holdout_workers);
+  ParallelFor(2, std::min(workers, 2), [&](int, int64_t lo, int64_t hi) {
+    for (int64_t job = lo; job < hi; ++job) {
+      if (job == 0) {
+        mrr_job(mrr_workers);
+      } else {
+        holdout_job(holdout_workers);
+      }
+    }
+  });
 }
 
 /// The holdout stream is decorrelated from the in-sample stream by the
@@ -41,14 +62,28 @@ std::shared_ptr<SampleStore> SampleStore::Build(
   store->options_ = options;
   store->options_.holdout_theta = ResolvedHoldoutTheta(options);
   store->shared_ = shared;
-  auto mrr = GenerateCollection(*store->pieces_, options, options.theta,
-                                options.seed);
+  // The holdout only scores finished plans (EstimateAdoptionUtility
+  // scans it), so it is sampled without an inverted index.
+  const std::vector<InfluenceGraph>& piece_graphs = *store->pieces_;
+  const int64_t holdout_theta = store->options_.holdout_theta;
+  std::shared_ptr<const MrrCollection> mrr;
   std::shared_ptr<const MrrCollection> holdout;
-  if (store->options_.holdout_theta > 0) {
-    holdout = GenerateCollection(*store->pieces_, options,
-                                 store->options_.holdout_theta,
-                                 options.seed ^ kHoldoutSeedXor);
+  std::function<void(int)> holdout_job;
+  if (holdout_theta > 0) {
+    holdout_job = [&](int workers) {
+      holdout = std::make_shared<const MrrCollection>(MrrCollection::Generate(
+          piece_graphs, holdout_theta, options.seed ^ kHoldoutSeedXor,
+          options.diffusion, workers, /*indexed=*/false));
+    };
   }
+  SideBySide(
+      options.sampling_threads,
+      [&](int workers) {
+        mrr = std::make_shared<const MrrCollection>(MrrCollection::Generate(
+            piece_graphs, options.theta, options.seed, options.diffusion,
+            workers));
+      },
+      holdout_job);
   {
     MutexLock grow_lock(&store->grow_mu_);
     store->Publish(std::move(mrr), std::move(holdout));
@@ -307,6 +342,7 @@ std::shared_ptr<SampleStore> SampleStore::BuildFromRecovered(
   const int64_t want_holdout = ResolvedHoldoutTheta(options);
   const bool usable =
       parked.mrr != nullptr && parked.mrr->extendable() &&
+      parked.mrr->indexed() &&
       parked.mrr->base_seed() == options.seed &&
       parked.mrr->model() == options.diffusion &&
       parked.mrr->num_pieces() == static_cast<int>(pieces->size()) &&
@@ -565,8 +601,10 @@ bool SampleStore::CanGrow() const {
 }
 
 Status SampleStore::Grow(int64_t target_theta) {
-  if (target_theta < 1) {
-    return Status::InvalidArgument("Grow target must be >= 1");
+  if (target_theta < 1 || target_theta > MrrCollection::kMaxSamples) {
+    return Status::InvalidArgument(
+        "Grow target must be in [1, " +
+        std::to_string(MrrCollection::kMaxSamples) + "]");
   }
   if (FaultInjector::ShouldFail("store.grow")) {
     return InjectedFault("store.grow");
@@ -585,24 +623,30 @@ Status SampleStore::Grow(int64_t target_theta) {
         "store samples lack sampling provenance and cannot grow "
         "(collections loaded via legacy FromParts are not extendable)");
   }
-  // Copy-on-grow: extend copies, then publish them as the next
-  // generation. The superseded generation is only pinned by whatever
-  // snapshots are still outstanding — once the last one drops, it is
-  // freed (compaction), which live_generations() observes. A collection
+  // Copy-on-grow: grown copies (each existing sample copied once, the
+  // index segments shared) are published as the next generation. The
+  // superseded generation is only pinned by whatever snapshots are
+  // still outstanding — once the last one drops, it is freed
+  // (compaction), which live_generations() observes. A collection
   // already at target (a holdout catching up to a larger in-sample
   // stream, or vice versa) is republished untouched.
   std::shared_ptr<const MrrCollection> grown = current.mrr;
-  if (mrr_below) {
-    auto g = std::make_shared<MrrCollection>(*current.mrr);
-    g->Extend(*pieces_, target_theta, options_.sampling_threads);
-    grown = std::move(g);
-  }
   std::shared_ptr<const MrrCollection> grown_holdout = current.holdout;
-  if (holdout_below) {
-    auto h = std::make_shared<MrrCollection>(*current.holdout);
-    h->Extend(*pieces_, target_theta, options_.sampling_threads);
-    grown_holdout = std::move(h);
+  std::function<void(int)> mrr_job;
+  std::function<void(int)> holdout_job;
+  if (mrr_below) {
+    mrr_job = [&](int workers) {
+      grown = std::make_shared<const MrrCollection>(
+          current.mrr->ExtendedCopy(*pieces_, target_theta, workers));
+    };
   }
+  if (holdout_below) {
+    holdout_job = [&](int workers) {
+      grown_holdout = std::make_shared<const MrrCollection>(
+          current.holdout->ExtendedCopy(*pieces_, target_theta, workers));
+    };
+  }
+  SideBySide(options_.sampling_threads, mrr_job, holdout_job);
   Publish(std::move(grown), std::move(grown_holdout));
   return Status::Ok();
 }

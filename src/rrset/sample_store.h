@@ -26,7 +26,9 @@ namespace oipa {
 /// solve and read it throughout; re-snapshot to see newer samples.
 struct SampleSnapshot {
   std::shared_ptr<const MrrCollection> mrr;
-  /// Null when the store was built without a holdout.
+  /// Null when the store was built without a holdout. A store's own
+  /// holdout carries no inverted index: it only scores finished plans
+  /// (EstimateAdoptionUtility), never feeds a solver.
   std::shared_ptr<const MrrCollection> holdout;
 };
 
@@ -226,9 +228,12 @@ class SampleStore {
   /// Grows the in-sample collection (and the holdout, when present) to
   /// at least `target_theta` samples, bit-identically to collections
   /// generated at that size up front, and publishes the result as a new
-  /// generation. No-op when already that large. Thread-safe: growers
-  /// serialize, readers keep their pinned snapshots. FailedPrecondition
-  /// when CanGrow() is false, InvalidArgument for target_theta < 1.
+  /// generation. Like the first build, the two collections are sampled
+  /// side by side, splitting sampling_threads between them. No-op when
+  /// already that large. Thread-safe: growers serialize, readers keep
+  /// their pinned snapshots. FailedPrecondition when CanGrow() is
+  /// false, InvalidArgument for target_theta outside
+  /// [1, MrrCollection::kMaxSamples].
   Status Grow(int64_t target_theta);
 
   /// In-sample generations still alive: the current one plus any

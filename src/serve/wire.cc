@@ -3,9 +3,11 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "data/datasets.h"
+#include "rrset/mrr_collection.h"
 #include "serve/json_parser.h"
 #include "util/threading.h"
 
@@ -140,17 +142,26 @@ Status ParseSampling(const JsonValue& section, SamplingSpec* spec) {
   OIPA_RETURN_IF_ERROR(ReadInt(section, "max_theta", &spec->max_theta));
   OIPA_RETURN_IF_ERROR(ReadString(section, "stopping", &spec->stopping));
 
-  if (spec->theta < 1) {
-    return Status::InvalidArgument("sampling.theta must be >= 1");
+  // Sample ids are 32-bit (rrset/mrr_collection.h): larger sizes are
+  // refused here, before any build.
+  const std::string max_samples = std::to_string(MrrCollection::kMaxSamples);
+  if (spec->theta < 1 || spec->theta > MrrCollection::kMaxSamples) {
+    return Status::InvalidArgument("sampling.theta must be in [1, " +
+                                   max_samples + "]");
+  }
+  if (spec->max_theta > MrrCollection::kMaxSamples) {
+    return Status::InvalidArgument("sampling.max_theta must be <= " +
+                                   max_samples);
   }
   if (spec->threads < 0 || spec->threads > kMaxExplicitThreads) {
     return Status::InvalidArgument("sampling.threads must be in [0, " +
                                    std::to_string(kMaxExplicitThreads) +
                                    "]");
   }
-  if (spec->holdout_theta < -1) {
+  if (spec->holdout_theta < -1 ||
+      spec->holdout_theta > MrrCollection::kMaxSamples) {
     return Status::InvalidArgument(
-        "sampling.holdout_theta must be >= -1");
+        "sampling.holdout_theta must be in [-1, " + max_samples + "]");
   }
   if (spec->epsilon < 0.0) {
     return Status::InvalidArgument("sampling.epsilon must be >= 0");

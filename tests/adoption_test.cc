@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <tuple>
 
 #include "graph/generators.h"
 #include "oipa/adoption.h"
 #include "oipa/assignment_plan.h"
+#include "rrset/coverage_state.h"
 #include "rrset/mrr_collection.h"
 #include "tests/paper_example.h"
 #include "topic/prob_models.h"
@@ -216,6 +219,99 @@ TEST(EstimatorTest, EmptyPlanIsZero) {
   EXPECT_EQ(EstimateAdoptionUtility(mrr, ex.model(), plan), 0.0);
   EXPECT_EQ(ExactAdoptionUtility(ex.pieces, ex.model(), plan), 0.0);
 }
+
+// ------------------------------------------------ scan-and-replay scorer
+
+/// The scorer EstimateAdoptionUtility replaced: a CoverageState over an
+/// indexed collection that AddSeeds the plan's Assignments() in order.
+double WalkUtility(const MrrCollection& indexed,
+                   const LogisticAdoptionModel& model,
+                   const AssignmentPlan& plan) {
+  CoverageState state(&indexed, model.AdoptionTable(indexed.num_pieces()));
+  for (const auto& [piece, v] : plan.Assignments()) state.AddSeed(v, piece);
+  return state.Utility();
+}
+
+/// Generates theta samples in three growth steps (three index segments
+/// when indexed) on varying worker counts.
+MrrCollection GrownCollection(const std::vector<InfluenceGraph>& pieces,
+                              int64_t theta, DiffusionModel model,
+                              bool indexed) {
+  MrrCollection mrr = MrrCollection::Generate(pieces, theta / 3, 67, model,
+                                              2, indexed);
+  mrr.Extend(pieces, 2 * theta / 3, 3);
+  mrr.Extend(pieces, theta, 1);
+  return mrr;
+}
+
+class ScorerEquivalence
+    : public ::testing::TestWithParam<std::tuple<int, DiffusionModel>> {};
+
+TEST_P(ScorerEquivalence, ScanEqualsCoverageStateWalkBitwise) {
+  const auto [ell, diffusion] = GetParam();
+  const Graph g = GenerateHolmeKim(150, 3, 0.3, 53 + ell);
+  const EdgeTopicProbs probs = AssignWeightedCascadeTopics(g, 6, 2.0, 59);
+  Rng rng(61 + ell);
+  const Campaign campaign = Campaign::SampleUniformPieces(ell, 6, &rng);
+  const auto pieces = BuildPieceGraphs(g, probs, campaign);
+  const LogisticAdoptionModel model(2.0, 1.0);
+  constexpr int64_t kTheta = 3'000;
+  const MrrCollection fresh =
+      MrrCollection::Generate(pieces, kTheta, 67, diffusion, 1);
+  const MrrCollection grown =
+      GrownCollection(pieces, kTheta, diffusion, /*indexed=*/true);
+  ASSERT_EQ(grown.num_index_segments(), 3);
+  const MrrCollection unindexed = MrrCollection::Generate(
+      pieces, kTheta, 67, diffusion, 2, /*indexed=*/false);
+  const MrrCollection unindexed_grown =
+      GrownCollection(pieces, kTheta, diffusion, /*indexed=*/false);
+  ASSERT_EQ(unindexed.num_index_segments(), 0);
+
+  // Seeds come from the Holme-Kim hubs (the oldest vertices), so a plan
+  // holds several seeds per piece that cover the same samples.
+  Rng plan_rng(71 + ell);
+  int64_t shared_covers = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    AssignmentPlan plan(ell);
+    const int size =
+        trial % 10 == 0
+            ? 0
+            : 1 + static_cast<int>(plan_rng.NextBounded(3 * ell + 4));
+    while (plan.size() < size) {
+      plan.Add(static_cast<int>(plan_rng.NextBounded(ell)),
+               static_cast<VertexId>(plan_rng.NextBounded(12)));
+    }
+    for (int j = 0; j < ell; ++j) {
+      std::vector<int> seeds_covering(kTheta, 0);
+      for (const VertexId v : plan.SeedSet(j)) {
+        for (const int64_t i : fresh.SamplesContaining(j, v)) {
+          shared_covers += ++seeds_covering[i] == 2;
+        }
+      }
+    }
+    const uint64_t walk =
+        std::bit_cast<uint64_t>(WalkUtility(fresh, model, plan));
+    EXPECT_EQ(std::bit_cast<uint64_t>(WalkUtility(grown, model, plan)),
+              walk);
+    for (const MrrCollection* mrr :
+         {&fresh, &grown, &unindexed, &unindexed_grown}) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(
+                    EstimateAdoptionUtility(*mrr, model, plan)),
+                walk)
+          << plan.DebugString() << " on " << mrr->num_index_segments()
+          << " index segments";
+    }
+  }
+  EXPECT_GT(shared_covers, 0) << "no plan had two seeds of one piece "
+                                 "covering one sample";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PiecesAndModels, ScorerEquivalence,
+    ::testing::Combine(
+        ::testing::Values(1, 3, 8),
+        ::testing::Values(DiffusionModel::kIndependentCascade,
+                          DiffusionModel::kLinearThreshold)));
 
 }  // namespace
 }  // namespace oipa

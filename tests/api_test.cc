@@ -139,6 +139,56 @@ TEST_F(ApiFixture, CreateRejectsBadInputs) {
   EXPECT_EQ(r4.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST_F(ApiFixture, SampleCountsPastTheIdCeilingAreInvalidArguments) {
+  // MRR sample ids are 32-bit: a larger theta or holdout_theta never
+  // reaches the sampler, and neither does a larger progressive cap.
+  constexpr int64_t kHuge = 5'000'000'000;
+  ContextOptions huge_theta;
+  huge_theta.theta = kHuge;
+  ContextOptions huge_holdout;
+  huge_holdout.holdout_theta = kHuge;
+  for (const ContextOptions& options : {huge_theta, huge_holdout}) {
+    const auto ctx = PlanningContext::Create(
+        graph_, probs_, campaign_, LogisticAdoptionModel(2.0, 1.0),
+        options);
+    ASSERT_FALSE(ctx.ok());
+    EXPECT_EQ(ctx.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(ctx.status().message().find("4294967295"), std::string::npos)
+        << ctx.status().ToString();
+  }
+  for (const double epsilon : {0.0, 0.05}) {
+    PlanRequest request = Request("bab-p", 3);
+    request.epsilon = epsilon;
+    request.max_theta = kHuge;
+    const auto solved = Solve(*context_, request);
+    ASSERT_FALSE(solved.ok()) << epsilon;
+    EXPECT_EQ(solved.status().code(), StatusCode::kInvalidArgument);
+  }
+  PlanRequest at_ceiling = Request("bab-p", 3);
+  at_ceiling.max_theta = MrrCollection::kMaxSamples;
+  EXPECT_TRUE(Solve(*context_, at_ceiling).ok());
+}
+
+TEST_F(ApiFixture, BorrowWithSamplesNeedsAnIndexedInSampleCollection) {
+  const MrrCollection unindexed = MrrCollection::Generate(
+      context_->pieces(), 500, 3, DiffusionModel::kIndependentCascade, 1,
+      /*indexed=*/false);
+  const MrrCollection indexed = MrrCollection::Generate(
+      context_->pieces(), 500, 3, DiffusionModel::kIndependentCascade, 1);
+  const auto refused = PlanningContext::BorrowWithSamples(
+      *graph_, *probs_, *campaign_, LogisticAdoptionModel(2.0, 1.0),
+      &unindexed);
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  // An unindexed holdout is what a store builds, and scores plans.
+  const auto ok = PlanningContext::BorrowWithSamples(
+      *graph_, *probs_, *campaign_, LogisticAdoptionModel(2.0, 1.0),
+      &indexed, &unindexed);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  const auto solved = Solve(**ok, Request("bab-p", 3));
+  ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+  EXPECT_GT(solved->holdout_utility, 0.0);
+}
+
 TEST_F(ApiFixture, BorrowWithSamplesValidatesShape) {
   Rng rng(31);
   const Campaign other = Campaign::SampleUniformPieces(3, 5, &rng);
@@ -475,8 +525,7 @@ TEST_F(ApiFixture, ProgressiveSolveRequiresExtendableSamples) {
   // A FromParts collection (no sampling provenance) cannot grow.
   MrrCollection parts = MrrCollection::FromParts(
       2, campaign_->num_pieces(), graph_->num_vertices(),
-      /*roots=*/{0, 1}, /*offsets=*/{0, 1, 2, 3, 4},
-      /*nodes=*/{0, 5, 1, 5});
+      /*offsets=*/{0, 1, 2, 3, 4}, /*nodes=*/{0, 0, 1, 1});
   auto ctx = PlanningContext::BorrowWithSamples(
       *graph_, *probs_, *campaign_, LogisticAdoptionModel(2.0, 1.0),
       &parts, &parts);

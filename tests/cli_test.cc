@@ -481,6 +481,20 @@ TEST(CliDispatchTest, SyntheticSizeOutsideTheGeneratorRangeExits2) {
   EXPECT_EQ(smallest.code, 0) << smallest.err;
 }
 
+TEST(CliDispatchTest, SampleCountsPastTheIdCeilingExit2) {
+  // MRR sample ids are 32-bit, so every sampling subcommand refuses a
+  // theta or max_theta above 2^32 - 1 before building anything.
+  for (const char* command : {"plan", "simulate", "bench"}) {
+    for (const char* flag :
+         {"--theta=5000000000", "--max_theta=5000000000"}) {
+      const CliRun run = InvokeCli(TinyArgs(command, {flag}));
+      EXPECT_EQ(run.code, 2) << command << " " << flag;
+      EXPECT_NE(run.err.find("4294967295"), std::string::npos)
+          << command << " " << flag << ": " << run.err;
+    }
+  }
+}
+
 TEST(CliDispatchTest, RemotePlanRejectsMalformedServer) {
   const CliRun run =
       InvokeCli(TinyArgs("plan", {"--server=no-port-here"}));

@@ -2,6 +2,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "graph/generators.h"
 #include "oipa/adoption.h"
@@ -173,13 +176,136 @@ TEST(MrrIoTest, MalformedOffsetsRejected) {
 TEST(MrrIoTest, FromPartsBuildsUsableIndex) {
   // Hand-rolled minimal collection: 2 samples, 1 piece, 3 vertices.
   MrrCollection mc = MrrCollection::FromParts(
-      2, 1, 3, /*roots=*/{0, 2}, /*offsets=*/{0, 2, 3},
-      /*nodes=*/{0, 1, 2});
+      2, 1, 3, /*offsets=*/{0, 2, 3}, /*nodes=*/{0, 1, 2});
   EXPECT_EQ(mc.theta(), 2);
   EXPECT_EQ(mc.SamplesContaining(0, 1).size(), 1u);
   EXPECT_EQ(mc.SamplesContaining(0, 1)[0], 0);
   EXPECT_EQ(mc.SamplesContaining(0, 2).size(), 1u);
   EXPECT_EQ(mc.SamplesContaining(0, 2)[0], 1);
+}
+
+/// A blob in the on-disk format, written field by field the way files
+/// were written before the in-memory layout went 32-bit: int64 theta,
+/// int32 pieces and n, (v2) provenance, then size-prefixed roots, int64
+/// offsets and members.
+struct LegacyBlob {
+  bool v2 = true;
+  int64_t theta = 2;
+  int32_t pieces = 2;
+  int32_t n = 4;
+  std::vector<VertexId> roots = {1, 3};
+  std::vector<int64_t> offsets = {0, 2, 3, 5, 6};
+  std::vector<VertexId> nodes = {1, 0, 1, 3, 2, 3};
+
+  std::string Bytes() const {
+    std::string out;
+    const auto put = [&out](const auto& value) {
+      out.append(reinterpret_cast<const char*>(&value), sizeof(value));
+    };
+    const auto put_array = [&](const auto& values) {
+      put(static_cast<uint64_t>(values.size()));
+      for (const auto& value : values) put(value);
+    };
+    put(v2 ? uint64_t{0x4f4950414d525232ULL} : uint64_t{0x4f4950414d525231ULL});
+    put(theta);
+    put(pieces);
+    put(n);
+    if (v2) {
+      put(uint64_t{77});  // base seed
+      put(int32_t{0});    // IC
+      put(int32_t{0});    // not extendable
+    }
+    put_array(roots);
+    put_array(offsets);
+    put_array(nodes);
+    return out;
+  }
+
+  StatusOr<MrrCollection> Load(const std::string& name) const {
+    const std::string path = testing::TempDir() + "/" + name;
+    std::ofstream(path, std::ios::binary) << Bytes();
+    StatusOr<MrrCollection> loaded = LoadMrrCollection(path);
+    std::remove(path.c_str());
+    return loaded;
+  }
+};
+
+TEST(MrrIoTest, FilesInTheUnchangedFormatStillLoad) {
+  for (const bool v2 : {true, false}) {
+    LegacyBlob blob;
+    blob.v2 = v2;
+    StatusOr<MrrCollection> loaded = blob.Load("mrr_legacy.bin");
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->theta(), 2);
+    EXPECT_EQ(loaded->root(0), 1);
+    EXPECT_EQ(loaded->root(1), 3);
+    const auto set = loaded->Set(1, 0);
+    EXPECT_EQ(std::vector<VertexId>(set.begin(), set.end()),
+              (std::vector<VertexId>{3, 2}));
+    EXPECT_EQ(loaded->SamplesContaining(0, 1), (std::vector<int64_t>{0}));
+    // Saving writes the same bytes back (v1 files come back as v2).
+    if (v2) {
+      const std::string path = testing::TempDir() + "/mrr_resaved.bin";
+      ASSERT_TRUE(SaveMrrCollection(*loaded, path).ok());
+      std::ifstream in(path, std::ios::binary);
+      const std::string saved((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+      EXPECT_EQ(saved, blob.Bytes());
+      std::remove(path.c_str());
+    }
+  }
+  // A generated collection saves to exactly the legacy byte layout.
+  const MrrCollection original = MakeCollection(300, 53);
+  LegacyBlob blob;
+  blob.theta = original.theta();
+  blob.pieces = original.num_pieces();
+  blob.n = original.num_vertices();
+  blob.roots.clear();
+  blob.offsets = {0};
+  blob.nodes.clear();
+  for (int64_t i = 0; i < original.theta(); ++i) {
+    blob.roots.push_back(original.root(i));
+    for (int j = 0; j < original.num_pieces(); ++j) {
+      const auto set = original.Set(i, j);
+      blob.nodes.insert(blob.nodes.end(), set.begin(), set.end());
+      blob.offsets.push_back(static_cast<int64_t>(blob.nodes.size()));
+    }
+  }
+  StatusOr<MrrCollection> loaded = blob.Load("mrr_generated_legacy.bin");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(std::equal(loaded->members().begin(), loaded->members().end(),
+                         original.members().begin(),
+                         original.members().end()));
+}
+
+TEST(MrrIoTest, BlobsPastTheLayoutAreInvalidArgumentsNotAborts) {
+  const auto expect_rejected = [](const LegacyBlob& blob,
+                                  const std::string& what) {
+    const StatusOr<MrrCollection> loaded = blob.Load("mrr_bad_layout.bin");
+    ASSERT_FALSE(loaded.ok()) << what;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << what;
+    EXPECT_NE(loaded.status().message().find(what), std::string::npos)
+        << loaded.status().ToString();
+  };
+  LegacyBlob theta;
+  theta.theta = int64_t{1} << 32;
+  expect_rejected(theta, "theta exceeds");
+  LegacyBlob sets;
+  sets.theta = (int64_t{1} << 31) + 1;
+  sets.pieces = 2;
+  expect_rejected(sets, "RR sets exceed");
+  LegacyBlob offset;
+  offset.offsets = {0, 2, 3, 5, int64_t{1} << 32};
+  expect_rejected(offset, "offsets exceed");
+  LegacyBlob empty_set;
+  empty_set.offsets = {0, 2, 2, 4, 6};
+  expect_rejected(empty_set, "no empty RR set");
+  LegacyBlob root;
+  root.roots = {1, 2};
+  expect_rejected(root, "root is not the first member");
+  LegacyBlob piece_root;
+  piece_root.nodes = {1, 0, 0, 3, 2, 3};  // sample 0's piece 1 set
+  expect_rejected(piece_root, "root is not the first member");
 }
 
 // ------------------------------------------------ store snapshot round-trip
@@ -207,6 +333,9 @@ TEST(SampleStoreIoTest, StoreSnapshotRoundTripsAndKeepsGrowing) {
   ASSERT_EQ(reloaded.mrr->theta(), 1'200);
   ASSERT_NE(reloaded.holdout, nullptr);
   EXPECT_EQ(reloaded.holdout->theta(), 1'200);
+  // Like a built store's, the loaded holdout carries no index.
+  EXPECT_TRUE(reloaded.mrr->indexed());
+  EXPECT_FALSE(reloaded.holdout->indexed());
   for (int64_t i = 0; i < original.mrr->theta(); ++i) {
     ASSERT_EQ(reloaded.mrr->root(i), original.mrr->root(i));
     for (int j = 0; j < original.mrr->num_pieces(); ++j) {

@@ -292,7 +292,7 @@ TEST(MrrCollectionTest, ProvenanceAccessors) {
 
   // Legacy FromParts has no provenance and must refuse to extend.
   const MrrCollection parts = MrrCollection::FromParts(
-      1, 1, 3, /*roots=*/{0}, /*offsets=*/{0, 1}, /*nodes=*/{0});
+      1, 1, 3, /*offsets=*/{0, 1}, /*nodes=*/{0});
   EXPECT_FALSE(parts.extendable());
 }
 
@@ -341,8 +341,8 @@ uint64_t CollectionHash(const MrrCollection& mrr) {
   for (int j = 0; j < mrr.num_pieces(); ++j) {
     for (VertexId v = 0; v < mrr.num_vertices(); ++v) {
       uint64_t postings = 0;
-      mrr.ForEachSampleSpan(j, v, [&](std::span<const int64_t> ids) {
-        for (const int64_t i : ids) mix(static_cast<uint64_t>(i));
+      mrr.ForEachSampleSpan(j, v, [&](std::span<const uint32_t> ids) {
+        for (const uint32_t i : ids) mix(static_cast<uint64_t>(i));
         postings += ids.size();
       });
       mix(postings);
@@ -456,24 +456,104 @@ TEST(MrrShardingTest, FromPartsRebuildsTheGeneratedIndex) {
   MrrCollection generated = MrrCollection::Generate(
       w.pieces, 4'000, 1, DiffusionModel::kIndependentCascade, 3);
   generated.Extend(w.pieces, 9'000, 3);
-  DefaultInitVector<VertexId> roots;
-  DefaultInitVector<int64_t> offsets = {0};
+  DefaultInitVector<uint32_t> offsets = {0};
   DefaultInitVector<VertexId> nodes;
   for (int64_t i = 0; i < generated.theta(); ++i) {
-    roots.push_back(generated.root(i));
     for (int j = 0; j < generated.num_pieces(); ++j) {
       const auto set = generated.Set(i, j);
       nodes.insert(nodes.end(), set.begin(), set.end());
-      offsets.push_back(static_cast<int64_t>(nodes.size()));
+      offsets.push_back(static_cast<uint32_t>(nodes.size()));
     }
   }
   const MrrCollection rebuilt = MrrCollection::FromParts(
       generated.theta(), generated.num_pieces(), generated.num_vertices(),
-      std::move(roots), std::move(offsets), std::move(nodes),
-      generated.base_seed(), generated.model(), /*extendable=*/true);
+      std::move(offsets), std::move(nodes), generated.base_seed(),
+      generated.model(), /*extendable=*/true);
   EXPECT_EQ(rebuilt.num_index_segments(), 1);
   ExpectMrrBitIdentical(rebuilt, generated);
   EXPECT_EQ(CollectionHash(rebuilt), CollectionHash(generated));
+}
+
+// ------------------------------------------------- Layout and growth
+
+TEST(MrrLayoutTest, RootIsTheFirstMemberOfEverySet) {
+  const PinnedWorkload& w = Pinned();
+  for (const DiffusionModel model : {DiffusionModel::kIndependentCascade,
+                                     DiffusionModel::kLinearThreshold}) {
+    const MrrCollection mrr =
+        MrrCollection::Generate(w.pieces, 2'000, 5, model, 2);
+    for (int64_t i = 0; i < mrr.theta(); ++i) {
+      for (int j = 0; j < mrr.num_pieces(); ++j) {
+        ASSERT_FALSE(mrr.Set(i, j).empty()) << i << "," << j;
+        EXPECT_EQ(mrr.Set(i, j)[0], mrr.root(i)) << i << "," << j;
+      }
+    }
+  }
+}
+
+TEST(MrrLayoutTest, UnindexedCollectionHoldsTheSameSamples) {
+  const PinnedWorkload& w = Pinned();
+  for (const int threads : {1, 3}) {
+    MrrCollection unindexed = MrrCollection::Generate(
+        w.pieces, 3'000, 1, DiffusionModel::kIndependentCascade, threads,
+        /*indexed=*/false);
+    unindexed.Extend(w.pieces, 5'000, threads);
+    const MrrCollection indexed = MrrCollection::Generate(
+        w.pieces, 5'000, 1, DiffusionModel::kIndependentCascade, threads);
+    EXPECT_FALSE(unindexed.indexed());
+    EXPECT_EQ(unindexed.num_index_segments(), 0);
+    EXPECT_TRUE(unindexed.SamplesContaining(0, indexed.root(0)).empty());
+    ASSERT_EQ(unindexed.theta(), indexed.theta());
+    ASSERT_EQ(unindexed.TotalSize(), indexed.TotalSize());
+    EXPECT_TRUE(std::equal(unindexed.members().begin(),
+                           unindexed.members().end(),
+                           indexed.members().begin()));
+    EXPECT_TRUE(std::equal(unindexed.set_offsets().begin(),
+                           unindexed.set_offsets().end(),
+                           indexed.set_offsets().begin()));
+    EXPECT_LT(unindexed.MemoryBytes(), indexed.MemoryBytes());
+  }
+}
+
+TEST(MrrLayoutTest, ExtendedCopyMatchesExtendAndLeavesTheSourceAlone) {
+  const PinnedWorkload& w = Pinned();
+  for (const int threads : {1, 2, 7}) {
+    const MrrCollection base = MrrCollection::Generate(
+        w.pieces, 12'000, 1, DiffusionModel::kIndependentCascade, threads);
+    const uint64_t base_hash = CollectionHash(base);
+    const MrrCollection copy =
+        base.ExtendedCopy(w.pieces, PinnedWorkload::kTheta, threads);
+    EXPECT_EQ(copy.num_index_segments(), 2);
+    EXPECT_EQ(CollectionHash(copy), kPinnedHashIc) << threads;
+    EXPECT_EQ(base.theta(), 12'000);
+    EXPECT_EQ(CollectionHash(base), base_hash);
+    // Copied once, into storage sized for the grown collection: no more
+    // than a fresh collection of that size plus the shared first
+    // segment's key offsets and the member margin. (Growing an
+    // exact-size copy in place would at least double its 12k samples'
+    // capacity.)
+    const MrrCollection fresh = MrrCollection::Generate(
+        w.pieces, PinnedWorkload::kTheta, 1,
+        DiffusionModel::kIndependentCascade, threads);
+    const int64_t key_offsets =
+        (static_cast<int64_t>(w.pieces.size()) *
+             (w.dataset.graph->num_vertices() + 1) +
+         1) *
+        static_cast<int64_t>(sizeof(uint32_t));
+    EXPECT_LE(copy.MemoryBytes(),
+              fresh.MemoryBytes() + key_offsets + fresh.MemoryBytes() / 20)
+        << threads;
+    // Unindexed collections grow the same way, without segments.
+    const MrrCollection unindexed = MrrCollection::Generate(
+        w.pieces, 12'000, 1, DiffusionModel::kIndependentCascade, threads,
+        /*indexed=*/false);
+    const MrrCollection unindexed_copy =
+        unindexed.ExtendedCopy(w.pieces, PinnedWorkload::kTheta, threads);
+    EXPECT_EQ(unindexed_copy.num_index_segments(), 0);
+    EXPECT_TRUE(std::equal(unindexed_copy.members().begin(),
+                           unindexed_copy.members().end(),
+                           fresh.members().begin(), fresh.members().end()));
+  }
 }
 
 // -------------------------------------------------------- CoverageState
@@ -695,7 +775,7 @@ TEST_F(CoverageFixture, GainBoundIsForwardValidUnderIncreasingMarginals) {
 // deliberately straddle the SIMD block width (full blocks, a ragged
 // tail, and tiny spans the vector path never touches).
 struct KernelArrays {
-  std::vector<int64_t> ids;
+  std::vector<uint32_t> ids;
   std::vector<uint16_t> mult;
   std::vector<uint8_t> cover_count;
   std::vector<uint32_t> greedy_epoch;
@@ -724,7 +804,7 @@ struct KernelArrays {
     // Non-uniform postings with duplicates and arbitrary order — the
     // kernels must not assume sorted or unique sample ids.
     for (int64_t i = 0; i < theta / 2; ++i) {
-      ids.push_back(static_cast<int64_t>(rng.Next() % theta));
+      ids.push_back(static_cast<uint32_t>(rng.Next() % theta));
     }
     delta_f.resize(ell + 1);
     delta_f_sufmax.resize(ell + 1);
@@ -758,8 +838,8 @@ TEST(CoverageKernelsTest, DispatchedKernelsMatchScalarBitForBit) {
   for (const int64_t span : {0, 1, 37, 128, 131, 1000}) {
     for (const uint64_t seed : {7u, 21u, 63u}) {
       KernelArrays a(std::max<int64_t>(span, 1), 3, seed ^ span);
-      const std::span<const int64_t> ids(a.ids.data(),
-                                         std::min<size_t>(span, a.ids.size()));
+      const std::span<const uint32_t> ids(
+          a.ids.data(), std::min<size_t>(span, a.ids.size()));
       const double acc = 0.625;  // nonzero carried-in accumulator
 
       const double gain_simd = CoverageGainSum(
@@ -800,7 +880,7 @@ TEST(CoverageKernelsTest, AccumulatorCarriesAcrossSplitSpans) {
   // that makes grown (segmented) collections bit-identical to fresh
   // ones.
   KernelArrays a(500, 3, 11);
-  const std::span<const int64_t> all(a.ids);
+  const std::span<const uint32_t> all(a.ids);
   const double whole = CoverageGainSum(all, a.mult.data(),
                                        a.cover_count.data(),
                                        a.delta_f.data(), 0.0);

@@ -11,8 +11,10 @@
 #include <atomic>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "data/datasets.h"
 #include "graph/generators.h"
 #include "oipa/api/plan_request.h"
 #include "oipa/api/planning_context.h"
@@ -147,6 +149,102 @@ TEST_F(SampleStoreFixture, StatsReportMemoryAndGenerations) {
   // Live memory covers the grown generation plus the pinned one.
   EXPECT_GT(after.memory_bytes, before.memory_bytes);
   (void)pin;
+}
+
+TEST_F(SampleStoreFixture, SideBySideBuildsMatchAndOnlyHoldoutIsUnindexed) {
+  // The two collections are sampled side by side on split workers; no
+  // split may change a sample, and only the in-sample one is indexed.
+  SampleStore::Options options = Options(900, 41);
+  options.sampling_threads = 1;
+  const auto reference = SampleStore::Create(pieces_, options);
+  ASSERT_TRUE(reference->Grow(2'000).ok());
+  const SampleSnapshot want = reference->snapshot();
+  const MrrCollection fresh = MrrCollection::Generate(*pieces_, 2'000, 41);
+  for (const int threads : {2, 3, 5}) {
+    options.sampling_threads = threads;
+    const auto store = SampleStore::Create(pieces_, options);
+    EXPECT_TRUE(store->snapshot().mrr->indexed());
+    EXPECT_FALSE(store->snapshot().holdout->indexed());
+    ASSERT_TRUE(store->Grow(2'000).ok());
+    const SampleSnapshot got = store->snapshot();
+    EXPECT_EQ(got.mrr->num_index_segments(), 2) << threads;
+    EXPECT_EQ(got.holdout->num_index_segments(), 0) << threads;
+    for (const auto& [a, b] :
+         {std::pair{got.mrr.get(), want.mrr.get()},
+          std::pair{got.holdout.get(), want.holdout.get()},
+          std::pair{got.mrr.get(), &fresh}}) {
+      EXPECT_TRUE(std::equal(a->members().begin(), a->members().end(),
+                             b->members().begin(), b->members().end()))
+          << threads;
+      EXPECT_TRUE(std::equal(a->set_offsets().begin(),
+                             a->set_offsets().end(),
+                             b->set_offsets().begin(),
+                             b->set_offsets().end()))
+          << threads;
+    }
+  }
+}
+
+TEST_F(SampleStoreFixture, GrowCopiesIntoTargetSizedStorage) {
+  // Each existing sample is copied once, into arrays sized for the
+  // target: the grown generation holds no more than a fresh one of that
+  // size, plus the shared first segment's key offsets and the member
+  // margin. An exact-size copy that an in-place Extend then grew (to at
+  // least twice its capacity, 12k samples' worth) would not fit.
+  for (const int threads : {1, 2}) {
+    SampleStore::Options options = Options(6'000, 43);
+    options.sampling_threads = threads;
+    const auto store = SampleStore::Create(pieces_, options);
+    ASSERT_TRUE(store->Grow(8'000).ok());
+    const SampleSnapshot grown = store->snapshot();
+    const MrrCollection fresh = MrrCollection::Generate(
+        *pieces_, 8'000, 43, DiffusionModel::kIndependentCascade, threads);
+    const int64_t key_offsets =
+        (static_cast<int64_t>(pieces_->size()) *
+             (graph_->num_vertices() + 1) +
+         1) *
+        static_cast<int64_t>(sizeof(uint32_t));
+    EXPECT_LE(grown.mrr->MemoryBytes(),
+              fresh.MemoryBytes() + key_offsets + fresh.MemoryBytes() / 20)
+        << threads;
+    // The holdout is just offsets and members.
+    const int64_t holdout_words =
+        grown.holdout->theta() * grown.holdout->num_pieces() + 1 +
+        grown.holdout->TotalSize();
+    EXPECT_LE(grown.holdout->MemoryBytes(),
+              holdout_words * 4 + holdout_words * 4 / 20)
+        << threads;
+  }
+}
+
+TEST(SampleStoreMemoryTest, LastFmBytesPerSample) {
+  // The daemon's lastfm context (l = 3, theta = 100k plus a 100k
+  // holdout, 2 sampling workers), about 3.5 members per sample. Four
+  // bytes per offset, member and posting make about 40.2 bytes in-sample
+  // and 26.2 in the unindexed holdout; the bounds leave room for the
+  // member reserve's margin, and none for a doubled array.
+  for (const uint64_t dataset_seed : {1, 2}) {
+    const Dataset dataset = MakeLastFmLike(dataset_seed);
+    Rng rng(1);
+    const Campaign campaign =
+        Campaign::SampleUniformPieces(3, dataset.num_topics, &rng);
+    SampleStore::Options options;
+    options.theta = 100'000;
+    options.holdout_theta = 100'000;
+    options.sampling_threads = 2;
+    const auto store = SampleStore::Create(
+        std::make_shared<const std::vector<InfluenceGraph>>(BuildPieceGraphs(
+            *dataset.graph, *dataset.probs, campaign)),
+        options);
+    const SampleSnapshot snap = store->snapshot();
+    const double mrr_bytes =
+        static_cast<double>(snap.mrr->MemoryBytes()) / options.theta;
+    const double holdout_bytes =
+        static_cast<double>(snap.holdout->MemoryBytes()) /
+        options.holdout_theta;
+    EXPECT_LE(mrr_bytes, 41.0) << dataset_seed;
+    EXPECT_LE(holdout_bytes, 27.0) << dataset_seed;
+  }
 }
 
 TEST_F(SampleStoreFixture, AdoptWithoutPiecesCannotGrow) {

@@ -513,6 +513,39 @@ TEST_F(ServeFixture, OutOfRangeSyntheticSizeIsRejectedAndServingGoesOn) {
   EXPECT_TRUE(answered_next);
 }
 
+TEST_F(ServeFixture, SampleCountsPastTheIdCeilingAreRejectedAndServingGoesOn) {
+  // MRR sample ids are 32-bit: theta, holdout_theta and max_theta above
+  // 2^32 - 1 are refused before any build, and the daemon goes on.
+  StartServer({});
+  const std::vector<std::string> lines = {
+      R"({"id":"theta","sampling":{"theta":5000000000}})",
+      R"({"id":"holdout","sampling":{"holdout_theta":5000000000}})",
+      R"({"id":"max","sampling":{"epsilon":0.05,"max_theta":5000000000}})",
+      TinyRequest("next", 1, "[2]"),
+  };
+  const std::vector<std::string> responses =
+      SendLinesAndCollect(server_->port(), lines, lines.size());
+  ASSERT_EQ(responses.size(), lines.size());
+  int rejected = 0;
+  bool answered_next = false;
+  for (const std::string& line : responses) {
+    const JsonValue r = Parse(line);
+    if (r.Find("ok")->bool_value()) {
+      answered_next = r.Find("id")->string_value() == "next";
+      continue;
+    }
+    const JsonValue* error = r.Find("error");
+    ASSERT_NE(error, nullptr) << line;
+    EXPECT_EQ(error->Find("code")->string_value(), "InvalidArgument");
+    EXPECT_NE(error->Find("message")->string_value().find("4294967295"),
+              std::string::npos)
+        << line;
+    ++rejected;
+  }
+  EXPECT_EQ(rejected, 3);
+  EXPECT_TRUE(answered_next);
+}
+
 TEST_F(ServeFixture, QueuedCompatibleRequestsShareOneSweep) {
   ServerOptions options;
   options.workers = 1;  // forces queueing behind the blocker
