@@ -1,10 +1,12 @@
 // Parallel branch-and-bound scaling bench: runs the same budget sweep
 // through SolveBatch at 1..32 worker threads (BAB and BAB-P) and
 // reports per-thread-count runtimes, parallel speedups, scaling
-// efficiency (speedup / threads), and the single-thread throughput CI
-// gates on (scripts/check_perf_regression.py compares
-// tau_evals_per_sec and the per-thread-count efficiency map against
-// the committed baseline).
+// efficiency (speedup / threads), search overhead (total tau evals at
+// N workers / at 1: the extra bound work parallel best-first search
+// does), and the single-thread throughput CI gates on
+// (scripts/check_perf_regression.py compares tau_evals_per_sec and the
+// per-thread-count efficiency map against the committed baseline;
+// search overhead is recorded, not gated).
 //
 // The defaults (tight gap, 4000-node cap) are deliberately heavier than
 // the figure benches so the frontier stays populated and bound calls
@@ -80,9 +82,9 @@ int main(int argc, char** argv) {
       request.options.variant = base.variant;
       request.options.exact_pruning = base.exact_pruning;
       request.num_threads = threads;
-      // This bench measures the parallel search engine itself, so keep
-      // the sweep serial — budget sharding would run every solve on the
-      // sequential engine and flatten the thread-scaling signal.
+      // This bench measures the work-stealing search itself, so keep
+      // the sweep serial — budget sharding would run every solve on one
+      // worker and flatten the thread-scaling signal.
       request.shard_budgets = false;
       const auto sweep = SolveBatch(*env.Context(model), request);
       OIPA_CHECK(sweep.ok()) << sweep.status().ToString();
@@ -110,10 +112,12 @@ int main(int argc, char** argv) {
     // the sweep so the 1-thread run may appear anywhere in --threads
     // (or be absent, in which case neither is reported).
     double single_thread_seconds = 0.0;
+    int64_t single_thread_tau_evals = 0;
     JsonValue single_thread = JsonValue::Object();
     for (const Run& run : measured) {
       if (run.threads == 1 && run.total_seconds > 0.0) {
         single_thread_seconds = run.total_seconds;
+        single_thread_tau_evals = run.total_tau_evals;
         single_thread.Set("seconds", run.total_seconds)
             .Set("tau_evals", run.total_tau_evals)
             .Set("tau_evals_per_sec",
@@ -130,10 +134,18 @@ int main(int argc, char** argv) {
       // Scaling efficiency: perfect work stealing would hold this at
       // 1.0; the baseline gates a conservative floor per thread count.
       const double eff = speedup / static_cast<double>(run.threads);
+      // Search overhead: 1.0 when N workers do exactly one worker's
+      // bound work; above it, they evaluate subspaces one worker prunes.
+      const double overhead =
+          single_thread_tau_evals > 0
+              ? static_cast<double>(run.total_tau_evals) /
+                    static_cast<double>(single_thread_tau_evals)
+              : 0.0;
       std::printf("%-6s threads=%d  total=%.3fs  speedup=%.2fx  "
-                  "efficiency=%.2f  tau_evals=%lld\n",
+                  "efficiency=%.2f  search_overhead=%.2fx  "
+                  "tau_evals=%lld\n",
                   method, run.threads, run.total_seconds, speedup, eff,
-                  static_cast<long long>(run.total_tau_evals));
+                  overhead, static_cast<long long>(run.total_tau_evals));
       JsonValue row = JsonValue::Object();
       row.Set("threads", run.threads)
           .Set("total_seconds", run.total_seconds)
@@ -141,6 +153,7 @@ int main(int argc, char** argv) {
           .Set("total_nodes_expanded", run.total_nodes)
           .Set("speedup_vs_1_thread", speedup)
           .Set("efficiency", eff)
+          .Set("search_overhead", overhead)
           .Set("per_k", std::move(run.per_k));
       runs.Append(std::move(row));
       if (run.threads > 1) {

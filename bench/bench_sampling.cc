@@ -3,11 +3,9 @@
 // counts, verifies that growing a collection costs the same per-sample
 // as generating it, spot-checks that the threaded collections are
 // bit-identical to the single-threaded ones (the PerSampleSeed
-// determinism contract), and runs adaptive theta selection to
-// demonstrate that every sample is drawn at most once per collection
-// (the total-samples counter equals 2 * final theta — one train + one
-// test collection — where the old regenerate-per-round scheme paid
-// 2 * sum of all round sizes).
+// determinism contract), and counts the samples each growth sweep
+// draws: every sample is drawn at most once per collection, so growing
+// draws exactly the samples it appends and never regenerates old ones.
 //
 // Emits BENCH_sampling.json (uploaded by CI next to the other bench
 // trajectories). The single-threaded samples_per_sec legs are the ones
@@ -15,7 +13,6 @@
 //
 // Flags: --dataset=lastfm --ell=3 --theta=20000 --extend_rounds=3
 //        --sampling_threads=1,2,4,16  (2 is what oipa_serve contexts use)
-//        --adaptive_initial=2000 --adaptive_max=128000
 //        --output=BENCH_sampling.json
 
 #include <cstdint>
@@ -27,7 +24,6 @@
 
 #include "bench/bench_common.h"
 #include "cli/json_writer.h"
-#include "rrset/adaptive_theta.h"
 #include "rrset/mrr_collection.h"
 #include "util/flags.h"
 #include "util/logging.h"
@@ -66,8 +62,6 @@ int main(int argc, char** argv) {
   const int64_t theta = flags.GetInt("theta", 20'000);
   const int extend_rounds =
       static_cast<int>(flags.GetInt("extend_rounds", 3));
-  const int64_t adaptive_initial = flags.GetInt("adaptive_initial", 2'000);
-  const int64_t adaptive_max = flags.GetInt("adaptive_max", 128'000);
   const std::string output =
       flags.GetString("output", "BENCH_sampling.json");
 
@@ -133,6 +127,7 @@ int main(int argc, char** argv) {
       MrrCollection grown = MrrCollection::Generate(
           env.pieces, theta / 2, 29, DiffusionModel::kIndependentCascade,
           threads);
+      const int64_t drawn_before = MrrCollection::GeneratedSampleCount();
       WallTimer timer;
       int64_t grown_samples = 0;
       int64_t target = theta;
@@ -141,6 +136,10 @@ int main(int argc, char** argv) {
         grown.Extend(env.pieces, target, threads);
       }
       const double seconds = timer.Seconds();
+      const int64_t drawn =
+          MrrCollection::GeneratedSampleCount() - drawn_before;
+      OIPA_CHECK_EQ(drawn, grown_samples)
+          << "growth drew a sample more than once per collection";
       const uint64_t hash = Fingerprint(grown);
       if (threads == 1) single_thread_hash = hash;
       if (single_thread_hash != 0) {
@@ -151,6 +150,7 @@ int main(int argc, char** argv) {
       j.Set("threads", threads)
           .Set("rounds", extend_rounds)
           .Set("samples", grown_samples)
+          .Set("total_samples_generated", drawn)
           .Set("final_theta", grown.theta())
           .Set("index_segments", grown.num_index_segments())
           .Set("seconds", seconds)
@@ -166,42 +166,6 @@ int main(int argc, char** argv) {
       by_threads.Append(std::move(j));
     }
     result.Set("extend_by_threads", std::move(by_threads));
-  }
-
-  // --------------------------------------------------------- adaptive theta
-  {
-    AdaptiveThetaOptions options;
-    options.initial_theta = adaptive_initial;
-    options.max_theta = adaptive_max;
-    options.relative_tolerance = 0.02;
-    options.probe_budget = 8;
-    options.seed = 47;
-    WallTimer timer;
-    const AdaptiveThetaResult chosen =
-        ChooseTheta(env.pieces, env.dataset.promoter_pool, options);
-    const double seconds = timer.Seconds();
-    // What the pre-incremental implementation would have drawn: two
-    // fresh collections per round, sizes initial, 2*initial, ...
-    int64_t regenerate_cost = 0;
-    for (int64_t t = options.initial_theta; t <= chosen.theta; t *= 2) {
-      regenerate_cost += 2 * t;
-    }
-    OIPA_CHECK_EQ(chosen.total_samples_generated, 2 * chosen.theta)
-        << "adaptive theta drew a sample more than once per collection";
-    JsonValue j = JsonValue::Object();
-    j.Set("chosen_theta", chosen.theta)
-        .Set("rounds", chosen.rounds)
-        .Set("achieved_disagreement", chosen.achieved_disagreement)
-        .Set("total_samples_generated", chosen.total_samples_generated)
-        .Set("regenerate_scheme_samples", regenerate_cost)
-        .Set("seconds", seconds);
-    std::printf(
-        "adaptive-theta: chose %lld after %d rounds, drew %lld samples "
-        "(regeneration would draw %lld)\n",
-        static_cast<long long>(chosen.theta), chosen.rounds,
-        static_cast<long long>(chosen.total_samples_generated),
-        static_cast<long long>(regenerate_cost));
-    result.Set("adaptive_theta", std::move(j));
   }
 
   const std::string text = result.Dump(2);

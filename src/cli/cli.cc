@@ -73,8 +73,8 @@ struct Pipeline {
   }
 };
 
-/// Effective solver worker count for this run: flag absent (-1) = the
-/// deterministic sequential engine, --threads=0 = auto-detect,
+/// Effective solver worker count for this run: flag absent (-1) = one
+/// deterministic search worker, --threads=0 = auto-detect,
 /// --threads=N = exactly N. Single source for both the request sent to
 /// the solver and the config echoed in the JSON result.
 int ResolvedSolverThreads(const CliConfig& c) {
@@ -693,9 +693,11 @@ Status ParseCliConfig(const FlagParser& flags, CliConfig* config) {
         "--max_theta must be <= " +
         std::to_string(MrrCollection::kMaxSamples));
   }
-  if (c.epsilon <= 0.0 || c.epsilon >= 1.0) {
+  // Negated so that NaN fails too.
+  if (!(c.epsilon > 0.0 && c.epsilon < 1.0)) {
     return Status::InvalidArgument("--epsilon must be in (0, 1)");
   }
+  if (!(c.gap >= 0.0)) return Status::InvalidArgument("--gap must be >= 0");
   if (c.sampling_epsilon < 0.0 || c.sampling_epsilon >= 1.0) {
     return Status::InvalidArgument(
         "--sampling_epsilon must be in [0, 1) (0 = one-shot solve)");
@@ -809,8 +811,8 @@ std::string UsageString() {
      << "  --cascades=<count>       action-log cascades for --learn (1000)\n"
      << "  --trials=<count>         simulate Monte-Carlo trials (2000)\n"
      << "  --threads=<count>        solver worker threads; 0 = auto via\n"
-     << "                           hardware/OIPA_THREADS; absent = the\n"
-     << "                           deterministic sequential solver\n"
+     << "                           hardware/OIPA_THREADS; absent = one\n"
+     << "                           deterministic search worker\n"
      << "  --deadline_ms=<ms>       wall-clock budget for the solve; an\n"
      << "                           expired deadline cancels at the next\n"
      << "                           progress poll with partial telemetry\n"

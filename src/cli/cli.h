@@ -118,11 +118,11 @@ struct CliConfig {
 
   // ------------------------------------------------------ runtime
   /// Worker threads. -1 (flag absent) keeps the pre-flag behavior:
-  /// auto-parallel MRR sampling but the deterministic sequential solver,
+  /// auto-parallel MRR sampling but one deterministic search worker,
   /// so default runs reproduce bit-for-bit per --seed. --threads=0 =
   /// full auto (hardware concurrency / OIPA_THREADS, parallel solver);
-  /// N = exactly N solver workers (N > 1: utility within --gap of
-  /// sequential, plan may differ between runs).
+  /// N = exactly N solver workers (N > 1: utility within --gap of one
+  /// worker's, plan may differ between runs).
   int threads = -1;
   uint64_t seed = 1;
   /// Pretty-print indent for the JSON result (<0 = compact).

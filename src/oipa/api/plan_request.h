@@ -74,10 +74,10 @@ struct PlanRequest {
   std::vector<int> budgets = {10};
   SolverOptions options;
   /// Worker threads for solvers that can parallelize (the
-  /// branch-and-bound family). 1 (default) is the sequential engine —
-  /// bit-identical, deterministic responses; 0 resolves to
-  /// GetNumThreads(); N > 1 runs N workers over a shared frontier:
-  /// utility stays within roughly the request's gap of the sequential
+  /// branch-and-bound family). 1 (default) is one search worker on the
+  /// calling thread — bit-identical, deterministic responses; 0
+  /// resolves to GetNumThreads(); N > 1 runs N work-stealing workers:
+  /// utility stays within roughly the request's gap of the one-worker
   /// result (rigorously under options.exact_pruning) but the specific
   /// equally-good plan may differ between runs. Values above
   /// kMaxBabWorkers (branch_and_bound.h) are InvalidArgument.
@@ -101,11 +101,11 @@ struct PlanRequest {
   /// (PlanResponse::certified_ratio), typically earlier.
   StoppingRuleKind stopping = StoppingRuleKind::kHoldoutGap;
   /// SolveBatch only: with num_threads > 1, run the budget sweep
-  /// concurrently (num_threads sweep workers), each budget on the
-  /// deterministic sequential engine — responses are bit-identical to
-  /// the num_threads == 1 sweep, just faster. Set false to keep the
-  /// sweep serial with each individual solve using the parallel
-  /// branch-and-bound engine instead (thread-scaling benches).
+  /// concurrently (num_threads sweep workers), each budget solved by
+  /// one search worker — responses are bit-identical to the
+  /// num_threads == 1 sweep, just faster. Set false to keep the sweep
+  /// serial with each individual solve running num_threads search
+  /// workers instead (thread-scaling benches).
   bool shard_budgets = true;
   /// Seed for solver-internal randomness (baseline RR sampling, random
   /// heuristic). Independent of the context's sampling seed.

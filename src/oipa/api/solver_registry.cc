@@ -305,6 +305,16 @@ Status ValidateRequest(const PlanningContext& context,
         "num_threads must be in [0, " + std::to_string(kMaxBabWorkers) +
         "] (0 = auto), got " + std::to_string(request.num_threads));
   }
+  // The wire's rules, written so that NaN fails them too: the BAB
+  // family CHECKs both values once the search starts.
+  if (!(request.options.gap >= 0.0)) {
+    return Status::InvalidArgument("options.gap must be >= 0, got " +
+                                   std::to_string(request.options.gap));
+  }
+  if (!(request.options.epsilon > 0.0 && request.options.epsilon < 1.0)) {
+    return Status::InvalidArgument("options.epsilon must be in (0, 1), got " +
+                                   std::to_string(request.options.epsilon));
+  }
   if (request.epsilon < 0.0) {
     return Status::InvalidArgument(
         "epsilon must be >= 0 (0 disables progressive solving), got " +
@@ -492,9 +502,9 @@ StatusOr<PlanResponse> SolveBudget(const PlanningContext& context,
 }
 
 /// SolveBatch fan-out: num_threads sweep workers pull budgets off a
-/// shared counter; every individual solve runs the deterministic
-/// sequential engine, so the sweep's responses are bit-identical to the
-/// serial num_threads == 1 sweep. Progress hooks are serialized.
+/// shared counter; every individual solve runs one deterministic search
+/// worker, so the sweep's responses are bit-identical to the serial
+/// num_threads == 1 sweep. Progress hooks are serialized.
 StatusOr<std::vector<PlanResponse>> SolveBatchSharded(
     const PlanningContext& context, const PlanRequest& request,
     const Solver& solver) {

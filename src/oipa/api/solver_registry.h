@@ -85,13 +85,12 @@ StatusOr<PlanResponse> Solve(
 ///
 /// With request.num_threads != 1 (and shard_budgets, the default), the
 /// sweep itself is parallelized: up to num_threads workers each solve
-/// whole budgets on the deterministic sequential engine, so fixed-theta
-/// responses are bit-identical to the num_threads == 1 sweep — only
-/// faster. Set
+/// whole budgets with one search worker, so fixed-theta responses are
+/// bit-identical to the num_threads == 1 sweep — only faster. Set
 /// request.shard_budgets = false to instead run budgets serially with
-/// each solve using the parallel branch-and-bound engine (the PR-3
-/// behavior thread-scaling benches measure). Progressive requests
-/// (epsilon > 0) compose with sharding: workers grow the shared store
+/// each solve running num_threads search workers (what thread-scaling
+/// benches measure). Progressive requests (epsilon > 0) compose with
+/// sharding: workers grow the shared store
 /// cooperatively, and each response reports the theta it converged at
 /// (growth interleaving may differ from a serial sweep's, so per-budget
 /// theta_used can be smaller — never the plan quality contract).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <memory>
@@ -44,8 +43,8 @@ AssignmentPlan PlanFromPairs(int num_pieces,
 }
 
 /// A CoverageState kept in sync with an assignment list by diff-replay;
-/// both engines (and each parallel worker) step between partial plans
-/// through MoveTo so there is exactly one copy of the diffing logic.
+/// every worker steps between partial plans through MoveTo so there is
+/// exactly one copy of the diffing logic.
 class PlanReplay {
  public:
   PlanReplay(const MrrCollection* mrr, std::vector<double> f_by_count)
@@ -73,19 +72,20 @@ class PlanReplay {
   std::vector<Assignment> current_;
 };
 
-/// Per-worker bound-ordered frontier for the work-stealing engine.
-/// `nodes` is kept sorted ascending by upper bound: the owner pops the
-/// back — the most promising subspace, preserving the sequential
-/// engine's best-first order locally — and thieves take from the front,
-/// the cheap end, so stolen work is the work the victim would have
-/// reached last. Each deque carries its own mutex; by construction a
-/// worker holds AT MOST ONE frontier mutex at any time (a steal copies
-/// out of the victim, releases, and only then locks the thief's own
-/// deque), so frontier mutexes need no order among themselves.
-/// Cache-line aligned so neighboring workers' hints don't false-share.
+/// Per-worker bound-ordered frontier of the work-stealing search: a
+/// binary max-heap on the upper bound, kept with std::push_heap /
+/// std::pop_heap and NodeCompare — the operations std::priority_queue
+/// performs, so a lone worker pops nodes in exactly a priority queue's
+/// order, ties included. The owner pops the heap's best node; thieves
+/// take the cheaper half, the work the victim would have reached last.
+/// Each deque carries its own mutex; by construction a worker holds AT
+/// MOST ONE frontier mutex at any time (a steal moves nodes out of the
+/// victim, releases, and only then locks the thief's own deque), so
+/// frontier mutexes need no order among themselves. Cache-line aligned
+/// so neighboring workers' hints don't false-share.
 struct alignas(64) WorkerDeque {
   Mutex mu;
-  std::vector<SearchNode> nodes OIPA_GUARDED_BY(mu);  // ascending by upper
+  std::vector<SearchNode> nodes OIPA_GUARDED_BY(mu);  // max-heap on upper
   /// Relaxed mirrors refreshed under `mu` on every mutation: size for
   /// lock-free victim probing, the top bound for global-upper-bound
   /// snapshots. `top_hint` is 0.0 when empty (bounds are nonnegative,
@@ -97,55 +97,67 @@ struct alignas(64) WorkerDeque {
 void RefreshHints(WorkerDeque& d) OIPA_REQUIRES(d.mu) {
   d.size_hint.store(static_cast<int64_t>(d.nodes.size()),
                     std::memory_order_relaxed);
-  d.top_hint.store(d.nodes.empty() ? 0.0 : d.nodes.back().upper,
+  d.top_hint.store(d.nodes.empty() ? 0.0 : d.nodes.front().upper,
                    std::memory_order_relaxed);
 }
 
 void DequePush(WorkerDeque& d, SearchNode node) {
   MutexLock lock(&d.mu);
-  const auto pos = std::upper_bound(d.nodes.begin(), d.nodes.end(), node,
-                                    NodeCompare());
-  d.nodes.insert(pos, std::move(node));
+  d.nodes.push_back(std::move(node));
+  std::push_heap(d.nodes.begin(), d.nodes.end(), NodeCompare());
   RefreshHints(d);
 }
 
-/// Pops the owner's most promising node (the expensive back end).
+/// Removes and returns the best node of a NodeCompare max-heap.
+SearchNode PopBest(std::vector<SearchNode>& heap) {
+  std::pop_heap(heap.begin(), heap.end(), NodeCompare());
+  SearchNode best = std::move(heap.back());
+  heap.pop_back();
+  return best;
+}
+
+/// Pops the owner's most promising node (the heap's top).
 bool DequePopBest(WorkerDeque& d, SearchNode* out) {
   MutexLock lock(&d.mu);
   if (d.nodes.empty()) return false;
-  *out = std::move(d.nodes.back());
-  d.nodes.pop_back();
+  *out = PopBest(d.nodes);
   RefreshHints(d);
   return true;
 }
 
-/// Takes half of the victim's frontier (at least one node) from the
-/// cheap front end into `loot`, ascending order preserved.
+/// Empties the deque and returns how many nodes it dropped.
+int64_t DequeClear(WorkerDeque& d) {
+  MutexLock lock(&d.mu);
+  const auto dropped = static_cast<int64_t>(d.nodes.size());
+  d.nodes.clear();
+  RefreshHints(d);
+  return dropped;
+}
+
+/// Moves the cheaper half of the victim's frontier (at least one node,
+/// in no particular order) into `loot` and re-heaps what stays.
 bool StealHalf(WorkerDeque& victim, std::vector<SearchNode>* loot) {
   MutexLock lock(&victim.mu);
   if (victim.nodes.empty()) return false;
-  const auto take = std::max<ptrdiff_t>(
-      1, static_cast<ptrdiff_t>(victim.nodes.size()) / 2);
+  const auto cut =
+      victim.nodes.begin() +
+      std::max<ptrdiff_t>(1, static_cast<ptrdiff_t>(victim.nodes.size()) / 2);
+  std::nth_element(victim.nodes.begin(), cut, victim.nodes.end(),
+                   NodeCompare());
   loot->assign(std::make_move_iterator(victim.nodes.begin()),
-               std::make_move_iterator(victim.nodes.begin() + take));
-  victim.nodes.erase(victim.nodes.begin(), victim.nodes.begin() + take);
+               std::make_move_iterator(cut));
+  victim.nodes.erase(victim.nodes.begin(), cut);
+  std::make_heap(victim.nodes.begin(), victim.nodes.end(), NodeCompare());
   RefreshHints(victim);
   return true;
 }
 
-/// Adopts stolen nodes (ascending) into the thief's own deque.
+/// Installs stolen nodes (a heap) as the thief's frontier. The thief's
+/// own deque is empty: it steals only when its deque ran dry, and only
+/// the owner ever pushes into it.
 void DequeAdopt(WorkerDeque& d, std::vector<SearchNode> loot) {
   MutexLock lock(&d.mu);
-  if (d.nodes.empty()) {
-    d.nodes = std::move(loot);
-  } else {
-    // Unreachable in the engine (a worker only steals when its own
-    // frontier is dry, and nobody else ever pushes into it), but kept
-    // general so the helper has no hidden precondition.
-    d.nodes.insert(d.nodes.end(), std::make_move_iterator(loot.begin()),
-                   std::make_move_iterator(loot.end()));
-    std::sort(d.nodes.begin(), d.nodes.end(), NodeCompare());
-  }
+  d.nodes = std::move(loot);
   RefreshHints(d);
 }
 
@@ -159,56 +171,34 @@ uint64_t NextXorshift(uint64_t* s) {
   return *s = x;
 }
 
-/// Lock-free incumbent shared by every worker. The hot path — "can this
-/// subspace still beat the best known plan?" — is one atomic load; the
-/// small mutex is taken only when a worker actually raises the record.
+/// Incumbent shared by every worker. The hot path — "can this subspace
+/// still beat the best known plan?" — is one atomic load of the exact
+/// bound; the small mutex is taken only when a worker raises it.
 ///
-/// Memory-ordering contract (mirrored in README.md): the atomic word
-/// packs the incumbent's lower bound with a raise epoch. The high 53
-/// bits are the IEEE-754 pattern of the (nonnegative) bound with its
-/// low 11 mantissa bits cleared — which rounds the bound DOWN, so
-/// readers prune against a value some plan genuinely achieves — and the
-/// low 11 bits count raises. Nonnegative doubles order like their bit
-/// patterns, so a plain integer compare is the bound compare and the
-/// word is monotonically nondecreasing.
-class AtomicIncumbent {
+/// Memory-ordering contract (mirrored in README.md): `lower_` only
+/// rises, by a CAS max. A raiser publishes the new bound FIRST and
+/// records the plan under `mu_` before Offer returns, so any bound
+/// `lower_` advertises is backed by a plan recorded before the Offer
+/// that published it returned.
+class Incumbent {
  public:
-  explicit AtomicIncumbent(int num_pieces) : best_plan_(num_pieces) {}
+  Incumbent(double sigma, AssignmentPlan plan)
+      : lower_(sigma), sigma_(sigma), best_plan_(std::move(plan)) {}
 
-  /// Single-threaded seeding before workers start.
-  void Seed(double sigma, const AssignmentPlan& plan) {
-    MutexLock lock(&mu_);
-    sigma_ = sigma;
-    best_plan_ = plan;
-    word_.store(FloorBits(sigma), std::memory_order_release);
-  }
-
-  /// The shared lower bound, rounded down by at most 2^-11 relative.
-  double Lower() const {
-    return std::bit_cast<double>(word_.load(std::memory_order_acquire) &
-                                 kBoundMask);
-  }
+  /// The best utility any plan has reached so far.
+  double Lower() const { return lower_.load(std::memory_order_acquire); }
 
   /// Offers sigma as a new incumbent; `make_plan` runs (under the
-  /// mutex) only when sigma actually wins. Worse offers return after a
-  /// single load with no CAS and no lock. A raiser publishes the word
-  /// FIRST (CAS) and records the exact sigma and plan before returning,
-  /// so the transient window where the word exceeds the recorded plan's
-  /// value is private to the raiser — any bound the word advertises is
-  /// backed by a plan recorded before that Offer returned.
+  /// mutex) only when sigma strictly beats the record. Worse offers and
+  /// ties return after a single load with no CAS and no lock.
   template <typename MakePlan>
   void Offer(double sigma, MakePlan&& make_plan) {
-    const uint64_t floor_bits = FloorBits(sigma);
-    uint64_t cur = word_.load(std::memory_order_relaxed);
-    while (true) {
-      if (floor_bits < (cur & kBoundMask)) return;  // strictly worse
-      if (floor_bits == (cur & kBoundMask)) break;  // tie within a granule
-      const uint64_t next = floor_bits | ((cur + 1) & kEpochMask);
-      if (word_.compare_exchange_weak(cur, next, std::memory_order_acq_rel,
-                                      std::memory_order_relaxed)) {
-        break;
-      }
-    }
+    double cur = lower_.load(std::memory_order_relaxed);
+    do {
+      if (!(sigma > cur)) return;
+    } while (!lower_.compare_exchange_weak(cur, sigma,
+                                           std::memory_order_acq_rel,
+                                           std::memory_order_relaxed));
     MutexLock lock(&mu_);
     if (sigma > sigma_) {
       sigma_ = sigma;
@@ -216,7 +206,7 @@ class AtomicIncumbent {
     }
   }
 
-  /// Post-join snapshot of the exact (un-floored) record.
+  /// Post-join snapshot of the record.
   void Snapshot(double* sigma, AssignmentPlan* plan) {
     MutexLock lock(&mu_);
     *sigma = sigma_;
@@ -224,32 +214,25 @@ class AtomicIncumbent {
   }
 
  private:
-  static constexpr uint64_t kEpochMask = 0x7FF;
-  static constexpr uint64_t kBoundMask = ~kEpochMask;
-
-  static uint64_t FloorBits(double sigma) {
-    return std::bit_cast<uint64_t>(sigma < 0.0 ? 0.0 : sigma) & kBoundMask;
-  }
-
-  std::atomic<uint64_t> word_{0};
+  std::atomic<double> lower_;
   Mutex mu_;
-  double sigma_ OIPA_GUARDED_BY(mu_) = 0.0;
+  double sigma_ OIPA_GUARDED_BY(mu_);
   AssignmentPlan best_plan_ OIPA_GUARDED_BY(mu_);
 };
 
-/// Shared state of one work-stealing SolveParallel run. Lives at
-/// namespace scope (not as worker-lambda captures) so every field can
-/// name its guard in the type system. Locking hierarchy (see
-/// README.md): progress_mu may be held over control_mu; frontier
-/// mutexes and the incumbent mutex are leaves, never held together
-/// with each other or with anything above them.
-struct StealSearchState {
-  StealSearchState(int num_pieces, int num_workers)
-      : incumbent(num_pieces), deques(num_workers) {
+/// Shared state of one search. Lives at namespace scope (not as worker
+/// lambda captures) so every field can name its guard in the type
+/// system. Locking hierarchy (see README.md): progress_mu may be held
+/// over control_mu; frontier mutexes and the incumbent mutex are
+/// leaves, never held together with each other or with anything above
+/// them.
+struct SearchState {
+  SearchState(int num_workers, double root_sigma, AssignmentPlan root_plan)
+      : incumbent(root_sigma, std::move(root_plan)), deques(num_workers) {
     for (auto& d : deques) d = std::make_unique<WorkerDeque>();
   }
 
-  AtomicIncumbent incumbent;
+  Incumbent incumbent;
   std::vector<std::unique_ptr<WorkerDeque>> deques;
   /// Subspaces alive anywhere: queued in some frontier or being
   /// expanded by some worker. A worker pushes each surviving child
@@ -313,156 +296,43 @@ BabSolver::BabSolver(const MrrCollection* mrr,
                 options) {}
 
 BabResult BabSolver::Solve() {
-  const int threads =
-      options_.num_threads == 0 ? GetNumThreads() : options_.num_threads;
-  if (threads <= 1) return SolveSequential();
-  return SolveParallel(std::min(threads, kMaxBabWorkers));
-}
-
-BabResult BabSolver::SolveSequential() {
   WallTimer timer;
-  BabResult result;
-  result.plan = AssignmentPlan(mrr_->num_pieces());
-
-  PlanReplay replay(mrr_, model_.AdoptionTable(mrr_->num_pieces()));
+  const int num_pieces = mrr_->num_pieces();
+  const int num_workers = std::clamp(
+      options_.num_threads == 0 ? GetNumThreads() : options_.num_threads, 1,
+      kMaxBabWorkers);
   // Theorem-2 pruning uses tau(greedy) directly; exact pruning inflates
   // the bound by e/(e-1) so no subspace that could beat the incumbent
   // under the MRR objective is ever dropped.
   const double bound_scale =
       options_.exact_pruning ? 1.0 / (1.0 - std::exp(-1.0)) : 1.0;
-
-  auto compute = [&](int budget_remaining,
-                     const std::vector<Assignment>& excluded) {
-    ++result.bound_calls;
-    return ComputeNodeBound(&evaluator_, options_, replay.state(),
-                            budget_remaining, excluded);
-  };
-
-  double lower = 0.0;
-  bool have_incumbent = false;
-
-  std::priority_queue<SearchNode, std::vector<SearchNode>, NodeCompare>
-      heap;
-
-  // Root bound (empty plan, nothing excluded).
-  {
-    const BoundResult root = compute(options_.budget, {});
-    result.plan = PlanFromPairs(mrr_->num_pieces(), {}, root.additions);
-    lower = root.sigma;
-    have_incumbent = true;
-    const double upper = root.tau * bound_scale;
-    if (root.first_pick.valid() && upper > lower) {
-      heap.push(SearchNode{{}, {}, upper, root.first_pick});
-    }
-    result.upper_bound = std::max(upper, lower);
-  }
-
-  result.converged = true;
-  while (!heap.empty()) {
-    const SearchNode top = heap.top();
-    // The heap is ordered by upper bound, so the top is the global bound
-    // over all open subspaces.
-    result.upper_bound = std::max(top.upper, lower);
-    if (top.upper <= lower * (1.0 + options_.gap)) break;  // gap met
-    if (result.nodes_expanded >= options_.max_nodes) {
-      result.converged = false;
-      break;
-    }
-    if (options_.on_progress &&
-        !options_.on_progress(
-            {result.nodes_expanded, lower, result.upper_bound})) {
-      result.converged = false;
-      result.cancelled = true;
-      break;
-    }
-    heap.pop();
-    ++result.nodes_expanded;
-
-    // Branch on the node's stored pick: one child forces it into the
-    // plan, the other forbids it.
-    for (const bool include : {true, false}) {
-      SearchNode child;
-      child.included = top.included;
-      child.excluded = top.excluded;
-      if (include) {
-        child.included.emplace_back(top.branch.piece, top.branch.v);
-      } else {
-        child.excluded.emplace_back(top.branch.piece, top.branch.v);
-      }
-      const int remaining =
-          options_.budget - static_cast<int>(child.included.size());
-      OIPA_CHECK_GE(remaining, 0);
-      replay.MoveTo(child.included);
-      const BoundResult r = compute(remaining, child.excluded);
-      if (!have_incumbent || r.sigma > lower) {
-        lower = r.sigma;
-        have_incumbent = true;
-        result.plan =
-            PlanFromPairs(mrr_->num_pieces(), child.included, r.additions);
-      }
-      const double upper = r.tau * bound_scale;
-      if (upper > lower * (1.0 + options_.gap) && r.first_pick.valid() &&
-          remaining > 0) {
-        child.upper = upper;
-        child.branch = r.first_pick;
-        heap.push(std::move(child));
-      }
-    }
-  }
-  if (heap.empty()) result.upper_bound = lower;
-
-  replay.MoveTo({});
-  result.utility = lower;
-  result.tau_evals = evaluator_.total_tau_evals();
-  result.seconds = timer.Seconds();
-  return result;
-}
-
-BabResult BabSolver::SolveParallel(int num_workers) {
-  WallTimer timer;
-  BabResult result;
-  result.plan = AssignmentPlan(mrr_->num_pieces());
-
-  const double bound_scale =
-      options_.exact_pruning ? 1.0 / (1.0 - std::exp(-1.0)) : 1.0;
   const double gap_factor = 1.0 + options_.gap;
 
-  StealSearchState shared(mrr_->num_pieces(), num_workers);
-
-  // Root bound on the calling thread: a deterministic first incumbent
-  // before any worker races begin. The root node seeds worker 0's
-  // frontier; everyone else bootstraps by stealing from it.
-  {
-    CoverageState root_state(mrr_,
-                             model_.AdoptionTable(mrr_->num_pieces()));
-    ++result.bound_calls;
-    const BoundResult root = ComputeNodeBound(
-        &evaluator_, options_, &root_state, options_.budget, {});
-    result.plan = PlanFromPairs(mrr_->num_pieces(), {}, root.additions);
-    result.utility = root.sigma;
-    shared.incumbent.Seed(root.sigma, result.plan);
-    const double upper = root.tau * bound_scale;
-    if (root.first_pick.valid() && upper > root.sigma) {
-      shared.open_nodes.store(1, std::memory_order_relaxed);
-      DequePush(*shared.deques[0],
-                SearchNode{{}, {}, upper, root.first_pick});
-    }
-    result.upper_bound = std::max(upper, root.sigma);
+  // Root bound (empty plan, nothing excluded) on the calling thread,
+  // with the replay and evaluator worker 0 goes on to use: the first
+  // incumbent is deterministic, and the root node seeds worker 0's
+  // frontier, from which everyone else bootstraps by stealing.
+  PlanReplay replay(mrr_, model_.AdoptionTable(num_pieces));
+  const BoundResult root = ComputeNodeBound(&evaluator_, options_,
+                                            replay.state(), options_.budget,
+                                            {});
+  SearchState shared(num_workers, root.sigma,
+                     PlanFromPairs(num_pieces, {}, root.additions));
+  const double root_upper = root.tau * bound_scale;
+  if (root.first_pick.valid() && root_upper > root.sigma) {
+    shared.open_nodes.store(1, std::memory_order_relaxed);
+    DequePush(*shared.deques[0],
+              SearchNode{{}, {}, root_upper, root.first_pick});
   }
 
-  auto worker = [&shared, this, bound_scale, gap_factor](const int self) {
-    // Thread-local solver state, replayed between plans by diffing.
-    PlanReplay replay(mrr_, model_.AdoptionTable(mrr_->num_pieces()));
-    BoundEvaluator evaluator(mrr_, model_, evaluator_.pools(),
-                             options_.variant);
+  auto work = [&shared, this, bound_scale, gap_factor, num_pieces,
+               num_workers](const int self, PlanReplay* replay,
+                            BoundEvaluator* evaluator) {
     WorkerDeque& own = *shared.deques[self];
-    const int workers = static_cast<int>(shared.deques.size());
     int64_t bound_calls = 0;
-    // Local max bound among gap-pruned / abandoned nodes — the
-    // sequential engine's "frontier top when the gap was first met" —
-    // folded into shared.pruned_upper at exit. A run where nothing is
-    // pruned drains to upper_bound == utility, matching the sequential
-    // exhausted case.
+    // Max bound among the subspaces this worker pruned or abandoned,
+    // folded into shared.pruned_upper at exit. A search that drains
+    // without pruning reports upper_bound == utility.
     double pruned_upper = 0.0;
     uint64_t rng = 0x9E3779B97F4A7C15ull * static_cast<uint64_t>(self + 1);
 
@@ -471,23 +341,23 @@ BabResult BabSolver::SolveParallel(int num_workers) {
     while (!shared.stop.load(std::memory_order_relaxed)) {
       if (!DequePopBest(own, &node)) {
         // Own frontier dry: probe victims lock-free starting at a
-        // random ring position, then steal half their cheap end. The
-        // best of the loot is expanded immediately; the rest is
-        // adopted (own deque is empty — only its owner pushes to it).
+        // random ring position, then steal their cheaper half. The
+        // best of the loot is expanded immediately; the rest becomes
+        // this worker's frontier.
         bool stolen = false;
         const uint64_t start = NextXorshift(&rng);
-        for (int k = 0; k < workers && !stolen; ++k) {
+        for (int k = 0; k < num_workers && !stolen; ++k) {
           const int victim = static_cast<int>(
               (start + static_cast<uint64_t>(k)) %
-              static_cast<uint64_t>(workers));
+              static_cast<uint64_t>(num_workers));
           if (victim == self) continue;
           if (shared.deques[victim]->size_hint.load(
                   std::memory_order_relaxed) == 0) {
             continue;
           }
           if (!StealHalf(*shared.deques[victim], &loot)) continue;
-          node = std::move(loot.back());
-          loot.pop_back();
+          std::make_heap(loot.begin(), loot.end(), NodeCompare());
+          node = PopBest(loot);
           if (!loot.empty()) DequeAdopt(own, std::move(loot));
           loot.clear();
           stolen = true;
@@ -505,10 +375,14 @@ BabResult BabSolver::SolveParallel(int num_workers) {
       }
 
       // `node` is held; its +1 in open_nodes is ours to retire.
-      // The incumbent may have risen since the node was pushed.
+      // The incumbent may have risen since the node was pushed. The
+      // node was the best of this worker's frontier, so the prune
+      // takes the whole frontier with it: with one worker, that ends
+      // the search exactly where a single best-first queue would.
       if (node.upper <= shared.incumbent.Lower() * gap_factor) {
         pruned_upper = std::max(pruned_upper, node.upper);
-        shared.open_nodes.fetch_sub(1, std::memory_order_acq_rel);
+        shared.open_nodes.fetch_sub(1 + DequeClear(own),
+                                    std::memory_order_acq_rel);
         continue;
       }
       if (shared.nodes_expanded.load(std::memory_order_relaxed) >=
@@ -553,6 +427,8 @@ BabResult BabSolver::SolveParallel(int num_workers) {
       }
       shared.nodes_expanded.fetch_add(1, std::memory_order_relaxed);
 
+      // Branch on the node's stored pick: one child forces it into the
+      // plan, the other forbids it.
       bool aborted = false;
       for (const bool include : {true, false}) {
         if (shared.stop.load(std::memory_order_relaxed)) {
@@ -570,16 +446,14 @@ BabResult BabSolver::SolveParallel(int num_workers) {
         const int remaining =
             options_.budget - static_cast<int>(child.included.size());
         OIPA_CHECK_GE(remaining, 0);
-        replay.MoveTo(child.included);
+        replay->MoveTo(child.included);
         ++bound_calls;
-        const BoundResult r =
-            ComputeNodeBound(&evaluator, options_, replay.state(),
-                             remaining, child.excluded);
-        const double upper = r.tau * bound_scale;
+        const BoundResult r = ComputeNodeBound(
+            evaluator, options_, replay->state(), remaining, child.excluded);
         shared.incumbent.Offer(r.sigma, [&] {
-          return PlanFromPairs(mrr_->num_pieces(), child.included,
-                               r.additions);
+          return PlanFromPairs(num_pieces, child.included, r.additions);
         });
+        const double upper = r.tau * bound_scale;
         if (upper > shared.incumbent.Lower() * gap_factor &&
             r.first_pick.valid() && remaining > 0) {
           child.upper = upper;
@@ -601,23 +475,33 @@ BabResult BabSolver::SolveParallel(int num_workers) {
 
     MutexLock lock(&shared.control_mu);
     shared.total_bound_calls += bound_calls;
-    shared.total_tau_evals += evaluator.total_tau_evals();
+    shared.total_tau_evals += evaluator->total_tau_evals();
     shared.pruned_upper = std::max(shared.pruned_upper, pruned_upper);
   };
 
+  // Worker 0 runs on the calling thread; only workers 1..N-1 get their
+  // own thread and their own replay and evaluator.
   std::vector<std::thread> threads;
-  threads.reserve(num_workers);
-  for (int t = 0; t < num_workers; ++t) threads.emplace_back(worker, t);
+  threads.reserve(num_workers - 1);
+  for (int t = 1; t < num_workers; ++t) {
+    threads.emplace_back([&work, this, num_pieces, t] {
+      PlanReplay own_replay(mrr_, model_.AdoptionTable(num_pieces));
+      BoundEvaluator own_evaluator(mrr_, model_, evaluator_.pools(),
+                                   options_.variant);
+      work(t, &own_replay, &own_evaluator);
+    });
+  }
+  work(0, &replay, &evaluator_);
   for (std::thread& t : threads) t.join();
 
+  BabResult result;
   result.nodes_expanded =
       shared.nodes_expanded.load(std::memory_order_relaxed);
-  double upper;
+  double upper = 0.0;
   {
     MutexLock lock(&shared.control_mu);
-    result.bound_calls += shared.total_bound_calls;
-    result.tau_evals =
-        evaluator_.total_tau_evals() + shared.total_tau_evals;
+    result.bound_calls = 1 + shared.total_bound_calls;  // + the root
+    result.tau_evals = shared.total_tau_evals;
     result.converged = shared.converged;
     result.cancelled = shared.cancelled;
     upper = shared.pruned_upper;
@@ -627,7 +511,7 @@ BabResult BabSolver::SolveParallel(int num_workers) {
   // Anything still queued (early stop) keeps its bound in the report.
   for (const auto& d : shared.deques) {
     MutexLock lock(&d->mu);
-    if (!d->nodes.empty()) upper = std::max(upper, d->nodes.back().upper);
+    if (!d->nodes.empty()) upper = std::max(upper, d->nodes.front().upper);
   }
   result.upper_bound = upper;
   result.seconds = timer.Seconds();

@@ -13,9 +13,9 @@
 namespace oipa {
 
 /// Safety ceiling on BabOptions::num_threads: the solver clamps larger
-/// values (each worker is a real std::thread plus a thread-local
-/// coverage state, so unbounded counts would exhaust OS resources); the
-/// request layer rejects them as InvalidArgument.
+/// values (each worker past the first is a real std::thread plus its
+/// own coverage state, so unbounded counts would exhaust OS resources);
+/// the request layer rejects them as InvalidArgument.
 inline constexpr int kMaxBabWorkers = 256;
 
 /// Search-progress snapshot passed to BabOptions::on_progress.
@@ -56,16 +56,15 @@ struct BabOptions {
   /// Safety cap on expanded nodes; the search reports converged=false if
   /// it trips.
   int64_t max_nodes = 100'000;
-  /// Worker threads for the search. 1 (default) runs the classic
-  /// sequential engine bit-identically; 0 resolves to GetNumThreads();
-  /// N > 1 runs N workers, each draining its own bound-ordered
-  /// frontier and rebalancing by randomized work stealing (clamped to
-  /// kMaxBabWorkers). Parallel searches keep every quality guarantee
-  /// of the sequential engine — under exact_pruning both land within
-  /// `gap` of the optimum, so within ~gap of each other; default
-  /// Theorem-2 pruning keeps the (1-1/e) floor — but may return a
-  /// different equally-good plan and expand a different node count run
-  /// to run.
+  /// Search workers, each draining its own bound-ordered frontier and
+  /// rebalancing by randomized work stealing. 1 (default) is one worker
+  /// on the calling thread, deterministic run to run; 0 resolves to
+  /// GetNumThreads(); larger values are clamped to kMaxBabWorkers.
+  /// Several workers keep every quality guarantee of one — under
+  /// exact_pruning each lands within `gap` of the optimum, so within
+  /// ~gap of each other; default Theorem-2 pruning keeps the (1-1/e)
+  /// floor — but may return a different equally-good plan and expand a
+  /// different node count run to run.
   int num_threads = 1;
   /// Optional hook invoked before every node expansion (serialized
   /// across workers when num_threads > 1). Return false to cancel: the
@@ -96,15 +95,15 @@ struct BabResult {
 /// branches on the bound's first greedy pick (include vs. exclude);
 /// pruning drops subspaces whose bound cannot beat the incumbent.
 ///
-/// With BabOptions::num_threads > 1 the frontier is sharded: every
-/// worker owns a bound-sorted deque plus a thread-local CoverageState +
-/// BoundEvaluator replayed by plan diffing, pops its own most promising
-/// node, and — when its deque runs dry — steals half of a randomly
-/// chosen victim's cheap end. Pruning runs against a lock-free packed
-/// atomic incumbent (the exact record is kept under a small mutex that
-/// only winners touch), so the shared-frontier design's global-bound
-/// tightness is preserved without a global queue lock. The search
-/// terminates when the open-subspace counter drains to zero.
+/// The search runs on BabOptions::num_threads workers. Each owns a
+/// max-heap frontier plus a CoverageState + BoundEvaluator replayed by
+/// plan diffing, pops its own most promising node, and — when its
+/// frontier runs dry — steals the cheaper half of a randomly chosen
+/// victim's. Pruning reads a lock-free exact atomic incumbent (the plan
+/// is recorded under a small mutex that only winners touch). Worker 0
+/// runs on the calling thread with the solver's own evaluator, so one
+/// worker performs exactly the single-queue best-first search. The
+/// search terminates when the open-subspace counter drains to zero.
 class BabSolver {
  public:
   /// All arguments must outlive the solver. `pools[j]` is the promoter
@@ -119,9 +118,6 @@ class BabSolver {
   BabResult Solve();
 
  private:
-  BabResult SolveSequential();
-  BabResult SolveParallel(int num_workers);
-
   const MrrCollection* mrr_;
   LogisticAdoptionModel model_;
   BabOptions options_;

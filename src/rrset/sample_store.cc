@@ -691,8 +691,7 @@ SampleStore::Stats SampleStore::GetStats() const {
 namespace {
 
 /// Shared statistic of both rules: relative disagreement between the
-/// optimizer's in-sample estimate and the unbiased holdout estimate
-/// (mirrors AdaptiveTheta's convergence test).
+/// optimizer's in-sample estimate and the unbiased holdout estimate.
 double SamplingGap(const StoppingInputs& in) {
   const double scale =
       std::max(1e-9, std::max(in.utility, in.holdout_utility));

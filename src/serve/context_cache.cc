@@ -36,10 +36,11 @@ StatusOr<ContextCache::Entry> BuildEntry(const WireRequest& request) {
   options.seed = request.sampling.seed;
   options.sampling_threads = request.sampling.threads;
   // Dataset builds are deterministic per spec, so key the store
-  // registry by the context key (content) instead of graph identity: a
+  // registry by the sample key (content) instead of graph identity: a
   // context evicted from this cache and rebuilt later re-hits its
-  // budget-retained store with zero new samples.
-  options.source_key = ContextKey(request);
+  // budget-retained store with zero new samples, and contexts that
+  // differ only in alpha/beta share one store.
+  options.source_key = SampleKey(request);
   StatusOr<std::shared_ptr<const PlanningContext>> context =
       PlanningContext::Create(std::move(graph), std::move(probs),
                               std::move(campaign),

@@ -280,9 +280,8 @@ StatusOr<WireRequest> ParseWireRequest(std::string_view line) {
   return request;
 }
 
-std::string ContextKey(const WireRequest& request) {
+std::string SampleKey(const WireRequest& request) {
   const DatasetSpec& d = request.dataset;
-  const SamplingSpec& s = request.sampling;
   std::string key;
   key.reserve(128);
   key += "ds=" + d.name;
@@ -292,12 +291,15 @@ std::string ContextKey(const WireRequest& request) {
   key += ";pool=" + KeyDouble(d.pool_fraction);
   key += ";dseed=" + std::to_string(d.seed);
   key += ";ell=" + std::to_string(d.ell);
-  key += ";alpha=" + KeyDouble(d.alpha);
-  key += ";beta=" + KeyDouble(d.beta);
-  key += ";sseed=" + std::to_string(s.seed);
+  key += ";sseed=" + std::to_string(request.sampling.seed);
   key += ";holdout=";
   key += request.wants_holdout() ? '1' : '0';
   return key;
+}
+
+std::string ContextKey(const WireRequest& request) {
+  return SampleKey(request) + ";alpha=" + KeyDouble(request.dataset.alpha) +
+         ";beta=" + KeyDouble(request.dataset.beta);
 }
 
 std::string MergeKey(const WireRequest& request) {

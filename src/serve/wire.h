@@ -134,11 +134,19 @@ struct WireRequest {
 /// error response verbatim.
 StatusOr<WireRequest> ParseWireRequest(std::string_view line);
 
-/// Canonical context-cache key: every dataset/sampling field that
-/// changes the planning context EXCEPT theta/max_theta — the backing
-/// SampleStore theta-prefix-shares, so requests differing only in
-/// sample count resolve to one context whose store is grown to the
-/// largest theta seen (the documented upward-drift contract).
+/// Canonical sample-store key: every dataset/sampling field that
+/// changes the MRR samples, which leaves out theta/max_theta (see
+/// ContextKey) and the adoption model's alpha/beta — samples do not
+/// depend on it, so contexts differing only in alpha/beta share one
+/// store. It is the store's source_key, and so names its checkpoint.
+std::string SampleKey(const WireRequest& request);
+
+/// Canonical context-cache key: SampleKey plus alpha/beta, so every
+/// dataset/sampling field that changes the planning context EXCEPT
+/// theta/max_theta — the backing SampleStore theta-prefix-shares, so
+/// requests differing only in sample count resolve to one context
+/// whose store is grown to the largest theta seen (the documented
+/// upward-drift contract).
 std::string ContextKey(const WireRequest& request);
 
 /// Batch-compatibility key: requests with equal non-empty merge keys

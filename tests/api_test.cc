@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -167,6 +168,38 @@ TEST_F(ApiFixture, SampleCountsPastTheIdCeilingAreInvalidArguments) {
   PlanRequest at_ceiling = Request("bab-p", 3);
   at_ceiling.max_theta = MrrCollection::kMaxSamples;
   EXPECT_TRUE(Solve(*context_, at_ceiling).ok());
+}
+
+TEST_F(ApiFixture, SearchOptionsOutsideTheWireRangesAreInvalidArguments) {
+  // The wire's rules: gap >= 0 and epsilon in (0, 1), with NaN failing
+  // both. Each of these values used to abort inside the search instead.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const char* solver : {"bab", "bab-p"}) {
+    for (const double gap : {-0.1, nan}) {
+      PlanRequest request = Request(solver, 3);
+      request.options.gap = gap;
+      for (const auto& status : {Solve(*context_, request).status(),
+                                 SolveBatch(*context_, request).status()}) {
+        EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+            << solver << " gap " << gap;
+        EXPECT_NE(status.message().find("gap"), std::string::npos);
+      }
+    }
+  }
+  for (const double epsilon : {0.0, 1.0, nan}) {
+    PlanRequest request = Request("bab-p", 3);
+    request.options.epsilon = epsilon;
+    for (const auto& status : {Solve(*context_, request).status(),
+                               SolveBatch(*context_, request).status()}) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << "epsilon " << epsilon;
+      EXPECT_NE(status.message().find("epsilon"), std::string::npos);
+    }
+  }
+  PlanRequest edges = Request("bab-p", 3);
+  edges.options.gap = 0.0;
+  edges.options.epsilon = 0.99;
+  EXPECT_TRUE(Solve(*context_, edges).ok());
 }
 
 TEST_F(ApiFixture, BorrowWithSamplesNeedsAnIndexedInSampleCollection) {

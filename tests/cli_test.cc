@@ -5,6 +5,7 @@
 #include <regex>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/cli.h"
@@ -365,6 +366,21 @@ TEST(CliPipelineTest, SamplingEpsilonValidation) {
                                         "--max_theta=500"}))
                 .code,
             2);
+}
+
+TEST(CliPipelineTest, SearchOptionValidation) {
+  // Rejected before the dataset is built; they used to abort the solve.
+  const std::pair<const char*, const char*> cases[] = {
+      {"--gap=-0.5", "--gap"},
+      {"--gap=nan", "--gap"},
+      {"--epsilon=0", "--epsilon"},
+      {"--epsilon=nan", "--epsilon"}};
+  for (const auto& [flag, name] : cases) {
+    const CliRun run = InvokeCli(TinyArgs("plan", {flag}));
+    EXPECT_EQ(run.code, 2) << flag;
+    EXPECT_NE(run.err.find(name), std::string::npos) << flag << ": " << run.err;
+  }
+  EXPECT_EQ(InvokeCli(TinyArgs("plan", {"--gap=0"})).code, 0);
 }
 
 TEST(CliPipelineTest, OneShotPlanStillReportsThetaUsed) {

@@ -5,7 +5,6 @@
 #include "graph/generators.h"
 #include "oipa/adoption.h"
 #include "oipa/correlated.h"
-#include "rrset/adaptive_theta.h"
 #include "tests/paper_example.h"
 #include "topic/prob_models.h"
 #include "util/random.h"
@@ -122,94 +121,6 @@ TEST(CorrelatedCascadeTest, DeterministicInstanceUnaffectedByRho) {
         ex.pieces, ex.model(), plan, rho, 200, 37);
     EXPECT_NEAR(sim, exact, 1e-9) << "rho=" << rho;
   }
-}
-
-// ------------------------------------------------------- adaptive theta
-
-TEST(AdaptiveThetaTest, ConvergesAndRespectsCap) {
-  const CorrelatedInstance inst;
-  std::vector<VertexId> pool;
-  for (VertexId v = 0; v < inst.graph.num_vertices(); v += 2) {
-    pool.push_back(v);
-  }
-  AdaptiveThetaOptions options;
-  options.initial_theta = 500;
-  options.max_theta = 64'000;
-  options.relative_tolerance = 0.10;
-  options.probe_budget = 4;
-  options.seed = 41;
-  const AdaptiveThetaResult result =
-      ChooseTheta(inst.pieces, pool, options);
-  EXPECT_GE(result.theta, options.initial_theta);
-  EXPECT_LE(result.theta, options.max_theta);
-  // Either it met the tolerance or it hit the cap.
-  if (result.theta * 2 <= options.max_theta) {
-    EXPECT_LE(result.achieved_disagreement,
-              options.relative_tolerance);
-  }
-}
-
-TEST(AdaptiveThetaTest, EachSampleGeneratedAtMostOncePerCollection) {
-  // The incremental engine grows one train + one test collection in
-  // place, so the total draw is exactly 2 * final theta — the old
-  // regenerate-per-round scheme paid 2 * (theta_0 + ... + theta_final).
-  const CorrelatedInstance inst;
-  std::vector<VertexId> pool;
-  for (VertexId v = 0; v < inst.graph.num_vertices(); v += 2) {
-    pool.push_back(v);
-  }
-  AdaptiveThetaOptions options;
-  options.initial_theta = 250;
-  options.max_theta = 64'000;
-  options.relative_tolerance = 0.05;
-  options.probe_budget = 4;
-  options.seed = 47;
-  const AdaptiveThetaResult result =
-      ChooseTheta(inst.pieces, pool, options);
-  EXPECT_EQ(result.total_samples_generated, 2 * result.theta);
-}
-
-TEST(AdaptiveThetaTest, AdoptionModelShapesTheDecision) {
-  // The options carry the real adoption curve; a steeper barrier (large
-  // alpha) shrinks utilities and changes the probe, so the chosen theta
-  // must be allowed to differ — and both runs must still converge or
-  // cap out like any other search.
-  const CorrelatedInstance inst;
-  std::vector<VertexId> pool;
-  for (VertexId v = 0; v < inst.graph.num_vertices(); v += 2) {
-    pool.push_back(v);
-  }
-  AdaptiveThetaOptions options;
-  options.initial_theta = 250;
-  options.max_theta = 16'000;
-  options.relative_tolerance = 0.10;
-  options.probe_budget = 4;
-  options.seed = 53;
-  options.model = LogisticAdoptionModel(4.0, 0.5);
-  const AdaptiveThetaResult steep =
-      ChooseTheta(inst.pieces, pool, options);
-  EXPECT_GE(steep.theta, options.initial_theta);
-  EXPECT_LE(steep.theta, options.max_theta);
-  EXPECT_EQ(steep.total_samples_generated, 2 * steep.theta);
-}
-
-TEST(AdaptiveThetaTest, TighterToleranceNeedsMoreSamples) {
-  const CorrelatedInstance inst;
-  std::vector<VertexId> pool;
-  for (VertexId v = 0; v < inst.graph.num_vertices(); v += 3) {
-    pool.push_back(v);
-  }
-  AdaptiveThetaOptions loose;
-  loose.initial_theta = 250;
-  loose.max_theta = 256'000;
-  loose.relative_tolerance = 0.25;
-  loose.probe_budget = 4;
-  loose.seed = 43;
-  AdaptiveThetaOptions tight = loose;
-  tight.relative_tolerance = 0.02;
-  const auto loose_result = ChooseTheta(inst.pieces, pool, loose);
-  const auto tight_result = ChooseTheta(inst.pieces, pool, tight);
-  EXPECT_GE(tight_result.theta, loose_result.theta);
 }
 
 }  // namespace

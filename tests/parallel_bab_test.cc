@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -77,6 +78,91 @@ TEST(ParallelBabTest, OneThreadIsBitIdenticalToSequentialEngine) {
   const std::vector<Assignment> golden_plan{{0, 11}, {0, 9}, {1, 2},
                                             {1, 11}};
   EXPECT_EQ(a.plan.Assignments(), golden_plan);
+}
+
+/// Order-sensitive FNV-1a over every observable of one-worker solves:
+/// utility and upper-bound bits, the counters, the stop flags, the plan,
+/// and each on_progress snapshot (counter and bound bits).
+struct TraceHash {
+  uint64_t h = 1469598103934665603ull;
+  void Mix(uint64_t v) { h = (h ^ v) * 1099511628211ull; }
+  void MixBits(double d) { Mix(std::bit_cast<uint64_t>(d)); }
+  void MixSolve(const BabResult& r, const std::vector<BabProgress>& trace) {
+    MixBits(r.utility);
+    MixBits(r.upper_bound);
+    Mix(static_cast<uint64_t>(r.nodes_expanded));
+    Mix(static_cast<uint64_t>(r.bound_calls));
+    Mix(static_cast<uint64_t>(r.tau_evals));
+    Mix(static_cast<uint64_t>(r.converged) |
+        static_cast<uint64_t>(r.cancelled) << 1);
+    for (const auto& [piece, v] : r.plan.Assignments()) {
+      Mix(static_cast<uint64_t>(piece));
+      Mix(static_cast<uint64_t>(v));
+    }
+    Mix(trace.size());
+    for (const BabProgress& p : trace) {
+      Mix(static_cast<uint64_t>(p.nodes_expanded));
+      MixBits(p.incumbent);
+      MixBits(p.upper_bound);
+    }
+  }
+};
+
+TEST(ParallelBabTest, OneWorkerSearchTraceMatchesPinnedHashes) {
+  // Pinned on the dedicated sequential engine that num_threads = 1 ran
+  // before the work-stealing search absorbed it: any change to the
+  // one-worker node order, tie-breaking, incumbent precision or stop
+  // paths moves at least one hash. Rows are instance seeds; columns are
+  // bab, CELF-lazy bab and bab-p, each over exact pruning on/off, both
+  // bound variants, gap 0 and 0.01, budgets 3 and 5, and three stop
+  // paths: a run capped at 40 nodes (about a fifth converge first), a
+  // max_nodes trip at 4, and a cancel at node 5.
+  constexpr uint64_t kSeeds[] = {401, 409, 419};
+  constexpr uint64_t kPinned[3][3] = {
+      {17543382590663170250ull, 4393623135457481230ull,
+       15457594364613844264ull},
+      {2569907215829683541ull, 13296049422898888749ull,
+       6148237239201125955ull},
+      {16605076361915219927ull, 17003030523984407915ull,
+       18384537261088709009ull},
+  };
+  for (int s = 0; s < 3; ++s) {
+    ParInstance inst(30, 0.1, 3, 5, kSeeds[s]);
+    for (int solver = 0; solver < 3; ++solver) {
+      TraceHash hash;
+      for (const bool exact : {false, true}) {
+        for (const BoundVariant variant :
+             {BoundVariant::kZeroAnchored, BoundVariant::kPaperTangent}) {
+          for (const double gap : {0.0, 0.01}) {
+            for (const int budget : {3, 5}) {
+              for (int stop = 0; stop < 3; ++stop) {
+                BabOptions opts;
+                opts.budget = budget;
+                opts.gap = gap;
+                opts.progressive = solver == 2;
+                opts.lazy_greedy = solver == 1;
+                opts.variant = variant;
+                opts.exact_pruning = exact;
+                opts.num_threads = 1;
+                opts.max_nodes = stop == 1 ? 4 : 40;
+                std::vector<BabProgress> trace;
+                opts.on_progress = [&trace, stop](const BabProgress& p) {
+                  trace.push_back(p);
+                  return stop != 2 || p.nodes_expanded < 5;
+                };
+                hash.MixSolve(
+                    BabSolver(inst.mrr.get(), inst.model, inst.pool, opts)
+                        .Solve(),
+                    trace);
+              }
+            }
+          }
+        }
+      }
+      EXPECT_EQ(hash.h, kPinned[s][solver])
+          << "seed " << kSeeds[s] << ", solver " << solver;
+    }
+  }
 }
 
 TEST(ParallelBabTest, ExactParallelSearchMatchesBruteForce) {

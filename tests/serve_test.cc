@@ -790,6 +790,33 @@ void ExpectSameResults(const JsonValue& lhs, const JsonValue& rhs) {
   }
 }
 
+TEST_F(ServeFixture, ContextsDifferingOnlyInAlphaShareOneSampleStore) {
+  // MRR samples do not depend on the adoption model: the second context
+  // is built (a cache miss) on the first one's samples.
+  const auto request = [](const std::string& id, const char* alpha) {
+    return R"({"id":")" + id +
+           R"(","dataset":{"n":250,"seed":31,"alpha":)" + alpha +
+           R"(},"sampling":{"theta":1500},"plan":{"method":"bab",)"
+           R"("budgets":[2,3]}})";
+  };
+  StartServer({});
+  const JsonValue first = Roundtrip(request("a2", "2.0"));
+  ASSERT_TRUE(first.Find("ok")->bool_value()) << first.Dump(-1);
+  EXPECT_GT(first.Find("serve")->Find("samples_generated")->int_value(), 0);
+  const JsonValue shared = Roundtrip(request("a3", "3.0"));
+  ASSERT_TRUE(shared.Find("ok")->bool_value()) << shared.Dump(-1);
+  EXPECT_FALSE(shared.Find("serve")->Find("cache_hit")->bool_value());
+  EXPECT_EQ(shared.Find("serve")->Find("samples_generated")->int_value(), 0);
+
+  // A fresh daemon samples the alpha = 3 context itself, to equal rows.
+  server_.reset();
+  StartServer({});
+  const JsonValue fresh = Roundtrip(request("fresh", "3.0"));
+  ASSERT_TRUE(fresh.Find("ok")->bool_value()) << fresh.Dump(-1);
+  EXPECT_GT(fresh.Find("serve")->Find("samples_generated")->int_value(), 0);
+  ExpectSameResults(*shared.Find("results"), *fresh.Find("results"));
+}
+
 TEST(ServeOptionsTest, StartRejectsInvalidOptions) {
   const auto expect_invalid = [](ServerOptions options) {
     PlanServer server(options);
