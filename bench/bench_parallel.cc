@@ -1,5 +1,5 @@
-// Parallel branch-and-bound scaling bench: runs the same budget sweep
-// through SolveBatch at 1..32 worker threads (BAB and BAB-P) and
+// Parallel branch-and-bound scaling bench: solves the same budgets, one
+// Solve per budget, at 1..32 worker threads (BAB and BAB-P) and
 // reports per-thread-count runtimes, parallel speedups, scaling
 // efficiency (speedup / threads), search overhead (total tau evals at
 // N workers / at 1: the extra bound work parallel best-first search
@@ -76,23 +76,26 @@ int main(int argc, char** argv) {
       PlanRequest request;
       request.solver = method;
       request.pool = env.dataset.promoter_pool;
-      request.budgets.assign(ks.begin(), ks.end());
       request.options.gap = base.gap;
       request.options.max_nodes = base.max_nodes;
       request.options.variant = base.variant;
       request.options.exact_pruning = base.exact_pruning;
       request.num_threads = threads;
-      // This bench measures the work-stealing search itself, so keep
-      // the sweep serial — budget sharding would run every solve on one
-      // worker and flatten the thread-scaling signal.
-      request.shard_budgets = false;
-      const auto sweep = SolveBatch(*env.Context(model), request);
-      OIPA_CHECK(sweep.ok()) << sweep.status().ToString();
+      const std::shared_ptr<const PlanningContext> context =
+          env.Context(model);
 
       Run run;
       run.threads = threads;
       run.per_k = JsonValue::Array();
-      for (const PlanResponse& r : *sweep) {
+      // This bench measures the work-stealing search itself, so it
+      // solves one budget at a time: a multi-budget SolveBatch would
+      // shard the budgets, one search worker each, and flatten the
+      // thread-scaling signal.
+      for (const int64_t k : ks) {
+        request.budgets = {static_cast<int>(k)};
+        const StatusOr<PlanResponse> solved = Solve(*context, request);
+        OIPA_CHECK(solved.ok()) << solved.status().ToString();
+        const PlanResponse& r = *solved;
         run.total_seconds += r.seconds;
         run.total_tau_evals += r.tau_evals;
         run.total_nodes += r.nodes_expanded;

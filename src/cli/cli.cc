@@ -12,7 +12,6 @@
 
 #include "cli/json_writer.h"
 #include "data/datasets.h"
-#include "graph/generators.h"
 #include "learn/action_log.h"
 #include "learn/tic_learner.h"
 #include "oipa/adoption.h"
@@ -24,11 +23,11 @@
 #include "serve/client.h"
 #include "serve/json_parser.h"
 #include "serve/server.h"
+#include "serve/wire.h"
 #include "topic/campaign.h"
 #include "topic/influence_graph.h"
 #include "topic/prob_models.h"
 #include "topic/topic_vector.h"
-#include "util/random.h"
 #include "util/stats.h"
 #include "util/threading.h"
 #include "util/timer.h"
@@ -73,37 +72,14 @@ struct Pipeline {
   }
 };
 
-/// Effective solver worker count for this run: flag absent (-1) = one
-/// deterministic search worker, --threads=0 = auto-detect,
-/// --threads=N = exactly N. Single source for both the request sent to
-/// the solver and the config echoed in the JSON result.
+/// Effective solver worker count for this run, as echoed in the JSON
+/// config: flag absent (-1) = one deterministic search worker,
+/// --threads=0 = auto-detect, --threads=N = exactly N.
 int ResolvedSolverThreads(const CliConfig& c) {
   if (c.threads < 0) return 1;
-  // Auto-detection stays within the solver's worker cap (a larger
-  // OIPA_THREADS would otherwise bounce off request validation).
+  // The solver clamps plan.threads 0's auto-detection to its worker cap.
   if (c.threads == 0) return std::min(GetNumThreads(), kMaxBabWorkers);
   return c.threads;
-}
-
-/// Effective sampling worker count: --threads=N (N > 0) pins sample
-/// generation to N workers too; flag absent or 0 leaves sampling on
-/// the GetNumThreads() auto path (which also honors OIPA_THREADS).
-/// Unlike the solver, an absent flag does not force 1: samples are
-/// bit-identical at any thread count, so there is no determinism to
-/// protect by staying sequential.
-int ResolvedSamplingThreads(const CliConfig& c) {
-  return c.threads > 0 ? c.threads : 0;
-}
-
-void BuildDataset(Pipeline* p, std::ostream& err) {
-  const CliConfig& c = *p->config;
-  err << "[oipa_cli] building dataset '" << c.dataset << "'...\n";
-  WallTimer timer;
-  p->dataset = c.dataset == "synthetic"
-                   ? MakeSynthetic(static_cast<VertexId>(c.n),
-                                   c.num_topics, c.pool_fraction, c.seed)
-                   : MakeDatasetByName(c.dataset, c.scale, c.seed);
-  p->dataset_seconds = timer.Seconds();
 }
 
 JsonValue DatasetJson(const Pipeline& p) {
@@ -159,101 +135,26 @@ void RunLearning(Pipeline* p, std::ostream& err) {
       .Set("em_seconds", em_seconds);
 }
 
-/// Campaign + planning context (piece influence graphs + theta MRR
-/// samples), all under the planning probabilities. Returns non-OK when
-/// the context inputs are inconsistent (cannot normally happen for
+/// Campaign + planning context (piece influence graphs + MRR samples)
+/// of the request, under the planning probabilities. Returns non-OK
+/// when the context inputs are inconsistent (cannot normally happen for
 /// driver-built datasets).
 Status BuildContext(Pipeline* p, std::ostream& err) {
   const CliConfig& c = *p->config;
-  Rng rng(c.seed + 4);
-  p->campaign =
-      Campaign::SampleUniformPieces(c.ell, p->dataset.num_topics, &rng);
+  const serve::DatasetSpec& d = c.request.dataset;
+  p->campaign = serve::BuildCampaign(d, p->dataset.num_topics);
   err << "[oipa_cli] sampling " << c.theta << " MRR sets over " << c.ell
       << " pieces...\n";
-  ContextOptions options;
-  options.theta = c.theta;
-  // One-shot runs validate by forward simulation only; progressive runs
-  // additionally need the holdout the (ε)-stopping rule compares
-  // against.
-  options.holdout_theta = c.sampling_epsilon > 0.0 ? -1 : 0;
-  options.seed = c.seed + 5;
-  options.sampling_threads = ResolvedSamplingThreads(c);
+  ContextOptions options = serve::ToContextOptions(c.request);
   options.share_samples = c.share_samples;
   WallTimer timer;
   auto context = PlanningContext::Borrow(
       *p->dataset.graph, p->planning_probs(), p->campaign,
-      LogisticAdoptionModel(c.alpha, c.beta), options);
+      LogisticAdoptionModel(d.alpha, d.beta), options);
   if (!context.ok()) return context.status();
   p->context = *std::move(context);
   p->sample_seconds = timer.Seconds();
   return Status::Ok();
-}
-
-/// The request every plan|simulate|bench solve dispatches with; only the
-/// budget list differs between the single solve and the bench sweep.
-PlanRequest MakeRequest(const CliConfig& c, std::vector<int> budgets) {
-  PlanRequest request;
-  request.solver = c.method;
-  request.pool = {};  // filled by the caller from the dataset pool
-  request.budgets = std::move(budgets);
-  request.options.gap = c.gap;
-  request.options.epsilon = c.epsilon;
-  request.options.variant = c.variant;
-  request.options.max_nodes = c.max_nodes;
-  request.num_threads = ResolvedSolverThreads(c);
-  request.epsilon = c.sampling_epsilon;
-  request.max_theta = c.max_theta;
-  request.stopping = c.stopping_rule;
-  request.seed = c.seed;
-  if (c.deadline_ms > 0) request.deadline_ms = c.deadline_ms;
-  return request;
-}
-
-StatusOr<PlanResponse> SolvePlan(const Pipeline& p, int budget,
-                                 std::ostream& err) {
-  const CliConfig& c = *p.config;
-  err << "[oipa_cli] solving OIPA (k=" << budget << ", method="
-      << c.method << ")...\n";
-  PlanRequest request = MakeRequest(c, {budget});
-  request.pool = p.dataset.promoter_pool;
-  return Solve(*p.context, request);
-}
-
-JsonValue PlanJson(const Pipeline& p, const PlanResponse& result) {
-  JsonValue seed_sets = JsonValue::Array();
-  for (int j = 0; j < result.plan.num_pieces(); ++j) {
-    JsonValue piece = JsonValue::Array();
-    for (const VertexId v : result.plan.SeedSet(j)) {
-      piece.Append(static_cast<int64_t>(v));
-    }
-    seed_sets.Append(std::move(piece));
-  }
-  JsonValue j = JsonValue::Object();
-  j.Set("method", result.solver)
-      .Set("seed_sets", std::move(seed_sets))
-      .Set("budget_used", result.plan.size())
-      .Set("utility", result.utility)
-      .Set("upper_bound", result.upper_bound)
-      .Set("nodes_expanded", result.nodes_expanded)
-      .Set("bound_calls", result.bound_calls)
-      .Set("tau_evals", result.tau_evals)
-      .Set("converged", result.converged)
-      .Set("theta_used", result.theta_used)
-      .Set("sampling_rounds", result.sampling_rounds)
-      .Set("sample_seconds", p.sample_seconds)
-      .Set("solve_seconds", result.seconds);
-  if (p.config->deadline_ms > 0) {
-    j.Set("cancelled", result.cancelled)
-        .Set("deadline_exceeded", result.deadline_exceeded);
-  }
-  if (p.config->sampling_epsilon > 0.0) {
-    j.Set("holdout_utility", result.holdout_utility)
-        .Set("sampling_gap", result.sampling_gap);
-    if (p.config->stopping_rule == StoppingRuleKind::kOpimBounds) {
-      j.Set("certified_ratio", result.certified_ratio);
-    }
-  }
-  return j;
 }
 
 /// Forward Monte-Carlo validation of `plan` under the dataset TRUTH (when
@@ -282,8 +183,9 @@ JsonValue SimulateJson(const Pipeline& p, const AssignmentPlan& plan,
   return j;
 }
 
-/// Sample-store telemetry: size, live memory, generation count, and
-/// whether the run resolved the store through the sharing registry.
+/// Sample-store telemetry: size, live memory, generation count,
+/// whether the run resolved the store through the sharing registry, and
+/// the context build's wall-clock.
 JsonValue SampleStoreJson(const Pipeline& p) {
   const SampleStore::Stats stats = p.context->sample_store().GetStats();
   JsonValue j = JsonValue::Object();
@@ -291,7 +193,8 @@ JsonValue SampleStoreJson(const Pipeline& p) {
       .Set("holdout_theta", stats.holdout_theta)
       .Set("memory_bytes", stats.memory_bytes)
       .Set("live_generations", stats.live_generations)
-      .Set("shared", stats.shared);
+      .Set("shared", stats.shared)
+      .Set("seconds", p.sample_seconds);
   return j;
 }
 
@@ -318,8 +221,7 @@ JsonValue ConfigJson(const CliConfig& c) {
       // through ContextOptions::sampling_threads). It can legitimately
       // differ from "threads": a default run samples on every core but
       // solves sequentially.
-      .Set("sampling_threads",
-           ResolveThreadCount(ResolvedSamplingThreads(c)))
+      .Set("sampling_threads", ResolveThreadCount(c.request.sampling.threads))
       .Set("seed", static_cast<int64_t>(c.seed));
   return j;
 }
@@ -351,7 +253,10 @@ int RunPipeline(const CliConfig& c, std::ostream& out, std::ostream& err) {
   JsonValue result = JsonValue::Object();
   result.Set("command", c.command).Set("config", ConfigJson(c));
 
-  BuildDataset(&p, err);
+  err << "[oipa_cli] building dataset '" << c.dataset << "'...\n";
+  WallTimer timer;
+  p.dataset = serve::BuildDataset(c.request.dataset);
+  p.dataset_seconds = timer.Seconds();
   result.Set("dataset", DatasetJson(p));
   if (c.command == "generate") {
     return EmitResult(c, result, out, err);
@@ -370,48 +275,40 @@ int RunPipeline(const CliConfig& c, std::ostream& out, std::ostream& err) {
     return 1;
   }
 
-  if (c.command == "bench") {
-    err << "[oipa_cli] benching method=" << c.method << " over "
-        << c.k_sweep.size() << " budgets...\n";
-    PlanRequest request = MakeRequest(
-        c, std::vector<int>(c.k_sweep.begin(), c.k_sweep.end()));
-    request.pool = p.dataset.promoter_pool;
-    const StatusOr<std::vector<PlanResponse>> sweep_responses =
-        SolveBatch(*p.context, request);
-    if (!sweep_responses.ok()) {
-      err << "oipa_cli: " << sweep_responses.status().ToString() << "\n";
-      return 1;
-    }
-    JsonValue sweep = JsonValue::Array();
-    for (const PlanResponse& r : *sweep_responses) {
-      JsonValue row = PlanJson(p, r);
-      row.Set("k", r.budget);
-      sweep.Append(std::move(row));
-    }
-    result.Set("sweep", std::move(sweep));
-    result.Set("sample_store", SampleStoreJson(p));
-    return EmitResult(c, result, out, err);
-  }
-
-  const StatusOr<PlanResponse> r = SolvePlan(p, c.k, err);
-  if (!r.ok()) {
-    err << "oipa_cli: " << r.status().ToString() << "\n";
+  // The daemon's solve of the same request (PlanServer::HandleGroup).
+  err << "[oipa_cli] solving OIPA (method=" << c.method << ", "
+      << c.request.plan.budgets.size() << " budget(s))...\n";
+  PlanRequest request =
+      serve::ToPlanRequest(c.request, p.dataset.promoter_pool);
+  request.deadline_ms = c.request.plan.deadline_ms;
+  const StatusOr<std::vector<PlanResponse>> responses =
+      SolveBatch(*p.context, request);
+  if (!responses.ok()) {
+    err << "oipa_cli: " << responses.status().ToString() << "\n";
     return 1;
   }
-  result.Set("plan", PlanJson(p, *r));
+  if (c.command == "bench") {
+    JsonValue sweep = JsonValue::Array();
+    for (const PlanResponse& r : *responses) {
+      sweep.Append(serve::ResultJson(r));
+    }
+    result.Set("sweep", std::move(sweep));
+  } else {
+    result.Set("plan", serve::ResultJson(responses->front()));
+  }
   result.Set("sample_store", SampleStoreJson(p));
   if (c.command == "simulate") {
-    result.Set("simulate", SimulateJson(p, r->plan, err));
+    result.Set("simulate", SimulateJson(p, responses->front().plan, err));
   }
   return EmitResult(c, result, out, err);
 }
 
 // --------------------------------------------------------------- serving
 
-/// Renders this config's plan stage as one wire-protocol request line
-/// (see src/serve/wire.h). Seed slots mirror the local pipeline's
-/// per-stage derivations, so daemon and local answers agree
-/// bit-for-bit.
+/// Renders this config's dataset, sampling and plan stages as one
+/// wire-protocol request line (see src/serve/wire.h): the line `plan
+/// --server` sends and every local run parses and solves. Doubles are
+/// written in round-trip form, so the line carries flag values exactly.
 std::string WirePlanRequestLine(const CliConfig& c) {
   JsonValue dataset = JsonValue::Object();
   dataset.Set("name", c.dataset)
@@ -424,22 +321,24 @@ std::string WirePlanRequestLine(const CliConfig& c) {
       .Set("alpha", c.alpha)
       .Set("beta", c.beta);
   JsonValue sampling = JsonValue::Object();
-  // BuildContext samples at seed+5 (each local pipeline stage draws
-  // from its own derived stream); the daemon uses sampling.seed as-is.
+  // Each pipeline stage draws from its own stream derived from --seed:
+  // the dataset from seed, the campaign from seed+4 (BuildCampaign), the
+  // samples from seed+5.
   sampling.Set("theta", c.theta)
       .Set("seed", static_cast<int64_t>(c.seed + 5))
       .Set("epsilon", c.sampling_epsilon)
       .Set("max_theta", c.max_theta)
       .Set("stopping", c.stopping);
   if (c.threads > 0) {
-    // Pin the daemon's sampling width like the local pipeline's; the
-    // samples (and therefore the answer) are identical either way.
+    // --threads=N pins sampling to N workers too; absent or 0 leaves it
+    // on the GetNumThreads() auto path. Samples are bit-identical at any
+    // width, so this changes only wall-clock.
     sampling.Set("threads", static_cast<int64_t>(c.threads));
   }
   JsonValue plan = JsonValue::Object();
   plan.Set("method", c.method);
   JsonValue budgets = JsonValue::Array();
-  budgets.Append(static_cast<int64_t>(c.k));
+  for (const int64_t k : c.k_sweep) budgets.Append(k);
   plan.Set("budgets", std::move(budgets))
       .Set("gap", c.gap)
       .Set("epsilon", c.epsilon)
@@ -504,8 +403,8 @@ int RunRemotePlan(const CliConfig& c, std::ostream& out,
   client_options.read_timeout_ms = static_cast<int>(c.timeout_ms);
   // Determinism contract: the retry schedule derives from --seed.
   client_options.jitter_seed = c.seed;
-  const StatusOr<std::string> response = serve::RequestOverTcp(
-      host, port, WirePlanRequestLine(c), client_options);
+  const StatusOr<std::string> response =
+      serve::RequestOverTcp(host, port, c.wire_line, client_options);
   if (!response.ok()) {
     err << "oipa_cli: " << response.status().ToString() << "\n";
     return 1;
@@ -737,6 +636,11 @@ Status ParseCliConfig(const FlagParser& flags, CliConfig* config) {
     return Status::InvalidArgument(
         "--server is only supported with the plan subcommand");
   }
+  if (!c.server.empty() && c.learn) {
+    // The wire has no field for learned probabilities.
+    return Status::InvalidArgument(
+        "--learn is local-only; it cannot be combined with --server");
+  }
   if (c.retries < 0) {
     return Status::InvalidArgument("--retries must be >= 0");
   }
@@ -759,6 +663,19 @@ Status ParseCliConfig(const FlagParser& flags, CliConfig* config) {
   StatusOr<StoppingRuleKind> stopping = ParseStoppingRule(c.stopping);
   if (!stopping.ok()) return stopping.status();
   c.stopping_rule = *stopping;
+
+  if (c.command != "serve") {
+    // One request model: local runs solve the parsed line, and --server
+    // sends it, so whatever the wire refuses exits 2 before any stage.
+    c.wire_line = WirePlanRequestLine(c);
+    StatusOr<serve::WireRequest> request =
+        serve::ParseWireRequest(c.wire_line);
+    if (!request.ok()) {
+      return Status::InvalidArgument("invalid request: " +
+                                     request.status().message());
+    }
+    c.request = *std::move(request);
+  }
 
   *config = std::move(c);
   return Status::Ok();
@@ -808,6 +725,7 @@ std::string UsageString() {
      << "  --bound=zero|paper       tangent-bound variant (zero)\n"
      << "  --progressive=<bool>     BAB-P vs plain BAB (true)\n"
      << "  --learn                  plan on TIC-learned probabilities\n"
+     << "                           (local only: not with --server)\n"
      << "  --cascades=<count>       action-log cascades for --learn (1000)\n"
      << "  --trials=<count>         simulate Monte-Carlo trials (2000)\n"
      << "  --threads=<count>        solver worker threads; 0 = auto via\n"

@@ -8,6 +8,7 @@
 
 #include "oipa/tangent_bound.h"
 #include "rrset/sample_store.h"
+#include "serve/wire.h"
 #include "util/flags.h"
 #include "util/status.h"
 
@@ -15,9 +16,16 @@ namespace oipa {
 namespace cli {
 
 /// Fully-resolved configuration of one oipa_cli invocation. Every field
-/// maps to a --flag (see UsageString()); defaults mirror
+/// up to `request` maps to a --flag (see UsageString()); defaults mirror
 /// examples/quickstart.cpp so `oipa_cli plan` out of the box reproduces
 /// the quickstart scenario with JSON output.
+///
+/// Every command but `serve` also renders its dataset, sampling and plan
+/// flags as one wire request (`wire_line`, the oipa_serve protocol of
+/// serve/wire.h) and keeps what serve::ParseWireRequest makes of it
+/// (`request`). Local plan|simulate|bench runs build and solve that
+/// request with the daemon's own functions, and `plan --server` sends
+/// the same line, so --server switches only the transport.
 struct CliConfig {
   /// generate | learn | plan | simulate | bench | serve.
   std::string command;
@@ -37,6 +45,7 @@ struct CliConfig {
   // ------------------------------------------------------ learning stage
   /// If true, `plan`/`simulate`/`bench` optimize on TIC-learned
   /// probabilities (generate log -> EM) instead of the ground truth.
+  /// Local-only: the wire has no field for learned probabilities.
   bool learn = false;
   /// Item cascades simulated into the action log.
   int cascades = 1000;
@@ -69,7 +78,7 @@ struct CliConfig {
   StoppingRuleKind stopping_rule = StoppingRuleKind::kHoldoutGap;
   /// Resolve the MRR sample store through the process-wide registry so
   /// runs sharing a sampling configuration share one sampling pass
-  /// (--share_samples=false forces a private store).
+  /// (--share_samples=false forces a private store). Local-only.
   bool share_samples = true;
   /// Relative termination gap.
   double gap = 0.01;
@@ -90,8 +99,8 @@ struct CliConfig {
 
   // ------------------------------------------------------ serving
   /// `plan` only: "host:port" of a running oipa_serve daemon. When set,
-  /// the dataset/sampling/plan stages run in the daemon (sharing its
-  /// context cache) and the response JSON is printed instead.
+  /// `wire_line` is sent to the daemon (sharing its context cache) and
+  /// the response JSON is printed instead of solving in-process.
   std::string server;
   /// `plan --server` resilience: extra attempts after the first on
   /// transport errors and overload rejections (exponential back-off
@@ -129,13 +138,22 @@ struct CliConfig {
   int indent = 2;
   /// Also write the JSON result to this file (empty = stdout only).
   std::string output;
+
+  // ------------------------------------------------------ request
+  /// The dataset, sampling and plan flags as one compact wire request
+  /// line; empty for `serve`.
+  std::string wire_line;
+  /// `wire_line` parsed by serve::ParseWireRequest.
+  serve::WireRequest request;
 };
 
 /// Maps a bound name ("zero" | "paper") to its BoundVariant.
 Status ParseBoundVariant(const std::string& name, BoundVariant* out);
 
 /// Parses and validates flags into `config`. The subcommand itself comes
-/// from the first positional argument and is validated here too.
+/// from the first positional argument and is validated here too. The
+/// last step renders and parses the wire request; a value the wire
+/// refuses is InvalidArgument, like a bad flag.
 Status ParseCliConfig(const FlagParser& flags, CliConfig* config);
 
 /// One-screen usage text.

@@ -1,5 +1,6 @@
 #include "cli/json_writer.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -154,9 +155,12 @@ void JsonValue::DumpTo(std::string* out, int indent, int depth) const {
         *out += "null";
         break;
       }
-      char buf[40];
-      std::snprintf(buf, sizeof(buf), "%.10g", double_);
-      *out += buf;
+      // Shortest text that parses back to the same double, so a value
+      // survives a wire round trip bit for bit.
+      char buf[32];
+      const std::to_chars_result written =
+          std::to_chars(buf, buf + sizeof(buf), double_);
+      out->append(buf, written.ptr);
       break;
     }
     case Kind::kString:

@@ -72,7 +72,8 @@ class JsonValue {
 
   /// Serializes the value. `indent` < 0 emits compact one-line JSON;
   /// otherwise pretty-prints with `indent` spaces per nesting level.
-  /// Non-finite doubles are emitted as null (JSON has no NaN/Inf).
+  /// Finite doubles take the shortest form that parses back to the same
+  /// value; non-finite ones are emitted as null (JSON has no NaN/Inf).
   std::string Dump(int indent = -1) const;
 
   /// Escapes `s` as the contents of a JSON string literal (no quotes).

@@ -100,13 +100,6 @@ struct PlanRequest {
   /// bound pair certifies a (1 - 1/e - epsilon)-style ratio
   /// (PlanResponse::certified_ratio), typically earlier.
   StoppingRuleKind stopping = StoppingRuleKind::kHoldoutGap;
-  /// SolveBatch only: with num_threads > 1, run the budget sweep
-  /// concurrently (num_threads sweep workers), each budget solved by
-  /// one search worker — responses are bit-identical to the
-  /// num_threads == 1 sweep, just faster. Set false to keep the sweep
-  /// serial with each individual solve running num_threads search
-  /// workers instead (thread-scaling benches).
-  bool shard_budgets = true;
   /// Seed for solver-internal randomness (baseline RR sampling, random
   /// heuristic). Independent of the context's sampling seed.
   uint64_t seed = 1;

@@ -678,8 +678,7 @@ StatusOr<std::vector<PlanResponse>> SolveBatch(
   PlanRequest timed = request;
   if (request.deadline_ms.has_value()) deadline = ComposeDeadline(&timed);
   StatusOr<std::vector<PlanResponse>> responses = [&] {
-    if (timed.num_threads != 1 && timed.shard_budgets &&
-        timed.budgets.size() > 1) {
+    if (timed.num_threads != 1 && timed.budgets.size() > 1) {
       return SolveBatchSharded(context, timed, **solver);
     }
     std::vector<PlanResponse> out;

@@ -83,14 +83,13 @@ StatusOr<PlanResponse> Solve(
 /// If a solve is cancelled via the progress hook, the sweep stops after
 /// the cancelled response.
 ///
-/// With request.num_threads != 1 (and shard_budgets, the default), the
-/// sweep itself is parallelized: up to num_threads workers each solve
-/// whole budgets with one search worker, so fixed-theta responses are
-/// bit-identical to the num_threads == 1 sweep — only faster. Set
-/// request.shard_budgets = false to instead run budgets serially with
-/// each solve running num_threads search workers (what thread-scaling
-/// benches measure). Progressive requests (epsilon > 0) compose with
-/// sharding: workers grow the shared store
+/// With request.num_threads != 1 and several budgets, the sweep itself
+/// is parallelized: up to num_threads workers each solve whole budgets
+/// with one search worker, so fixed-theta responses are bit-identical
+/// to the num_threads == 1 sweep — only faster. (To run every budget on
+/// num_threads search workers instead, call Solve() once per budget, as
+/// thread-scaling benches do.) Progressive requests (epsilon > 0)
+/// compose with sharding: workers grow the shared store
 /// cooperatively, and each response reports the theta it converged at
 /// (growth interleaving may differ from a serial sweep's, so per-budget
 /// theta_used can be smaller — never the plan quality contract).

@@ -5,7 +5,6 @@
 #include "data/datasets.h"
 #include "oipa/logistic_model.h"
 #include "topic/campaign.h"
-#include "util/random.h"
 
 namespace oipa {
 namespace serve {
@@ -13,28 +12,12 @@ namespace {
 
 /// Builds the full planning state for one cache miss: dataset,
 /// campaign, and context (which runs the piece-graph build and the
-/// sampling pass). Mirrors the oipa_cli pipeline stages.
+/// sampling pass), through the request builders oipa_cli shares.
 StatusOr<ContextCache::Entry> BuildEntry(const WireRequest& request) {
-  const DatasetSpec& d = request.dataset;
-  Dataset dataset =
-      d.name == "synthetic"
-          ? MakeSynthetic(static_cast<VertexId>(d.n), d.num_topics,
-                          d.pool_fraction, d.seed)
-          : MakeDatasetByName(d.name, d.scale, d.seed);
-  std::shared_ptr<const Graph> graph = std::move(dataset.graph);
-  std::shared_ptr<const EdgeTopicProbs> probs = std::move(dataset.probs);
-
-  // Same campaign derivation as oipa_cli's BuildContext, so a daemon
-  // answer matches the CLI run with the same dataset seed.
-  Rng rng(d.seed + 4);
+  Dataset dataset = BuildDataset(request.dataset);
   auto campaign = std::make_shared<const Campaign>(
-      Campaign::SampleUniformPieces(d.ell, dataset.num_topics, &rng));
-
-  ContextOptions options;
-  options.theta = request.sampling.theta;
-  options.holdout_theta = request.wants_holdout() ? -1 : 0;
-  options.seed = request.sampling.seed;
-  options.sampling_threads = request.sampling.threads;
+      BuildCampaign(request.dataset, dataset.num_topics));
+  ContextOptions options = ToContextOptions(request);
   // Dataset builds are deterministic per spec, so key the store
   // registry by the sample key (content) instead of graph identity: a
   // context evicted from this cache and rebuilt later re-hits its
@@ -42,10 +25,11 @@ StatusOr<ContextCache::Entry> BuildEntry(const WireRequest& request) {
   // differ only in alpha/beta share one store.
   options.source_key = SampleKey(request);
   StatusOr<std::shared_ptr<const PlanningContext>> context =
-      PlanningContext::Create(std::move(graph), std::move(probs),
-                              std::move(campaign),
-                              LogisticAdoptionModel(d.alpha, d.beta),
-                              options);
+      PlanningContext::Create(
+          std::move(dataset.graph), std::move(dataset.probs),
+          std::move(campaign),
+          LogisticAdoptionModel(request.dataset.alpha, request.dataset.beta),
+          options);
   if (!context.ok()) return context.status();
 
   ContextCache::Entry entry;

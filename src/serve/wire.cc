@@ -9,6 +9,7 @@
 #include "data/datasets.h"
 #include "rrset/mrr_collection.h"
 #include "serve/json_parser.h"
+#include "util/random.h"
 #include "util/threading.h"
 
 namespace oipa {
@@ -317,6 +318,27 @@ std::string MergeKey(const WireRequest& request) {
   return key;
 }
 
+Dataset BuildDataset(const DatasetSpec& spec) {
+  return spec.name == "synthetic"
+             ? MakeSynthetic(static_cast<VertexId>(spec.n), spec.num_topics,
+                             spec.pool_fraction, spec.seed)
+             : MakeDatasetByName(spec.name, spec.scale, spec.seed);
+}
+
+Campaign BuildCampaign(const DatasetSpec& spec, int num_topics) {
+  Rng rng(spec.seed + 4);
+  return Campaign::SampleUniformPieces(spec.ell, num_topics, &rng);
+}
+
+ContextOptions ToContextOptions(const WireRequest& request) {
+  ContextOptions options;
+  options.theta = request.sampling.theta;
+  options.holdout_theta = request.wants_holdout() ? -1 : 0;
+  options.seed = request.sampling.seed;
+  options.sampling_threads = request.sampling.threads;
+  return options;
+}
+
 PlanRequest ToPlanRequest(const WireRequest& request,
                           std::vector<VertexId> pool) {
   PlanRequest out;
@@ -348,6 +370,7 @@ JsonValue ResultJson(const PlanResponse& response) {
   j.Set("k", response.budget)
       .Set("method", response.solver)
       .Set("seed_sets", std::move(seed_sets))
+      .Set("budget_used", response.plan.size())
       .Set("utility", response.utility)
       .Set("holdout_utility", response.holdout_utility)
       .Set("upper_bound", response.upper_bound)

@@ -8,10 +8,13 @@
 #include <vector>
 
 #include "cli/json_writer.h"
+#include "data/datasets.h"
 #include "graph/graph.h"
 #include "oipa/api/plan_request.h"
+#include "oipa/api/planning_context.h"
 #include "oipa/tangent_bound.h"
 #include "rrset/sample_store.h"
+#include "topic/campaign.h"
 #include "util/status.h"
 
 namespace oipa {
@@ -20,7 +23,9 @@ namespace serve {
 /// The oipa_serve wire protocol: newline-delimited JSON over TCP. Each
 /// request is one compact JSON object on one line; each response is one
 /// JSON object on one line, in request order per connection. Three
-/// top-level sections mirror the oipa_cli pipeline stages:
+/// top-level sections name the pipeline stages (oipa_cli renders its
+/// flags as exactly such a line and solves it through the functions
+/// below, in-process or, with --server, over TCP):
 ///
 ///   {"id": "r1",
 ///    "dataset":  {"name": "synthetic", "n": 2000, "topics": 10,
@@ -34,8 +39,8 @@ namespace serve {
 ///                 "max_nodes": 100000, "threads": 1,
 ///                 "deadline_ms": 500, "seed": 1}}
 ///
-/// Every field except "id" has a default (mirroring oipa_cli's flag
-/// defaults), so `{"id":"r1"}` is a valid request. Unknown keys are
+/// Every field except "id" has a default (oipa_cli's flag defaults),
+/// so `{"id":"r1"}` is a valid request. Unknown keys are
 /// ignored (the FlagParser contract). Responses:
 ///
 ///   {"id": "r1", "ok": true, "results": [...], "cancelled": false,
@@ -73,8 +78,8 @@ struct DatasetSpec {
 /// progressive-stopping knobs.
 struct SamplingSpec {
   int64_t theta = 20'000;
-  /// -1 = theta-sized holdout when epsilon > 0, no holdout otherwise
-  /// (the oipa_cli resolution); 0 = never a holdout.
+  /// -1 = theta-sized holdout when epsilon > 0, no holdout otherwise;
+  /// 0 = never a holdout.
   int64_t holdout_theta = -1;
   uint64_t seed = 1;
   /// Worker threads for sample generation/growth (0 = server default).
@@ -89,8 +94,7 @@ struct SamplingSpec {
   StoppingRuleKind stopping_rule = StoppingRuleKind::kHoldoutGap;
 };
 
-/// Solver slice of the request; carries the full solver profile so a
-/// daemon answer is bit-identical to the same oipa_cli run.
+/// Solver slice of the request: the full solver profile.
 struct PlanSpec {
   std::string method = "bab-p";
   std::vector<int> budgets = {10};
@@ -120,7 +124,7 @@ struct WireRequest {
   SamplingSpec sampling;
   PlanSpec plan;
 
-  /// True when the request enables a holdout collection (the oipa_cli
+  /// True when the request enables a holdout collection (the
   /// resolution of SamplingSpec::holdout_theta).
   bool wants_holdout() const {
     return sampling.holdout_theta > 0 ||
@@ -156,15 +160,31 @@ std::string ContextKey(const WireRequest& request);
 /// progressive epsilon (the sweep would grow the store mid-flight).
 std::string MergeKey(const WireRequest& request);
 
+// The request's planning inputs. ContextCache and oipa_cli both build
+// them with the three functions below, whose arguments must have passed
+// ParseWireRequest.
+
+/// The dataset `spec` names.
+Dataset BuildDataset(const DatasetSpec& spec);
+
+/// The request's campaign: `spec.ell` uniform pieces over the dataset's
+/// `num_topics`, drawn from spec.seed + 4.
+Campaign BuildCampaign(const DatasetSpec& spec, int num_topics);
+
+/// The ContextOptions of the sampling slice (theta, holdout, seed,
+/// sampling threads). Fields the wire does not carry keep their
+/// defaults: the daemon sets source_key, oipa_cli share_samples.
+ContextOptions ToContextOptions(const WireRequest& request);
+
 /// Maps the plan/sampling slices onto the in-process request type.
-/// `pool` comes from the context-cache entry; deadline_ms is left
-/// unset here — the server re-derives the remaining budget at dispatch
-/// time (queue wait counts).
+/// `pool` comes from the request's dataset; deadline_ms is left unset
+/// here — the server re-derives the remaining budget at dispatch time
+/// (queue wait counts), oipa_cli copies plan.deadline_ms.
 PlanRequest ToPlanRequest(const WireRequest& request,
                           std::vector<VertexId> pool);
 
-/// One solved-budget row of the "results" array (the PlanJson shape of
-/// oipa_cli plus the cancellation fields).
+/// One solved-budget row of the "results" array — also the row oipa_cli
+/// prints for each local solve.
 JsonValue ResultJson(const PlanResponse& response);
 
 /// Serializes the success envelope around pre-built result rows.

@@ -693,7 +693,7 @@ TEST_F(ApiFixture, ShardedSolveBatchIsBitIdenticalToSerialSweep) {
   ASSERT_TRUE(serial_batch.ok());
 
   PlanRequest sharded = serial;
-  sharded.num_threads = 3;  // shard_budgets defaults to true
+  sharded.num_threads = 3;  // several budgets: SolveBatch shards them
   const auto sharded_batch = SolveBatch(*context_, sharded);
   ASSERT_TRUE(sharded_batch.ok());
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <regex>
@@ -10,6 +13,7 @@
 
 #include "cli/cli.h"
 #include "cli/json_writer.h"
+#include "serve/json_parser.h"
 #include "serve/server.h"
 #include "util/flags.h"
 
@@ -75,6 +79,21 @@ TEST(JsonWriterTest, NonFiniteDoublesBecomeNull) {
             "null");
   EXPECT_EQ(JsonValue(std::numeric_limits<double>::quiet_NaN()).Dump(),
             "null");
+}
+
+TEST(JsonWriterTest, DoublesRoundTripBitForBit) {
+  for (const double x :
+       {0.1, 1.0 / 3.0, 2.00000000001, 1e-300, 5e-324, DBL_MAX}) {
+    for (const double value : {x, -x}) {
+      const std::string text = JsonValue(value).Dump();
+      const StatusOr<JsonValue> parsed = serve::ParseJson(text);
+      ASSERT_TRUE(parsed.ok()) << text;
+      ASSERT_TRUE(parsed->is_number()) << text;
+      EXPECT_EQ(std::bit_cast<uint64_t>(parsed->double_value()),
+                std::bit_cast<uint64_t>(value))
+          << text;
+    }
+  }
 }
 
 TEST(JsonWriterTest, EscapesControlAndQuoteCharacters) {
@@ -187,6 +206,17 @@ TEST(CliParseTest, StoppingAndShareSamplesFlags) {
                            &config)
                 .code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(CliParseTest, RequestCarriesFlagValuesExactly) {
+  CliConfig config;
+  ASSERT_TRUE(
+      ParseCliConfig(MakeFlags({"plan", "--alpha=2.00000000001"}), &config)
+          .ok());
+  EXPECT_EQ(config.request.dataset.alpha, 2.00000000001);
+  EXPECT_NE(config.wire_line.find("\"alpha\":2.00000000001"),
+            std::string::npos)
+      << config.wire_line;
 }
 
 TEST(CliParseTest, RejectsMissingAndUnknownSubcommand) {
@@ -389,7 +419,7 @@ TEST(CliPipelineTest, OneShotPlanStillReportsThetaUsed) {
   EXPECT_NE(run.out.find("\"theta_used\":1000"), std::string::npos);
   EXPECT_NE(run.out.find("\"sampling_rounds\":1"), std::string::npos);
   // No holdout is sampled unless progressive solving asks for one.
-  EXPECT_EQ(run.out.find("\"sampling_gap\":"), std::string::npos);
+  EXPECT_NE(run.out.find("\"holdout_theta\":0"), std::string::npos);
 }
 
 TEST(CliPipelineTest, BenchSweepsBudgets) {
@@ -511,6 +541,36 @@ TEST(CliDispatchTest, SampleCountsPastTheIdCeilingExit2) {
   }
 }
 
+TEST(CliDispatchTest, ValuesTheWireRefusesExit2) {
+  // Unchecked, these abort on a dataset CHECK or solve another problem:
+  // k narrowed to 3, a search allowed to expand no node.
+  const std::vector<std::vector<std::string>> cases = {
+      {"--dataset=dblp", "--scale=2"},
+      {"--scale=0"},
+      {"--pool_fraction=0"},
+      {"--pool_fraction=2"},
+      {"--max_nodes=0"},
+      {"--k=4294967299"}};
+  for (const char* command : {"plan", "generate"}) {
+    for (const std::vector<std::string>& flags : cases) {
+      const CliRun run = InvokeCli(TinyArgs(command, flags));
+      EXPECT_EQ(run.code, 2) << command << " " << flags.back();
+      EXPECT_EQ(run.out.find("\"plan\""), std::string::npos)
+          << command << " " << flags.back();
+    }
+  }
+}
+
+TEST(CliDispatchTest, LearnWithServerExits2) {
+  // The wire has no field for learned probabilities, so --server would
+  // plan on the ground truth instead.
+  const CliRun run = InvokeCli(
+      TinyArgs("plan", {"--learn", "--server=127.0.0.1:7477"}));
+  EXPECT_EQ(run.code, 2);
+  EXPECT_NE(run.err.find("--learn"), std::string::npos) << run.err;
+  EXPECT_EQ(run.out.find("\"plan\""), std::string::npos);
+}
+
 TEST(CliDispatchTest, RemotePlanRejectsMalformedServer) {
   const CliRun run =
       InvokeCli(TinyArgs("plan", {"--server=no-port-here"}));
@@ -518,18 +578,26 @@ TEST(CliDispatchTest, RemotePlanRejectsMalformedServer) {
   EXPECT_NE(run.err.find("host:port"), std::string::npos);
 }
 
+/// A result row without its wall-clock field, as compact JSON.
+std::string RowWithoutSolveSeconds(const JsonValue& row) {
+  JsonValue out = JsonValue::Object();
+  for (const auto& [key, value] : row.members()) {
+    if (key != "solve_seconds") out.Set(key, value);
+  }
+  return out.Dump(-1);
+}
+
 TEST(CliPipelineTest, RemotePlanMatchesLocalSolve) {
   serve::PlanServer server({});  // 127.0.0.1, free port
   ASSERT_TRUE(server.Start().ok());
+  const std::string server_flag =
+      "--server=127.0.0.1:" + std::to_string(server.port());
 
   // The same tiny configuration solved locally and via the daemon must
-  // produce the identical utility: the daemon rebuilds the pipeline
-  // from the wire spec with the same seeds.
+  // produce the identical utility: both solve the same wire request.
   const CliRun local = InvokeCli(TinyArgs("plan"));
   ASSERT_EQ(local.code, 0) << local.err;
-  const CliRun remote = InvokeCli(TinyArgs(
-      "plan",
-      {"--server=127.0.0.1:" + std::to_string(server.port())}));
+  const CliRun remote = InvokeCli(TinyArgs("plan", {server_flag}));
   ASSERT_EQ(remote.code, 0) << remote.err;
   EXPECT_NE(remote.out.find("\"ok\":true"), std::string::npos);
   EXPECT_NE(remote.out.find("\"cache_hit\":"), std::string::npos);
@@ -541,6 +609,39 @@ TEST(CliPipelineTest, RemotePlanMatchesLocalSolve) {
   ASSERT_TRUE(
       std::regex_search(remote.out, remote_match, utility_re));
   EXPECT_EQ(local_match[1].str(), remote_match[1].str());
+
+  // The whole row, not just the utility: the local plan row is the
+  // daemon's results[0] once the wall-clock field is dropped.
+  const std::vector<std::vector<std::string>> flag_sets = {
+      {},
+      {"--method=bab", "--bound=paper"},
+      {"--sampling_epsilon=0.05", "--stopping=opim"},
+      {"--deadline_ms=60000"},
+      {"--alpha=2.00000000001"}};
+  for (const std::vector<std::string>& flags : flag_sets) {
+    const std::string label = flags.empty() ? "defaults" : flags.front();
+    const CliRun local_run = InvokeCli(TinyArgs("plan", flags));
+    ASSERT_EQ(local_run.code, 0) << label << ": " << local_run.err;
+    std::vector<std::string> remote_flags = flags;
+    remote_flags.push_back(server_flag);
+    const CliRun remote_run = InvokeCli(TinyArgs("plan", remote_flags));
+    ASSERT_EQ(remote_run.code, 0) << label << ": " << remote_run.err;
+
+    const StatusOr<JsonValue> local_json = serve::ParseJson(local_run.out);
+    const StatusOr<JsonValue> remote_json =
+        serve::ParseJson(remote_run.out);
+    ASSERT_TRUE(local_json.ok()) << label;
+    ASSERT_TRUE(remote_json.ok()) << label;
+    const JsonValue* local_row = local_json->Find("plan");
+    const JsonValue* results = remote_json->Find("results");
+    ASSERT_NE(local_row, nullptr) << label;
+    ASSERT_TRUE(results != nullptr && results->is_array() &&
+                results->size() == 1)
+        << label << ": " << remote_run.out;
+    EXPECT_EQ(RowWithoutSolveSeconds(*local_row),
+              RowWithoutSolveSeconds(results->at(0)))
+        << label;
+  }
   server.Stop();
 }
 
