@@ -1,7 +1,8 @@
 // Google-benchmark micro benchmarks for the performance-critical
 // primitives: dataset and piece-graph builds, RR sampling, MRR
-// generation, sample-store builds and growth, coverage kernels and
-// updates, plan scoring, tangent refinement, and bound evaluations.
+// generation, fixed-theta RIS, sample-store builds and growth, coverage
+// kernels and updates, plan scoring, tangent refinement, and bound
+// evaluations.
 
 #include <benchmark/benchmark.h>
 
@@ -11,18 +12,19 @@
 #include <vector>
 
 #include "data/datasets.h"
+#include "im/imm.h"
 #include "oipa/adoption.h"
 #include "oipa/bound_evaluator.h"
 #include "oipa/tangent_bound.h"
 #include "rrset/coverage_kernels.h"
 #include "rrset/coverage_state.h"
 #include "rrset/mrr_collection.h"
-#include "rrset/rr_collection.h"
 #include "rrset/rr_sampler.h"
 #include "rrset/sample_store.h"
 #include "topic/campaign.h"
 #include "topic/influence_graph.h"
 #include "util/random.h"
+#include "util/threading.h"
 
 namespace oipa {
 namespace {
@@ -131,6 +133,30 @@ BENCHMARK(BM_MrrExtendLargeGraph)
     ->Args({10'000, 1})
     ->Args({10'000, 2})
     ->UseRealTime();
+
+/// Fixed-theta RIS, the seed selection of the IM and TIM baselines, on
+/// range(0) workers: 100k RR sets sampled and indexed over the
+/// topic-blind lastfm graph, then CELF-covered for k = 20. The pool is
+/// the default (every vertex): the four-argument call also builds
+/// against trees whose FixedThetaRis takes no pool, for A/B runs.
+void BM_FixedThetaRis(benchmark::State& state) {
+  const MicroEnv& env = Env();
+  const InfluenceGraph blind =
+      InfluenceGraph::TopicBlind(*env.dataset.graph, *env.dataset.probs);
+  constexpr int64_t kTheta = 100'000;
+  SetNumThreads(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    const ImmResult result = FixedThetaRis(blind, 20, kTheta, 23);
+    benchmark::DoNotOptimize(result.spread_estimate);
+  }
+  SetNumThreads(0);
+  state.SetItemsProcessed(state.iterations() * kTheta);
+}
+BENCHMARK(BM_FixedThetaRis)
+    ->Arg(1)
+    ->Arg(2)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 /// One dataset build: range(0) = 0 is lastfm, 1 is synthetic n = 10k
 /// (graph generation, topic probabilities and promoter pool).

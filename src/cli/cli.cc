@@ -535,7 +535,14 @@ Status ParseCliConfig(const FlagParser& flags, CliConfig* config) {
   }
 
   c.k = static_cast<int>(flags.GetInt("k", c.k));
-  c.ell = static_cast<int>(flags.GetInt("ell", c.ell));
+  // Checked before narrowing, so --ell=4294967297 cannot pass as 1.
+  const int64_t ell = flags.GetInt("ell", c.ell);
+  if (ell < 1 || ell > MrrCollection::kMaxPieces) {
+    return Status::InvalidArgument(
+        "--ell must be in [1, " +
+        std::to_string(MrrCollection::kMaxPieces) + "]");
+  }
+  c.ell = static_cast<int>(ell);
   c.theta = flags.GetInt("theta", c.theta);
   c.epsilon = flags.GetDouble("epsilon", c.epsilon);
   c.sampling_epsilon =
@@ -581,7 +588,6 @@ Status ParseCliConfig(const FlagParser& flags, CliConfig* config) {
     return Status::InvalidArgument("--topics must be >= 1");
   }
   if (c.k < 1) return Status::InvalidArgument("--k must be >= 1");
-  if (c.ell < 1) return Status::InvalidArgument("--ell must be >= 1");
   if (c.theta < 1 || c.theta > MrrCollection::kMaxSamples) {
     return Status::InvalidArgument(
         "--theta must be in [1, " +

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
-#include "rrset/rr_collection.h"
+#include "rrset/mrr_collection.h"
 #include "util/logging.h"
 #include "util/math.h"
 
@@ -33,6 +34,11 @@ double LambdaStar(double eps, int k, double ell, double n) {
   return inv;
 }
 
+/// `ig` as the one-piece span whose MRR samples are plain RR sets.
+std::span<const InfluenceGraph> OnePiece(const InfluenceGraph& ig) {
+  return {&ig, 1};
+}
+
 }  // namespace
 
 ImmResult Imm(const InfluenceGraph& ig, int k, const ImmOptions& options) {
@@ -48,7 +54,7 @@ ImmResult Imm(const InfluenceGraph& ig, int k, const ImmOptions& options) {
   const double eps = options.epsilon;
   const double eps_prime = std::sqrt(2.0) * eps;
 
-  RrCollection rr = RrCollection::Generate(ig, 0, options.seed);
+  MrrCollection rr = MrrCollection::Generate(OnePiece(ig), 0, options.seed);
   double lb = 1.0;
   const int max_rounds =
       std::max(1, static_cast<int>(std::log2(n)) - 1);
@@ -59,7 +65,7 @@ ImmResult Imm(const InfluenceGraph& ig, int k, const ImmOptions& options) {
     const int64_t theta_i = std::min<int64_t>(
         options.max_theta,
         static_cast<int64_t>(std::ceil(lambda_p / x)));
-    if (rr.theta() < theta_i) rr.Extend(ig, theta_i - rr.theta());
+    rr.Extend(OnePiece(ig), theta_i);  // no-op when theta_i <= theta
     const MaxCoverResult cover = GreedyMaxCover(rr, k);
     const double frac =
         static_cast<double>(cover.covered) /
@@ -74,7 +80,7 @@ ImmResult Imm(const InfluenceGraph& ig, int k, const ImmOptions& options) {
   const int64_t theta = std::min<int64_t>(
       options.max_theta,
       static_cast<int64_t>(std::ceil(lambda_s / lb)));
-  if (rr.theta() < theta) rr.Extend(ig, theta - rr.theta());
+  rr.Extend(OnePiece(ig), theta);
 
   const MaxCoverResult cover = CelfMaxCover(rr, k);
   ImmResult result;
@@ -86,9 +92,10 @@ ImmResult Imm(const InfluenceGraph& ig, int k, const ImmOptions& options) {
 }
 
 ImmResult FixedThetaRis(const InfluenceGraph& ig, int k, int64_t theta,
-                        uint64_t seed) {
-  RrCollection rr = RrCollection::Generate(ig, theta, seed);
-  const MaxCoverResult cover = CelfMaxCover(rr, k);
+                        uint64_t seed,
+                        const std::vector<VertexId>& candidates) {
+  const MrrCollection rr = MrrCollection::Generate(OnePiece(ig), theta, seed);
+  const MaxCoverResult cover = CelfMaxCover(rr, k, candidates);
   ImmResult result;
   result.seeds = cover.seeds;
   result.spread_estimate = cover.spread_estimate;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <queue>
+#include <span>
 
 #include "util/logging.h"
 
@@ -16,20 +17,48 @@ std::vector<VertexId> AllVertices(VertexId n) {
   return out;
 }
 
-double Scale(const RrCollection& rr) {
-  return rr.theta() == 0
-             ? 0.0
-             : static_cast<double>(rr.num_vertices()) /
-                   static_cast<double>(rr.theta());
+/// The candidate pool of a selection over `rr`, which must be a
+/// one-piece indexed collection.
+std::vector<VertexId> Pool(const MrrCollection& rr,
+                           const std::vector<VertexId>& candidates) {
+  OIPA_CHECK_EQ(rr.num_pieces(), 1) << "max cover runs on plain RR sets";
+  OIPA_CHECK(rr.indexed()) << "max cover searches the inverted index";
+  return candidates.empty() ? AllVertices(rr.num_vertices()) : candidates;
+}
+
+/// Number of RR sets containing v.
+int64_t Postings(const MrrCollection& rr, VertexId v) {
+  int64_t count = 0;
+  rr.ForEachSampleSpan(0, v, [&count](std::span<const uint32_t> ids) {
+    count += static_cast<int64_t>(ids.size());
+  });
+  return count;
+}
+
+/// Number of RR sets containing v that `covered` does not mark yet.
+int64_t UncoveredGain(const MrrCollection& rr, VertexId v,
+                      const std::vector<uint8_t>& covered) {
+  int64_t gain = 0;
+  rr.ForEachSampleSpan(0, v, [&](std::span<const uint32_t> ids) {
+    for (const uint32_t i : ids) gain += !covered[i];
+  });
+  return gain;
+}
+
+/// Marks every RR set containing v covered.
+void Cover(const MrrCollection& rr, VertexId v,
+           std::vector<uint8_t>* covered) {
+  rr.ForEachSampleSpan(0, v, [covered](std::span<const uint32_t> ids) {
+    for (const uint32_t i : ids) (*covered)[i] = 1;
+  });
 }
 
 }  // namespace
 
-MaxCoverResult GreedyMaxCover(const RrCollection& rr, int k,
+MaxCoverResult GreedyMaxCover(const MrrCollection& rr, int k,
                               const std::vector<VertexId>& candidates) {
   OIPA_CHECK_GE(k, 0);
-  const std::vector<VertexId> pool =
-      candidates.empty() ? AllVertices(rr.num_vertices()) : candidates;
+  const std::vector<VertexId> pool = Pool(rr, candidates);
   std::vector<uint8_t> covered(rr.theta(), 0);
   std::vector<uint8_t> taken(rr.num_vertices(), 0);
 
@@ -39,8 +68,7 @@ MaxCoverResult GreedyMaxCover(const RrCollection& rr, int k,
     int64_t best_gain = 0;
     for (VertexId v : pool) {
       if (taken[v]) continue;
-      int64_t gain = 0;
-      for (int64_t i : rr.SamplesContaining(v)) gain += !covered[i];
+      const int64_t gain = UncoveredGain(rr, v, covered);
       // Ties broken toward the smaller vertex id (strict > keeps first).
       if (gain > best_gain) {
         best_gain = gain;
@@ -51,17 +79,17 @@ MaxCoverResult GreedyMaxCover(const RrCollection& rr, int k,
     taken[best] = 1;
     result.seeds.push_back(best);
     result.covered += best_gain;
-    for (int64_t i : rr.SamplesContaining(best)) covered[i] = 1;
+    Cover(rr, best, &covered);
   }
-  result.spread_estimate = static_cast<double>(result.covered) * Scale(rr);
+  result.spread_estimate =
+      static_cast<double>(result.covered) * rr.UtilityScale();
   return result;
 }
 
-MaxCoverResult CelfMaxCover(const RrCollection& rr, int k,
+MaxCoverResult CelfMaxCover(const MrrCollection& rr, int k,
                             const std::vector<VertexId>& candidates) {
   OIPA_CHECK_GE(k, 0);
-  const std::vector<VertexId> pool =
-      candidates.empty() ? AllVertices(rr.num_vertices()) : candidates;
+  const std::vector<VertexId> pool = Pool(rr, candidates);
   std::vector<uint8_t> covered(rr.theta(), 0);
 
   // Entries ordered by (gain desc, vertex asc) to match plain greedy's
@@ -77,8 +105,7 @@ MaxCoverResult CelfMaxCover(const RrCollection& rr, int k,
   };
   std::priority_queue<Entry, std::vector<Entry>, decltype(cmp)> heap(cmp);
   for (VertexId v : pool) {
-    const int64_t gain =
-        static_cast<int64_t>(rr.SamplesContaining(v).size());
+    const int64_t gain = Postings(rr, v);  // nothing is covered yet
     if (gain > 0) heap.push({gain, v, 0});
   }
 
@@ -89,18 +116,18 @@ MaxCoverResult CelfMaxCover(const RrCollection& rr, int k,
     heap.pop();
     if (top.round != round) {
       // Stale: recompute marginal gain under current coverage.
-      int64_t gain = 0;
-      for (int64_t i : rr.SamplesContaining(top.v)) gain += !covered[i];
+      const int64_t gain = UncoveredGain(rr, top.v, covered);
       if (gain > 0) heap.push({gain, top.v, round});
       continue;
     }
     if (top.gain <= 0) break;
     result.seeds.push_back(top.v);
     result.covered += top.gain;
-    for (int64_t i : rr.SamplesContaining(top.v)) covered[i] = 1;
+    Cover(rr, top.v, &covered);
     ++round;
   }
-  result.spread_estimate = static_cast<double>(result.covered) * Scale(rr);
+  result.spread_estimate =
+      static_cast<double>(result.covered) * rr.UtilityScale();
   return result;
 }
 

@@ -35,6 +35,12 @@ Status ValidateInputs(const Graph* graph, const EdgeTopicProbs* probs,
   if (campaign->num_pieces() < 1) {
     return Status::InvalidArgument("campaign has no pieces");
   }
+  if (campaign->num_pieces() > MrrCollection::kMaxPieces) {
+    return Status::InvalidArgument(
+        "campaign has " + std::to_string(campaign->num_pieces()) +
+        " pieces; at most " + std::to_string(MrrCollection::kMaxPieces) +
+        " are supported");
+  }
   for (int j = 0; j < campaign->num_pieces(); ++j) {
     if (campaign->piece(j).topics.num_topics() != probs->num_topics()) {
       return Status::InvalidArgument(

@@ -132,9 +132,8 @@ class TimSolver : public Solver {
                                int budget) const override {
     const MrrCollection& mrr = *samples.mrr;
     return FromBaselineResult(TimBaseline(
-        context.graph(), context.probs(), context.campaign(), mrr,
-        context.model(), request.pool, budget, mrr.theta(),
-        request.seed + 19));
+        context.pieces(), mrr, context.model(), request.pool, budget,
+        mrr.theta(), request.seed + 19));
   }
 };
 

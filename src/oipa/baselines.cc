@@ -2,7 +2,6 @@
 
 #include "im/imm.h"
 #include "oipa/adoption.h"
-#include "rrset/rr_collection.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -39,32 +38,27 @@ BaselineResult ImBaseline(const Graph& graph, const EdgeTopicProbs& probs,
   OIPA_CHECK_EQ(campaign.num_pieces(), mrr.num_pieces());
   // One IM run on the topic-blind graph.
   const InfluenceGraph blind = InfluenceGraph::TopicBlind(graph, probs);
-  RrCollection rr = RrCollection::Generate(blind, theta, seed);
-  const MaxCoverResult cover = CelfMaxCover(rr, k, pool);
+  const ImmResult im = FixedThetaRis(blind, k, theta, seed, pool);
 
   // Try the same seed set on every piece; keep the best.
   std::vector<std::vector<VertexId>> per_piece(
-      campaign.num_pieces(), cover.seeds);
+      campaign.num_pieces(), im.seeds);
   BaselineResult result = BestSinglePieceAssignment(mrr, model, per_piece);
   result.seconds = timer.Seconds();
   return result;
 }
 
-BaselineResult TimBaseline(const Graph& graph, const EdgeTopicProbs& probs,
-                           const Campaign& campaign,
+BaselineResult TimBaseline(std::span<const InfluenceGraph> pieces,
                            const MrrCollection& mrr,
                            const LogisticAdoptionModel& model,
                            const std::vector<VertexId>& pool, int k,
                            int64_t theta, uint64_t seed) {
   WallTimer timer;
-  OIPA_CHECK_EQ(campaign.num_pieces(), mrr.num_pieces());
+  OIPA_CHECK_EQ(static_cast<int>(pieces.size()), mrr.num_pieces());
   // One IM run per piece on that piece's influence graph.
-  std::vector<std::vector<VertexId>> per_piece(campaign.num_pieces());
-  for (int j = 0; j < campaign.num_pieces(); ++j) {
-    const InfluenceGraph ig =
-        InfluenceGraph::ForPiece(graph, probs, campaign.piece(j).topics);
-    RrCollection rr = RrCollection::Generate(ig, theta, seed + j + 1);
-    per_piece[j] = CelfMaxCover(rr, k, pool).seeds;
+  std::vector<std::vector<VertexId>> per_piece(pieces.size());
+  for (size_t j = 0; j < pieces.size(); ++j) {
+    per_piece[j] = FixedThetaRis(pieces[j], k, theta, seed + j + 1, pool).seeds;
   }
   BaselineResult result = BestSinglePieceAssignment(mrr, model, per_piece);
   result.seconds = timer.Seconds();

@@ -2,6 +2,7 @@
 #define OIPA_OIPA_BASELINES_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "oipa/assignment_plan.h"
@@ -35,6 +36,7 @@ BaselineResult BestSinglePieceAssignment(
 /// algorithm once on the topic-blind graph G (mean edge probability over
 /// topics) to get k seeds S, then evaluate assigning S to each piece t_j
 /// alone and keep the best. Ignores per-piece influence heterogeneity.
+/// The IM run is FixedThetaRis over `pool` with `theta` RR sets.
 BaselineResult ImBaseline(const Graph& graph, const EdgeTopicProbs& probs,
                           const Campaign& campaign,
                           const MrrCollection& mrr,
@@ -42,12 +44,12 @@ BaselineResult ImBaseline(const Graph& graph, const EdgeTopicProbs& probs,
                           const std::vector<VertexId>& pool, int k,
                           int64_t theta, uint64_t seed);
 
-/// The paper's TIM baseline: build the influence graph G_{t_i} for every
-/// piece, run IM on each to get k seeds S_i, then pick the single
-/// (S_i -> t_i) assignment with the best adoption utility. Topic-aware
-/// but single-piece.
-BaselineResult TimBaseline(const Graph& graph, const EdgeTopicProbs& probs,
-                           const Campaign& campaign,
+/// The paper's TIM baseline: run IM on every piece's influence graph
+/// G_{t_j} (`pieces`, the graphs `mrr` was sampled over) to get k seeds
+/// S_j, then pick the single (S_j -> t_j) assignment with the best
+/// adoption utility. Topic-aware but single-piece. Piece j's IM run is
+/// FixedThetaRis over `pool` with `theta` RR sets and seed seed + j + 1.
+BaselineResult TimBaseline(std::span<const InfluenceGraph> pieces,
                            const MrrCollection& mrr,
                            const LogisticAdoptionModel& model,
                            const std::vector<VertexId>& pool, int k,

@@ -67,7 +67,7 @@ size_t ExpectedMembers(double mean, int64_t samples, size_t headroom) {
 /// worker it is drawn never changes a bit of it. `lt_weights` is empty
 /// under IC.
 template <typename Members>
-void AppendSample(const std::vector<InfluenceGraph>& piece_graphs,
+void AppendSample(std::span<const InfluenceGraph> piece_graphs,
                   const std::vector<std::vector<float>>& lt_weights,
                   uint64_t base_seed, int64_t i, RrSampler* sampler,
                   std::vector<VertexId>* lt_set, Members* out,
@@ -108,10 +108,12 @@ int64_t MrrCollection::GeneratedSampleCount() {
 }
 
 MrrCollection MrrCollection::Generate(
-    const std::vector<InfluenceGraph>& piece_graphs, int64_t theta,
+    std::span<const InfluenceGraph> piece_graphs, int64_t theta,
     uint64_t seed, DiffusionModel model, int num_threads, bool indexed) {
   OIPA_CHECK_GE(theta, 0);
   OIPA_CHECK(!piece_graphs.empty());
+  OIPA_CHECK_LE(piece_graphs.size(), static_cast<size_t>(kMaxPieces))
+      << "more pieces than the uint8_t coverage counts hold";
   MrrCollection mc;
   mc.num_pieces_ = static_cast<int>(piece_graphs.size());
   mc.num_vertices_ = piece_graphs[0].graph().num_vertices();
@@ -124,14 +126,14 @@ MrrCollection MrrCollection::Generate(
   return mc;
 }
 
-void MrrCollection::Extend(const std::vector<InfluenceGraph>& piece_graphs,
+void MrrCollection::Extend(std::span<const InfluenceGraph> piece_graphs,
                            int64_t new_theta, int num_threads) {
   Append(piece_graphs, new_theta, ResolveThreadCount(num_threads),
          /*amortised=*/true);
 }
 
 MrrCollection MrrCollection::ExtendedCopy(
-    const std::vector<InfluenceGraph>& piece_graphs, int64_t new_theta,
+    std::span<const InfluenceGraph> piece_graphs, int64_t new_theta,
     int num_threads) const {
   OIPA_CHECK_LE(new_theta, kMaxSamples);
   const int64_t target = std::max(new_theta, theta_);
@@ -157,7 +159,7 @@ MrrCollection MrrCollection::ExtendedCopy(
   return grown;
 }
 
-void MrrCollection::Append(const std::vector<InfluenceGraph>& piece_graphs,
+void MrrCollection::Append(std::span<const InfluenceGraph> piece_graphs,
                            int64_t new_theta, int workers, bool amortised) {
   OIPA_CHECK(extendable_)
       << "Extend on a collection without sampling provenance";
@@ -204,7 +206,7 @@ void MrrCollection::Append(const std::vector<InfluenceGraph>& piece_graphs,
 }
 
 void MrrCollection::SampleDirect(
-    const std::vector<InfluenceGraph>& piece_graphs,
+    std::span<const InfluenceGraph> piece_graphs,
     const std::vector<std::vector<float>>& lt_weights, int64_t begin,
     int64_t end, bool amortised) {
   const int ell = num_pieces_;
@@ -248,7 +250,7 @@ void MrrCollection::SampleDirect(
 }
 
 void MrrCollection::SampleSharded(
-    const std::vector<InfluenceGraph>& piece_graphs,
+    std::span<const InfluenceGraph> piece_graphs,
     const std::vector<std::vector<float>>& lt_weights, int64_t begin,
     int64_t end, int workers, bool amortised) {
   const int ell = num_pieces_;
@@ -302,6 +304,8 @@ MrrCollection MrrCollection::FromParts(
   OIPA_CHECK_GE(theta, 0);
   OIPA_CHECK_LE(theta, kMaxSamples);
   OIPA_CHECK_GT(num_pieces, 0);
+  OIPA_CHECK_LE(num_pieces, kMaxPieces)
+      << "more pieces than the uint8_t coverage counts hold";
   OIPA_CHECK_GE(num_vertices, 0);
   OIPA_CHECK_EQ(static_cast<int64_t>(offsets.size()),
                 theta * num_pieces + 1);

@@ -53,12 +53,18 @@ class MrrCollection {
       std::numeric_limits<uint32_t>::max();
   static constexpr int64_t kMaxMembers =
       std::numeric_limits<uint32_t>::max();
+  /// The largest l whose per-sample covered-piece counts 0..l all fit in
+  /// the uint8_t counters of CoverageState, the coverage kernels and
+  /// EstimateAdoptionUtility. Input surfaces reject more pieces.
+  static constexpr int kMaxPieces = std::numeric_limits<uint8_t>::max();
 
   /// Generates theta samples over `piece_graphs` (all sharing one social
-  /// graph). Deterministic given `seed`, independent of thread count:
-  /// sample i's randomness is PerSampleSeed(seed, i, piece), so any
-  /// `num_threads` (0 = the GetNumThreads() default, N > 0 = exactly N
-  /// workers) yields bit-identical samples. With `indexed` false no
+  /// graph; at most kMaxPieces of them). Over one graph the samples are
+  /// plain RR sets, as RIS and IMM use (im/imm.h). Deterministic given
+  /// `seed`, independent of thread count: sample i's randomness is
+  /// PerSampleSeed(seed, i, piece), so any `num_threads` (0 = the
+  /// GetNumThreads() default, N > 0 = exactly N workers) yields
+  /// bit-identical samples. With `indexed` false no
   /// inverted index is built, now or on growth: the collection can be
   /// scanned (Set, root) and scored (EstimateAdoptionUtility) but not
   /// searched (ForEachSample*, CoverageState, BoundEvaluator).
@@ -67,7 +73,7 @@ class MrrCollection {
   /// are reverse live-edge paths; everything downstream (estimators,
   /// bounds, solvers) works unchanged, so OIPA can be solved under LT.
   static MrrCollection Generate(
-      const std::vector<InfluenceGraph>& piece_graphs, int64_t theta,
+      std::span<const InfluenceGraph> piece_graphs, int64_t theta,
       uint64_t seed,
       DiffusionModel model = DiffusionModel::kIndependentCascade,
       int num_threads = 0, bool indexed = true);
@@ -82,7 +88,7 @@ class MrrCollection {
   /// CHECK-fails on collections without sampling provenance
   /// (FromParts-built ones with extendable() == false) and past
   /// kMaxSamples.
-  void Extend(const std::vector<InfluenceGraph>& piece_graphs,
+  void Extend(std::span<const InfluenceGraph> piece_graphs,
               int64_t new_theta, int num_threads = 0);
 
   /// A copy of this collection grown to max(new_theta, theta()): what
@@ -91,15 +97,16 @@ class MrrCollection {
   /// and the (immutable) index segments are shared rather than copied.
   /// The copy-on-grow step of SampleStore::Grow. Same preconditions as
   /// Extend.
-  MrrCollection ExtendedCopy(const std::vector<InfluenceGraph>& piece_graphs,
+  MrrCollection ExtendedCopy(std::span<const InfluenceGraph> piece_graphs,
                              int64_t new_theta, int num_threads = 0) const;
 
   /// Rebuilds a collection from raw storage (deserialization path; see
   /// rrset/mrr_io.h). `offsets` has theta*num_pieces+1 entries indexing
-  /// into `nodes`; all vertex ids must lie in [0, num_vertices), and
-  /// every set must be non-empty (its first member is the sample's root,
-  /// and a sample's sets share it). The inverted index is rebuilt (as
-  /// one segment) unless `indexed` is false. CHECK-fails on malformed
+  /// into `nodes`; num_pieces is at most kMaxPieces, all vertex ids must
+  /// lie in [0, num_vertices), and every set must be non-empty (its
+  /// first member is the sample's root, and a sample's sets share it).
+  /// The inverted index is rebuilt (as one segment) unless `indexed` is
+  /// false. CHECK-fails on malformed
   /// input — callers (the loader) validate untrusted bytes first. When
   /// `extendable` is true, `base_seed`/`model` record the sampling
   /// provenance so the rebuilt collection keeps growing bit-identically
@@ -239,17 +246,17 @@ class MrrCollection {
   /// `amortised` selects the capacity policy of arrays that run out of
   /// room: at least double (in-place Extend) or just what the grown
   /// collection needs (Generate, ExtendedCopy).
-  void Append(const std::vector<InfluenceGraph>& piece_graphs,
+  void Append(std::span<const InfluenceGraph> piece_graphs,
               int64_t new_theta, int workers, bool amortised);
 
   /// One worker: samples [begin, end) straight into offsets_/nodes_.
-  void SampleDirect(const std::vector<InfluenceGraph>& piece_graphs,
+  void SampleDirect(std::span<const InfluenceGraph> piece_graphs,
                     const std::vector<std::vector<float>>& lt_weights,
                     int64_t begin, int64_t end, bool amortised);
 
   /// Several workers: samples [begin, end) into per-shard member
   /// buffers, then stitches them into nodes_.
-  void SampleSharded(const std::vector<InfluenceGraph>& piece_graphs,
+  void SampleSharded(std::span<const InfluenceGraph> piece_graphs,
                      const std::vector<std::vector<float>>& lt_weights,
                      int64_t begin, int64_t end, int workers,
                      bool amortised);

@@ -14,11 +14,9 @@ namespace oipa {
 
 namespace {
 
-// Version 2 ("OIPAMRR2") appends sampling provenance — base seed,
-// diffusion model, extendable flag — so a loaded collection keeps
-// growing bit-identically to the one that was saved. Version 1 files
-// are still readable; they load as non-extendable.
-constexpr uint64_t kMagicV1 = 0x4f4950414d525231ULL;  // "OIPAMRR1"
+// "OIPAMRR2" records sampling provenance — base seed, diffusion model,
+// extendable flag — so a loaded collection keeps growing bit-identically
+// to the one that was saved.
 constexpr uint64_t kMagicV2 = 0x4f4950414d525232ULL;  // "OIPAMRR2"
 // Store snapshot framing: flags word, then one embedded (and still
 // self-describing) collection blob per held collection.
@@ -119,17 +117,18 @@ Status ReadOffsets(std::ifstream& in, const std::string& path, uint64_t size,
   return Status::Ok();
 }
 
-/// Reads and validates one collection blob at the stream position. The
-/// in-memory layout is narrower than the file: blobs past its ceilings
-/// (theta, memberships, offsets above 2^32 - 1) are rejected, and so
-/// are roots that differ from their sets' first members, which is where
+/// Reads and validates one OIPAMRR2 blob at the stream position; any
+/// other magic is rejected. The in-memory layout is narrower than the
+/// file: blobs past its ceilings (theta, memberships, offsets above
+/// 2^32 - 1, more than kMaxPieces pieces) are rejected, and so are
+/// roots that differ from their sets' first members, which is where
 /// the collection keeps them. `indexed` selects whether the loaded
 /// collection gets an inverted index.
 StatusOr<MrrCollection> ReadCollectionBlob(std::ifstream& in,
                                            const std::string& path,
                                            bool indexed) {
   uint64_t magic = 0;
-  if (!ReadPod(in, &magic) || (magic != kMagicV1 && magic != kMagicV2)) {
+  if (!ReadPod(in, &magic) || magic != kMagicV2) {
     return Status::InvalidArgument(path + ": bad MRR magic");
   }
   int64_t theta = 0;
@@ -142,15 +141,18 @@ StatusOr<MrrCollection> ReadCollectionBlob(std::ifstream& in,
     return Status::InvalidArgument(
         path + ": theta exceeds the 32-bit sample-id layout");
   }
+  if (pieces > MrrCollection::kMaxPieces) {
+    return Status::InvalidArgument(
+        path + ": pieces exceed the " +
+        std::to_string(MrrCollection::kMaxPieces) + "-piece ceiling");
+  }
   uint64_t base_seed = 0;
   int32_t model_raw = 0;
   int32_t extendable_raw = 0;
-  if (magic == kMagicV2) {
-    if (!ReadPod(in, &base_seed) || !ReadPod(in, &model_raw) ||
-        !ReadPod(in, &extendable_raw) || model_raw < 0 || model_raw > 1 ||
-        extendable_raw < 0 || extendable_raw > 1) {
-      return Status::InvalidArgument(path + ": bad MRR provenance header");
-    }
+  if (!ReadPod(in, &base_seed) || !ReadPod(in, &model_raw) ||
+      !ReadPod(in, &extendable_raw) || model_raw < 0 || model_raw > 1 ||
+      extendable_raw < 0 || extendable_raw > 1) {
+    return Status::InvalidArgument(path + ": bad MRR provenance header");
   }
   // Every RR set holds at least its root, so more sets than the member
   // ceiling cannot fit either. Sizes are checked before allocating.

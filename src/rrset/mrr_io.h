@@ -20,13 +20,12 @@ namespace oipa {
 /// inverted index is rebuilt on load (cheaper to rebuild than to store).
 /// The format is append-aware: a grown collection round-trips exactly,
 /// and because provenance is preserved, save -> load -> Extend produces
-/// the same samples as extending the original. Legacy "OIPAMRR1" files
-/// still load (as non-extendable collections). The file keeps int64
+/// the same samples as extending the original. The file keeps int64
 /// offsets and a roots array; loading narrows them to the in-memory
-/// 32-bit layout and returns InvalidArgument — never aborts — for a
-/// blob past its ceilings (MrrCollection::kMaxSamples, kMaxMembers),
-/// with an empty RR set, or whose roots differ from their sets' first
-/// members.
+/// 32-bit layout and returns InvalidArgument — never aborts — for
+/// another magic, a blob past its ceilings (MrrCollection::kMaxSamples,
+/// kMaxMembers, kMaxPieces), with an empty RR set, or whose roots
+/// differ from their sets' first members.
 Status SaveMrrCollection(const MrrCollection& mrr, const std::string& path);
 
 StatusOr<MrrCollection> LoadMrrCollection(const std::string& path);

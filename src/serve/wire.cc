@@ -118,8 +118,11 @@ Status ParseDataset(const JsonValue& section, DatasetSpec* spec) {
     return Status::InvalidArgument(
         "dataset.pool_fraction must be in (0, 1]");
   }
-  if (spec->ell < 1) {
-    return Status::InvalidArgument("dataset.ell must be >= 1");
+  // Covered-piece counts are bytes (rrset/mrr_collection.h).
+  if (spec->ell < 1 || spec->ell > MrrCollection::kMaxPieces) {
+    return Status::InvalidArgument(
+        "dataset.ell must be in [1, " +
+        std::to_string(MrrCollection::kMaxPieces) + "]");
   }
   // The logistic adoption model requires both parameters positive.
   if (!std::isfinite(spec->alpha) || spec->alpha <= 0.0) {

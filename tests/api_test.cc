@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <limits>
 #include <memory>
@@ -170,6 +171,38 @@ TEST_F(ApiFixture, SampleCountsPastTheIdCeilingAreInvalidArguments) {
   EXPECT_TRUE(Solve(*context_, at_ceiling).ok());
 }
 
+TEST_F(ApiFixture, CampaignsPastThePieceCeilingAreInvalidArguments) {
+  // Covered-piece counts are bytes: 256 pieces would wrap them, and a
+  // 257-piece plan once scored above n. Every factory refuses the
+  // campaign before building or adopting anything.
+  Rng rng(37);
+  const auto wide = std::make_shared<Campaign>(
+      Campaign::SampleUniformPieces(256, 5, &rng));
+  ContextOptions options;
+  options.theta = 50;
+  const SampleSnapshot snap = context_->samples();
+  const LogisticAdoptionModel model(2.0, 1.0);
+  for (const Status& status :
+       {PlanningContext::Create(graph_, probs_, wide, model, options)
+            .status(),
+        PlanningContext::Borrow(*graph_, *probs_, *wide, model, options)
+            .status(),
+        PlanningContext::BorrowWithSamples(*graph_, *probs_, *wide, model,
+                                           snap.mrr.get())
+            .status()}) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("at most 255"), std::string::npos)
+        << status.ToString();
+  }
+  Rng rng255(37);
+  const auto widest = std::make_shared<Campaign>(
+      Campaign::SampleUniformPieces(255, 5, &rng255));
+  const auto ctx =
+      PlanningContext::Create(graph_, probs_, widest, model, options);
+  ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
+  EXPECT_EQ((*ctx)->campaign().num_pieces(), 255);
+}
+
 TEST_F(ApiFixture, SearchOptionsOutsideTheWireRangesAreInvalidArguments) {
   // The wire's rules: gap >= 0 and epsilon in (0, 1), with NaN failing
   // both. Each of these values used to abort inside the search instead.
@@ -323,6 +356,35 @@ TEST_F(ApiFixture, AllRegisteredSolversProduceFeasiblePlans) {
       }
     }
   }
+}
+
+/// Order-sensitive FNV-1a over a response's plan, the bits of its three
+/// utilities, and theta_used.
+uint64_t ResponseHash(const PlanResponse& r) {
+  uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+  mix(static_cast<uint64_t>(r.plan.num_pieces()));
+  for (int j = 0; j < r.plan.num_pieces(); ++j) {
+    mix(r.plan.SeedSet(j).size());
+    for (const VertexId v : r.plan.SeedSet(j)) mix(static_cast<uint64_t>(v));
+  }
+  mix(std::bit_cast<uint64_t>(r.utility));
+  mix(std::bit_cast<uint64_t>(r.holdout_utility));
+  mix(std::bit_cast<uint64_t>(r.upper_bound));
+  mix(static_cast<uint64_t>(r.theta_used));
+  return h;
+}
+
+TEST_F(ApiFixture, ImAndTimSolversMatchThePinnedHashes) {
+  // Recorded when both baselines sampled a dedicated RR-set collection
+  // and TIM rebuilt each piece graph itself; "tim" now samples the
+  // context's own piece graphs.
+  const auto im = Solve(*context_, Request("im", 6));
+  const auto tim = Solve(*context_, Request("tim", 6));
+  ASSERT_TRUE(im.ok()) << im.status().ToString();
+  ASSERT_TRUE(tim.ok()) << tim.status().ToString();
+  EXPECT_EQ(ResponseHash(*im), 2463537641600507460ull);
+  EXPECT_EQ(ResponseHash(*tim), 6843310297028231737ull);
 }
 
 TEST_F(ApiFixture, EvaluateMatchesSolverUtilities) {

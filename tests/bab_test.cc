@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
+#include "data/datasets.h"
 #include "graph/generators.h"
 #include "oipa/adoption.h"
 #include "oipa/baselines.h"
@@ -312,8 +315,8 @@ TEST(BaselinesTest, RunAndProduceSinglePiecePlans) {
       ImBaseline(inst.graph, inst.probs, inst.campaign, *inst.mrr,
                  inst.model, inst.pool, 4, 2000, 199);
   const BaselineResult tim =
-      TimBaseline(inst.graph, inst.probs, inst.campaign, *inst.mrr,
-                  inst.model, inst.pool, 4, 2000, 211);
+      TimBaseline(inst.pieces, *inst.mrr, inst.model, inst.pool, 4, 2000,
+                  211);
   // Both concentrate all k seeds on one piece.
   for (const BaselineResult* r : {&im, &tim}) {
     ASSERT_GE(r->chosen_piece, 0);
@@ -333,14 +336,60 @@ TEST(BaselinesTest, BabBeatsOrMatchesBaselines) {
       ImBaseline(inst.graph, inst.probs, inst.campaign, *inst.mrr,
                  inst.model, inst.pool, k, 2000, 227);
   const BaselineResult tim =
-      TimBaseline(inst.graph, inst.probs, inst.campaign, *inst.mrr,
-                  inst.model, inst.pool, k, 2000, 229);
+      TimBaseline(inst.pieces, *inst.mrr, inst.model, inst.pool, k, 2000,
+                  229);
   BabOptions opts;
   opts.budget = k;
   const BabResult bab =
       BabSolver(inst.mrr.get(), inst.model, inst.pool, opts).Solve();
   EXPECT_GE(bab.utility + 1e-6, im.utility * (1 - 1e-9));
   EXPECT_GE(bab.utility + 1e-6, tim.utility * (1 - 1e-9));
+}
+
+/// Order-sensitive FNV-1a over a BaselineResult: every piece's seed set,
+/// the bits of the utility, and the chosen piece (not the timing).
+uint64_t BaselineHash(const BaselineResult& r) {
+  uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+  mix(static_cast<uint64_t>(r.plan.num_pieces()));
+  for (int j = 0; j < r.plan.num_pieces(); ++j) {
+    mix(r.plan.SeedSet(j).size());
+    for (const VertexId v : r.plan.SeedSet(j)) mix(static_cast<uint64_t>(v));
+  }
+  mix(std::bit_cast<uint64_t>(r.utility));
+  mix(static_cast<uint64_t>(static_cast<int64_t>(r.chosen_piece)));
+  return h;
+}
+
+// Recorded when both baselines sampled a dedicated RR-set collection and
+// TIM rebuilt each piece graph itself; one-piece MrrCollections over the
+// context's piece graphs must reproduce every bit.
+TEST(BaselinesTest, OutputsMatchThePinnedHashes) {
+  BabInstance inst(30, 0.12, 3, 5, 197);
+  EXPECT_EQ(BaselineHash(ImBaseline(inst.graph, inst.probs, inst.campaign,
+                                    *inst.mrr, inst.model, inst.pool, 4,
+                                    2000, 199)),
+            1660290603635818144ull);
+  EXPECT_EQ(BaselineHash(TimBaseline(inst.pieces, *inst.mrr, inst.model,
+                                     inst.pool, 4, 2000, 211)),
+            14741149985153474282ull);
+
+  // The integration suite's lastfm pipeline.
+  const Dataset lastfm = MakeDatasetByName("lastfm", 1.0, 5);
+  Rng rng(7);
+  const Campaign campaign =
+      Campaign::SampleUniformPieces(3, lastfm.num_topics, &rng);
+  const std::vector<InfluenceGraph> pieces =
+      BuildPieceGraphs(*lastfm.graph, *lastfm.probs, campaign);
+  const MrrCollection mrr = MrrCollection::Generate(pieces, 20'000, 11);
+  const LogisticAdoptionModel model(2.0, 1.0);
+  EXPECT_EQ(BaselineHash(ImBaseline(*lastfm.graph, *lastfm.probs, campaign,
+                                    mrr, model, lastfm.promoter_pool, 10,
+                                    5000, 13)),
+            5547357340513483178ull);
+  EXPECT_EQ(BaselineHash(TimBaseline(pieces, mrr, model,
+                                     lastfm.promoter_pool, 10, 5000, 17)),
+            16103612778894485369ull);
 }
 
 }  // namespace

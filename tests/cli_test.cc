@@ -541,6 +541,19 @@ TEST(CliDispatchTest, SampleCountsPastTheIdCeilingExit2) {
   }
 }
 
+TEST(CliDispatchTest, PieceCountsPastTheCeilingExit2) {
+  // Covered-piece counts are bytes, so 256 pieces would wrap them; and
+  // 2^32 + 1 must not narrow to one piece.
+  for (const char* flag : {"--ell=256", "--ell=300", "--ell=4294967297"}) {
+    const CliRun run = InvokeCli(TinyArgs("plan", {flag}));
+    EXPECT_EQ(run.code, 2) << flag;
+    EXPECT_NE(run.err.find("--ell must be in [1, 255]"), std::string::npos)
+        << flag << ": " << run.err;
+  }
+  const CliRun widest = InvokeCli(TinyArgs("generate", {"--ell=255"}));
+  EXPECT_EQ(widest.code, 0) << widest.err;
+}
+
 TEST(CliDispatchTest, ValuesTheWireRefusesExit2) {
   // Unchecked, these abort on a dataset CHECK or solve another problem:
   // k narrowed to 3, a search allowed to expand no node.

@@ -47,8 +47,8 @@ TEST_F(PipelineFixture, AllFourMethodsRunAndRank) {
       ImBaseline(*dataset_.graph, *dataset_.probs, campaign_, *mrr_,
                  *model_, dataset_.promoter_pool, k, 5000, 13);
   const BaselineResult tim =
-      TimBaseline(*dataset_.graph, *dataset_.probs, campaign_, *mrr_,
-                  *model_, dataset_.promoter_pool, k, 5000, 17);
+      TimBaseline(pieces_, *mrr_, *model_, dataset_.promoter_pool, k, 5000,
+                  17);
   BabOptions opts;
   opts.budget = k;
   const BabResult bab =

@@ -186,8 +186,8 @@ TEST(MrrIoTest, FromPartsBuildsUsableIndex) {
 
 /// A blob in the on-disk format, written field by field the way files
 /// were written before the in-memory layout went 32-bit: int64 theta,
-/// int32 pieces and n, (v2) provenance, then size-prefixed roots, int64
-/// offsets and members.
+/// int32 pieces and n, provenance (absent from the retired v1 format),
+/// then size-prefixed roots, int64 offsets and members.
 struct LegacyBlob {
   bool v2 = true;
   int64_t theta = 2;
@@ -231,9 +231,8 @@ struct LegacyBlob {
 };
 
 TEST(MrrIoTest, FilesInTheUnchangedFormatStillLoad) {
-  for (const bool v2 : {true, false}) {
+  {
     LegacyBlob blob;
-    blob.v2 = v2;
     StatusOr<MrrCollection> loaded = blob.Load("mrr_legacy.bin");
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     EXPECT_EQ(loaded->theta(), 2);
@@ -243,16 +242,25 @@ TEST(MrrIoTest, FilesInTheUnchangedFormatStillLoad) {
     EXPECT_EQ(std::vector<VertexId>(set.begin(), set.end()),
               (std::vector<VertexId>{3, 2}));
     EXPECT_EQ(loaded->SamplesContaining(0, 1), (std::vector<int64_t>{0}));
-    // Saving writes the same bytes back (v1 files come back as v2).
-    if (v2) {
-      const std::string path = testing::TempDir() + "/mrr_resaved.bin";
-      ASSERT_TRUE(SaveMrrCollection(*loaded, path).ok());
-      std::ifstream in(path, std::ios::binary);
-      const std::string saved((std::istreambuf_iterator<char>(in)),
-                              std::istreambuf_iterator<char>());
-      EXPECT_EQ(saved, blob.Bytes());
-      std::remove(path.c_str());
-    }
+    // Saving writes the same bytes back.
+    const std::string path = testing::TempDir() + "/mrr_resaved.bin";
+    ASSERT_TRUE(SaveMrrCollection(*loaded, path).ok());
+    std::ifstream in(path, std::ios::binary);
+    const std::string saved((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    EXPECT_EQ(saved, blob.Bytes());
+    std::remove(path.c_str());
+  }
+  {
+    // OIPAMRR1 is retired: its magic is refused, not loaded.
+    LegacyBlob v1;
+    v1.v2 = false;
+    const StatusOr<MrrCollection> refused = v1.Load("mrr_v1.bin");
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(refused.status().message().find("bad MRR magic"),
+              std::string::npos)
+        << refused.status().ToString();
   }
   // A generated collection saves to exactly the legacy byte layout.
   const MrrCollection original = MakeCollection(300, 53);
@@ -276,6 +284,31 @@ TEST(MrrIoTest, FilesInTheUnchangedFormatStillLoad) {
   EXPECT_TRUE(std::equal(loaded->members().begin(), loaded->members().end(),
                          original.members().begin(),
                          original.members().end()));
+}
+
+TEST(MrrIoTest, BlobsPastThePieceCeilingAreInvalidArguments) {
+  // One sample whose 256 sets each hold just the root: well-formed, but
+  // its covered-piece counts would wrap the byte counters.
+  LegacyBlob wide;
+  wide.theta = 1;
+  wide.pieces = 256;
+  wide.roots = {1};
+  wide.offsets.clear();
+  wide.nodes.assign(256, 1);
+  for (int64_t s = 0; s <= 256; ++s) wide.offsets.push_back(s);
+  const StatusOr<MrrCollection> loaded = wide.Load("mrr_wide.bin");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("pieces exceed"),
+            std::string::npos)
+      << loaded.status().ToString();
+  // 255 pieces still load.
+  wide.pieces = 255;
+  wide.offsets.pop_back();
+  wide.nodes.pop_back();
+  const StatusOr<MrrCollection> widest = wide.Load("mrr_widest.bin");
+  ASSERT_TRUE(widest.ok()) << widest.status().ToString();
+  EXPECT_EQ(widest->num_pieces(), 255);
 }
 
 TEST(MrrIoTest, BlobsPastTheLayoutAreInvalidArgumentsNotAborts) {

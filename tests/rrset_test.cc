@@ -15,7 +15,6 @@
 #include "graph/graph_builder.h"
 #include "rrset/coverage_state.h"
 #include "rrset/mrr_collection.h"
-#include "rrset/rr_collection.h"
 #include "rrset/rr_sampler.h"
 #include "topic/campaign.h"
 #include "topic/influence_graph.h"
@@ -77,69 +76,6 @@ TEST(PerSampleSeedTest, DistinctAcrossSamplesAndPieces) {
     }
   }
   EXPECT_EQ(seen.size(), 500u);
-}
-
-// ---------------------------------------------------------- Collection
-
-TEST(RrCollectionTest, SpreadEstimateMatchesExactOnSmallGraphs) {
-  const Graph g = GenerateErdosRenyi(10, 0.2, 7);
-  ASSERT_LE(g.num_edges(), 24);
-  const InfluenceGraph ig = InfluenceGraph::Uniform(g, 0.35f);
-  const RrCollection rr = RrCollection::Generate(ig, 150'000, 3);
-  for (const std::vector<VertexId>& seeds :
-       {std::vector<VertexId>{0}, {1, 2}, {0, 5, 9}}) {
-    const double exact = ExactSpread(ig, seeds);
-    EXPECT_NEAR(rr.EstimateSpread(seeds), exact,
-                0.03 * std::max(1.0, exact));
-  }
-}
-
-TEST(RrCollectionTest, ExtendMatchesSingleShot) {
-  const Graph g = GenerateErdosRenyi(50, 0.05, 9);
-  const InfluenceGraph ig = InfluenceGraph::Uniform(g, 0.3f);
-  RrCollection incremental = RrCollection::Generate(ig, 100, 77);
-  incremental.Extend(ig, 150);
-  const RrCollection oneshot = RrCollection::Generate(ig, 250, 77);
-  ASSERT_EQ(incremental.theta(), oneshot.theta());
-  for (int64_t i = 0; i < incremental.theta(); ++i) {
-    EXPECT_EQ(incremental.root(i), oneshot.root(i)) << i;
-    const auto a = incremental.Set(i);
-    const auto b = oneshot.Set(i);
-    ASSERT_EQ(a.size(), b.size()) << i;
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
-  }
-}
-
-TEST(RrCollectionTest, ThreadCountDoesNotChangeResults) {
-  const Graph g = GenerateErdosRenyi(60, 0.05, 11);
-  const InfluenceGraph ig = InfluenceGraph::Uniform(g, 0.4f);
-  SetNumThreads(1);
-  const RrCollection serial = RrCollection::Generate(ig, 500, 5);
-  SetNumThreads(4);
-  const RrCollection parallel = RrCollection::Generate(ig, 500, 5);
-  SetNumThreads(0);
-  ASSERT_EQ(serial.theta(), parallel.theta());
-  for (int64_t i = 0; i < serial.theta(); ++i) {
-    const auto a = serial.Set(i);
-    const auto b = parallel.Set(i);
-    ASSERT_EQ(a.size(), b.size()) << i;
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << i;
-  }
-}
-
-TEST(RrCollectionTest, InvertedIndexConsistent) {
-  const Graph g = GenerateErdosRenyi(40, 0.08, 13);
-  const InfluenceGraph ig = InfluenceGraph::Uniform(g, 0.5f);
-  const RrCollection rr = RrCollection::Generate(ig, 300, 7);
-  int64_t total = 0;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    for (int64_t i : rr.SamplesContaining(v)) {
-      const auto set = rr.Set(i);
-      EXPECT_TRUE(std::find(set.begin(), set.end(), v) != set.end());
-      ++total;
-    }
-  }
-  EXPECT_EQ(total, rr.TotalSize());
 }
 
 // ----------------------------------------------------------------- MRR
@@ -553,6 +489,81 @@ TEST(MrrLayoutTest, ExtendedCopyMatchesExtendAndLeavesTheSourceAlone) {
     EXPECT_TRUE(std::equal(unindexed_copy.members().begin(),
                            unindexed_copy.members().end(),
                            fresh.members().begin(), fresh.members().end()));
+  }
+}
+
+// ------------------------------------------------ One-piece collections
+
+/// Plain RR sets: `theta` one-piece MRR samples over `ig`.
+MrrCollection RrSets(const InfluenceGraph& ig, int64_t theta, uint64_t seed,
+                     int threads = 0) {
+  return MrrCollection::Generate(std::span<const InfluenceGraph>(&ig, 1),
+                                 theta, seed,
+                                 DiffusionModel::kIndependentCascade,
+                                 threads);
+}
+
+/// The RIS spread estimate of `seeds`: n times the fraction of RR sets
+/// holding a seed.
+double RisSpread(const MrrCollection& rr,
+                 const std::vector<VertexId>& seeds) {
+  std::vector<uint8_t> covered(rr.theta(), 0);
+  for (const VertexId s : seeds) {
+    rr.ForEachSampleContaining(0, s, [&](int64_t i) { covered[i] = 1; });
+  }
+  int64_t count = 0;
+  for (const uint8_t c : covered) count += c;
+  return static_cast<double>(count) * rr.UtilityScale();
+}
+
+TEST(OnePieceMrrTest, SpreadEstimateMatchesExactOnSmallGraphs) {
+  const Graph g = GenerateErdosRenyi(10, 0.2, 7);
+  ASSERT_LE(g.num_edges(), 24);
+  const InfluenceGraph ig = InfluenceGraph::Uniform(g, 0.35f);
+  const MrrCollection rr = RrSets(ig, 150'000, 3);
+  for (const std::vector<VertexId>& seeds :
+       {std::vector<VertexId>{0}, {1, 2}, {0, 5, 9}}) {
+    const double exact = ExactSpread(ig, seeds);
+    EXPECT_NEAR(RisSpread(rr, seeds), exact, 0.03 * std::max(1.0, exact));
+  }
+}
+
+/// Hashes of RR sets sampled over single influence graphs, recorded on
+/// the former dedicated RR-set collection (64-bit CSR arrays, a full
+/// inverted index rebuilt after every growth): a one-piece collection,
+/// fresh or grown, must hold the same roots, sets and posting lists at
+/// any worker count.
+TEST(OnePieceMrrTest, RrSetsMatchThePinnedHashes) {
+  const PinnedWorkload& w = Pinned();
+  const InfluenceGraph blind =
+      InfluenceGraph::TopicBlind(*w.dataset.graph, *w.dataset.probs);
+  const Graph ba = GenerateBarabasiAlbert(300, 3, 23);
+  const InfluenceGraph ba_ig = InfluenceGraph::WeightedCascade(ba);
+  const Graph er = GenerateErdosRenyi(60, 0.05, 11);
+  const InfluenceGraph er_ig = InfluenceGraph::Uniform(er, 0.4f);
+  struct Case {
+    const InfluenceGraph* ig;
+    int64_t generated;  // theta at Generate
+    int64_t grown;      // theta after Extend
+    uint64_t seed;
+    uint64_t pinned;
+  };
+  const Case cases[] = {
+      {&blind, 20'000, 20'000, 1, 5535393817758142200ull},
+      {&blind, 5'000, 12'000, 2, 1898030209853945595ull},
+      {&ba_ig, 3'000, 9'000, 5, 660398399949532283ull},
+      {&er_ig, 500, 500, 5, 8801547518471235960ull},
+      {&er_ig, 0, 250, 7, 12887628221034420635ull},
+  };
+  for (const Case& c : cases) {
+    for (const int threads : {1, 4}) {
+      MrrCollection rr = RrSets(*c.ig, c.generated, c.seed, threads);
+      rr.Extend(std::span<const InfluenceGraph>(c.ig, 1), c.grown, threads);
+      EXPECT_EQ(rr.theta(), c.grown);
+      EXPECT_EQ(CollectionHash(rr), c.pinned)
+          << "seed " << c.seed << ", theta " << c.grown << ", " << threads
+          << " threads";
+    }
   }
 }
 

@@ -546,6 +546,41 @@ TEST_F(ServeFixture, SampleCountsPastTheIdCeilingAreRejectedAndServingGoesOn) {
   EXPECT_TRUE(answered_next);
 }
 
+TEST_F(ServeFixture, PieceCountsPastTheCeilingAreRejectedAndServingGoesOn) {
+  // Covered-piece counts are bytes: ell = 256 wraps them, and at 257 a
+  // plan once scored above n. Both are refused before any build.
+  StartServer({});
+  const std::vector<std::string> lines = {
+      R"({"id":"wrap","dataset":{"n":250,"ell":256},)"
+      R"("sampling":{"theta":200},"plan":{"budgets":[2]}})",
+      R"({"id":"over","dataset":{"n":250,"ell":300},)"
+      R"("sampling":{"theta":200},"plan":{"budgets":[2]}})",
+      TinyRequest("next", 1, "[2]"),
+  };
+  const std::vector<std::string> responses =
+      SendLinesAndCollect(server_->port(), lines, lines.size());
+  ASSERT_EQ(responses.size(), lines.size());
+  int rejected = 0;
+  bool answered_next = false;
+  for (const std::string& line : responses) {
+    const JsonValue r = Parse(line);
+    if (r.Find("ok")->bool_value()) {
+      answered_next = r.Find("id")->string_value() == "next";
+      continue;
+    }
+    const JsonValue* error = r.Find("error");
+    ASSERT_NE(error, nullptr) << line;
+    EXPECT_EQ(error->Find("code")->string_value(), "InvalidArgument");
+    EXPECT_NE(error->Find("message")->string_value().find(
+                  "dataset.ell must be in [1, 255]"),
+              std::string::npos)
+        << line;
+    ++rejected;
+  }
+  EXPECT_EQ(rejected, 2);
+  EXPECT_TRUE(answered_next);
+}
+
 TEST_F(ServeFixture, QueuedCompatibleRequestsShareOneSweep) {
   ServerOptions options;
   options.workers = 1;  // forces queueing behind the blocker
