@@ -98,7 +98,8 @@ std::vector<std::string> RequestedDatasets(const FlagParser& flags);
 BenchScales RequestedScales(const FlagParser& flags);
 
 /// Default branch-and-bound options used by all figure benches: the
-/// paper's 1% gap plus a node cap that keeps laptop defaults bounded.
+/// paper's 1% gap, a node cap that keeps laptop defaults bounded, and
+/// Algorithm 2's full rescan (lazy_greedy off).
 BabOptions DefaultBabOptions(const FlagParser& flags);
 
 }  // namespace bench

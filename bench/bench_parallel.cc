@@ -47,6 +47,9 @@ int main(int argc, char** argv) {
   // these instances otherwise converge in a few hundred nodes, leaving
   // too little open work for the thread scaling to be measurable.
   base.exact_pruning = flags.GetBool("exact_pruning", true);
+  // Gated tau-evals/s floors (bench/BASELINE_parallel.json) were set on
+  // the full Algorithm 2 rescan; CELF would change what an eval costs.
+  base.lazy_greedy = false;
   const LogisticAdoptionModel model(2.0, 1.0);
 
   std::printf("=== parallel BAB scaling: %s, theta=%lld, k-sweep of %zu "
@@ -76,10 +79,7 @@ int main(int argc, char** argv) {
       PlanRequest request;
       request.solver = method;
       request.pool = env.dataset.promoter_pool;
-      request.options.gap = base.gap;
-      request.options.max_nodes = base.max_nodes;
-      request.options.variant = base.variant;
-      request.options.exact_pruning = base.exact_pruning;
+      request.options = base;
       request.num_threads = threads;
       const std::shared_ptr<const PlanningContext> context =
           env.Context(model);

@@ -23,6 +23,12 @@ Enforced rules (each failure names its rule id):
                     gated against a bench/BASELINE_*.json via
                     check_perf_regression.py (an ungated bench is a
                     regression trap).
+  narrowed-flag     No integer flag narrowed by a cast in src/
+                    (static_cast<int>(flags.GetInt(...)), even across a
+                    line break): the lenient GetInt reads "3x" as 3 and
+                    the cast wraps 4294967297 to 1. Front ends read
+                    integer flags with FlagParser::ReadInt, which refuses
+                    both with InvalidArgument naming the flag.
   lock-hierarchy    Every oipa::Mutex declared in src/ (outside
                     src/util/) is documented in README.md's "Locking
                     hierarchy" table — a mutex nobody wrote an ordering
@@ -57,6 +63,8 @@ RAW_SYNC_RE = re.compile(
 )
 API_CHECK_RE = re.compile(r"\bOIPA_CHECK(_OK|_EQ|_NE|_LT|_LE|_GT|_GE|_OP)?\s*\(")
 UNSEEDED_RNG_RE = re.compile(r"std::random_device\b|(?<![\w:])s?rand\s*\(")
+NARROWED_FLAG_RE = re.compile(
+    r"static_cast\s*<[^>]*>\s*\(\s*(?:[\w:]+(?:\.|->))*GetInt(?:List)?\s*\(")
 ALLOW_RE = re.compile(r"lint:allow\((?P<rule>[a-z-]+)\)\s*:\s*(?P<reason>\S.*)")
 ALLOW_NO_REASON_RE = re.compile(r"lint:allow\((?P<rule>[a-z-]+)\)\s*(?!:\s*\S)")
 NOLINT_RE = re.compile(r"NOLINT(NEXTLINE|BEGIN|END)?\b(\((?P<checks>[^)]*)\))?")
@@ -125,12 +133,11 @@ def iter_cxx_files(root: str, subdir: str):
                 yield os.path.join(dirpath, name)
 
 
-def scan_cxx_file(path: str, rel: str, findings: Findings,
-                  rules: list[tuple[str, re.Pattern, str]]) -> None:
-    with open(path, encoding="utf-8") as f:
-        raw_lines = f.read().splitlines()
+def code_lines(raw_lines: list[str]) -> list[str]:
+    """Each line with comments and string/char literals removed."""
+    out = []
     in_block_comment = False
-    for idx, raw in enumerate(raw_lines):
+    for raw in raw_lines:
         line = raw
         # Per-line block-comment state machine (good enough for this
         # codebase's comment style; strings containing /* are stripped
@@ -153,7 +160,15 @@ def scan_cxx_file(path: str, rel: str, findings: Findings,
                     code_parts.append(line[:start])
                     line = line[start + 2:]
                     in_block_comment = True
-        code = strip_comments_and_strings("".join(code_parts))
+        out.append(strip_comments_and_strings("".join(code_parts)))
+    return out
+
+
+def scan_cxx_file(path: str, rel: str, findings: Findings,
+                  rules: list[tuple[str, re.Pattern, str]]) -> None:
+    with open(path, encoding="utf-8") as f:
+        raw_lines = f.read().splitlines()
+    for idx, code in enumerate(code_lines(raw_lines)):
         for rule, pattern, message in rules:
             m = pattern.search(code)
             if not m:
@@ -162,6 +177,26 @@ def scan_cxx_file(path: str, rel: str, findings: Findings,
             if waived(rule, raw_lines, idx, where, findings):
                 continue
             findings.error(rule, where, f"{message} (matched '{m.group(0)}')")
+
+
+def check_narrowed_flags(root: str, findings: Findings) -> None:
+    """A cast around GetInt may wrap the call onto the next line, so the
+    rule matches over each src/ file's code joined into one string."""
+    for path in iter_cxx_files(root, "src"):
+        rel = os.path.relpath(path, root)
+        with open(path, encoding="utf-8") as f:
+            raw_lines = f.read().splitlines()
+        code = "\n".join(code_lines(raw_lines))
+        for m in NARROWED_FLAG_RE.finditer(code):
+            idx = code.count("\n", 0, m.start())
+            where = f"{rel}:{idx + 1}"
+            if waived("narrowed-flag", raw_lines, idx, where, findings):
+                continue
+            matched = " ".join(m.group(0).split())
+            findings.error(
+                "narrowed-flag", where,
+                "integer flag narrowed by a cast — read it with "
+                f"FlagParser::ReadInt (matched '{matched}')")
 
 
 def count_suppressions(root: str, findings: Findings) -> None:
@@ -338,6 +373,7 @@ def main() -> int:
                   "raw std synchronization primitive — use oipa::Mutex / "
                   "oipa::MutexLock / oipa::CondVar (util/threading.h)")])
 
+    check_narrowed_flags(root, findings)
     check_test_registration(root, findings)
     check_bench_baselines(root, findings)
     check_lock_hierarchy(root, findings)

@@ -1,17 +1,17 @@
 #include "cli/cli.h"
 
 #include <algorithm>
-#include <cmath>
-#include <csignal>
+#include <charconv>
+#include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "cli/json_writer.h"
-#include "data/datasets.h"
 #include "learn/action_log.h"
 #include "learn/tic_learner.h"
 #include "oipa/adoption.h"
@@ -19,10 +19,9 @@
 #include "oipa/api/planning_context.h"
 #include "oipa/api/solver_registry.h"
 #include "oipa/branch_and_bound.h"
-#include "rrset/mrr_collection.h"
 #include "serve/client.h"
 #include "serve/json_parser.h"
-#include "serve/server.h"
+#include "serve/launcher.h"
 #include "serve/wire.h"
 #include "topic/campaign.h"
 #include "topic/influence_graph.h"
@@ -73,13 +72,12 @@ struct Pipeline {
 };
 
 /// Effective solver worker count for this run, as echoed in the JSON
-/// config: flag absent (-1) = one deterministic search worker,
-/// --threads=0 = auto-detect, --threads=N = exactly N.
-int ResolvedSolverThreads(const CliConfig& c) {
-  if (c.threads < 0) return 1;
+/// config: --threads absent = the wire's one deterministic search
+/// worker, --threads=0 = auto-detect, --threads=N = exactly N.
+int ResolvedSolverThreads(const serve::WireRequest& r) {
   // The solver clamps plan.threads 0's auto-detection to its worker cap.
-  if (c.threads == 0) return std::min(GetNumThreads(), kMaxBabWorkers);
-  return c.threads;
+  if (r.plan.threads == 0) return std::min(GetNumThreads(), kMaxBabWorkers);
+  return r.plan.threads;
 }
 
 JsonValue DatasetJson(const Pipeline& p) {
@@ -105,8 +103,8 @@ void RunLearning(Pipeline* p, std::ostream& err) {
   err << "[oipa_cli] simulating " << c.cascades
       << " cascades and learning TIC probabilities...\n";
   WallTimer timer;
-  const ActionLog log =
-      GenerateActionLog(graph, truth, c.cascades, 5, c.seed + 3);
+  const ActionLog log = GenerateActionLog(graph, truth, c.cascades, 5,
+                                          c.request.dataset.seed + 3);
   const double log_seconds = timer.Seconds();
 
   timer.Reset();
@@ -143,8 +141,8 @@ Status BuildContext(Pipeline* p, std::ostream& err) {
   const CliConfig& c = *p->config;
   const serve::DatasetSpec& d = c.request.dataset;
   p->campaign = serve::BuildCampaign(d, p->dataset.num_topics);
-  err << "[oipa_cli] sampling " << c.theta << " MRR sets over " << c.ell
-      << " pieces...\n";
+  err << "[oipa_cli] sampling " << c.request.sampling.theta
+      << " MRR sets over " << d.ell << " pieces...\n";
   ContextOptions options = serve::ToContextOptions(c.request);
   options.share_samples = c.share_samples;
   WallTimer timer;
@@ -163,18 +161,19 @@ Status BuildContext(Pipeline* p, std::ostream& err) {
 JsonValue SimulateJson(const Pipeline& p, const AssignmentPlan& plan,
                        std::ostream& err) {
   const CliConfig& c = *p.config;
+  const serve::DatasetSpec& d = c.request.dataset;
   err << "[oipa_cli] validating with " << c.trials
       << " forward simulations...\n";
-  const LogisticAdoptionModel model(c.alpha, c.beta);
+  const LogisticAdoptionModel model(d.alpha, d.beta);
   WallTimer timer;
   double utility = 0.0;
   if (p.learned) {
     const auto truth_pieces =
         BuildPieceGraphs(*p.dataset.graph, *p.dataset.probs, p.campaign);
     utility = SimulateAdoptionUtility(truth_pieces, model, plan, c.trials,
-                                      c.seed + 6);
+                                      d.seed + 6);
   } else {
-    utility = p.context->SimulateUtility(plan, c.trials, c.seed + 6);
+    utility = p.context->SimulateUtility(plan, c.trials, d.seed + 6);
   }
   JsonValue j = JsonValue::Object();
   j.Set("trials", c.trials)
@@ -199,30 +198,31 @@ JsonValue SampleStoreJson(const Pipeline& p) {
 }
 
 JsonValue ConfigJson(const CliConfig& c) {
+  const serve::WireRequest& r = c.request;
   JsonValue j = JsonValue::Object();
-  j.Set("dataset", c.dataset)
-      .Set("method", c.method)
-      .Set("k", c.k)
-      .Set("ell", c.ell)
-      .Set("theta", c.theta)
-      .Set("epsilon", c.epsilon)
-      .Set("sampling_epsilon", c.sampling_epsilon)
-      .Set("max_theta", c.max_theta)
-      .Set("gap", c.gap)
-      .Set("alpha", c.alpha)
-      .Set("beta", c.beta)
-      .Set("bound", c.bound)
+  j.Set("dataset", r.dataset.name)
+      .Set("method", r.plan.method)
+      .Set("k", r.plan.budgets.front())
+      .Set("ell", r.dataset.ell)
+      .Set("theta", r.sampling.theta)
+      .Set("epsilon", r.plan.epsilon)
+      .Set("sampling_epsilon", r.sampling.epsilon)
+      .Set("max_theta", r.sampling.max_theta)
+      .Set("gap", r.plan.gap)
+      .Set("alpha", r.dataset.alpha)
+      .Set("beta", r.dataset.beta)
+      .Set("bound", r.plan.bound)
       .Set("progressive", c.progressive)
-      .Set("stopping", c.stopping)
+      .Set("stopping", r.sampling.stopping)
       .Set("share_samples", c.share_samples)
       .Set("learn", c.learn)
-      .Set("threads", ResolvedSolverThreads(c))
+      .Set("threads", ResolvedSolverThreads(r))
       // The worker count sample generation actually ran with (plumbed
       // through ContextOptions::sampling_threads). It can legitimately
       // differ from "threads": a default run samples on every core but
       // solves sequentially.
-      .Set("sampling_threads", ResolveThreadCount(c.request.sampling.threads))
-      .Set("seed", static_cast<int64_t>(c.seed));
+      .Set("sampling_threads", ResolveThreadCount(r.sampling.threads))
+      .Set("seed", static_cast<int64_t>(r.dataset.seed));
   return j;
 }
 
@@ -253,7 +253,8 @@ int RunPipeline(const CliConfig& c, std::ostream& out, std::ostream& err) {
   JsonValue result = JsonValue::Object();
   result.Set("command", c.command).Set("config", ConfigJson(c));
 
-  err << "[oipa_cli] building dataset '" << c.dataset << "'...\n";
+  err << "[oipa_cli] building dataset '" << c.request.dataset.name
+      << "'...\n";
   WallTimer timer;
   p.dataset = serve::BuildDataset(c.request.dataset);
   p.dataset_seconds = timer.Seconds();
@@ -276,7 +277,7 @@ int RunPipeline(const CliConfig& c, std::ostream& out, std::ostream& err) {
   }
 
   // The daemon's solve of the same request (PlanServer::HandleGroup).
-  err << "[oipa_cli] solving OIPA (method=" << c.method << ", "
+  err << "[oipa_cli] solving OIPA (method=" << c.request.plan.method << ", "
       << c.request.plan.budgets.size() << " budget(s))...\n";
   PlanRequest request =
       serve::ToPlanRequest(c.request, p.dataset.promoter_pool);
@@ -305,83 +306,23 @@ int RunPipeline(const CliConfig& c, std::ostream& out, std::ostream& err) {
 
 // --------------------------------------------------------------- serving
 
-/// Renders this config's dataset, sampling and plan stages as one
-/// wire-protocol request line (see src/serve/wire.h): the line `plan
-/// --server` sends and every local run parses and solves. Doubles are
-/// written in round-trip form, so the line carries flag values exactly.
-std::string WirePlanRequestLine(const CliConfig& c) {
-  JsonValue dataset = JsonValue::Object();
-  dataset.Set("name", c.dataset)
-      .Set("n", c.n)
-      .Set("topics", static_cast<int64_t>(c.num_topics))
-      .Set("scale", c.scale)
-      .Set("pool_fraction", c.pool_fraction)
-      .Set("seed", static_cast<int64_t>(c.seed))
-      .Set("ell", static_cast<int64_t>(c.ell))
-      .Set("alpha", c.alpha)
-      .Set("beta", c.beta);
-  JsonValue sampling = JsonValue::Object();
-  // Each pipeline stage draws from its own stream derived from --seed:
-  // the dataset from seed, the campaign from seed+4 (BuildCampaign), the
-  // samples from seed+5.
-  sampling.Set("theta", c.theta)
-      .Set("seed", static_cast<int64_t>(c.seed + 5))
-      .Set("epsilon", c.sampling_epsilon)
-      .Set("max_theta", c.max_theta)
-      .Set("stopping", c.stopping);
-  if (c.threads > 0) {
-    // --threads=N pins sampling to N workers too; absent or 0 leaves it
-    // on the GetNumThreads() auto path. Samples are bit-identical at any
-    // width, so this changes only wall-clock.
-    sampling.Set("threads", static_cast<int64_t>(c.threads));
-  }
-  JsonValue plan = JsonValue::Object();
-  plan.Set("method", c.method);
-  JsonValue budgets = JsonValue::Array();
-  for (const int64_t k : c.k_sweep) budgets.Append(k);
-  plan.Set("budgets", std::move(budgets))
-      .Set("gap", c.gap)
-      .Set("epsilon", c.epsilon)
-      .Set("bound", c.bound)
-      .Set("max_nodes", c.max_nodes);
-  if (c.threads >= 0) {
-    plan.Set("threads", static_cast<int64_t>(c.threads));
-  }
-  if (c.deadline_ms > 0) plan.Set("deadline_ms", c.deadline_ms);
-  plan.Set("seed", static_cast<int64_t>(c.seed));
-
-  JsonValue request = JsonValue::Object();
-  request.Set("id", "oipa_cli")
-      .Set("dataset", std::move(dataset))
-      .Set("sampling", std::move(sampling))
-      .Set("plan", std::move(plan));
-  return request.Dump(-1);
-}
-
+/// Splits --server's "host:port"; "localhost" means 127.0.0.1.
 Status SplitHostPort(const std::string& server, std::string* host,
                      int* port) {
   const size_t colon = server.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == server.size()) {
+  if (colon == std::string::npos || colon == 0) {
     return Status::InvalidArgument("--server expects host:port, got '" +
                                    server + "'");
   }
-  *host = server.substr(0, colon);
-  const std::string port_text = server.substr(colon + 1);
-  int parsed = 0;
-  for (const char ch : port_text) {
-    if (ch < '0' || ch > '9' || parsed > 65535) {
-      return Status::InvalidArgument("--server port '" + port_text +
-                                     "' is not in [1, 65535]");
-    }
-    parsed = parsed * 10 + (ch - '0');
-  }
-  if (parsed < 1 || parsed > 65535) {
-    return Status::InvalidArgument("--server port '" + port_text +
+  const char* end = server.data() + server.size();
+  const auto [ptr, ec] = std::from_chars(server.data() + colon + 1, end, *port);
+  if (ec != std::errc() || ptr != end || *port < 1 || *port > 65535) {
+    return Status::InvalidArgument("--server port '" +
+                                   server.substr(colon + 1) +
                                    "' is not in [1, 65535]");
   }
-  *host = *host == "localhost" ? "127.0.0.1" : *host;
-  *port = parsed;
+  *host = server.substr(0, colon);
+  if (*host == "localhost") *host = "127.0.0.1";
   return Status::Ok();
 }
 
@@ -400,9 +341,9 @@ int RunRemotePlan(const CliConfig& c, std::ostream& out,
   err << "[oipa_cli] planning via oipa_serve at " << c.server << "...\n";
   serve::ClientOptions client_options;
   client_options.retries = c.retries;
-  client_options.read_timeout_ms = static_cast<int>(c.timeout_ms);
+  client_options.read_timeout_ms = c.timeout_ms;
   // Determinism contract: the retry schedule derives from --seed.
-  client_options.jitter_seed = c.seed;
+  client_options.jitter_seed = c.request.plan.seed;
   const StatusOr<std::string> response =
       serve::RequestOverTcp(host, port, c.wire_line, client_options);
   if (!response.ok()) {
@@ -416,82 +357,145 @@ int RunRemotePlan(const CliConfig& c, std::ostream& out,
     out << *response << "\n";
     return 1;
   }
-  const std::string rendered = parsed->Dump(c.indent);
-  out << rendered << "\n";
-  if (!c.output.empty()) {
-    std::ofstream file(c.output);
-    file << rendered << "\n";
-    if (!file) {
-      err << "oipa_cli: cannot write --output file '" << c.output << "'\n";
-      return 1;
-    }
-    err << "[oipa_cli] wrote " << c.output << "\n";
+  if (const int code = EmitResult(c, *parsed, out, err); code != 0) {
+    return code;
   }
   const JsonValue* ok = parsed->Find("ok");
   return ok != nullptr && ok->is_bool() && ok->bool_value() ? 0 : 1;
 }
 
-/// Signal handlers may only call the async-signal-safe
-/// PlanServer::RequestShutdown; the pointer is published before the
-/// handlers are installed and cleared after they are restored.
-serve::PlanServer* g_serve_command_server = nullptr;
+// --------------------------------------------------------------- parsing
 
-extern "C" void HandleServeSignal(int /*signum*/) {
-  if (g_serve_command_server != nullptr) {
-    g_serve_command_server->RequestShutdown();
+/// How a flag becomes the value of one wire field.
+enum class FlagKind {
+  kString,
+  kInt,
+  kDouble,
+  /// --seed + 5, the samples' stream. Each stage draws from its own
+  /// stream: the dataset and the plan from --seed, the campaign from
+  /// --seed + 4 (serve::BuildCampaign). Seeds are 64-bit patterns, as on
+  /// the wire: -1 is 2^64 - 1.
+  kSampleSeed,
+  /// --threads, when > 0: pins sampling to N workers too (absent or 0
+  /// keeps the auto path; samples are bit-identical at any width).
+  kSampleThreads,
+  /// --k, a budget list (a sweep for bench).
+  kBudgets,
+  /// --method, else bab-p or bab by --progressive.
+  kMethod,
+};
+
+/// One wire field and the flag that sets it.
+struct WireFlag {
+  const char* flag;
+  const char* section;
+  const char* key;
+  FlagKind kind;
+  /// Written when the flag is absent: the wire's own default, so the
+  /// line names every field. nullptr leaves the field out.
+  const char* fallback;
+};
+
+/// Every wire field a flag sets, in the order of the line. The wire
+/// parser, not this table, checks the values.
+constexpr WireFlag kWireFlags[] = {
+    {"dataset", "dataset", "name", FlagKind::kString, "synthetic"},
+    {"n", "dataset", "n", FlagKind::kInt, "2000"},
+    {"topics", "dataset", "topics", FlagKind::kInt, "10"},
+    {"scale", "dataset", "scale", FlagKind::kDouble, "0.01"},
+    {"pool_fraction", "dataset", "pool_fraction", FlagKind::kDouble, "0.1"},
+    {"seed", "dataset", "seed", FlagKind::kInt, "1"},
+    {"ell", "dataset", "ell", FlagKind::kInt, "3"},
+    {"alpha", "dataset", "alpha", FlagKind::kDouble, "2"},
+    {"beta", "dataset", "beta", FlagKind::kDouble, "1"},
+    {"theta", "sampling", "theta", FlagKind::kInt, "20000"},
+    {"seed", "sampling", "seed", FlagKind::kSampleSeed, "1"},
+    {"sampling_epsilon", "sampling", "epsilon", FlagKind::kDouble, "0"},
+    {"max_theta", "sampling", "max_theta", FlagKind::kInt, "2000000"},
+    {"stopping", "sampling", "stopping", FlagKind::kString, "holdout"},
+    {"threads", "sampling", "threads", FlagKind::kSampleThreads, nullptr},
+    {"method", "plan", "method", FlagKind::kMethod, ""},
+    {"k", "plan", "budgets", FlagKind::kBudgets, "10"},
+    {"gap", "plan", "gap", FlagKind::kDouble, "0.01"},
+    {"epsilon", "plan", "epsilon", FlagKind::kDouble, "0.5"},
+    {"bound", "plan", "bound", FlagKind::kString, "zero"},
+    {"max_nodes", "plan", "max_nodes", FlagKind::kInt, "100000"},
+    {"threads", "plan", "threads", FlagKind::kInt, nullptr},
+    {"deadline_ms", "plan", "deadline_ms", FlagKind::kInt, nullptr},
+    {"seed", "plan", "seed", FlagKind::kInt, "1"},
+};
+
+/// Sets `f`'s field of `section` from its flag, or from its fallback.
+Status WriteWireFlag(const FlagParser& flags, const WireFlag& f,
+                     JsonValue* section) {
+  if (f.fallback == nullptr && !flags.Has(f.flag)) return Status::Ok();
+  const char* fallback = f.fallback == nullptr ? "0" : f.fallback;
+  switch (f.kind) {
+    case FlagKind::kString:
+      section->Set(f.key, flags.GetString(f.flag, fallback));
+      break;
+    case FlagKind::kInt: {
+      int64_t value = std::strtoll(fallback, nullptr, 10);
+      OIPA_RETURN_IF_ERROR(flags.ReadInt(f.flag, &value));
+      section->Set(f.key, value);
+      break;
+    }
+    case FlagKind::kDouble: {
+      double value = std::strtod(fallback, nullptr);
+      OIPA_RETURN_IF_ERROR(flags.ReadDouble(f.flag, &value));
+      section->Set(f.key, value);
+      break;
+    }
+    case FlagKind::kSampleSeed: {
+      int64_t seed = std::strtoll(fallback, nullptr, 10);
+      OIPA_RETURN_IF_ERROR(flags.ReadInt(f.flag, &seed));
+      section->Set(f.key,
+                   static_cast<int64_t>(static_cast<uint64_t>(seed) + 5));
+      break;
+    }
+    case FlagKind::kSampleThreads: {
+      int64_t threads = 0;
+      OIPA_RETURN_IF_ERROR(flags.ReadInt(f.flag, &threads));
+      if (threads > 0) section->Set(f.key, threads);
+      break;
+    }
+    case FlagKind::kBudgets: {
+      std::vector<int64_t> budgets = {std::strtoll(fallback, nullptr, 10)};
+      OIPA_RETURN_IF_ERROR(flags.ReadIntList(f.flag, &budgets));
+      JsonValue list = JsonValue::Array();
+      for (const int64_t k : budgets) list.Append(k);
+      section->Set(f.key, std::move(list));
+      break;
+    }
+    case FlagKind::kMethod: {
+      std::string method = flags.GetString(f.flag, fallback);
+      // Back-compat: --progressive picked between the two paper solvers
+      // before --method existed.
+      if (method.empty()) {
+        method = flags.GetBool("progressive", true) ? "bab-p" : "bab";
+      }
+      section->Set(f.key, method);
+      break;
+    }
   }
+  return Status::Ok();
 }
 
-/// `serve`: run the planning daemon in-process until SIGINT/SIGTERM,
-/// then drain in-flight solves and exit (the standalone oipa_serve
-/// binary is this loop minus the CLI flag surface).
-int RunServe(const CliConfig& c, std::ostream& out, std::ostream& err) {
-  serve::ServerOptions options;
-  options.host = c.host;
-  options.port = c.port;
-  options.workers = c.workers;
-  options.max_contexts = c.max_contexts;
-  options.store_budget_bytes = c.store_budget_mb * 1024 * 1024;
-
-  serve::PlanServer server(options);
-  if (const Status started = server.Start(); !started.ok()) {
-    err << "oipa_cli: " << started.ToString() << "\n";
-    return 1;
+/// A message of serve::ParseWireRequest with each wire field it names
+/// ("dataset.topics") replaced by the flag that sets it ("--topics").
+/// "dataset.name" precedes "dataset.n" in kWireFlags, so it is replaced
+/// first.
+std::string NameFlags(std::string message) {
+  for (const WireFlag& f : kWireFlags) {
+    const std::string path = std::string(f.section) + "." + f.key;
+    for (size_t at; (at = message.find(path)) != std::string::npos;) {
+      message.replace(at, path.size(), std::string("--") + f.flag);
+    }
   }
-  g_serve_command_server = &server;
-  std::signal(SIGINT, HandleServeSignal);
-  std::signal(SIGTERM, HandleServeSignal);
-
-  // The smoke harness and humans both scrape this line for the port.
-  out << "oipa_serve listening on " << options.host << ":"
-      << server.port() << std::endl;
-
-  server.Wait();
-  err << "[oipa_cli] draining...\n";
-  server.Stop();
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
-  g_serve_command_server = nullptr;
-  err << "[oipa_cli] stopped\n";
-  return 0;
+  return message;
 }
 
 }  // namespace
-
-// --------------------------------------------------------------- parsing
-
-Status ParseBoundVariant(const std::string& name, BoundVariant* out) {
-  if (name == "zero") {
-    *out = BoundVariant::kZeroAnchored;
-    return Status::Ok();
-  }
-  if (name == "paper") {
-    *out = BoundVariant::kPaperTangent;
-    return Status::Ok();
-  }
-  return Status::InvalidArgument("unknown --bound '" + name +
-                                 "' (expected zero|paper)");
-}
 
 Status ParseCliConfig(const FlagParser& flags, CliConfig* config) {
   CliConfig c;
@@ -504,139 +508,51 @@ Status ParseCliConfig(const FlagParser& flags, CliConfig* config) {
                                    "' (expected generate|learn|plan|"
                                    "simulate|bench|serve)");
   }
-
-  c.dataset = flags.GetString("dataset", c.dataset);
-  if (c.dataset != "synthetic" && c.dataset != "lastfm" &&
-      c.dataset != "dblp" && c.dataset != "tweet") {
-    return Status::InvalidArgument(
-        "unknown --dataset '" + c.dataset +
-        "' (expected synthetic|lastfm|dblp|tweet)");
+  if (c.command == "serve") {
+    OIPA_RETURN_IF_ERROR(serve::ParseServerFlags(flags, &c.daemon));
+    *config = std::move(c);
+    return Status::Ok();
   }
-  c.n = flags.GetInt("n", c.n);
-  c.num_topics = static_cast<int>(flags.GetInt("topics", c.num_topics));
-  c.scale = flags.GetDouble("scale", c.scale);
-  c.pool_fraction = flags.GetDouble("pool_fraction", c.pool_fraction);
 
   c.learn = flags.GetBool("learn", c.learn);
-  c.cascades = static_cast<int>(flags.GetInt("cascades", c.cascades));
-  c.em_iterations =
-      static_cast<int>(flags.GetInt("em_iterations", c.em_iterations));
-
+  OIPA_RETURN_IF_ERROR(flags.ReadInt("cascades", &c.cascades));
+  OIPA_RETURN_IF_ERROR(flags.ReadInt("em_iterations", &c.em_iterations));
   c.progressive = flags.GetBool("progressive", c.progressive);
-  c.method = flags.GetString("method", c.method);
-  if (c.method.empty()) {
-    // Back-compat: --progressive picked between the two paper solvers
-    // before --method existed.
-    c.method = c.progressive ? "bab-p" : "bab";
-  }
-  if (c.method != "list" && !SolverRegistry::Global().Contains(c.method)) {
-    // Find() composes the "unknown solver ... (registered: ...)" message.
-    return SolverRegistry::Global().Find(c.method).status();
-  }
-
-  c.k = static_cast<int>(flags.GetInt("k", c.k));
-  // Checked before narrowing, so --ell=4294967297 cannot pass as 1.
-  const int64_t ell = flags.GetInt("ell", c.ell);
-  if (ell < 1 || ell > MrrCollection::kMaxPieces) {
-    return Status::InvalidArgument(
-        "--ell must be in [1, " +
-        std::to_string(MrrCollection::kMaxPieces) + "]");
-  }
-  c.ell = static_cast<int>(ell);
-  c.theta = flags.GetInt("theta", c.theta);
-  c.epsilon = flags.GetDouble("epsilon", c.epsilon);
-  c.sampling_epsilon =
-      flags.GetDouble("sampling_epsilon", c.sampling_epsilon);
-  c.max_theta = flags.GetInt("max_theta", c.max_theta);
-  c.stopping = flags.GetString("stopping", c.stopping);
   c.share_samples = flags.GetBool("share_samples", c.share_samples);
-  c.gap = flags.GetDouble("gap", c.gap);
-  c.alpha = flags.GetDouble("alpha", c.alpha);
-  c.beta = flags.GetDouble("beta", c.beta);
-  c.bound = flags.GetString("bound", c.bound);
-  c.max_nodes = flags.GetInt("max_nodes", c.max_nodes);
-  c.deadline_ms = flags.GetInt("deadline_ms", c.deadline_ms);
+  OIPA_RETURN_IF_ERROR(flags.ReadInt("trials", &c.trials, 1));
   c.server = flags.GetString("server", c.server);
-  c.retries = static_cast<int>(flags.GetInt("retries", c.retries));
-  c.timeout_ms = flags.GetInt("timeout_ms", c.timeout_ms);
-  c.host = flags.GetString("host", c.host);
-  c.port = static_cast<int>(flags.GetInt("port", c.port));
-  c.workers = static_cast<int>(flags.GetInt("workers", c.workers));
-  c.max_contexts =
-      static_cast<int>(flags.GetInt("max_contexts", c.max_contexts));
-  c.store_budget_mb = flags.GetInt("store_budget_mb", c.store_budget_mb);
-  c.trials = static_cast<int>(flags.GetInt("trials", c.trials));
-  c.k_sweep = flags.GetIntList("k", {c.k});
-
-  if (flags.Has("threads")) {
-    c.threads = static_cast<int>(flags.GetInt("threads", 0));
-  }
-  c.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  c.indent = static_cast<int>(flags.GetInt("indent", c.indent));
+  OIPA_RETURN_IF_ERROR(flags.ReadInt("retries", &c.retries, 0));
+  OIPA_RETURN_IF_ERROR(flags.ReadInt("timeout_ms", &c.timeout_ms, 1));
+  OIPA_RETURN_IF_ERROR(flags.ReadInt("indent", &c.indent));
   c.output = flags.GetString("output", c.output);
 
-  if (c.n < 1) return Status::InvalidArgument("--n must be >= 1");
-  if (c.dataset == "synthetic" &&
-      (c.n < kMinSyntheticVertices ||
-       c.n > std::numeric_limits<VertexId>::max())) {
-    return Status::InvalidArgument(
-        "--n must be in [" + std::to_string(kMinSyntheticVertices) + ", " +
-        std::to_string(std::numeric_limits<VertexId>::max()) +
-        "] for the synthetic dataset");
+  // One request model: local runs solve the parsed line, and --server
+  // sends it, so whatever the wire refuses exits 2 before any stage.
+  JsonValue line = JsonValue::Object();
+  line.Set("id", "oipa_cli");
+  for (const char* name : {"dataset", "sampling", "plan"}) {
+    JsonValue section = JsonValue::Object();
+    for (const WireFlag& f : kWireFlags) {
+      if (std::string_view(f.section) != name) continue;
+      OIPA_RETURN_IF_ERROR(WriteWireFlag(flags, f, &section));
+    }
+    line.Set(name, std::move(section));
   }
-  if (c.num_topics < 1) {
-    return Status::InvalidArgument("--topics must be >= 1");
+  c.wire_line = line.Dump(-1);
+  StatusOr<serve::WireRequest> request = serve::ParseWireRequest(c.wire_line);
+  if (!request.ok()) {
+    return Status(request.status().code(),
+                  NameFlags(request.status().message()));
   }
-  if (c.k < 1) return Status::InvalidArgument("--k must be >= 1");
-  if (c.theta < 1 || c.theta > MrrCollection::kMaxSamples) {
-    return Status::InvalidArgument(
-        "--theta must be in [1, " +
-        std::to_string(MrrCollection::kMaxSamples) + "]");
+  c.request = *std::move(request);
+
+  if (!SolverRegistry::Global().Contains(c.request.plan.method)) {
+    // Find() composes the "unknown solver ... (registered: ...)" message.
+    return SolverRegistry::Global().Find(c.request.plan.method).status();
   }
-  if (c.max_theta > MrrCollection::kMaxSamples) {
-    return Status::InvalidArgument(
-        "--max_theta must be <= " +
-        std::to_string(MrrCollection::kMaxSamples));
-  }
-  // Negated so that NaN fails too.
-  if (!(c.epsilon > 0.0 && c.epsilon < 1.0)) {
-    return Status::InvalidArgument("--epsilon must be in (0, 1)");
-  }
-  if (!(c.gap >= 0.0)) return Status::InvalidArgument("--gap must be >= 0");
-  if (c.sampling_epsilon < 0.0 || c.sampling_epsilon >= 1.0) {
-    return Status::InvalidArgument(
-        "--sampling_epsilon must be in [0, 1) (0 = one-shot solve)");
-  }
-  if (c.sampling_epsilon > 0.0 && c.max_theta < c.theta) {
-    // Only meaningful for progressive runs; a plain --theta above the
-    // default growth cap is fine.
-    return Status::InvalidArgument("--max_theta must be >= --theta");
-  }
-  if (c.trials < 1) return Status::InvalidArgument("--trials must be >= 1");
-  if (!std::isfinite(c.alpha) || c.alpha <= 0.0) {
-    return Status::InvalidArgument("--alpha must be finite and > 0");
-  }
-  if (!std::isfinite(c.beta) || c.beta <= 0.0) {
-    return Status::InvalidArgument("--beta must be finite and > 0");
-  }
-  if (flags.Has("threads") &&
-      (c.threads < 0 || c.threads > kMaxBabWorkers)) {
-    // Rejected at parse time: the request layer would refuse the same
-    // value only after the full dataset/sampling pipeline has run.
-    return Status::InvalidArgument("--threads must be in [0, " +
-                                   std::to_string(kMaxBabWorkers) + "]");
-  }
-  for (const int64_t budget : c.k_sweep) {
-    if (budget < 1) return Status::InvalidArgument("--k entries must be >= 1");
-  }
-  if (c.command != "bench" && c.k_sweep.size() > 1) {
+  if (c.command != "bench" && c.request.plan.budgets.size() > 1) {
     return Status::InvalidArgument(
         "--k accepts a list only with the bench subcommand");
-  }
-  if (flags.Has("deadline_ms") && c.deadline_ms < 1) {
-    // Mirrors the request layer (PlanRequest::deadline_ms must be >= 1)
-    // but fails before the dataset/sampling pipeline runs.
-    return Status::InvalidArgument("--deadline_ms must be >= 1");
   }
   if (!c.server.empty() && c.command != "plan") {
     return Status::InvalidArgument(
@@ -646,41 +562,6 @@ Status ParseCliConfig(const FlagParser& flags, CliConfig* config) {
     // The wire has no field for learned probabilities.
     return Status::InvalidArgument(
         "--learn is local-only; it cannot be combined with --server");
-  }
-  if (c.retries < 0) {
-    return Status::InvalidArgument("--retries must be >= 0");
-  }
-  if (c.timeout_ms < 1) {
-    return Status::InvalidArgument("--timeout_ms must be >= 1");
-  }
-  if (c.port < 0 || c.port > 65535) {
-    return Status::InvalidArgument("--port must be in [0, 65535]");
-  }
-  if (c.workers < 1) {
-    return Status::InvalidArgument("--workers must be >= 1");
-  }
-  if (c.max_contexts < 1) {
-    return Status::InvalidArgument("--max_contexts must be >= 1");
-  }
-  if (c.store_budget_mb < 0) {
-    return Status::InvalidArgument("--store_budget_mb must be >= 0");
-  }
-  OIPA_RETURN_IF_ERROR(ParseBoundVariant(c.bound, &c.variant));
-  StatusOr<StoppingRuleKind> stopping = ParseStoppingRule(c.stopping);
-  if (!stopping.ok()) return stopping.status();
-  c.stopping_rule = *stopping;
-
-  if (c.command != "serve") {
-    // One request model: local runs solve the parsed line, and --server
-    // sends it, so whatever the wire refuses exits 2 before any stage.
-    c.wire_line = WirePlanRequestLine(c);
-    StatusOr<serve::WireRequest> request =
-        serve::ParseWireRequest(c.wire_line);
-    if (!request.ok()) {
-      return Status::InvalidArgument("invalid request: " +
-                                     request.status().message());
-    }
-    c.request = *std::move(request);
   }
 
   *config = std::move(c);
@@ -751,27 +632,26 @@ std::string UsageString() {
      << "  --timeout_ms=<ms>        --server only: per-read response\n"
      << "                           budget; a dead daemon errors instead\n"
      << "                           of hanging (120000)\n"
-     << "  --seed=<u64>             master RNG seed (1)\n"
+     << "  --seed=<n>               master RNG seed, a 64-bit pattern\n"
+     << "                           (-1 = 2^64 - 1) (1)\n"
      << "  --indent=<n>             JSON indent; negative = compact (2)\n"
      << "  --output=<path>          also write the JSON result to a file\n"
      << "\n"
-     << "serve flags:\n"
-     << "  --host=<addr> --port=<p> bind address (127.0.0.1:0; port 0\n"
-     << "                           picks a free port, printed on stdout)\n"
-     << "  --workers=<count>        solver worker threads (2)\n"
-     << "  --max_contexts=<count>   planning contexts kept hot (8)\n"
-     << "  --store_budget_mb=<mb>   sample-store retention budget; 0\n"
-     << "                           retains nothing (0)\n";
+     << "serve flags (as oipa_serve reads them):\n"
+     << serve::kServerFlagsUsage;
   return os.str();
 }
 
 int RunCommand(const CliConfig& config, std::ostream& out,
                std::ostream& err) {
-  if (config.command == "serve") return RunServe(config, out, err);
+  if (config.command == "serve") {
+    return serve::RunDaemon(config.daemon, out, err);
+  }
   if (config.command == "plan" && !config.server.empty()) {
     return RunRemotePlan(config, out, err);
   }
-  if (config.threads > 0) SetNumThreads(config.threads);
+  const int threads = config.request.sampling.threads;
+  if (threads > 0) SetNumThreads(threads);
   return RunPipeline(config, out, err);
 }
 

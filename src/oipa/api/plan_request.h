@@ -10,30 +10,10 @@
 
 #include "graph/graph.h"
 #include "oipa/assignment_plan.h"
-#include "oipa/tangent_bound.h"
+#include "oipa/branch_and_bound.h"
 #include "rrset/sample_store.h"
 
 namespace oipa {
-
-/// Solver knobs forwarded verbatim to whichever solver a request names.
-/// Every solver reads the subset it understands and ignores the rest, so
-/// one options block can be reused across methods in a comparison sweep.
-struct SolverOptions {
-  /// Relative termination gap of the branch-and-bound family.
-  double gap = 0.01;
-  /// BAB-P threshold decay (the paper fixes 0.5 after Figure 3).
-  double epsilon = 0.5;
-  /// Tangent-surrogate anchoring (see oipa/tangent_bound.h).
-  BoundVariant variant = BoundVariant::kZeroAnchored;
-  /// BAB only: CELF-lazy gain evaluation (identical selections).
-  bool lazy_greedy = false;
-  /// Scale the pruning bound by e/(e-1) for exact search.
-  bool exact_pruning = false;
-  /// BAB-P: keep filling candidate plans to the full budget.
-  bool progressive_fill = true;
-  /// Node-expansion safety cap of the branch-and-bound family.
-  int64_t max_nodes = 100'000;
-};
 
 /// Progress snapshot handed to PlanRequest::progress. Every solve
 /// reports one initial snapshot with zeroed counters before any work;

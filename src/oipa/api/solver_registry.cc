@@ -62,15 +62,9 @@ class BabFamilySolver : public Solver {
                                const PlanRequest& request,
                                int budget) const override {
     BabOptions options;
+    static_cast<SolverOptions&>(options) = request.options;
     options.budget = budget;
-    options.gap = request.options.gap;
     options.progressive = progressive_;
-    options.lazy_greedy = request.options.lazy_greedy;
-    options.epsilon = request.options.epsilon;
-    options.progressive_fill = request.options.progressive_fill;
-    options.variant = request.options.variant;
-    options.exact_pruning = request.options.exact_pruning;
-    options.max_nodes = request.options.max_nodes;
     options.num_threads = request.num_threads;
     if (request.progress) {
       options.on_progress = [this, &request,

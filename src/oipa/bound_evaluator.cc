@@ -216,8 +216,14 @@ BoundResult BoundEvaluator::ComputeBoundLazy(
   double tau_raw = BaseTau(*state);
 
   // CELF heap: entries carry the round their gain was computed in; a
-  // stale entry is re-evaluated and re-pushed. Submodularity of the
-  // surrogate guarantees gains only shrink, so a fresh top is optimal.
+  // stale entry is re-evaluated and re-pushed, and a fresh top is the
+  // plain scan's pick, bit for bit. Within one call the anchor counts
+  // are fixed, and a sample's surrogate gain is min(slope, 1 - line),
+  // where `line` only grows, by adding non-negative gains. Rounded
+  // addition and subtraction are monotone and the kernel sums in
+  // posting order, so a candidate's computed gain never rises from one
+  // round to the next: a stale gain bounds the current one. Ties break
+  // as in ComputeBound's scan: lowest piece, then lowest vertex.
   struct Entry {
     double gain;
     int piece;

@@ -8,6 +8,7 @@
 #include "oipa/assignment_plan.h"
 #include "oipa/bound_evaluator.h"
 #include "oipa/logistic_model.h"
+#include "oipa/tangent_bound.h"
 #include "rrset/mrr_collection.h"
 
 namespace oipa {
@@ -27,35 +28,43 @@ struct BabProgress {
   double upper_bound = 0.0;
 };
 
-/// Configuration for the OIPA branch-and-bound solvers (BAB / BAB-P).
-struct BabOptions {
-  /// Total assignment budget k = sum_j |S_j|.
-  int budget = 10;
+/// Search knobs of the branch-and-bound family. PlanRequest::options
+/// forwards them to whichever solver a request names, which reads the
+/// subset it understands.
+struct SolverOptions {
   /// Relative termination gap: stop once the global upper bound U and the
   /// incumbent L satisfy U <= L * (1 + gap). The paper's experiments use
   /// 1% (Section VI-A).
   double gap = 0.01;
-  /// false = BAB (Algorithm 2 bound), true = BAB-P (Algorithm 3 bound).
-  bool progressive = false;
-  /// BAB only: use the CELF-lazy variant of Algorithm 2 (identical
-  /// selections, fewer gain evaluations — our ablation, not the paper's).
-  bool lazy_greedy = false;
   /// BAB-P threshold decay; the paper fixes 0.5 after Figure 3.
   double epsilon = 0.5;
+  /// Tangent-surrogate anchoring (see tangent_bound.h).
+  BoundVariant variant = BoundVariant::kZeroAnchored;
+  /// BAB only: compute the Algorithm 2 bound CELF-lazily — the same
+  /// search bit for bit with far fewer gain evaluations. False runs the
+  /// paper's full rescan, whose evaluation counts its figures report.
+  bool lazy_greedy = true;
+  /// If true, scale the pruning bound by e/(e-1) so pruning is lossless
+  /// w.r.t. the MRR objective (exact search); the paper prunes against
+  /// tau(greedy) directly, which yields the (1-1/e) guarantee instead.
+  bool exact_pruning = false;
   /// BAB-P: keep the threshold schedule running past the Line-14 cutoff
   /// so candidate plans always use the full budget (see
   /// BoundEvaluator::ComputeBoundPro). False reproduces Algorithm 3
   /// verbatim.
   bool progressive_fill = true;
-  /// Tangent-surrogate anchoring (see tangent_bound.h).
-  BoundVariant variant = BoundVariant::kZeroAnchored;
-  /// If true, scale the pruning bound by e/(e-1) so pruning is lossless
-  /// w.r.t. the MRR objective (exact search); the paper prunes against
-  /// tau(greedy) directly, which yields the (1-1/e) guarantee instead.
-  bool exact_pruning = false;
   /// Safety cap on expanded nodes; the search reports converged=false if
   /// it trips.
   int64_t max_nodes = 100'000;
+};
+
+/// Configuration for the OIPA branch-and-bound solvers (BAB / BAB-P):
+/// the search knobs plus what one solve fixes.
+struct BabOptions : SolverOptions {
+  /// Total assignment budget k = sum_j |S_j|.
+  int budget = 10;
+  /// false = BAB (Algorithm 2 bound), true = BAB-P (Algorithm 3 bound).
+  bool progressive = false;
   /// Search workers, each draining its own bound-ordered frontier and
   /// rebalancing by randomized work stealing. 1 (default) is one worker
   /// on the calling thread, deterministic run to run; 0 resolves to

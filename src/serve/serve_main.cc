@@ -1,97 +1,30 @@
 // oipa_serve: the OIPA planning daemon. See src/serve/server.h for the
-// execution model and wire.h for the protocol; README.md "Serving"
-// walks through a session. Flags (all optional):
-//
-//   oipa_serve --host=127.0.0.1 --port=7477 --workers=2
-//              --max_contexts=8 --store_budget_mb=0
-//              --max_queue_depth=256 --max_inflight_per_conn=32
-//              --write_timeout_ms=5000
-//              --checkpoint_dir= --checkpoint_interval_ms=30000
-//
-// SIGINT/SIGTERM drain in-flight solves before exiting. Fault
-// injection (chaos testing) is armed via $OIPA_FAULTS /
-// $OIPA_FAULTS_SEED — see src/util/fault_injector.h.
+// execution model, wire.h for the protocol and launcher.h for the flags
+// (`oipa_serve --help` lists them); README.md "Serving" walks through a
+// session. A flag it cannot read exits 2; SIGINT/SIGTERM drain in-flight
+// solves before exiting.
 
-#include <csignal>
 #include <iostream>
 
-#include "serve/server.h"
-#include "util/fault_injector.h"
+#include "serve/launcher.h"
 #include "util/flags.h"
 
-namespace {
-
-// Signal handlers may only call the async-signal-safe
-// PlanServer::RequestShutdown; the pointer is published before the
-// handlers are installed and never changes afterwards.
-oipa::serve::PlanServer* g_server = nullptr;
-
-extern "C" void HandleSignal(int /*signum*/) {
-  if (g_server != nullptr) g_server->RequestShutdown();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  oipa::FlagParser flags(argc, argv);
+  const oipa::FlagParser flags(argc, argv);
   if (flags.Has("help")) {
-    std::cout << "usage: oipa_serve [--host=127.0.0.1] [--port=0] "
-                 "[--workers=2] [--max_contexts=8] "
-                 "[--store_budget_mb=0] [--max_queue_depth=256] "
-                 "[--max_inflight_per_conn=32] [--write_timeout_ms=5000] "
-                 "[--checkpoint_dir=] [--checkpoint_interval_ms=30000]\n"
-                 "Newline-delimited JSON planning daemon; see README.md "
+    std::cout << "usage: oipa_serve [--flag=value ...]\n"
+              << oipa::serve::kServerFlagsUsage
+              << "Newline-delimited JSON planning daemon; see README.md "
                  "\"Serving\" for the protocol and \"Robustness\" for "
                  "overload, fault-injection, and checkpoint behavior.\n";
     return 0;
   }
-
-  // Chaos testing: $OIPA_FAULTS arms deterministic fault injection
-  // before any sockets or stores exist. A bad spec is a startup error.
-  const oipa::Status faults = oipa::FaultInjector::ConfigureFromEnv();
-  if (!faults.ok()) {
-    std::cerr << "oipa_serve: " << faults.ToString() << "\n";
-    return 1;
-  }
-
   oipa::serve::ServerOptions options;
-  options.host = flags.GetString("host", options.host);
-  options.port = static_cast<int>(flags.GetInt("port", options.port));
-  options.workers =
-      static_cast<int>(flags.GetInt("workers", options.workers));
-  options.max_contexts = static_cast<int>(
-      flags.GetInt("max_contexts", options.max_contexts));
-  options.store_budget_bytes =
-      flags.GetInt("store_budget_mb", 0) * 1024 * 1024;
-  options.max_queue_depth = static_cast<int>(
-      flags.GetInt("max_queue_depth", options.max_queue_depth));
-  options.max_inflight_per_conn = static_cast<int>(flags.GetInt(
-      "max_inflight_per_conn", options.max_inflight_per_conn));
-  options.write_timeout_ms = static_cast<int>(
-      flags.GetInt("write_timeout_ms", options.write_timeout_ms));
-  options.checkpoint_dir =
-      flags.GetString("checkpoint_dir", options.checkpoint_dir);
-  options.checkpoint_interval_ms = static_cast<int>(flags.GetInt(
-      "checkpoint_interval_ms", options.checkpoint_interval_ms));
-
-  oipa::serve::PlanServer server(options);
-  const oipa::Status started = server.Start();
-  if (!started.ok()) {
-    std::cerr << "oipa_serve: " << started.ToString() << "\n";
-    return 1;
+  if (const oipa::Status status =
+          oipa::serve::ParseServerFlags(flags, &options);
+      !status.ok()) {
+    std::cerr << "oipa_serve: " << status.ToString() << "\n";
+    return 2;
   }
-
-  g_server = &server;
-  std::signal(SIGINT, HandleSignal);
-  std::signal(SIGTERM, HandleSignal);
-
-  // The smoke harness and humans both scrape this line for the port.
-  std::cout << "oipa_serve listening on " << options.host << ":"
-            << server.port() << std::endl;
-
-  server.Wait();
-  std::cerr << "oipa_serve: draining...\n";
-  server.Stop();
-  std::cerr << "oipa_serve: stopped\n";
-  return 0;
+  return oipa::serve::RunDaemon(options, std::cout, std::cerr);
 }

@@ -89,29 +89,37 @@ PlanServer::PlanServer(const ServerOptions& options)
 
 PlanServer::~PlanServer() { Stop(); }
 
-Status PlanServer::Start() {
-  if (started_) return Status::FailedPrecondition("server already started");
-  if (options_.workers < 1) {
+Status ValidateServerOptions(const ServerOptions& options) {
+  if (options.port < 0 || options.port > 65535) {
+    return Status::InvalidArgument("port must be in [0, 65535]");
+  }
+  if (options.workers < 1) {
     return Status::InvalidArgument("workers must be >= 1");
   }
-  if (options_.max_contexts < 1) {
+  if (options.max_contexts < 1) {
     return Status::InvalidArgument("max_contexts must be >= 1");
   }
-  if (options_.store_budget_bytes < 0) {
+  if (options.store_budget_bytes < 0) {
     return Status::InvalidArgument("store_budget_bytes must be >= 0");
   }
-  if (options_.max_queue_depth < 1) {
+  if (options.max_queue_depth < 1) {
     return Status::InvalidArgument("max_queue_depth must be >= 1");
   }
-  if (options_.max_inflight_per_conn < 1) {
+  if (options.max_inflight_per_conn < 1) {
     return Status::InvalidArgument("max_inflight_per_conn must be >= 1");
   }
-  if (options_.write_timeout_ms < 1) {
+  if (options.write_timeout_ms < 1) {
     return Status::InvalidArgument("write_timeout_ms must be >= 1");
   }
-  if (options_.checkpoint_interval_ms < 1) {
+  if (options.checkpoint_interval_ms < 1) {
     return Status::InvalidArgument("checkpoint_interval_ms must be >= 1");
   }
+  return Status::Ok();
+}
+
+Status PlanServer::Start() {
+  if (started_) return Status::FailedPrecondition("server already started");
+  OIPA_RETURN_IF_ERROR(ValidateServerOptions(options_));
 
   SampleStore::SetRegistryBudget(options_.store_budget_bytes);
 

@@ -53,6 +53,11 @@ struct ServerOptions {
   int checkpoint_interval_ms = 30'000;
 };
 
+/// InvalidArgument naming the first option outside its domain (port
+/// outside [0, 65535], a non-positive count or interval, a negative
+/// store budget); PlanServer::Start() refuses such options with it.
+Status ValidateServerOptions(const ServerOptions& options);
+
 /// The oipa_serve planning daemon: accepts newline-delimited JSON plan
 /// requests over TCP (see wire.h for the schema), answers each on the
 /// same connection in arrival order per connection, and never aborts

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "data/datasets.h"
+#include "oipa/branch_and_bound.h"
 #include "rrset/mrr_collection.h"
 #include "serve/json_parser.h"
 #include "util/random.h"
@@ -16,53 +17,70 @@ namespace oipa {
 namespace serve {
 namespace {
 
-/// Typed field readers: each returns InvalidArgument naming the key on
-/// a type mismatch and leaves `*out` untouched when the key is absent
-/// (wire fields are all defaulted).
+/// Typed field readers. `path` is the field's "section.key" (or a
+/// top-level key); each reader looks the key up in `obj`, returns
+/// InvalidArgument naming the path on a type mismatch, and leaves `*out`
+/// untouched when the key is absent (wire fields are all defaulted).
 
-Status ReadString(const JsonValue& obj, const std::string& key,
+/// The member of `obj` that `path` names: the part after the dot.
+const JsonValue* Field(const JsonValue& obj, const std::string& path) {
+  return obj.Find(path.substr(path.find('.') + 1));
+}
+
+Status ReadString(const JsonValue& obj, const std::string& path,
                   std::string* out) {
-  const JsonValue* v = obj.Find(key);
+  const JsonValue* v = Field(obj, path);
   if (v == nullptr) return Status::Ok();
   if (!v->is_string()) {
-    return Status::InvalidArgument("field '" + key + "' must be a string");
+    return Status::InvalidArgument(path + " must be a string");
   }
   *out = v->string_value();
   return Status::Ok();
 }
 
-Status ReadInt(const JsonValue& obj, const std::string& key,
-               int64_t* out) {
-  const JsonValue* v = obj.Find(key);
+/// Reads an integer field into `*out`; values outside T's range are
+/// rejected rather than narrowed.
+template <typename T>
+Status ReadInt(const JsonValue& obj, const std::string& path, T* out) {
+  const JsonValue* v = Field(obj, path);
   if (v == nullptr) return Status::Ok();
   if (!v->is_int()) {
-    return Status::InvalidArgument("field '" + key +
-                                   "' must be an integer");
+    return Status::InvalidArgument(path + " must be an integer");
   }
-  *out = v->int_value();
+  const int64_t value = v->int_value();
+  if (value < std::numeric_limits<T>::min() ||
+      value > std::numeric_limits<T>::max()) {
+    return Status::InvalidArgument(path + " is out of range for a " +
+                                   std::to_string(sizeof(T) * 8) +
+                                   "-bit integer");
+  }
+  *out = static_cast<T>(value);
   return Status::Ok();
 }
 
-/// ReadInt for fields stored as int: values outside int's range are
-/// rejected rather than narrowed.
-Status ReadInt32(const JsonValue& obj, const std::string& key, int* out) {
-  int64_t value = *out;
-  OIPA_RETURN_IF_ERROR(ReadInt(obj, key, &value));
-  if (value < std::numeric_limits<int>::min() ||
-      value > std::numeric_limits<int>::max()) {
-    return Status::InvalidArgument("field '" + key +
-                                   "' is out of range for a 32-bit integer");
-  }
-  *out = static_cast<int>(value);
+/// Seeds are 64-bit patterns: a negative integer wraps to its unsigned
+/// value.
+Status ReadSeed(const JsonValue& obj, const std::string& path,
+                uint64_t* out) {
+  int64_t seed = static_cast<int64_t>(*out);
+  OIPA_RETURN_IF_ERROR(ReadInt(obj, path, &seed));
+  *out = static_cast<uint64_t>(seed);
   return Status::Ok();
 }
 
-Status ReadDouble(const JsonValue& obj, const std::string& key,
+/// Reads a number field. JSON has no NaN or infinity, and JsonValue
+/// writes a non-finite double as null, so null reads as NaN: every
+/// double field's range check is written so that NaN fails it.
+Status ReadDouble(const JsonValue& obj, const std::string& path,
                   double* out) {
-  const JsonValue* v = obj.Find(key);
+  const JsonValue* v = Field(obj, path);
   if (v == nullptr) return Status::Ok();
+  if (v->is_null()) {
+    *out = std::numeric_limits<double>::quiet_NaN();
+    return Status::Ok();
+  }
   if (!v->is_number()) {
-    return Status::InvalidArgument("field '" + key + "' must be a number");
+    return Status::InvalidArgument(path + " must be a number");
   }
   *out = v->double_value();
   return Status::Ok();
@@ -79,18 +97,19 @@ Status ReadSection(const JsonValue& root, const std::string& key,
 }
 
 Status ParseDataset(const JsonValue& section, DatasetSpec* spec) {
-  OIPA_RETURN_IF_ERROR(ReadString(section, "name", &spec->name));
-  OIPA_RETURN_IF_ERROR(ReadInt(section, "n", &spec->n));
-  OIPA_RETURN_IF_ERROR(ReadInt32(section, "topics", &spec->num_topics));
-  OIPA_RETURN_IF_ERROR(ReadDouble(section, "scale", &spec->scale));
+  OIPA_RETURN_IF_ERROR(ReadString(section, "dataset.name", &spec->name));
+  OIPA_RETURN_IF_ERROR(ReadInt(section, "dataset.n", &spec->n));
   OIPA_RETURN_IF_ERROR(
-      ReadDouble(section, "pool_fraction", &spec->pool_fraction));
-  int64_t seed = static_cast<int64_t>(spec->seed);
-  OIPA_RETURN_IF_ERROR(ReadInt(section, "seed", &seed));
-  spec->seed = static_cast<uint64_t>(seed);
-  OIPA_RETURN_IF_ERROR(ReadInt32(section, "ell", &spec->ell));
-  OIPA_RETURN_IF_ERROR(ReadDouble(section, "alpha", &spec->alpha));
-  OIPA_RETURN_IF_ERROR(ReadDouble(section, "beta", &spec->beta));
+      ReadInt(section, "dataset.topics", &spec->num_topics));
+  OIPA_RETURN_IF_ERROR(ReadDouble(section, "dataset.scale", &spec->scale));
+  OIPA_RETURN_IF_ERROR(
+      ReadDouble(section, "dataset.pool_fraction", &spec->pool_fraction));
+  OIPA_RETURN_IF_ERROR(ReadSeed(section, "dataset.seed", &spec->seed));
+  // Read wide, so that any value past the piece ceiling gets its message.
+  int64_t ell = spec->ell;
+  OIPA_RETURN_IF_ERROR(ReadInt(section, "dataset.ell", &ell));
+  OIPA_RETURN_IF_ERROR(ReadDouble(section, "dataset.alpha", &spec->alpha));
+  OIPA_RETURN_IF_ERROR(ReadDouble(section, "dataset.beta", &spec->beta));
 
   if (spec->name != "synthetic" && spec->name != "lastfm" &&
       spec->name != "dblp" && spec->name != "tweet") {
@@ -111,19 +130,20 @@ Status ParseDataset(const JsonValue& section, DatasetSpec* spec) {
   if (spec->num_topics < 1) {
     return Status::InvalidArgument("dataset.topics must be >= 1");
   }
-  if (spec->scale <= 0.0 || spec->scale > 1.0) {
+  if (!(spec->scale > 0.0 && spec->scale <= 1.0)) {
     return Status::InvalidArgument("dataset.scale must be in (0, 1]");
   }
-  if (spec->pool_fraction <= 0.0 || spec->pool_fraction > 1.0) {
+  if (!(spec->pool_fraction > 0.0 && spec->pool_fraction <= 1.0)) {
     return Status::InvalidArgument(
         "dataset.pool_fraction must be in (0, 1]");
   }
   // Covered-piece counts are bytes (rrset/mrr_collection.h).
-  if (spec->ell < 1 || spec->ell > MrrCollection::kMaxPieces) {
+  if (ell < 1 || ell > MrrCollection::kMaxPieces) {
     return Status::InvalidArgument(
         "dataset.ell must be in [1, " +
         std::to_string(MrrCollection::kMaxPieces) + "]");
   }
+  spec->ell = static_cast<int>(ell);
   // The logistic adoption model requires both parameters positive.
   if (!std::isfinite(spec->alpha) || spec->alpha <= 0.0) {
     return Status::InvalidArgument("dataset.alpha must be finite and > 0");
@@ -135,16 +155,17 @@ Status ParseDataset(const JsonValue& section, DatasetSpec* spec) {
 }
 
 Status ParseSampling(const JsonValue& section, SamplingSpec* spec) {
-  OIPA_RETURN_IF_ERROR(ReadInt(section, "theta", &spec->theta));
+  OIPA_RETURN_IF_ERROR(ReadInt(section, "sampling.theta", &spec->theta));
   OIPA_RETURN_IF_ERROR(
-      ReadInt(section, "holdout_theta", &spec->holdout_theta));
-  int64_t seed = static_cast<int64_t>(spec->seed);
-  OIPA_RETURN_IF_ERROR(ReadInt(section, "seed", &seed));
-  spec->seed = static_cast<uint64_t>(seed);
-  OIPA_RETURN_IF_ERROR(ReadInt32(section, "threads", &spec->threads));
-  OIPA_RETURN_IF_ERROR(ReadDouble(section, "epsilon", &spec->epsilon));
-  OIPA_RETURN_IF_ERROR(ReadInt(section, "max_theta", &spec->max_theta));
-  OIPA_RETURN_IF_ERROR(ReadString(section, "stopping", &spec->stopping));
+      ReadInt(section, "sampling.holdout_theta", &spec->holdout_theta));
+  OIPA_RETURN_IF_ERROR(ReadSeed(section, "sampling.seed", &spec->seed));
+  OIPA_RETURN_IF_ERROR(ReadInt(section, "sampling.threads", &spec->threads));
+  OIPA_RETURN_IF_ERROR(
+      ReadDouble(section, "sampling.epsilon", &spec->epsilon));
+  OIPA_RETURN_IF_ERROR(
+      ReadInt(section, "sampling.max_theta", &spec->max_theta));
+  OIPA_RETURN_IF_ERROR(
+      ReadString(section, "sampling.stopping", &spec->stopping));
 
   // Sample ids are 32-bit (rrset/mrr_collection.h): larger sizes are
   // refused here, before any build.
@@ -167,8 +188,15 @@ Status ParseSampling(const JsonValue& section, SamplingSpec* spec) {
     return Status::InvalidArgument(
         "sampling.holdout_theta must be in [-1, " + max_samples + "]");
   }
-  if (spec->epsilon < 0.0) {
-    return Status::InvalidArgument("sampling.epsilon must be >= 0");
+  if (!(spec->epsilon >= 0.0 && spec->epsilon < 1.0)) {
+    return Status::InvalidArgument(
+        "sampling.epsilon must be in [0, 1) (0 = one-shot solve)");
+  }
+  if (spec->epsilon > 0.0 && spec->max_theta < spec->theta) {
+    // Growth could never reach the starting size.
+    return Status::InvalidArgument(
+        "sampling.max_theta must be >= sampling.theta when "
+        "sampling.epsilon > 0");
   }
   const StatusOr<StoppingRuleKind> rule =
       ParseStoppingRule(spec->stopping);
@@ -178,38 +206,35 @@ Status ParseSampling(const JsonValue& section, SamplingSpec* spec) {
 }
 
 Status ParsePlan(const JsonValue& section, PlanSpec* spec) {
-  OIPA_RETURN_IF_ERROR(ReadString(section, "method", &spec->method));
-  OIPA_RETURN_IF_ERROR(ReadDouble(section, "gap", &spec->gap));
-  OIPA_RETURN_IF_ERROR(ReadDouble(section, "epsilon", &spec->epsilon));
-  OIPA_RETURN_IF_ERROR(ReadString(section, "bound", &spec->bound));
-  OIPA_RETURN_IF_ERROR(ReadInt(section, "max_nodes", &spec->max_nodes));
-  OIPA_RETURN_IF_ERROR(ReadInt32(section, "threads", &spec->threads));
-  int64_t seed = static_cast<int64_t>(spec->seed);
-  OIPA_RETURN_IF_ERROR(ReadInt(section, "seed", &seed));
-  spec->seed = static_cast<uint64_t>(seed);
-
-  if (const JsonValue* v = section.Find("deadline_ms")) {
-    if (!v->is_int()) {
-      return Status::InvalidArgument(
-          "field 'deadline_ms' must be an integer");
+  OIPA_RETURN_IF_ERROR(ReadString(section, "plan.method", &spec->method));
+  OIPA_RETURN_IF_ERROR(ReadDouble(section, "plan.gap", &spec->gap));
+  OIPA_RETURN_IF_ERROR(ReadDouble(section, "plan.epsilon", &spec->epsilon));
+  OIPA_RETURN_IF_ERROR(ReadString(section, "plan.bound", &spec->bound));
+  OIPA_RETURN_IF_ERROR(
+      ReadInt(section, "plan.max_nodes", &spec->max_nodes));
+  OIPA_RETURN_IF_ERROR(ReadInt(section, "plan.threads", &spec->threads));
+  OIPA_RETURN_IF_ERROR(ReadSeed(section, "plan.seed", &spec->seed));
+  if (section.Find("deadline_ms") != nullptr) {
+    int64_t deadline_ms = 0;
+    OIPA_RETURN_IF_ERROR(
+        ReadInt(section, "plan.deadline_ms", &deadline_ms));
+    if (deadline_ms < 1) {
+      return Status::InvalidArgument("plan.deadline_ms must be >= 1");
     }
-    spec->deadline_ms = v->int_value();
-    if (*spec->deadline_ms < 1) {
-      return Status::InvalidArgument("deadline_ms must be >= 1");
-    }
+    spec->deadline_ms = deadline_ms;
   }
 
   if (const JsonValue* v = section.Find("budgets")) {
     if (!v->is_array() || v->size() == 0) {
       return Status::InvalidArgument(
-          "field 'budgets' must be a non-empty array of integers");
+          "plan.budgets must be a non-empty array of integers");
     }
     spec->budgets.clear();
     for (size_t i = 0; i < v->size(); ++i) {
       if (!v->at(i).is_int() || v->at(i).int_value() < 1 ||
           v->at(i).int_value() > std::numeric_limits<int>::max()) {
         return Status::InvalidArgument(
-            "field 'budgets' must hold 32-bit integers >= 1");
+            "plan.budgets must hold 32-bit integers >= 1");
       }
       spec->budgets.push_back(static_cast<int>(v->at(i).int_value()));
     }
@@ -217,10 +242,10 @@ Status ParsePlan(const JsonValue& section, PlanSpec* spec) {
   if (spec->method.empty()) {
     return Status::InvalidArgument("plan.method must be non-empty");
   }
-  if (spec->gap < 0.0) {
+  if (!(spec->gap >= 0.0)) {
     return Status::InvalidArgument("plan.gap must be >= 0");
   }
-  if (spec->epsilon <= 0.0 || spec->epsilon >= 1.0) {
+  if (!(spec->epsilon > 0.0 && spec->epsilon < 1.0)) {
     return Status::InvalidArgument("plan.epsilon must be in (0, 1)");
   }
   if (spec->bound == "zero") {
@@ -234,10 +259,11 @@ Status ParsePlan(const JsonValue& section, PlanSpec* spec) {
   if (spec->max_nodes < 1) {
     return Status::InvalidArgument("plan.max_nodes must be >= 1");
   }
-  if (spec->threads < 0 || spec->threads > kMaxExplicitThreads) {
+  // The solver's own ceiling, so that a request it would refuse is
+  // refused before its context is built.
+  if (spec->threads < 0 || spec->threads > kMaxBabWorkers) {
     return Status::InvalidArgument("plan.threads must be in [0, " +
-                                   std::to_string(kMaxExplicitThreads) +
-                                   "]");
+                                   std::to_string(kMaxBabWorkers) + "]");
   }
   return Status::Ok();
 }

@@ -23,8 +23,8 @@ namespace serve {
 /// The oipa_serve wire protocol: newline-delimited JSON over TCP. Each
 /// request is one compact JSON object on one line; each response is one
 /// JSON object on one line, in request order per connection. Three
-/// top-level sections name the pipeline stages (oipa_cli renders its
-/// flags as exactly such a line and solves it through the functions
+/// top-level sections name the pipeline stages (oipa_cli writes its
+/// flags into exactly such a line and solves it through the functions
 /// below, in-process or, with --server, over TCP):
 ///
 ///   {"id": "r1",
@@ -106,6 +106,7 @@ struct PlanSpec {
   BoundVariant bound_variant = BoundVariant::kZeroAnchored;
   /// Node-expansion safety cap.
   int64_t max_nodes = 100'000;
+  /// Search workers, at most kMaxBabWorkers (PlanRequest::num_threads).
   int threads = 1;
   /// Wall-clock budget measured from the moment the request is
   /// accepted (enqueued) — queue wait counts against it.
@@ -132,10 +133,15 @@ struct WireRequest {
   }
 };
 
-/// Parses one request line. InvalidArgument on malformed JSON, type
-/// mismatches, or out-of-domain values (unknown dataset name, empty
-/// budgets, non-positive theta, ...) — with a message suitable for the
-/// error response verbatim.
+/// Parses one request line: the one reader and validator of request
+/// values, for the daemon and for oipa_cli, which writes its flags into
+/// such a line. InvalidArgument on malformed JSON, type mismatches, or
+/// out-of-domain values (unknown dataset name, empty budgets,
+/// non-positive theta, more search workers than the solver's
+/// kMaxBabWorkers, ...) — with a message suitable for the error response
+/// verbatim that names the field by its path ("dataset.topics"). A null
+/// number reads as NaN, JsonValue's encoding of a non-finite double, and
+/// fails its field's range check.
 StatusOr<WireRequest> ParseWireRequest(std::string_view line);
 
 /// Canonical sample-store key: every dataset/sampling field that

@@ -1,7 +1,10 @@
 #include "util/flags.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
+#include <utility>
 
 namespace oipa {
 
@@ -78,6 +81,59 @@ std::vector<double> FlagParser::GetDoubleList(
     if (!item.empty()) out.push_back(std::strtod(item.c_str(), nullptr));
   }
   return out;
+}
+
+Status FlagParser::ParseInt(const std::string& key, const std::string& text,
+                            int64_t min, int64_t max, int64_t* out) {
+  const char* end = text.data() + text.size();
+  int64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc::invalid_argument || ptr != end) {
+    return Status::InvalidArgument("--" + key + " '" + text +
+                                   "' is not an integer");
+  }
+  if (ec == std::errc::result_out_of_range || value < min || value > max) {
+    return Status::InvalidArgument("--" + key + " must be in [" +
+                                   std::to_string(min) + ", " +
+                                   std::to_string(max) + "]");
+  }
+  *out = value;
+  return Status::Ok();
+}
+
+Status FlagParser::ReadIntList(const std::string& key,
+                               std::vector<int64_t>* out) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return Status::Ok();
+  const std::string& text = it->second;
+  std::vector<int64_t> items;
+  for (size_t start = 0;;) {
+    const size_t comma = text.find(',', start);
+    int64_t value = 0;
+    OIPA_RETURN_IF_ERROR(ParseInt(key, text.substr(start, comma - start),
+                                  std::numeric_limits<int64_t>::min(),
+                                  std::numeric_limits<int64_t>::max(),
+                                  &value));
+    items.push_back(value);
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  *out = std::move(items);
+  return Status::Ok();
+}
+
+Status FlagParser::ReadDouble(const std::string& key, double* out) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return Status::Ok();
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (it->second.empty() || *end != '\0') {
+    return Status::InvalidArgument("--" + key + " '" + it->second +
+                                   "' is not a number");
+  }
+  *out = value;
+  return Status::Ok();
 }
 
 }  // namespace oipa

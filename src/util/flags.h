@@ -2,9 +2,13 @@
 #define OIPA_UTIL_FLAGS_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
+
+#include "util/status.h"
 
 namespace oipa {
 
@@ -17,6 +21,10 @@ namespace oipa {
 ///
 /// Accepts "--key=value", "--key value" and bare "--key" (boolean true).
 /// Unrecognized positional arguments are collected in positional().
+///
+/// The Get* getters are lenient (strtoll/strtod: "3x" reads as 3).
+/// Front ends that must refuse such text use the strict Read* getters,
+/// which return InvalidArgument naming the flag.
 class FlagParser {
  public:
   FlagParser(int argc, char** argv);
@@ -36,9 +44,40 @@ class FlagParser {
   std::vector<double> GetDoubleList(
       const std::string& key, const std::vector<double>& default_value) const;
 
+  /// Strict integer flag: stores the value of `key` in `*out`, which is
+  /// left untouched when the flag is absent. InvalidArgument naming the
+  /// flag when the text is not a base-10 integer ("1e5", "3x", "") or
+  /// the value lies outside [min, max], by default the range of the
+  /// signed type T — so no value is ever narrowed.
+  template <typename T>
+  Status ReadInt(const std::string& key, T* out,
+                 int64_t min = std::numeric_limits<T>::min(),
+                 int64_t max = std::numeric_limits<T>::max()) const {
+    static_assert(std::is_signed_v<T> && sizeof(T) <= sizeof(int64_t));
+    const auto it = values_.find(key);
+    if (it == values_.end()) return Status::Ok();
+    int64_t value = 0;
+    OIPA_RETURN_IF_ERROR(ParseInt(key, it->second, min, max, &value));
+    *out = static_cast<T>(value);
+    return Status::Ok();
+  }
+
+  /// Strict comma-separated list of 64-bit integers, each item read as
+  /// ReadInt reads one; an empty item is malformed.
+  Status ReadIntList(const std::string& key, std::vector<int64_t>* out) const;
+
+  /// Strict double flag: the whole text must be a number as strtod reads
+  /// it ("0.5", "1e-3", "nan"); "0.5x" is InvalidArgument.
+  Status ReadDouble(const std::string& key, double* out) const;
+
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:
+  /// Parses `text`, one item of flag `key`, as a base-10 integer in
+  /// [min, max].
+  static Status ParseInt(const std::string& key, const std::string& text,
+                         int64_t min, int64_t max, int64_t* out);
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };

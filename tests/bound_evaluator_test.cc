@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
 #include <cmath>
 
 #include "graph/generators.h"
 #include "oipa/adoption.h"
 #include "oipa/bound_evaluator.h"
+#include "oipa/branch_and_bound.h"
 #include "oipa/brute_force.h"
 #include "rrset/mrr_collection.h"
 #include "tests/paper_example.h"
@@ -232,30 +236,121 @@ TEST_P(ProgressiveQuality, WithinTheoreticalFactorOfGreedy) {
 INSTANTIATE_TEST_SUITE_P(Epsilons, ProgressiveQuality,
                          ::testing::Values(0.1, 0.3, 0.5, 0.9));
 
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
 class LazyEquivalence : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(LazyEquivalence, LazyMatchesPlainGreedySelections) {
-  // The surrogate is submodular, so CELF-lazy evaluation must reproduce
-  // plain greedy exactly: same additions, same tau, same sigma.
+  // CELF-lazy evaluation reproduces the plain rescan bit for bit (the
+  // argument is beside ComputeBoundLazy): same additions in the same
+  // order, same tau and sigma bits, same first pick. Checked for both
+  // surrogate anchorings, with and without anchors and exclusions.
   const uint64_t seed = GetParam();
   SmallInstance inst(30, 0.1, 3, 5, seed);
-  BoundEvaluator eval_plain(inst.mrr.get(), inst.model, inst.pool);
-  BoundEvaluator eval_lazy(inst.mrr.get(), inst.model, inst.pool);
-  CoverageState state(inst.mrr.get(),
-                      inst.model.AdoptionTable(inst.mrr->num_pieces()));
-  // Also exercise a non-empty anchor.
-  state.AddSeed(1, 0);
-  const BoundResult plain = eval_plain.ComputeBound(&state, 6, {});
-  const BoundResult lazy = eval_lazy.ComputeBoundLazy(&state, 6, {});
-  EXPECT_EQ(plain.additions, lazy.additions);
-  EXPECT_NEAR(plain.tau, lazy.tau, 1e-9);
-  EXPECT_NEAR(plain.sigma, lazy.sigma, 1e-9);
-  // Lazy should never evaluate more often than plain greedy.
-  EXPECT_LE(lazy.tau_evals, plain.tau_evals);
+  for (const BoundVariant variant :
+       {BoundVariant::kZeroAnchored, BoundVariant::kPaperTangent}) {
+    for (const bool constrained : {false, true}) {
+      BoundEvaluator eval_plain(inst.mrr.get(), inst.model, inst.pool,
+                                variant);
+      BoundEvaluator eval_lazy(inst.mrr.get(), inst.model, inst.pool,
+                               variant);
+      CoverageState state(inst.mrr.get(),
+                          inst.model.AdoptionTable(inst.mrr->num_pieces()));
+      std::vector<Assignment> excluded;
+      if (constrained) {
+        state.AddSeed(/*v=*/1, /*piece=*/0);
+        state.AddSeed(/*v=*/7, /*piece=*/2);
+        const BoundResult free = eval_plain.ComputeBound(&state, 2, {});
+        excluded = free.additions;
+        excluded.emplace_back(2, 3);
+      }
+      const BoundResult plain = eval_plain.ComputeBound(&state, 6, excluded);
+      const BoundResult lazy = eval_lazy.ComputeBoundLazy(&state, 6, excluded);
+      ASSERT_FALSE(plain.additions.empty());
+      EXPECT_EQ(plain.additions, lazy.additions);
+      EXPECT_EQ(Bits(plain.tau), Bits(lazy.tau));
+      EXPECT_EQ(Bits(plain.sigma), Bits(lazy.sigma));
+      EXPECT_EQ(plain.first_pick.piece, lazy.first_pick.piece);
+      EXPECT_EQ(plain.first_pick.v, lazy.first_pick.v);
+      EXPECT_EQ(Bits(plain.first_pick.gain), Bits(lazy.first_pick.gain));
+      // Lazy should never evaluate more often than plain greedy.
+      EXPECT_LE(lazy.tau_evals, plain.tau_evals);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LazyEquivalence,
                          ::testing::Values(211, 223, 227, 229, 233));
+
+/// The seed sets of `plan`, piece by piece.
+std::vector<std::vector<VertexId>> SeedSets(const AssignmentPlan& plan) {
+  std::vector<std::vector<VertexId>> sets;
+  for (int j = 0; j < plan.num_pieces(); ++j) {
+    sets.push_back(plan.SeedSet(j));
+  }
+  return sets;
+}
+
+TEST_P(LazyEquivalence, SearchesMatchThePlainScan) {
+  // Every branch-and-bound node below the root has anchors (include
+  // branches) and exclusions (exclude branches), so whole searches
+  // cover both. One worker: lazy bab is plain bab bit for bit — the
+  // plan, the utility and upper-bound bits, every counter but tau
+  // evaluations. Several workers schedule nodes differently run to run,
+  // and a utility's bits depend on the order the plan was assembled in
+  // (ROADMAP item 10), so there both must reach the exact optimum.
+  const uint64_t seed = GetParam();
+  SmallInstance inst(30, 0.1, 3, 5, seed);
+  for (const BoundVariant variant :
+       {BoundVariant::kZeroAnchored, BoundVariant::kPaperTangent}) {
+    for (const bool exact : {false, true}) {
+      BabOptions options;
+      options.budget = 4;
+      options.variant = variant;
+      options.exact_pruning = exact;
+      options.max_nodes = 200;
+      options.lazy_greedy = false;
+      const BabResult plain =
+          BabSolver(inst.mrr.get(), inst.model, inst.pool, options).Solve();
+      options.lazy_greedy = true;
+      const BabResult lazy =
+          BabSolver(inst.mrr.get(), inst.model, inst.pool, options).Solve();
+      EXPECT_EQ(SeedSets(plain.plan), SeedSets(lazy.plan));
+      EXPECT_EQ(Bits(plain.utility), Bits(lazy.utility));
+      EXPECT_EQ(Bits(plain.upper_bound), Bits(lazy.upper_bound));
+      EXPECT_EQ(plain.nodes_expanded, lazy.nodes_expanded);
+      EXPECT_EQ(plain.bound_calls, lazy.bound_calls);
+      EXPECT_EQ(plain.converged, lazy.converged);
+    }
+  }
+}
+
+TEST(LazyEquivalence, ParallelSearchesReachTheOptimum) {
+  SmallInstance inst(9, 0.22, 2, 3, 107);
+  const BruteForceResult opt =
+      BruteForceSolve(*inst.mrr, inst.model, inst.pool, 3);
+  for (const BoundVariant variant :
+       {BoundVariant::kZeroAnchored, BoundVariant::kPaperTangent}) {
+    for (const int threads : {1, 2, 8}) {
+      for (const bool lazy : {false, true}) {
+        BabOptions options;
+        options.budget = 3;
+        options.gap = 0.0;
+        options.variant = variant;
+        options.exact_pruning = true;
+        options.lazy_greedy = lazy;
+        options.num_threads = threads;
+        const BabResult r =
+            BabSolver(inst.mrr.get(), inst.model, inst.pool, options)
+                .Solve();
+        EXPECT_TRUE(r.converged) << threads << " workers, lazy " << lazy;
+        EXPECT_NEAR(r.utility, opt.utility, 1e-9)
+            << threads << " workers, lazy " << lazy;
+        EXPECT_GE(r.upper_bound + 1e-9, r.utility);
+      }
+    }
+  }
+}
 
 TEST(LazyEquivalence, RespectsExclusions) {
   SmallInstance inst(20, 0.12, 2, 4, 239);

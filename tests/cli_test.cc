@@ -120,12 +120,15 @@ TEST(JsonWriterTest, NestedPrettyPrint) {
 // ------------------------------------------------------------- parsing
 
 TEST(CliParseTest, BoundVariantNames) {
-  BoundVariant v = BoundVariant::kPaperTangent;
-  EXPECT_TRUE(ParseBoundVariant("zero", &v).ok());
-  EXPECT_EQ(v, BoundVariant::kZeroAnchored);
-  EXPECT_TRUE(ParseBoundVariant("paper", &v).ok());
-  EXPECT_EQ(v, BoundVariant::kPaperTangent);
-  EXPECT_EQ(ParseBoundVariant("bogus", &v).code(),
+  CliConfig config;
+  ASSERT_TRUE(ParseCliConfig(MakeFlags({"plan", "--bound=zero"}), &config)
+                  .ok());
+  EXPECT_EQ(config.request.plan.bound_variant, BoundVariant::kZeroAnchored);
+  ASSERT_TRUE(ParseCliConfig(MakeFlags({"plan", "--bound=paper"}), &config)
+                  .ok());
+  EXPECT_EQ(config.request.plan.bound_variant, BoundVariant::kPaperTangent);
+  EXPECT_EQ(ParseCliConfig(MakeFlags({"plan", "--bound=bogus"}), &config)
+                .code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -134,17 +137,17 @@ TEST(CliParseTest, DefaultsMirrorQuickstart) {
   CliConfig config;
   ASSERT_TRUE(ParseCliConfig(flags, &config).ok());
   EXPECT_EQ(config.command, "plan");
-  EXPECT_EQ(config.dataset, "synthetic");
-  EXPECT_EQ(config.n, 2000);
-  EXPECT_EQ(config.k, 10);
-  EXPECT_EQ(config.ell, 3);
-  EXPECT_EQ(config.theta, 20'000);
-  EXPECT_DOUBLE_EQ(config.epsilon, 0.5);
-  EXPECT_EQ(config.variant, BoundVariant::kZeroAnchored);
+  const serve::WireRequest& r = config.request;
+  EXPECT_EQ(r.dataset.name, "synthetic");
+  EXPECT_EQ(r.dataset.n, 2000);
+  EXPECT_EQ(r.dataset.ell, 3);
+  EXPECT_EQ(r.sampling.theta, 20'000);
+  EXPECT_DOUBLE_EQ(r.plan.epsilon, 0.5);
+  EXPECT_EQ(r.plan.bound_variant, BoundVariant::kZeroAnchored);
   EXPECT_TRUE(config.progressive);
-  EXPECT_EQ(config.method, "bab-p");
+  EXPECT_EQ(r.plan.method, "bab-p");
   EXPECT_FALSE(config.learn);
-  EXPECT_EQ(config.k_sweep, std::vector<int64_t>({10}));
+  EXPECT_EQ(r.plan.budgets, std::vector<int>({10}));
 }
 
 TEST(CliParseTest, MethodResolvesFromProgressiveWhenAbsent) {
@@ -152,10 +155,10 @@ TEST(CliParseTest, MethodResolvesFromProgressiveWhenAbsent) {
   ASSERT_TRUE(
       ParseCliConfig(MakeFlags({"plan", "--progressive=false"}), &config)
           .ok());
-  EXPECT_EQ(config.method, "bab");
+  EXPECT_EQ(config.request.plan.method, "bab");
   ASSERT_TRUE(
       ParseCliConfig(MakeFlags({"plan", "--method=tim"}), &config).ok());
-  EXPECT_EQ(config.method, "tim");
+  EXPECT_EQ(config.request.plan.method, "tim");
 }
 
 TEST(CliParseTest, UnknownMethodIsNotFoundListingRegistry) {
@@ -175,31 +178,37 @@ TEST(CliParseTest, FlagsOverrideEveryStage) {
   CliConfig config;
   ASSERT_TRUE(ParseCliConfig(flags, &config).ok());
   EXPECT_EQ(config.command, "bench");
-  EXPECT_EQ(config.dataset, "dblp");
-  EXPECT_DOUBLE_EQ(config.scale, 0.05);
-  EXPECT_EQ(config.k_sweep, std::vector<int64_t>({5, 15}));
-  EXPECT_EQ(config.ell, 4);
-  EXPECT_EQ(config.theta, 500);
-  EXPECT_DOUBLE_EQ(config.epsilon, 0.25);
-  EXPECT_EQ(config.variant, BoundVariant::kPaperTangent);
+  const serve::WireRequest& r = config.request;
+  EXPECT_EQ(r.dataset.name, "dblp");
+  EXPECT_DOUBLE_EQ(r.dataset.scale, 0.05);
+  EXPECT_EQ(r.plan.budgets, std::vector<int>({5, 15}));
+  EXPECT_EQ(r.dataset.ell, 4);
+  EXPECT_EQ(r.sampling.theta, 500);
+  EXPECT_DOUBLE_EQ(r.plan.epsilon, 0.25);
+  EXPECT_EQ(r.plan.bound_variant, BoundVariant::kPaperTangent);
   EXPECT_FALSE(config.progressive);
   EXPECT_TRUE(config.learn);
-  EXPECT_EQ(config.threads, 2);
-  EXPECT_EQ(config.seed, 99u);
+  EXPECT_EQ(r.plan.threads, 2);
+  EXPECT_EQ(r.sampling.threads, 2);
+  EXPECT_EQ(r.dataset.seed, 99u);
+  EXPECT_EQ(r.sampling.seed, 104u);
+  EXPECT_EQ(r.plan.seed, 99u);
 }
 
 TEST(CliParseTest, StoppingAndShareSamplesFlags) {
   CliConfig config;
   ASSERT_TRUE(ParseCliConfig(MakeFlags({"plan"}), &config).ok());
-  EXPECT_EQ(config.stopping, "holdout");
-  EXPECT_EQ(config.stopping_rule, StoppingRuleKind::kHoldoutGap);
+  EXPECT_EQ(config.request.sampling.stopping, "holdout");
+  EXPECT_EQ(config.request.sampling.stopping_rule,
+            StoppingRuleKind::kHoldoutGap);
   EXPECT_TRUE(config.share_samples);
 
   ASSERT_TRUE(ParseCliConfig(MakeFlags({"plan", "--stopping=opim",
                                         "--share_samples=false"}),
                              &config)
                   .ok());
-  EXPECT_EQ(config.stopping_rule, StoppingRuleKind::kOpimBounds);
+  EXPECT_EQ(config.request.sampling.stopping_rule,
+            StoppingRuleKind::kOpimBounds);
   EXPECT_FALSE(config.share_samples);
 
   EXPECT_EQ(ParseCliConfig(MakeFlags({"plan", "--stopping=psychic"}),
@@ -217,6 +226,91 @@ TEST(CliParseTest, RequestCarriesFlagValuesExactly) {
   EXPECT_NE(config.wire_line.find("\"alpha\":2.00000000001"),
             std::string::npos)
       << config.wire_line;
+}
+
+TEST(CliParseTest, WireLinesMatchTheRecordedLines) {
+  // Same requests, same answers: the line each flag set renders, as
+  // recorded before the flags were written straight into the request.
+  const std::vector<std::pair<std::vector<std::string>, std::string>>
+      cases = {
+      {{},
+       R"({"id":"oipa_cli","dataset":{"name":"synthetic","n":2000,)"
+       R"("topics":10,"scale":0.01,"pool_fraction":0.1,"seed":1,"ell":3,)"
+       R"("alpha":2,"beta":1},"sampling":{"theta":20000,"seed":6,)"
+       R"("epsilon":0,"max_theta":2000000,"stopping":"holdout"},)"
+       R"("plan":{"method":"bab-p","budgets":[10],"gap":0.01,)"
+       R"("epsilon":0.5,"bound":"zero","max_nodes":100000,"seed":1}})"},
+      {{"--method=bab", "--bound=paper"},
+       R"({"id":"oipa_cli","dataset":{"name":"synthetic","n":2000,)"
+       R"("topics":10,"scale":0.01,"pool_fraction":0.1,"seed":1,"ell":3,)"
+       R"("alpha":2,"beta":1},"sampling":{"theta":20000,"seed":6,)"
+       R"("epsilon":0,"max_theta":2000000,"stopping":"holdout"},)"
+       R"("plan":{"method":"bab","budgets":[10],"gap":0.01,)"
+       R"("epsilon":0.5,"bound":"paper","max_nodes":100000,"seed":1}})"},
+      {{"--sampling_epsilon=0.05", "--stopping=opim"},
+       R"({"id":"oipa_cli","dataset":{"name":"synthetic","n":2000,)"
+       R"("topics":10,"scale":0.01,"pool_fraction":0.1,"seed":1,"ell":3,)"
+       R"("alpha":2,"beta":1},"sampling":{"theta":20000,"seed":6,)"
+       R"("epsilon":0.05,"max_theta":2000000,"stopping":"opim"},)"
+       R"("plan":{"method":"bab-p","budgets":[10],"gap":0.01,)"
+       R"("epsilon":0.5,"bound":"zero","max_nodes":100000,"seed":1}})"},
+      {{"--deadline_ms=60000"},
+       R"({"id":"oipa_cli","dataset":{"name":"synthetic","n":2000,)"
+       R"("topics":10,"scale":0.01,"pool_fraction":0.1,"seed":1,"ell":3,)"
+       R"("alpha":2,"beta":1},"sampling":{"theta":20000,"seed":6,)"
+       R"("epsilon":0,"max_theta":2000000,"stopping":"holdout"},)"
+       R"("plan":{"method":"bab-p","budgets":[10],"gap":0.01,)"
+       R"("epsilon":0.5,"bound":"zero","max_nodes":100000,)"
+       R"("deadline_ms":60000,"seed":1}})"},
+      {{"--threads=2"},
+       R"({"id":"oipa_cli","dataset":{"name":"synthetic","n":2000,)"
+       R"("topics":10,"scale":0.01,"pool_fraction":0.1,"seed":1,"ell":3,)"
+       R"("alpha":2,"beta":1},"sampling":{"theta":20000,"seed":6,)"
+       R"("epsilon":0,"max_theta":2000000,"stopping":"holdout",)"
+       R"("threads":2},"plan":{"method":"bab-p","budgets":[10],)"
+       R"("gap":0.01,"epsilon":0.5,"bound":"zero","max_nodes":100000,)"
+       R"("threads":2,"seed":1}})"},
+      {{"--alpha=2.00000000001"},
+       R"({"id":"oipa_cli","dataset":{"name":"synthetic","n":2000,)"
+       R"("topics":10,"scale":0.01,"pool_fraction":0.1,"seed":1,"ell":3,)"
+       R"("alpha":2.00000000001,"beta":1},"sampling":{"theta":20000,)"
+       R"("seed":6,"epsilon":0,"max_theta":2000000,)"
+       R"("stopping":"holdout"},"plan":{"method":"bab-p","budgets":[10],)"
+       R"("gap":0.01,"epsilon":0.5,"bound":"zero","max_nodes":100000,)"
+       R"("seed":1}})"},
+      {{"--dataset=dblp", "--scale=0.02"},
+       R"({"id":"oipa_cli","dataset":{"name":"dblp","n":2000,)"
+       R"("topics":10,"scale":0.02,"pool_fraction":0.1,"seed":1,"ell":3,)"
+       R"("alpha":2,"beta":1},"sampling":{"theta":20000,"seed":6,)"
+       R"("epsilon":0,"max_theta":2000000,"stopping":"holdout"},)"
+       R"("plan":{"method":"bab-p","budgets":[10],"gap":0.01,)"
+       R"("epsilon":0.5,"bound":"zero","max_nodes":100000,"seed":1}})"},
+  };
+  for (const auto& [extra, line] : cases) {
+    std::vector<std::string> args = {"plan"};
+    args.insert(args.end(), extra.begin(), extra.end());
+    CliConfig config;
+    ASSERT_TRUE(ParseCliConfig(MakeFlags(args), &config).ok()) << line;
+    EXPECT_EQ(config.wire_line, line);
+  }
+}
+
+TEST(CliParseTest, DefaultRequestIsTheWireDefault) {
+  // Absent flags write the wire's own defaults; only the sample stream
+  // (--seed + 5) differs from an empty request.
+  CliConfig config;
+  ASSERT_TRUE(ParseCliConfig(MakeFlags({"plan"}), &config).ok());
+  const StatusOr<serve::WireRequest> wire =
+      serve::ParseWireRequest(R"({"sampling":{"seed":6}})");
+  ASSERT_TRUE(wire.ok());
+  EXPECT_EQ(serve::ContextKey(config.request), serve::ContextKey(*wire));
+  EXPECT_EQ(serve::MergeKey(config.request), serve::MergeKey(*wire));
+  EXPECT_EQ(config.request.sampling.theta, wire->sampling.theta);
+  EXPECT_EQ(config.request.sampling.max_theta, wire->sampling.max_theta);
+  EXPECT_EQ(config.request.sampling.epsilon, wire->sampling.epsilon);
+  EXPECT_EQ(config.request.sampling.threads, wire->sampling.threads);
+  EXPECT_EQ(config.request.plan.budgets, wire->plan.budgets);
+  EXPECT_FALSE(config.request.plan.deadline_ms.has_value());
 }
 
 TEST(CliParseTest, RejectsMissingAndUnknownSubcommand) {
@@ -466,7 +560,7 @@ TEST(CliParseTest, DeadlineAndServerFlags) {
                              "--server=10.0.0.8:7477"}),
                   &config)
                   .ok());
-  EXPECT_EQ(config.deadline_ms, 250);
+  EXPECT_EQ(config.request.plan.deadline_ms, 250);
   EXPECT_EQ(config.server, "10.0.0.8:7477");
 
   // Non-positive deadlines and --server outside `plan` fail at parse
@@ -493,10 +587,10 @@ TEST(CliParseTest, ServeCommandParsesDaemonFlags) {
                   &config)
                   .ok());
   EXPECT_EQ(config.command, "serve");
-  EXPECT_EQ(config.port, 7477);
-  EXPECT_EQ(config.workers, 3);
-  EXPECT_EQ(config.max_contexts, 2);
-  EXPECT_EQ(config.store_budget_mb, 64);
+  EXPECT_EQ(config.daemon.port, 7477);
+  EXPECT_EQ(config.daemon.workers, 3);
+  EXPECT_EQ(config.daemon.max_contexts, 2);
+  EXPECT_EQ(config.daemon.store_budget_bytes, int64_t{64} << 20);
 }
 
 TEST(CliDispatchTest, NonPositiveOrNonFiniteAdoptionParametersExit2) {
@@ -572,6 +666,79 @@ TEST(CliDispatchTest, ValuesTheWireRefusesExit2) {
           << command << " " << flags.back();
     }
   }
+}
+
+TEST(CliDispatchTest, IntegerFlagsAreNeverNarrowedOrTruncated) {
+  // Each ran before with another value: 1 topic, theta = 1, k = 3, and
+  // the narrowed, truncated or clamped value of every other integer
+  // flag. Each must exit 2 before the dataset is built, naming the flag.
+  const std::vector<std::pair<std::vector<std::string>, std::string>>
+      cases = {
+          {{"generate", "--n=200", "--topics=4294967297"}, "--topics"},
+          {{"plan", "--n=200", "--theta=1e5"}, "--theta"},
+          {{"plan", "--k=3x"}, "--k"},
+          {{"generate", "--n=200x"}, "--n"},
+          {{"generate", "--ell=3x"}, "--ell"},
+          {{"generate", "--max_theta=2e6"}, "--max_theta"},
+          {{"generate", "--max_nodes=1e5"}, "--max_nodes"},
+          {{"generate", "--deadline_ms=5x"}, "--deadline_ms"},
+          {{"generate", "--threads=4294967298"}, "--threads"},
+          {{"generate", "--seed=1e5"}, "--seed"},
+          {{"generate", "--seed=18446744073709551615"}, "--seed"},
+          {{"generate", "--trials=4294967297"}, "--trials"},
+          {{"generate", "--cascades=4294967297"}, "--cascades"},
+          {{"generate", "--em_iterations=4294967297"}, "--em_iterations"},
+          {{"generate", "--retries=4294967297"}, "--retries"},
+          {{"generate", "--timeout_ms=4294967297"}, "--timeout_ms"},
+          {{"generate", "--indent=4294967297"}, "--indent"},
+          {{"generate", "--alpha=2x"}, "--alpha"},
+      };
+  for (const auto& [args, flag] : cases) {
+    const CliRun run = InvokeCli(args);
+    EXPECT_EQ(run.code, 2) << args.back();
+    EXPECT_NE(run.err.find("oipa_cli: InvalidArgument: " + flag),
+              std::string::npos)
+        << args.back() << ": " << run.err;
+    EXPECT_EQ(run.err.find("building dataset"), std::string::npos)
+        << args.back();
+    EXPECT_TRUE(run.out.empty()) << args.back();
+  }
+}
+
+TEST(CliParseTest, ServeReadsTheDaemonFlagsStrictly) {
+  // `oipa_cli serve` reads oipa_serve's ten flags through the one
+  // launcher, so values outside their type are refused, not narrowed
+  // (4294967298 workers once started 2).
+  for (const std::vector<std::string>& bad :
+       {std::vector<std::string>{"serve", "--port=0",
+                                 "--workers=4294967298"},
+        {"serve", "--port=0", "--max_contexts=4294967297"},
+        {"serve", "--port=4294967297"},
+        {"serve", "--max_queue_depth=0"},
+        {"serve", "--write_timeout_ms=1e3"}}) {
+    CliConfig config;
+    const Status status = ParseCliConfig(MakeFlags(bad), &config);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad.back();
+    const std::string flag = bad.back().substr(2, bad.back().find('=') - 2);
+    EXPECT_NE(status.message().find(flag), std::string::npos)
+        << bad.back() << ": " << status.message();
+  }
+  CliConfig config;
+  ASSERT_TRUE(ParseCliConfig(
+                  MakeFlags({"serve", "--host=0.0.0.0",
+                             "--max_queue_depth=7",
+                             "--max_inflight_per_conn=3",
+                             "--write_timeout_ms=900",
+                             "--checkpoint_dir=ckpt",
+                             "--checkpoint_interval_ms=450"}),
+                  &config)
+                  .ok());
+  EXPECT_EQ(config.daemon.host, "0.0.0.0");
+  EXPECT_EQ(config.daemon.max_queue_depth, 7);
+  EXPECT_EQ(config.daemon.max_inflight_per_conn, 3);
+  EXPECT_EQ(config.daemon.write_timeout_ms, 900);
+  EXPECT_EQ(config.daemon.checkpoint_dir, "ckpt");
+  EXPECT_EQ(config.daemon.checkpoint_interval_ms, 450);
 }
 
 TEST(CliDispatchTest, LearnWithServerExits2) {

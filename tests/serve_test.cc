@@ -25,9 +25,11 @@
 #include "rrset/sample_store.h"
 #include "serve/client.h"
 #include "serve/json_parser.h"
+#include "serve/launcher.h"
 #include "serve/server.h"
 #include "serve/wire.h"
 #include "util/fault_injector.h"
+#include "util/flags.h"
 #include "util/threading.h"
 
 namespace oipa {
@@ -171,6 +173,7 @@ TEST(WireTest, RejectsIntegersThatDoNotFitTheirField) {
            R"({"sampling":{"threads":1025}})",
            R"({"plan":{"threads":4294967297}})",
            R"({"plan":{"threads":1025}})",
+           R"({"plan":{"threads":257}})",
            R"({"plan":{"budgets":[4294967297]}})",
            R"({"plan":{"budgets":[2,2147483648]}})",
        }) {
@@ -178,13 +181,118 @@ TEST(WireTest, RejectsIntegersThatDoNotFitTheirField) {
     ASSERT_FALSE(r.ok()) << bad;
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bad;
   }
+  // Search workers stop at the solver's own ceiling, kMaxBabWorkers.
   const StatusOr<WireRequest> widest = ParseWireRequest(
-      R"({"sampling":{"threads":1024},"plan":{"threads":1024,)"
+      R"({"sampling":{"threads":1024},"plan":{"threads":256,)"
       R"("budgets":[2147483647]}})");
   ASSERT_TRUE(widest.ok()) << widest.status().ToString();
   EXPECT_EQ(widest->sampling.threads, 1024);
-  EXPECT_EQ(widest->plan.threads, 1024);
+  EXPECT_EQ(widest->plan.threads, 256);
   EXPECT_EQ(widest->plan.budgets, std::vector<int>({2147483647}));
+}
+
+TEST(WireTest, SolverThreadCountsPastTheSolverCeilingAreRefused) {
+  const StatusOr<WireRequest> r =
+      ParseWireRequest(R"({"plan":{"threads":300}})");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("plan.threads must be in [0, 256]"),
+            std::string::npos)
+      << r.status().message();
+}
+
+TEST(WireTest, NullDoublesAreRefusedByTheirRangeChecks) {
+  // JsonValue writes NaN and infinities as null; no double field may
+  // take it for a value.
+  for (const char* bad : {
+           R"({"dataset":{"scale":null}})",
+           R"({"dataset":{"pool_fraction":null}})",
+           R"({"dataset":{"alpha":null}})",
+           R"({"dataset":{"beta":null}})",
+           R"({"sampling":{"epsilon":null}})",
+           R"({"plan":{"gap":null}})",
+           R"({"plan":{"epsilon":null}})",
+       }) {
+    const StatusOr<WireRequest> r = ParseWireRequest(bad);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
+TEST(WireTest, ProgressiveSamplingBoundsAreChecked) {
+  for (const char* bad : {
+           R"({"sampling":{"epsilon":1.0}})",
+           R"({"sampling":{"epsilon":1.5}})",
+           R"({"sampling":{"theta":1000,"epsilon":0.1,"max_theta":500}})",
+       }) {
+    EXPECT_FALSE(ParseWireRequest(bad).ok()) << bad;
+  }
+  // Without progressive growth, max_theta below theta is never read.
+  EXPECT_TRUE(
+      ParseWireRequest(R"({"sampling":{"theta":1000,"max_theta":500}})")
+          .ok());
+}
+
+/// A FlagParser over `args` (the program name is prepended).
+FlagParser MakeFlags(std::vector<std::string> args) {
+  args.insert(args.begin(), "oipa_serve");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return FlagParser(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(ServeLauncherTest, ReadsAllTenDaemonFlags) {
+  ServerOptions options;
+  ASSERT_TRUE(ParseServerFlags(
+                  MakeFlags({"--host=0.0.0.0", "--port=7477",
+                             "--workers=3", "--max_contexts=5",
+                             "--store_budget_mb=64",
+                             "--max_queue_depth=9",
+                             "--max_inflight_per_conn=4",
+                             "--write_timeout_ms=700",
+                             "--checkpoint_dir=ckpt",
+                             "--checkpoint_interval_ms=450"}),
+                  &options)
+                  .ok());
+  EXPECT_EQ(options.host, "0.0.0.0");
+  EXPECT_EQ(options.port, 7477);
+  EXPECT_EQ(options.workers, 3);
+  EXPECT_EQ(options.max_contexts, 5);
+  EXPECT_EQ(options.store_budget_bytes, int64_t{64} << 20);
+  EXPECT_EQ(options.max_queue_depth, 9);
+  EXPECT_EQ(options.max_inflight_per_conn, 4);
+  EXPECT_EQ(options.write_timeout_ms, 700);
+  EXPECT_EQ(options.checkpoint_dir, "ckpt");
+  EXPECT_EQ(options.checkpoint_interval_ms, 450);
+
+  ServerOptions defaults;
+  ASSERT_TRUE(ParseServerFlags(MakeFlags({}), &defaults).ok());
+  EXPECT_EQ(defaults.workers, ServerOptions().workers);
+  EXPECT_EQ(defaults.store_budget_bytes, 0);
+}
+
+TEST(ServeLauncherTest, RefusesFlagsOutsideTheirTypeOrDomain) {
+  // 4294967298 workers once started the daemon with 2, and 4294967297
+  // contexts with 1.
+  for (const std::vector<std::string>& bad :
+       {std::vector<std::string>{"--port=0", "--workers=4294967298"},
+        {"--port=0", "--max_contexts=4294967297"},
+        {"--port=70000"},
+        {"--port=7x"},
+        {"--workers=0"},
+        {"--store_budget_mb=-1"},
+        {"--store_budget_mb=9000000000000"},
+        {"--max_queue_depth=2.5"},
+        {"--max_inflight_per_conn=0"},
+        {"--write_timeout_ms=4294967297"},
+        {"--checkpoint_interval_ms=0"}}) {
+    ServerOptions options;
+    const Status status = ParseServerFlags(MakeFlags(bad), &options);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad.back();
+    const std::string flag = bad.back().substr(2, bad.back().find('=') - 2);
+    EXPECT_NE(status.message().find(flag), std::string::npos)
+        << bad.back() << ": " << status.message();
+  }
 }
 
 // ---------------------------------------------------------- fixture
@@ -361,6 +469,20 @@ class ServeFixture : public ::testing::Test {
     const JsonValue* health = response.Find("health");
     if (health == nullptr || health->Find(field) == nullptr) return -1;
     return health->Find(field)->int_value();
+  }
+
+  /// One field of a fresh health probe's context_cache block (-1 if
+  /// the probe failed).
+  int64_t HealthContextCacheField(const char* field) {
+    const std::vector<std::string> lines = SendLinesAndCollect(
+        server_->port(), {R"({"id":"probe","type":"health"})"}, 1);
+    if (lines.size() != 1) return -1;
+    const JsonValue response = Parse(lines[0]);
+    const JsonValue* health = response.Find("health");
+    const JsonValue* cache =
+        health == nullptr ? nullptr : health->Find("context_cache");
+    if (cache == nullptr || cache->Find(field) == nullptr) return -1;
+    return cache->Find(field)->int_value();
   }
 
   void StartServer(ServerOptions options) {
@@ -579,6 +701,20 @@ TEST_F(ServeFixture, PieceCountsPastTheCeilingAreRejectedAndServingGoesOn) {
   }
   EXPECT_EQ(rejected, 2);
   EXPECT_TRUE(answered_next);
+}
+
+TEST_F(ServeFixture, SolverThreadCountsPastTheCeilingBuildNoContext) {
+  // The solver refuses more than kMaxBabWorkers search workers; the
+  // wire now refuses them too, before a context is built and cached.
+  StartServer({});
+  const JsonValue r =
+      Roundtrip(TinyRequest("wide", 1, "[2]", R"(,"threads":300)"));
+  ASSERT_FALSE(r.Find("ok")->bool_value()) << r.Dump(-1);
+  EXPECT_EQ(r.Find("error")->Find("code")->string_value(),
+            "InvalidArgument");
+  EXPECT_EQ(HealthContextCacheField("misses"), 0);
+  const JsonValue next = Roundtrip(TinyRequest("next", 1, "[2]"));
+  EXPECT_TRUE(next.Find("ok")->bool_value()) << next.Dump(-1);
 }
 
 TEST_F(ServeFixture, QueuedCompatibleRequestsShareOneSweep) {
