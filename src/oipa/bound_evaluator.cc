@@ -236,7 +236,9 @@ BoundResult BoundEvaluator::ComputeBoundLazy(
     return a.v > b.v;
   };
   std::priority_queue<Entry, std::vector<Entry>, decltype(cmp)> heap(cmp);
-  for (int j = 0; j < num_pieces_; ++j) {
+  // With no budget left the bound is the base τ, and, as in the scan, no
+  // candidate is evaluated.
+  for (int j = 0; budget_remaining > 0 && j < num_pieces_; ++j) {
     for (VertexId v : pools_[j]) {
       if (IsExcluded(j, v)) continue;
       const double gain = CandidateGain(j, v, *state);
@@ -286,7 +288,9 @@ BoundResult BoundEvaluator::ComputeBoundPro(
     VertexId v;
   };
   std::vector<Candidate> candidates;
-  for (int j = 0; j < num_pieces_; ++j) {
+  // With no budget left the bound is the base τ: no singleton gain is
+  // evaluated.
+  for (int j = 0; budget_remaining > 0 && j < num_pieces_; ++j) {
     for (VertexId v : pools_[j]) {
       if (IsExcluded(j, v)) continue;
       const double g0 = CandidateGain(j, v, *state);
@@ -300,7 +304,7 @@ BoundResult BoundEvaluator::ComputeBoundPro(
               return a.v < b.v;
             });
 
-  if (!candidates.empty() && budget_remaining > 0) {
+  if (!candidates.empty()) {
     std::vector<uint8_t> selected(candidates.size(), 0);
     // CELF-style lazy cache: the last gain computed for each candidate.
     // The surrogate is submodular within one call (line values only

@@ -63,6 +63,26 @@ TEST(BoundEvaluatorTest, BudgetZeroReturnsAnchorOnly) {
   EXPECT_GE(r.tau + 1e-9, r.sigma);
 }
 
+TEST(BoundEvaluatorTest, NoBudgetLeftEvaluatesNoCandidate) {
+  // With no budget left the bound is the base tau, whichever greedy
+  // computes it, and none of them evaluates any of the 90 candidates.
+  SmallInstance inst(30, 0.1, 3, 5, 211);
+  BoundEvaluator eval(inst.mrr.get(), inst.model, inst.pool);
+  CoverageState state(inst.mrr.get(),
+                      inst.model.AdoptionTable(inst.mrr->num_pieces()));
+  state.AddSeed(0, 0);
+  const BoundResult plain = eval.ComputeBound(&state, 0, {});
+  const BoundResult lazy = eval.ComputeBoundLazy(&state, 0, {});
+  const BoundResult pro = eval.ComputeBoundPro(&state, 0, {}, 0.5, false);
+  for (const BoundResult* r : {&plain, &lazy, &pro}) {
+    EXPECT_EQ(r->tau_evals, 0);
+    EXPECT_TRUE(r->additions.empty());
+    EXPECT_EQ(r->tau, plain.tau);
+    EXPECT_EQ(r->sigma, plain.sigma);
+  }
+  EXPECT_GT(eval.ComputeBoundLazy(&state, 1, {}).tau_evals, 0);
+}
+
 TEST(BoundEvaluatorTest, AdditionsRespectBudgetAndPool) {
   SmallInstance inst(20, 0.12, 3, 5, 53);
   // Restrict the pool to even vertices.

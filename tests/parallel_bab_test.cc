@@ -116,15 +116,18 @@ TEST(ParallelBabTest, OneWorkerSearchTraceMatchesPinnedHashes) {
   // bab, CELF-lazy bab and bab-p, each over exact pruning on/off, both
   // bound variants, gap 0 and 0.01, budgets 3 and 5, and three stop
   // paths: a run capped at 40 nodes (about a fifth converge first), a
-  // max_nodes trip at 4, and a cancel at node 5.
+  // max_nodes trip at 4, and a cancel at node 5. The CELF and bab-p
+  // columns were re-recorded when a bound call with no budget left
+  // stopped evaluating candidates: only their tau_evals moved (the
+  // hashes without tau_evals stayed the same).
   constexpr uint64_t kSeeds[] = {401, 409, 419};
   constexpr uint64_t kPinned[3][3] = {
-      {17543382590663170250ull, 4393623135457481230ull,
-       15457594364613844264ull},
-      {2569907215829683541ull, 13296049422898888749ull,
-       6148237239201125955ull},
-      {16605076361915219927ull, 17003030523984407915ull,
-       18384537261088709009ull},
+      {17543382590663170250ull, 17513809633764630005ull,
+       12549767823747102843ull},
+      {2569907215829683541ull, 9964612194574288665ull,
+       586577558375150823ull},
+      {16605076361915219927ull, 10111735991369472599ull,
+       8553777342645392903ull},
   };
   for (int s = 0; s < 3; ++s) {
     ParInstance inst(30, 0.1, 3, 5, kSeeds[s]);
