@@ -1,14 +1,15 @@
 // Google-benchmark micro benchmarks for the performance-critical
 // primitives: dataset and piece-graph builds, RR sampling, MRR
-// generation, fixed-theta RIS, sample-store builds and growth, coverage
-// kernels and updates, plan scoring, tangent refinement, and bound
-// evaluations.
+// generation and index builds, fixed-theta RIS, sample-store builds and
+// growth, coverage kernels and updates, plan scoring, tangent
+// refinement, bound evaluations, and the wire round trip.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "data/datasets.h"
@@ -21,10 +22,12 @@
 #include "rrset/mrr_collection.h"
 #include "rrset/rr_sampler.h"
 #include "rrset/sample_store.h"
+#include "serve/wire.h"
 #include "topic/campaign.h"
 #include "topic/influence_graph.h"
 #include "util/random.h"
 #include "util/threading.h"
+#include "util/timer.h"
 
 namespace oipa {
 namespace {
@@ -134,6 +137,34 @@ BENCHMARK(BM_MrrExtendLargeGraph)
     ->Args({10'000, 2})
     ->UseRealTime();
 
+/// One worker generates 100k lastfm samples: unindexed (range(0) = 0),
+/// indexed over every vertex (1), or over the dataset's pool (2). The
+/// index-segment build is the gap to the unindexed row;
+/// `postings_per_sample` is what the index holds.
+void BM_MrrIndex(benchmark::State& state) {
+  const MicroEnv& env = Env();
+  constexpr int64_t kTheta = 100'000;
+  const int mode = static_cast<int>(state.range(0));
+  state.SetLabel(mode == 0 ? "unindexed" : mode == 1 ? "every-vertex" : "pool");
+  const std::span<const VertexId> pool =
+      mode == 2 ? std::span<const VertexId>(env.dataset.promoter_pool)
+                : std::span<const VertexId>();
+  int64_t index_bytes = 0;
+  for (auto _ : state) {
+    const MrrCollection mrr = MrrCollection::Generate(
+        env.pieces, kTheta, 19, DiffusionModel::kIndependentCascade, 1,
+        /*indexed=*/mode != 0, pool);
+    index_bytes = mrr.MemoryBytes() -
+                  static_cast<int64_t>(sizeof(uint32_t)) *
+                      (mrr.TotalSize() + kTheta * mrr.num_pieces() + 1);
+    benchmark::DoNotOptimize(mrr.TotalSize());
+  }
+  state.counters["index_bytes_per_sample"] =
+      static_cast<double>(index_bytes) / kTheta;
+  state.SetItemsProcessed(state.iterations() * kTheta);
+}
+BENCHMARK(BM_MrrIndex)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+
 /// Fixed-theta RIS, the seed selection of the IM and TIM baselines, on
 /// range(0) workers: 100k RR sets sampled and indexed over the
 /// topic-blind lastfm graph, then CELF-covered for k = 20. The pool is
@@ -205,26 +236,35 @@ std::shared_ptr<const std::vector<InfluenceGraph>> EnvPieces() {
 }
 
 /// The daemon's context build on lastfm: a store of 100k in-sample and
-/// 100k holdout samples on range(0) sampling workers. Also reports the
-/// store's bytes per sample: in-sample (samples plus inverted index)
-/// and holdout (samples only).
+/// 100k holdout samples over the dataset's pool on range(0) sampling
+/// workers, timed until the holdout is ready. `insample_ready_ms` is the
+/// part until Create returns, with the in-sample collection published
+/// (a search could start there). Also reports the store's bytes per
+/// sample: in-sample (samples plus the pool's inverted index) and
+/// holdout (samples only).
 void BM_SampleStoreBuild(benchmark::State& state) {
   SampleStore::Options options;
   options.theta = 100'000;
   options.holdout_theta = 100'000;
   options.seed = 19;
   options.sampling_threads = static_cast<int>(state.range(0));
+  options.pool = Env().dataset.promoter_pool;
   std::shared_ptr<SampleStore> store;
+  double insample_ms = 0.0;
   for (auto _ : state) {
     store.reset();
+    const WallTimer timer;
     store = SampleStore::Create(EnvPieces(), options);
-    benchmark::DoNotOptimize(store.get());
+    insample_ms += timer.Seconds() * 1e3;
+    benchmark::DoNotOptimize(store->snapshot().holdout().get());
   }
+  state.counters["insample_ready_ms"] =
+      benchmark::Counter(insample_ms, benchmark::Counter::kAvgIterations);
   const SampleSnapshot snap = store->snapshot();
   state.counters["mrr_bytes_per_sample"] =
       static_cast<double>(snap.mrr->MemoryBytes()) / options.theta;
   state.counters["holdout_bytes_per_sample"] =
-      static_cast<double>(snap.holdout->MemoryBytes()) /
+      static_cast<double>(snap.holdout()->MemoryBytes()) /
       options.holdout_theta;
   state.SetItemsProcessed(state.iterations() * 2 * options.theta);
 }
@@ -235,8 +275,9 @@ BENCHMARK(BM_SampleStoreBuild)
     ->Unit(benchmark::kMillisecond);
 
 /// SampleStore::Grow on lastfm from 50k to 100k samples (in-sample and
-/// holdout) on range(0) sampling workers: the copy-on-grow generation
-/// copies the existing samples once and samples the rest.
+/// holdout) on range(0) sampling workers, until the grown holdout is
+/// ready: the copy-on-grow generation copies the existing samples once
+/// and samples the rest.
 void BM_SampleStoreGrow(benchmark::State& state) {
   SampleStore::Options options;
   options.theta = 50'000;
@@ -248,8 +289,10 @@ void BM_SampleStoreGrow(benchmark::State& state) {
     state.PauseTiming();
     store.reset();
     store = SampleStore::Create(EnvPieces(), options);
+    store->snapshot().holdout();
     state.ResumeTiming();
     benchmark::DoNotOptimize(store->Grow(100'000).ok());
+    benchmark::DoNotOptimize(store->snapshot().holdout().get());
   }
   state.SetItemsProcessed(state.iterations() * 2 * 50'000);
 }
@@ -415,6 +458,32 @@ void BM_ComputeBoundPro(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ComputeBoundPro)->Arg(10)->Arg(30);
+
+/// One request line parsed and validated (serve::ParseWireRequest) and
+/// one k = 20, l = 3 result row rendered (serve::ResultJson): the
+/// daemon's per-request wire work around a solve.
+void BM_WireRoundTrip(benchmark::State& state) {
+  const std::string line =
+      R"({"id":"r1","dataset":{"name":"lastfm","seed":1},)"
+      R"("sampling":{"theta":100000,"holdout_theta":100000,"threads":2},)"
+      R"("plan":{"method":"bab-p","budgets":[20],"threads":1}})";
+  PlanResponse response;
+  response.solver = "bab-p";
+  response.budget = 20;
+  response.plan = AssignmentPlan(3);
+  for (int i = 0; i < 20; ++i) response.plan.Add(i % 3, 7 * i + 1);
+  response.utility = 123.456;
+  response.holdout_utility = 121.5;
+  response.upper_bound = 130.25;
+  for (auto _ : state) {
+    const StatusOr<serve::WireRequest> request =
+        serve::ParseWireRequest(line);
+    benchmark::DoNotOptimize(request.ok());
+    const std::string row = serve::ResultJson(response).Dump(-1);
+    benchmark::DoNotOptimize(row.data());
+  }
+}
+BENCHMARK(BM_WireRoundTrip);
 
 }  // namespace
 }  // namespace oipa

@@ -29,6 +29,14 @@ Enforced rules (each failure names its rule id):
                     the cast wraps 4294967297 to 1. Front ends read
                     integer flags with FlagParser::ReadInt, which refuses
                     both with InvalidArgument naming the flag.
+  raw-thread        No std::thread, std::jthread or std::async in src/
+                    outside src/util/threading.{h,cc} and the existing
+                    thread owners: the serve daemon (serve/server.{h,cc}),
+                    the parallel search (oipa/branch_and_bound.cc) and
+                    the budget sweep (oipa/api/solver_registry.cc). Other
+                    code starts threads through util/threading
+                    (ParallelFor, BackgroundTask), so thread counts and
+                    lifetimes stay in one place.
   lock-hierarchy    Every oipa::Mutex declared in src/ (outside
                     src/util/) is documented in README.md's "Locking
                     hierarchy" table — a mutex nobody wrote an ordering
@@ -63,6 +71,15 @@ RAW_SYNC_RE = re.compile(
 )
 API_CHECK_RE = re.compile(r"\bOIPA_CHECK(_OK|_EQ|_NE|_LT|_LE|_GT|_GE|_OP)?\s*\(")
 UNSEEDED_RNG_RE = re.compile(r"std::random_device\b|(?<![\w:])s?rand\s*\(")
+RAW_THREAD_RE = re.compile(r"std::(?:j?thread|async)\b(?!::)")
+RAW_THREAD_OWNERS = (
+    "src/util/threading.h",
+    "src/util/threading.cc",
+    "src/serve/server.h",
+    "src/serve/server.cc",
+    "src/oipa/branch_and_bound.cc",
+    "src/oipa/api/solver_registry.cc",
+)
 NARROWED_FLAG_RE = re.compile(
     r"static_cast\s*<[^>]*>\s*\(\s*(?:[\w:]+(?:\.|->))*GetInt(?:List)?\s*\(")
 ALLOW_RE = re.compile(r"lint:allow\((?P<rule>[a-z-]+)\)\s*:\s*(?P<reason>\S.*)")
@@ -346,6 +363,11 @@ def main() -> int:
             ("unseeded-rng", UNSEEDED_RNG_RE,
              "unseeded randomness — derive from an explicit uint64 seed"),
         ]
+        if rel.replace(os.sep, "/") not in RAW_THREAD_OWNERS:
+            rules.append(
+                ("raw-thread", RAW_THREAD_RE,
+                 "thread started outside util/threading — use ParallelFor "
+                 "or BackgroundTask (util/threading.h)"))
         if not rel.startswith(os.path.join("src", "util") + os.sep):
             rules.append(
                 ("raw-sync", RAW_SYNC_RE,

@@ -145,6 +145,7 @@ Status BuildContext(Pipeline* p, std::ostream& err) {
       << " MRR sets over " << d.ell << " pieces...\n";
   ContextOptions options = serve::ToContextOptions(c.request);
   options.share_samples = c.share_samples;
+  options.pool = p->dataset.promoter_pool;
   WallTimer timer;
   auto context = PlanningContext::Borrow(
       *p->dataset.graph, p->planning_probs(), p->campaign,

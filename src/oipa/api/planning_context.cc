@@ -1,5 +1,6 @@
 #include "oipa/api/planning_context.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -61,6 +62,7 @@ SampleStore::Options StoreOptions(const ContextOptions& options) {
   store_options.diffusion = options.diffusion;
   store_options.sampling_threads = options.sampling_threads;
   store_options.source_key = options.source_key;
+  store_options.pool = options.pool;
   return store_options;
 }
 
@@ -79,6 +81,8 @@ StatusOr<std::shared_ptr<const PlanningContext>> PlanningContext::Build(
   ctx->campaign_ = std::move(campaign);
   ctx->model_ = model;
   ctx->options_ = options;
+  ctx->sorted_pool_ = options.pool;
+  std::sort(ctx->sorted_pool_.begin(), ctx->sorted_pool_.end());
   if (mrr != nullptr) {
     ctx->pieces_ = std::make_shared<const std::vector<InfluenceGraph>>(
         BuildPieceGraphs(*ctx->graph_, *ctx->probs_, *ctx->campaign_,
@@ -122,6 +126,14 @@ StatusOr<std::shared_ptr<const PlanningContext>> PlanningContext::Create(
     return Status::InvalidArgument(
         "ContextOptions::holdout_theta must be in [-1, " + max_samples +
         "]");
+  }
+  const VertexId n = graph->num_vertices();
+  for (const VertexId v : options.pool) {
+    if (v < 0 || v >= n) {
+      return Status::InvalidArgument(
+          "ContextOptions::pool vertex " + std::to_string(v) +
+          " is outside the graph [0, " + std::to_string(n) + ")");
+    }
   }
   return Build(std::move(graph), std::move(probs), std::move(campaign),
                model, options, nullptr, nullptr);
@@ -179,15 +191,20 @@ PlanningContext::BorrowWithSamples(const Graph& graph,
                    : Unowned(*holdout));
 }
 
+bool PlanningContext::InPool(VertexId v) const {
+  return sorted_pool_.empty() ||
+         std::binary_search(sorted_pool_.begin(), sorted_pool_.end(), v);
+}
+
 double PlanningContext::EstimateUtility(const AssignmentPlan& plan) const {
   return EstimateAdoptionUtility(*samples().mrr, model_, plan);
 }
 
 double PlanningContext::EstimateHoldoutUtility(
     const AssignmentPlan& plan) const {
-  const SampleSnapshot snap = samples();
-  if (snap.holdout == nullptr) return 0.0;
-  return EstimateAdoptionUtility(*snap.holdout, model_, plan);
+  const std::shared_ptr<const MrrCollection> holdout = samples().holdout();
+  if (holdout == nullptr) return 0.0;
+  return EstimateAdoptionUtility(*holdout, model_, plan);
 }
 
 StatusOr<PlanResponse> PlanningContext::Evaluate(
@@ -206,10 +223,10 @@ StatusOr<PlanResponse> PlanningContext::Evaluate(
   response.budget = plan.size();
   response.plan = plan;
   response.utility = EstimateAdoptionUtility(*snap.mrr, model_, plan);
+  const std::shared_ptr<const MrrCollection> holdout = snap.holdout();
   response.holdout_utility =
-      snap.holdout == nullptr
-          ? 0.0
-          : EstimateAdoptionUtility(*snap.holdout, model_, plan);
+      holdout == nullptr ? 0.0
+                         : EstimateAdoptionUtility(*holdout, model_, plan);
   response.upper_bound = response.utility;
   return response;
 }

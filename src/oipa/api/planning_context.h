@@ -48,6 +48,10 @@ struct ContextOptions {
   /// store retained under SampleStore::SetRegistryBudget(). The caller
   /// guarantees equal source_keys imply bit-identical graph and probs.
   std::string source_key;
+  /// The promoters requests plan over. The in-sample index covers only
+  /// these vertices, and a request whose pool leaves them is
+  /// InvalidArgument. Empty (default) is every vertex.
+  std::vector<VertexId> pool;
 };
 
 /// The shared state of one (graph, probabilities, campaign, adoption
@@ -128,11 +132,15 @@ class PlanningContext {
   /// Pins and returns the current sample generation. Hold the snapshot
   /// for the duration of one solve: its collections stay valid (and
   /// bit-stable) even while the store grows; re-call to see newer
-  /// samples.
+  /// samples. Never waits: the holdout may still be sampling, and only
+  /// SampleSnapshot::holdout() waits for it.
   SampleSnapshot samples() const { return store_->snapshot(); }
 
   /// True when the context was built with a holdout collection.
   bool has_holdout() const { return store_->has_holdout(); }
+
+  /// True when `v` is in the context's pool (ContextOptions::pool).
+  bool InPool(VertexId v) const;
 
   /// The context's sample store (telemetry, tests; shared stores show
   /// growth issued through any sharing context).
@@ -160,12 +168,14 @@ class PlanningContext {
   double EstimateUtility(const AssignmentPlan& plan) const;
 
   /// Holdout MRR estimate of `plan`; 0 when there is no holdout. Same
-  /// per-call snapshot semantics as EstimateUtility().
+  /// per-call snapshot semantics as EstimateUtility(); waits for a
+  /// holdout that is still sampling.
   double EstimateHoldoutUtility(const AssignmentPlan& plan) const;
 
   /// Scores an externally supplied plan with the same reporting shape as
-  /// a solver run. InvalidArgument if the plan's piece count does not
-  /// match the campaign. `label` becomes PlanResponse::solver.
+  /// a solver run (waiting for a holdout that is still sampling).
+  /// InvalidArgument if the plan's piece count does not match the
+  /// campaign. `label` becomes PlanResponse::solver.
   StatusOr<PlanResponse> Evaluate(const AssignmentPlan& plan,
                                   const std::string& label = "external") const;
 
@@ -191,6 +201,8 @@ class PlanningContext {
   ContextOptions options_;
   /// Shared with the store (and with every context sharing the store).
   std::shared_ptr<const std::vector<InfluenceGraph>> pieces_;
+  /// options_.pool, sorted, for InPool().
+  std::vector<VertexId> sorted_pool_;
   /// The sample store: private, or registry-shared across contexts that
   /// differ only in the adoption model (options_.share_samples).
   std::shared_ptr<SampleStore> store_;

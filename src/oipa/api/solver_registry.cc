@@ -283,6 +283,11 @@ Status ValidateRequest(const PlanningContext& context,
           "pool vertex " + std::to_string(v) +
           " is outside the context graph [0, " + std::to_string(n) + ")");
     }
+    // The in-sample index holds only the context pool's postings.
+    if (!context.InPool(v)) {
+      return Status::InvalidArgument("pool vertex " + std::to_string(v) +
+                                     " is outside the context's pool");
+    }
   }
   if (request.budgets.empty()) {
     return Status::InvalidArgument("request has no budgets");
@@ -382,7 +387,9 @@ void StampDeadline(std::chrono::steady_clock::time_point deadline,
 /// fields the solvers themselves leave blank. Pins one sample
 /// generation for the whole solve: the solver, the holdout estimate,
 /// and the stopping statistics all read the same snapshot even while
-/// the store grows concurrently. Every solver gets one initial progress
+/// the store grows concurrently. The search needs only the in-sample
+/// collection; the holdout, which may still be sampling beside it, is
+/// waited for after the search. Every solver gets one initial progress
 /// snapshot (with zeroed counters) before any work, so cancellation is
 /// possible even for solvers that never poll the hook; the BAB family
 /// additionally polls during the search. When the context has a
@@ -416,20 +423,20 @@ StatusOr<PlanResponse> SolveOne(const PlanningContext& context,
   response->solver = std::string(solver.name());
   response->budget = budget;
   if (response->seconds == 0.0) response->seconds = timer.Seconds();
+  const std::shared_ptr<const MrrCollection> holdout = samples.holdout();
   response->holdout_utility =
-      samples.holdout == nullptr
-          ? 0.0
-          : EstimateAdoptionUtility(*samples.holdout, context.model(),
-                                    response->plan);
+      holdout == nullptr ? 0.0
+                         : EstimateAdoptionUtility(*holdout, context.model(),
+                                                   response->plan);
   response->theta_used = theta_used;
   response->sampling_rounds = 1;
-  if (samples.holdout != nullptr) {
+  if (holdout != nullptr) {
     StoppingInputs inputs;
     inputs.utility = response->utility;
     inputs.upper_bound = response->upper_bound;
     inputs.holdout_utility = response->holdout_utility;
     inputs.theta = theta_used;
-    inputs.holdout_theta = samples.holdout->theta();
+    inputs.holdout_theta = holdout->theta();
     inputs.num_vertices = context.graph().num_vertices();
     inputs.epsilon = request.epsilon;
     const StoppingVerdict verdict =

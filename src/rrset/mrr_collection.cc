@@ -21,15 +21,15 @@ std::atomic<int64_t> g_generated_samples{0};
 constexpr size_t kMinHeadroom = 1024;
 
 /// Index shards for one segment over `samples` samples holding
-/// `postings` memberships under `keys` index keys: at most `threads`, at
+/// `members` memberships under `keys` index keys: at most `threads`, at
 /// most one per sample, and few enough that the shards' key-count
-/// arrays (one word per key each) take no more words than the segment
-/// itself (keys + 1 offsets plus one id per posting). Without the last
-/// cap the scratch would grow as threads * l * (n+1) however small the
+/// arrays (one word per key each) take no more words than the keys'
+/// offsets plus one word per membership scanned. Without the last cap
+/// the scratch would grow as threads * l * (n+1) however small the
 /// segment.
 int IndexShards(int threads, int64_t samples, int64_t keys,
-                int64_t postings) {
-  const int64_t fit = (keys + 1 + postings) / keys;
+                int64_t members) {
+  const int64_t fit = (keys + 1 + members) / keys;
   return static_cast<int>(
       std::max<int64_t>(1, std::min({int64_t{threads}, samples, fit})));
 }
@@ -48,8 +48,8 @@ std::vector<int64_t> ShardBounds(int64_t begin, int64_t end, int shards) {
 /// least twice the old capacity, so a run of small in-place Extends
 /// stays O(new samples); otherwise exactly `size`, so a collection built
 /// for its final size holds no slack.
-template <typename T>
-void Reserve(DefaultInitVector<T>* v, size_t size, bool amortised) {
+template <typename Vector>
+void Reserve(Vector* v, size_t size, bool amortised) {
   if (size <= v->capacity()) return;
   v->reserve(amortised ? std::max(size, 2 * v->capacity()) : size);
 }
@@ -99,6 +99,7 @@ void AppendSample(std::span<const InfluenceGraph> piece_graphs,
 struct alignas(64) SampleShard {
   std::vector<VertexId> nodes;
   int64_t node_base = 0;  // where `nodes` lands in nodes_
+  std::vector<uint32_t> pool_samples;
 };
 
 }  // namespace
@@ -109,7 +110,8 @@ int64_t MrrCollection::GeneratedSampleCount() {
 
 MrrCollection MrrCollection::Generate(
     std::span<const InfluenceGraph> piece_graphs, int64_t theta,
-    uint64_t seed, DiffusionModel model, int num_threads, bool indexed) {
+    uint64_t seed, DiffusionModel model, int num_threads, bool indexed,
+    std::span<const VertexId> index_pool) {
   OIPA_CHECK_GE(theta, 0);
   OIPA_CHECK(!piece_graphs.empty());
   OIPA_CHECK_LE(piece_graphs.size(), static_cast<size_t>(kMaxPieces))
@@ -121,6 +123,14 @@ MrrCollection MrrCollection::Generate(
   mc.model_ = model;
   mc.extendable_ = true;
   mc.indexed_ = indexed;
+  if (indexed && !index_pool.empty()) {
+    auto in_pool = std::make_shared<std::vector<uint8_t>>(mc.num_vertices_);
+    for (const VertexId v : index_pool) {
+      OIPA_CHECK(v >= 0 && v < mc.num_vertices_) << "pool vertex " << v;
+      (*in_pool)[v] = 1;
+    }
+    mc.index_pool_ = std::move(in_pool);
+  }
   mc.Append(piece_graphs, theta, ResolveThreadCount(num_threads),
             /*amortised=*/false);
   return mc;
@@ -146,6 +156,7 @@ MrrCollection MrrCollection::ExtendedCopy(
   grown.extendable_ = extendable_;
   grown.indexed_ = indexed_;
   grown.segments_ = segments_;
+  grown.index_pool_ = index_pool_;
   grown.offsets_.reserve(static_cast<size_t>(target * num_pieces_ + 1));
   grown.offsets_.assign(offsets_.begin(), offsets_.end());
   // This collection's mean members per sample predicts the new samples'.
@@ -193,66 +204,83 @@ void MrrCollection::Append(std::span<const InfluenceGraph> piece_graphs,
   const size_t offsets_size = static_cast<size_t>(new_theta * ell + 1);
   Reserve(&offsets_, offsets_size, amortised);
   offsets_.resize(offsets_size);
+  // A pool index reads only the samples with a pool member, which the
+  // sampling passes list while the members are in cache.
+  std::vector<uint32_t> pool_samples;
+  std::vector<uint32_t>* listed =
+      indexed_ && index_pool_ != nullptr ? &pool_samples : nullptr;
   const int shard_count = static_cast<int>(std::min<int64_t>(workers, extra));
   if (shard_count <= 1) {
-    SampleDirect(piece_graphs, lt_weights, begin, new_theta, amortised);
+    SamplePass(piece_graphs, lt_weights, begin, new_theta, amortised,
+               &nodes_, listed);
   } else {
     SampleSharded(piece_graphs, lt_weights, begin, new_theta, shard_count,
-                  amortised);
+                  amortised, listed);
   }
   theta_ = new_theta;
-  if (indexed_) AppendIndexSegment(begin, new_theta, workers);
+  if (indexed_) AppendIndexSegment(begin, new_theta, workers, listed);
   g_generated_samples.fetch_add(extra, std::memory_order_relaxed);
 }
 
-void MrrCollection::SampleDirect(
+template <typename Members>
+void MrrCollection::SamplePass(
     std::span<const InfluenceGraph> piece_graphs,
     const std::vector<std::vector<float>>& lt_weights, int64_t begin,
-    int64_t end, bool amortised) {
+    int64_t end, bool amortised, Members* out,
+    std::vector<uint32_t>* pool_samples) {
   const int ell = num_pieces_;
-  const size_t pass_base = nodes_.size();
+  const size_t pass_base = out->size();
   size_t headroom = kMinHeadroom;
-  // Members are appended in place, so nodes_ must not reallocate on
-  // every doubling: reserve for the whole pass at the collection's own
-  // mean, or — for a fresh collection — for a pilot of 1/8 of the pass
-  // at one member per set, and let the first refill below extrapolate
-  // from what the pilot drew.
-  if (begin > 0) {
-    Reserve(&nodes_,
-            pass_base + ExpectedMembers(static_cast<double>(pass_base) /
-                                            static_cast<double>(begin),
-                                        end - begin, headroom),
+  // A member buffer must not reallocate on every doubling (nodes_ grows
+  // in place; a shard's buffer is copied again by the stitch): reserve
+  // for the whole pass at the collection's own mean — nodes_ and theta_
+  // still describe the samples before this growth step — or, for a
+  // fresh collection, for a pilot of 1/8 of the pass at one member per
+  // set, and let the first refill below extrapolate from what the pilot
+  // drew.
+  if (theta_ > 0) {
+    const double mean =
+        static_cast<double>(nodes_.size()) / static_cast<double>(theta_);
+    Reserve(out, pass_base + ExpectedMembers(mean, end - begin, headroom),
             amortised);
   } else {
-    Reserve(&nodes_,
-            ExpectedMembers(ell, std::max<int64_t>(1, (end - begin) / 8),
+    Reserve(out,
+            pass_base + ExpectedMembers(
+                            ell, std::max<int64_t>(1, (end - begin) / 8),
                             headroom),
             amortised);
   }
+  const uint8_t* in_pool =
+      pool_samples == nullptr ? nullptr : index_pool_->data();
   RrSampler sampler(num_vertices_);
   std::vector<VertexId> lt_set;
   for (int64_t i = begin; i < end; ++i) {
-    if (nodes_.capacity() - nodes_.size() < headroom) {
+    if (out->capacity() - out->size() < headroom) {
       const int64_t done = i - begin;
       const double mean =
-          done > 0 ? static_cast<double>(nodes_.size() - pass_base) /
+          done > 0 ? static_cast<double>(out->size() - pass_base) /
                          static_cast<double>(done)
                    : ell;
-      Reserve(&nodes_,
-              nodes_.size() + ExpectedMembers(mean, end - i, headroom),
+      Reserve(out, out->size() + ExpectedMembers(mean, end - i, headroom),
               amortised);
     }
-    const size_t sample_begin = nodes_.size();
+    const size_t sample_begin = out->size();
     AppendSample(piece_graphs, lt_weights, base_seed_, i, &sampler, &lt_set,
-                 &nodes_, offsets_.data() + i * ell + 1);
-    headroom = std::max(headroom, 2 * (nodes_.size() - sample_begin));
+                 out, offsets_.data() + i * ell + 1);
+    headroom = std::max(headroom, 2 * (out->size() - sample_begin));
+    if (pool_samples != nullptr &&
+        std::any_of(out->begin() + sample_begin, out->end(),
+                    [in_pool](VertexId v) { return in_pool[v] != 0; })) {
+      pool_samples->push_back(static_cast<uint32_t>(i));
+    }
   }
 }
 
 void MrrCollection::SampleSharded(
     std::span<const InfluenceGraph> piece_graphs,
     const std::vector<std::vector<float>>& lt_weights, int64_t begin,
-    int64_t end, int workers, bool amortised) {
+    int64_t end, int workers, bool amortised,
+    std::vector<uint32_t>* pool_samples) {
   const int ell = num_pieces_;
   const std::vector<int64_t> bounds = ShardBounds(begin, end, workers);
   std::vector<SampleShard> shards(workers);
@@ -261,16 +289,17 @@ void MrrCollection::SampleSharded(
   // to offsets_[i*l+j+1]; the stitch rebases the ends.
   ParallelFor(workers, workers, [&](int, int64_t lo, int64_t hi) {
     for (int64_t s = lo; s < hi; ++s) {
-      std::vector<VertexId>& nodes = shards[s].nodes;
-      nodes.reserve((bounds[s + 1] - bounds[s]) * ell);
-      RrSampler sampler(num_vertices_);
-      std::vector<VertexId> lt_set;
-      for (int64_t i = bounds[s]; i < bounds[s + 1]; ++i) {
-        AppendSample(piece_graphs, lt_weights, base_seed_, i, &sampler,
-                     &lt_set, &nodes, offsets_.data() + i * ell + 1);
-      }
+      SamplePass(piece_graphs, lt_weights, bounds[s], bounds[s + 1],
+                 /*amortised=*/false, &shards[s].nodes,
+                 pool_samples == nullptr ? nullptr : &shards[s].pool_samples);
     }
   });
+  if (pool_samples != nullptr) {
+    for (const SampleShard& shard : shards) {
+      pool_samples->insert(pool_samples->end(), shard.pool_samples.begin(),
+                           shard.pool_samples.end());
+    }
+  }
 
   // Stitch: every shard rebases its ends and copies its members to
   // positions fixed by the shards before it.
@@ -342,14 +371,25 @@ MrrCollection MrrCollection::FromParts(
 }
 
 void MrrCollection::AppendIndexSegment(int64_t begin, int64_t end,
-                                       int workers) {
+                                       int workers,
+                                       const std::vector<uint32_t>* listed) {
   const int64_t keys = IndexKey(num_pieces_, 0);
-  const int64_t postings =
+  const int64_t members =
       static_cast<int64_t>(offsets_[end * num_pieces_]) -
       offsets_[begin * num_pieces_];
-  const int shard_count =
-      IndexShards(workers, end - begin, keys, postings);
-  const std::vector<int64_t> bounds = ShardBounds(begin, end, shard_count);
+  // The passes visit samples sample_at(0 .. visits).
+  const int64_t visits =
+      listed == nullptr ? end - begin : static_cast<int64_t>(listed->size());
+  auto sample_at = [listed, begin](int64_t k) -> int64_t {
+    return listed == nullptr ? begin + k : (*listed)[k];
+  };
+  const int shard_count = IndexShards(workers, visits, keys, members);
+  const std::vector<int64_t> bounds = ShardBounds(0, visits, shard_count);
+  const uint8_t* in_pool =
+      index_pool_ == nullptr ? nullptr : index_pool_->data();
+  auto indexed = [in_pool](VertexId v) {
+    return in_pool == nullptr || in_pool[v] != 0;
+  };
 
   // cursors[s][key]: shard s's memberships under `key`.
   std::vector<std::vector<uint32_t>> cursors(shard_count);
@@ -357,10 +397,13 @@ void MrrCollection::AppendIndexSegment(int64_t begin, int64_t end,
     for (int64_t s = lo; s < hi; ++s) {
       std::vector<uint32_t>& counts = cursors[s];
       counts.assign(keys, 0);
-      for (int64_t i = bounds[s]; i < bounds[s + 1]; ++i) {
+      for (int64_t k = bounds[s]; k < bounds[s + 1]; ++k) {
+        const int64_t i = sample_at(k);
         for (int j = 0; j < num_pieces_; ++j) {
           uint32_t* piece_counts = counts.data() + IndexKey(j, 0);
-          for (const VertexId v : Set(i, j)) ++piece_counts[v];
+          for (const VertexId v : Set(i, j)) {
+            if (indexed(v)) ++piece_counts[v];
+          }
         }
       }
     }
@@ -372,7 +415,7 @@ void MrrCollection::AppendIndexSegment(int64_t begin, int64_t end,
   seg->offsets.resize(keys + 1);
   // Exclusive prefix sum in (key, shard) order: each count becomes the
   // shard's first write position under that key. Every position is
-  // below `postings`, which the member ceiling keeps within 32 bits.
+  // below `members`, which the member ceiling keeps within 32 bits.
   uint32_t next = 0;
   for (int64_t key = 0; key < keys; ++key) {
     seg->offsets[key] = next;
@@ -383,15 +426,18 @@ void MrrCollection::AppendIndexSegment(int64_t begin, int64_t end,
     }
   }
   seg->offsets[keys] = next;
-  OIPA_CHECK_EQ(static_cast<int64_t>(next), postings);
+  OIPA_CHECK_LE(static_cast<int64_t>(next), members);
   seg->samples.resize(static_cast<size_t>(next));
   ParallelFor(shard_count, shard_count, [&](int, int64_t lo, int64_t hi) {
     for (int64_t s = lo; s < hi; ++s) {
-      for (int64_t i = bounds[s]; i < bounds[s + 1]; ++i) {
+      for (int64_t k = bounds[s]; k < bounds[s + 1]; ++k) {
+        const int64_t i = sample_at(k);
         for (int j = 0; j < num_pieces_; ++j) {
           uint32_t* piece_cursors = cursors[s].data() + IndexKey(j, 0);
           for (const VertexId v : Set(i, j)) {
-            seg->samples[piece_cursors[v]++] = static_cast<uint32_t>(i);
+            if (indexed(v)) {
+              seg->samples[piece_cursors[v]++] = static_cast<uint32_t>(i);
+            }
           }
         }
       }

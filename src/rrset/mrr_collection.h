@@ -67,7 +67,11 @@ class MrrCollection {
   /// bit-identical samples. With `indexed` false no
   /// inverted index is built, now or on growth: the collection can be
   /// scanned (Set, root) and scored (EstimateAdoptionUtility) but not
-  /// searched (ForEachSample*, CoverageState, BoundEvaluator).
+  /// searched (ForEachSample*, CoverageState, BoundEvaluator). A
+  /// non-empty `index_pool` restricts the index, now and on growth, to
+  /// those vertices' keys: every index reader keys on a promoter, so a
+  /// search over that pool reads exactly what a full index would give
+  /// it, and a vertex outside the pool reads as in no sample.
   /// Under kLinearThreshold, each piece's edge probabilities are first
   /// normalized to LT weights (see diffusion/lt_cascade.h) and RR sets
   /// are reverse live-edge paths; everything downstream (estimators,
@@ -76,7 +80,8 @@ class MrrCollection {
       std::span<const InfluenceGraph> piece_graphs, int64_t theta,
       uint64_t seed,
       DiffusionModel model = DiffusionModel::kIndependentCascade,
-      int num_threads = 0, bool indexed = true);
+      int num_threads = 0, bool indexed = true,
+      std::span<const VertexId> index_pool = {});
 
   /// Grows the collection in place to `new_theta` samples (no-op when
   /// new_theta <= theta()). `piece_graphs` must be the graphs the
@@ -133,6 +138,12 @@ class MrrCollection {
 
   /// True when the collection carries an inverted index (see Generate).
   bool indexed() const { return indexed_; }
+
+  /// True when the index holds v's postings: an indexed collection
+  /// built without an index pool, or v in that pool.
+  bool IndexesVertex(VertexId v) const {
+    return indexed_ && (index_pool_ == nullptr || (*index_pool_)[v] != 0);
+  }
 
   /// Sample i's root: the first member of each of its sets.
   VertexId root(int64_t i) const {
@@ -249,28 +260,39 @@ class MrrCollection {
   void Append(std::span<const InfluenceGraph> piece_graphs,
               int64_t new_theta, int workers, bool amortised);
 
-  /// One worker: samples [begin, end) straight into offsets_/nodes_.
-  void SampleDirect(std::span<const InfluenceGraph> piece_graphs,
-                    const std::vector<std::vector<float>>& lt_weights,
-                    int64_t begin, int64_t end, bool amortised);
+  /// Appends samples [begin, end) to `out`, writing each RR set's end
+  /// (out's size after it) to offsets_[i*l+j+1]. One worker's pass:
+  /// straight into nodes_, or into one shard's buffer. A non-null
+  /// `pool_samples` receives, ascending, every sample with a member in
+  /// the index pool: the only samples a pool index build reads.
+  template <typename Members>
+  void SamplePass(std::span<const InfluenceGraph> piece_graphs,
+                  const std::vector<std::vector<float>>& lt_weights,
+                  int64_t begin, int64_t end, bool amortised, Members* out,
+                  std::vector<uint32_t>* pool_samples);
 
   /// Several workers: samples [begin, end) into per-shard member
-  /// buffers, then stitches them into nodes_.
+  /// buffers, then stitches them into nodes_ (and the shards'
+  /// pool_samples, in order, into `pool_samples`).
   void SampleSharded(std::span<const InfluenceGraph> piece_graphs,
                      const std::vector<std::vector<float>>& lt_weights,
                      int64_t begin, int64_t end, int workers,
-                     bool amortised);
+                     bool amortised, std::vector<uint32_t>* pool_samples);
 
   /// The one index-segment builder. Appends the segment for samples
-  /// [begin, end), which must already be stored. The range is cut into
-  /// at most `workers` contiguous shards, few enough that their
-  /// per-shard key counts (l*(n+1) each) together take no more words
-  /// than the segment itself. Each shard counts its memberships per
-  /// key, an exclusive prefix sum over (key, shard) turns the counts
-  /// into write cursors, and the shards scatter their postings in
-  /// parallel; every posting list stays ascending because shard s's
-  /// samples precede shard s+1's.
-  void AppendIndexSegment(int64_t begin, int64_t end, int workers);
+  /// [begin, end), which must already be stored; only vertices in the
+  /// index pool get postings, and a non-null `listed` names (ascending)
+  /// the only samples of the range that hold any, so the passes read
+  /// just those. The samples read are cut into at most `workers`
+  /// contiguous shards, few enough that their per-shard key counts
+  /// (l*(n+1) each) together take no more words than the segment's
+  /// members. Each shard counts its memberships per key, an exclusive
+  /// prefix sum over (key, shard) turns the counts into write cursors,
+  /// and the shards scatter their postings in parallel; every posting
+  /// list stays ascending because shard s's samples precede shard
+  /// s+1's.
+  void AppendIndexSegment(int64_t begin, int64_t end, int workers,
+                          const std::vector<uint32_t>* listed = nullptr);
 
   int64_t theta_ = 0;
   int num_pieces_ = 0;
@@ -284,6 +306,9 @@ class MrrCollection {
   DefaultInitVector<uint32_t> offsets_{0};  // theta*l + 1
   DefaultInitVector<VertexId> nodes_;
   std::vector<std::shared_ptr<const IndexSegment>> segments_;
+  /// The index pool as a membership byte per vertex; null indexes every
+  /// vertex. Shared by grown copies.
+  std::shared_ptr<const std::vector<uint8_t>> index_pool_;
 };
 
 }  // namespace oipa

@@ -233,14 +233,16 @@ StatusOr<MrrCollection> LoadMrrCollection(const std::string& path) {
 Status SaveSampleStore(const SampleStore& store, const std::string& path) {
   if (FaultInjector::ShouldFail("io.save")) return InjectedFault("io.save");
   // One snapshot for the whole write: both collections come from the
-  // same generation even if the store grows mid-save.
+  // same generation even if the store grows mid-save. Waits for a
+  // holdout that is still sampling.
   const SampleSnapshot snap = store.snapshot();
+  const std::shared_ptr<const MrrCollection> holdout = snap.holdout();
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IoError("cannot open " + path + " for writing");
   WritePod(out, kMagicStore);
-  WritePod(out, static_cast<int32_t>(snap.holdout == nullptr ? 0 : 1));
+  WritePod(out, static_cast<int32_t>(holdout == nullptr ? 0 : 1));
   WriteCollectionBlob(out, *snap.mrr);
-  if (snap.holdout != nullptr) WriteCollectionBlob(out, *snap.holdout);
+  if (holdout != nullptr) WriteCollectionBlob(out, *holdout);
   if (!out) return Status::IoError("write failure on " + path);
   return Status::Ok();
 }

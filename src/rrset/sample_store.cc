@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -14,32 +13,6 @@
 namespace oipa {
 
 namespace {
-
-/// Runs the in-sample job and the holdout job (either may be empty) side
-/// by side in one parallel region, splitting the store's sampling
-/// workers between them; the in-sample collection, which also builds
-/// the index, gets the larger half. A job alone gets every worker. Each
-/// job receives its worker count; samples are bit-identical at any.
-void SideBySide(int sampling_threads, const std::function<void(int)>& mrr_job,
-                const std::function<void(int)>& holdout_job) {
-  const int workers = ResolveThreadCount(sampling_threads);
-  if (!mrr_job || !holdout_job) {
-    if (mrr_job) mrr_job(workers);
-    if (holdout_job) holdout_job(workers);
-    return;
-  }
-  const int holdout_workers = std::max(1, workers / 2);
-  const int mrr_workers = std::max(1, workers - holdout_workers);
-  ParallelFor(2, std::min(workers, 2), [&](int, int64_t lo, int64_t hi) {
-    for (int64_t job = lo; job < hi; ++job) {
-      if (job == 0) {
-        mrr_job(mrr_workers);
-      } else {
-        holdout_job(holdout_workers);
-      }
-    }
-  });
-}
 
 /// The holdout stream is decorrelated from the in-sample stream by the
 /// same seed perturbation PlanningContext used before the store existed
@@ -52,6 +25,39 @@ int64_t ResolvedHoldoutTheta(const SampleStore::Options& options) {
 
 }  // namespace
 
+SampleStore::~SampleStore() {
+  // The holdout job reads the piece graphs, and through them the social
+  // graph, which may die with this store's owner; a snapshot copy may
+  // outlive both. Growth waits for each job before starting the next,
+  // so only the current one can be pending.
+  std::shared_ptr<const SampleSnapshot> current;
+  {
+    MutexLock lock(&snapshot_mu_);
+    current = current_;
+  }
+  if (current != nullptr && current->holdout_task != nullptr) {
+    current->holdout_task->Wait();
+  }
+}
+
+std::shared_ptr<const HoldoutTask> SampleStore::SampleHoldout(
+    std::shared_ptr<const MrrCollection> base, int64_t theta) const {
+  if (theta <= 0) return nullptr;
+  return HoldoutTask::Start(
+      [pieces = pieces_, base = std::move(base), theta,
+       seed = options_.seed ^ kHoldoutSeedXor,
+       diffusion = options_.diffusion,
+       workers = ResolveThreadCount(options_.sampling_threads)]() {
+        // The holdout only scores finished plans (EstimateAdoptionUtility
+        // scans it), so it is sampled without an inverted index.
+        return std::make_shared<const MrrCollection>(
+            base == nullptr
+                ? MrrCollection::Generate(*pieces, theta, seed, diffusion,
+                                          workers, /*indexed=*/false)
+                : base->ExtendedCopy(*pieces, theta, workers));
+      });
+}
+
 std::shared_ptr<SampleStore> SampleStore::Build(
     std::shared_ptr<const std::vector<InfluenceGraph>> pieces,
     const Options& options, bool shared) {
@@ -62,32 +68,15 @@ std::shared_ptr<SampleStore> SampleStore::Build(
   store->options_ = options;
   store->options_.holdout_theta = ResolvedHoldoutTheta(options);
   store->shared_ = shared;
-  // The holdout only scores finished plans (EstimateAdoptionUtility
-  // scans it), so it is sampled without an inverted index.
-  const std::vector<InfluenceGraph>& piece_graphs = *store->pieces_;
-  const int64_t holdout_theta = store->options_.holdout_theta;
-  std::shared_ptr<const MrrCollection> mrr;
-  std::shared_ptr<const MrrCollection> holdout;
-  std::function<void(int)> holdout_job;
-  if (holdout_theta > 0) {
-    holdout_job = [&](int workers) {
-      holdout = std::make_shared<const MrrCollection>(MrrCollection::Generate(
-          piece_graphs, holdout_theta, options.seed ^ kHoldoutSeedXor,
-          options.diffusion, workers, /*indexed=*/false));
-    };
-  }
-  SideBySide(
-      options.sampling_threads,
-      [&](int workers) {
-        mrr = std::make_shared<const MrrCollection>(MrrCollection::Generate(
-            piece_graphs, options.theta, options.seed, options.diffusion,
-            workers));
-      },
-      holdout_job);
-  {
-    MutexLock grow_lock(&store->grow_mu_);
-    store->Publish(std::move(mrr), std::move(holdout));
-  }
+  store->extendable_ = true;
+  SampleSnapshot first;
+  first.mrr = std::make_shared<const MrrCollection>(MrrCollection::Generate(
+      *store->pieces_, options.theta, options.seed, options.diffusion,
+      options.sampling_threads, /*indexed=*/true, options.pool));
+  first.holdout_theta = store->options_.holdout_theta;
+  first.holdout_task = store->SampleHoldout(nullptr, first.holdout_theta);
+  MutexLock grow_lock(&store->grow_mu_);
+  store->Publish(std::move(first));
   return store;
 }
 
@@ -108,10 +97,16 @@ std::shared_ptr<SampleStore> SampleStore::Adopt(
   store->options_.holdout_theta = holdout == nullptr ? 0 : holdout->theta();
   store->options_.seed = mrr->base_seed();
   store->options_.diffusion = mrr->model();
-  {
-    MutexLock grow_lock(&store->grow_mu_);
-    store->Publish(std::move(mrr), std::move(holdout));
+  store->extendable_ =
+      mrr->extendable() && (holdout == nullptr || holdout->extendable());
+  SampleSnapshot adopted;
+  adopted.mrr = std::move(mrr);
+  adopted.holdout_theta = store->options_.holdout_theta;
+  if (holdout != nullptr) {
+    adopted.holdout_task = HoldoutTask::Done(std::move(holdout));
   }
+  MutexLock grow_lock(&store->grow_mu_);
+  store->Publish(std::move(adopted));
   return store;
 }
 
@@ -128,7 +123,8 @@ namespace {
 /// strictly contains any smaller same-key request (prefix sharing), and
 /// a larger request grows the store in place. Only the presence of a
 /// holdout stream is keyed: stores with and without one have different
-/// generation histories and cannot substitute for each other.
+/// generation histories and cannot substitute for each other. The pool
+/// is keyed by content, since it decides what the index holds.
 struct StoreKey {
   const void* graph = nullptr;
   const void* probs = nullptr;
@@ -137,15 +133,16 @@ struct StoreKey {
   /// source-keyed entry can never collide with an identity-keyed one).
   std::string source;
   uint64_t campaign_fingerprint = 0;
+  uint64_t pool_fingerprint = 0;
   int diffusion = 0;
   uint64_t seed = 0;
   bool has_holdout = false;
 
   bool operator<(const StoreKey& o) const {
-    return std::tie(graph, probs, source, campaign_fingerprint, diffusion,
-                    seed, has_holdout) <
+    return std::tie(graph, probs, source, campaign_fingerprint,
+                    pool_fingerprint, diffusion, seed, has_holdout) <
            std::tie(o.graph, o.probs, o.source, o.campaign_fingerprint,
-                    o.diffusion, o.seed, o.has_holdout);
+                    o.pool_fingerprint, o.diffusion, o.seed, o.has_holdout);
   }
 };
 
@@ -163,24 +160,36 @@ bool SamePieceTopics(const Campaign& a, const Campaign& b) {
   return true;
 }
 
-uint64_t FingerprintCampaign(const Campaign& campaign) {
-  // FNV-1a over piece count and each topic value's bit pattern.
+/// FNV-1a, one 64-bit word at a time.
+struct Fnv1a {
   uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](uint64_t v) {
+  void Mix(uint64_t v) {
     h ^= v;
     h *= 0x100000001b3ULL;
-  };
-  mix(static_cast<uint64_t>(campaign.num_pieces()));
+  }
+};
+
+uint64_t FingerprintCampaign(const Campaign& campaign) {
+  // Piece count and each topic value's bit pattern.
+  Fnv1a fnv;
+  fnv.Mix(static_cast<uint64_t>(campaign.num_pieces()));
   for (const ViralPiece& piece : campaign.pieces()) {
-    mix(static_cast<uint64_t>(piece.topics.num_topics()));
+    fnv.Mix(static_cast<uint64_t>(piece.topics.num_topics()));
     for (const double value : piece.topics.values()) {
       uint64_t bits = 0;
       static_assert(sizeof(bits) == sizeof(value));
       std::memcpy(&bits, &value, sizeof(bits));
-      mix(bits);
+      fnv.Mix(bits);
     }
   }
-  return h;
+  return fnv.h;
+}
+
+uint64_t FingerprintPool(const std::vector<VertexId>& pool) {
+  Fnv1a fnv;
+  fnv.Mix(pool.size());
+  for (const VertexId v : pool) fnv.Mix(static_cast<uint64_t>(v));
+  return fnv.h;
 }
 
 /// Guards the registry map, every slot's published weak_ptr, and the
@@ -245,34 +254,52 @@ void PruneRegistryLocked() OIPA_REQUIRES(g_registry_mu) {
   }
 }
 
+/// Store handles a registry operation drops. A store may die with its
+/// last handle, and its destructor waits for a pending holdout job
+/// (SampleStore::~SampleStore), so callers declare one of these before
+/// taking g_registry_mu: it is destroyed after the lock is released.
+using DroppedStores = std::vector<std::shared_ptr<SampleStore>>;
+
 /// Applies the byte budget: with budget 0, drops every retained handle
 /// (no-retention mode); otherwise evicts the least-recently-used
 /// unpinned retained store until the summed MemoryBytes() of live
 /// registered stores fits the budget or nothing evictable remains
 /// (pinned stores can legitimately hold the total above budget).
-void EnforceBudgetLocked() OIPA_REQUIRES(g_registry_mu) {
+void EnforceBudgetLocked(DroppedStores* dropped)
+    OIPA_REQUIRES(g_registry_mu) {
   if (g_budget_bytes <= 0) {
     for (auto& [key, slot] : Registry()) {
       (void)key;
-      slot->retained.reset();
+      if (slot->retained != nullptr) {
+        dropped->push_back(std::move(slot->retained));
+      }
     }
     return;
   }
+  // Evicted stores live on in `dropped` until the caller unlocks; they
+  // no longer count.
+  std::vector<const RegistrySlot*> evicted;
   for (;;) {
     int64_t total = 0;
     RegistrySlot* victim = nullptr;
     for (auto& [key, slot] : Registry()) {
       (void)key;
-      const std::shared_ptr<SampleStore> live = slot->store.lock();
+      if (std::find(evicted.begin(), evicted.end(), slot.get()) !=
+          evicted.end()) {
+        continue;
+      }
+      std::shared_ptr<SampleStore> live = slot->store.lock();
       if (live == nullptr) continue;
       total += live->GetStats().memory_bytes;
       if (slot->retained != nullptr && slot->pins == 0 &&
           (victim == nullptr || slot->last_use < victim->last_use)) {
         victim = slot.get();
       }
+      dropped->push_back(std::move(live));
     }
     if (total <= g_budget_bytes || victim == nullptr) return;
-    victim->retained.reset();
+    dropped->push_back(std::move(victim->retained));
+    evicted.push_back(victim);
     ++g_evictions;
   }
 }
@@ -290,10 +317,11 @@ class PinnedHandle {
   PinnedHandle& operator=(const PinnedHandle&) = delete;
 
   ~PinnedHandle() {
+    DroppedStores dropped;
     MutexLock lock(&g_registry_mu);
     --slot_->pins;
     slot_->last_use = ++g_use_tick;
-    EnforceBudgetLocked();
+    EnforceBudgetLocked(&dropped);
     // store_ itself is released after this body — outside the lock —
     // so a store whose retention was just evicted is destroyed without
     // g_registry_mu held.
@@ -338,42 +366,48 @@ std::shared_ptr<SampleStore> SampleStore::BuildFromRecovered(
   // wrong checkpoint must cost cold-start time, never correctness).
   // The entry stays parked on mismatch: a differently-configured
   // request under the same key (e.g. with vs without holdout) is not
-  // evidence the snapshot is bad.
+  // evidence the snapshot is bad. A parked index may cover more than
+  // the pool (the loader indexes every vertex), never less.
   const int64_t want_holdout = ResolvedHoldoutTheta(options);
+  const std::shared_ptr<const MrrCollection> holdout = parked.holdout();
+  const auto indexes = [&parked](VertexId v) {
+    return v >= 0 && v < parked.mrr->num_vertices() &&
+           parked.mrr->IndexesVertex(v);
+  };
   const bool usable =
       parked.mrr != nullptr && parked.mrr->extendable() &&
       parked.mrr->indexed() &&
+      std::all_of(options.pool.begin(), options.pool.end(), indexes) &&
       parked.mrr->base_seed() == options.seed &&
       parked.mrr->model() == options.diffusion &&
       parked.mrr->num_pieces() == static_cast<int>(pieces->size()) &&
       parked.mrr->num_vertices() ==
           pieces->front().graph().num_vertices() &&
-      (want_holdout > 0) == (parked.holdout != nullptr) &&
-      (parked.holdout == nullptr ||
-       (parked.holdout->extendable() &&
-        parked.holdout->base_seed() == (options.seed ^ kHoldoutSeedXor) &&
-        parked.holdout->model() == options.diffusion &&
-        parked.holdout->num_pieces() == parked.mrr->num_pieces() &&
-        parked.holdout->num_vertices() == parked.mrr->num_vertices()));
+      (want_holdout > 0) == (holdout != nullptr) &&
+      (holdout == nullptr ||
+       (holdout->extendable() &&
+        holdout->base_seed() == (options.seed ^ kHoldoutSeedXor) &&
+        holdout->model() == options.diffusion &&
+        holdout->num_pieces() == parked.mrr->num_pieces() &&
+        holdout->num_vertices() == parked.mrr->num_vertices()));
   if (!usable) return nullptr;
   std::shared_ptr<SampleStore> store(new SampleStore());
   store->pieces_ = std::move(pieces);
   store->options_ = options;
   store->options_.theta = parked.mrr->theta();
-  store->options_.holdout_theta =
-      parked.holdout == nullptr ? 0 : parked.holdout->theta();
+  store->options_.holdout_theta = parked.holdout_theta;
   store->shared_ = true;
+  store->extendable_ = true;
   {
     MutexLock grow_lock(&store->grow_mu_);
-    store->Publish(parked.mrr, parked.holdout);
+    store->Publish(parked);
   }
   // A request past the checkpointed sizes resumes the sample stream
   // (growth is bit-identical to up-front generation); only the delta
   // is sampled. A recovered store that cannot grow that far is useless
   // for this request — discard it and sample afresh.
-  const int64_t have_holdout =
-      parked.holdout == nullptr ? 0 : parked.holdout->theta();
-  if (parked.mrr->theta() < options.theta || have_holdout < want_holdout) {
+  if (parked.mrr->theta() < options.theta ||
+      parked.holdout_theta < want_holdout) {
     if (!store->Grow(std::max(options.theta, want_holdout)).ok()) {
       return nullptr;
     }
@@ -396,9 +430,14 @@ Status SampleStore::OfferRecoveredSnapshot(
     return Status::InvalidArgument(
         "recovery snapshot for '" + source_key + "' has no collection");
   }
+  SampleSnapshot parked;
+  parked.mrr = std::move(mrr);
+  if (holdout != nullptr) {
+    parked.holdout_theta = holdout->theta();
+    parked.holdout_task = HoldoutTask::Done(std::move(holdout));
+  }
   MutexLock lock(&g_registry_mu);
-  RecoveryMap()[source_key] =
-      SampleSnapshot{std::move(mrr), std::move(holdout)};
+  RecoveryMap()[source_key] = std::move(parked);
   return Status::Ok();
 }
 
@@ -462,6 +501,7 @@ std::shared_ptr<SampleStore> SampleStore::Acquire(
     key.source = options.source_key;
   }
   key.campaign_fingerprint = FingerprintCampaign(*campaign);
+  key.pool_fingerprint = FingerprintPool(options.pool);
   key.diffusion = static_cast<int>(options.diffusion);
   key.seed = options.seed;
   const int64_t want_holdout = ResolvedHoldoutTheta(options);
@@ -490,9 +530,10 @@ std::shared_ptr<SampleStore> SampleStore::Acquire(
     existing = slot->store.lock();
   }
   if (existing != nullptr) {
-    if (!SamePieceTopics(*existing->campaign_keepalive_, *campaign)) {
-      // Fingerprint collision between distinct campaigns: never share —
-      // fall through to a store that bypasses the occupied slot.
+    if (!SamePieceTopics(*existing->campaign_keepalive_, *campaign) ||
+        existing->options_.pool != options.pool) {
+      // Fingerprint collision between distinct campaigns or pools: never
+      // share — fall through to a store that bypasses the occupied slot.
       return MakeStoreForAcquire(std::move(graph), std::move(probs),
                                  std::move(campaign), options);
     }
@@ -501,9 +542,8 @@ std::shared_ptr<SampleStore> SampleStore::Acquire(
     // up-front generation at the larger size); a smaller or equal
     // request shares as-is, zero new samples.
     const SampleSnapshot snap = existing->snapshot();
-    const int64_t have_holdout =
-        snap.holdout == nullptr ? 0 : snap.holdout->theta();
-    if (snap.mrr->theta() < options.theta || have_holdout < want_holdout) {
+    if (snap.mrr->theta() < options.theta ||
+        snap.holdout_theta < want_holdout) {
       const Status grown =
           existing->Grow(std::max(options.theta, want_holdout));
       if (!grown.ok()) {
@@ -519,20 +559,23 @@ std::shared_ptr<SampleStore> SampleStore::Acquire(
   std::shared_ptr<SampleStore> store = MakeStoreForAcquire(
       std::move(graph), std::move(probs), std::move(campaign), options);
   {
+    DroppedStores dropped;
     MutexLock registry_lock(&g_registry_mu);
     slot->store = store;
-    EnforceBudgetLocked();
+    EnforceBudgetLocked(&dropped);
   }
   return PinStore(std::move(slot), std::move(store));
 }
 
 void SampleStore::SetRegistryBudget(int64_t bytes) {
+  DroppedStores dropped;
   MutexLock lock(&g_registry_mu);
   g_budget_bytes = bytes < 0 ? 0 : bytes;
-  EnforceBudgetLocked();
+  EnforceBudgetLocked(&dropped);
 }
 
 SampleStore::RegistryStats SampleStore::GetRegistryStats() {
+  DroppedStores dropped;
   MutexLock lock(&g_registry_mu);
   PruneRegistryLocked();
   RegistryStats stats;
@@ -541,11 +584,12 @@ SampleStore::RegistryStats SampleStore::GetRegistryStats() {
   stats.recovered_stores = g_recovered_stores;
   for (const auto& [key, slot] : Registry()) {
     (void)key;
-    const std::shared_ptr<SampleStore> live = slot->store.lock();
+    std::shared_ptr<SampleStore> live = slot->store.lock();
     if (live == nullptr) continue;
     ++stats.live_stores;
     if (slot->pins > 0) ++stats.pinned_stores;
     stats.memory_bytes += live->GetStats().memory_bytes;
+    dropped.push_back(std::move(live));
   }
   return stats;
 }
@@ -563,25 +607,23 @@ int SampleStore::RegistrySize() {
 
 // ---------------------------------------------------- snapshot + grow
 
-void SampleStore::Publish(std::shared_ptr<const MrrCollection> mrr,
-                          std::shared_ptr<const MrrCollection> holdout) {
+void SampleStore::Publish(SampleSnapshot next) {
   {
     MutexLock lock(&history_mu_);
     // A republished (unchanged) collection must not appear twice —
     // live_generations()/GetStats() count history entries.
-    if (mrr_history_.empty() || mrr_history_.back().lock() != mrr) {
-      mrr_history_.push_back(mrr);
+    if (mrr_history_.empty() || mrr_history_.back().lock() != next.mrr) {
+      mrr_history_.push_back(next.mrr);
     }
-    if (holdout != nullptr &&
+    if (next.holdout_task != nullptr &&
         (holdout_history_.empty() ||
-         holdout_history_.back().lock() != holdout)) {
-      holdout_history_.push_back(holdout);
+         holdout_history_.back().lock() != next.holdout_task)) {
+      holdout_history_.push_back(next.holdout_task);
     }
   }
-  auto next = std::make_shared<const SampleSnapshot>(
-      SampleSnapshot{std::move(mrr), std::move(holdout)});
+  auto published = std::make_shared<const SampleSnapshot>(std::move(next));
   MutexLock lock(&snapshot_mu_);
-  current_ = std::move(next);
+  current_ = std::move(published);
 }
 
 SampleSnapshot SampleStore::snapshot() const {
@@ -591,13 +633,6 @@ SampleSnapshot SampleStore::snapshot() const {
     current = current_;
   }
   return *current;
-}
-
-bool SampleStore::CanGrow() const {
-  if (pieces_ == nullptr) return false;
-  const SampleSnapshot snap = snapshot();
-  return snap.mrr->extendable() &&
-         (snap.holdout == nullptr || snap.holdout->extendable());
 }
 
 Status SampleStore::Grow(int64_t target_theta) {
@@ -612,17 +647,19 @@ Status SampleStore::Grow(int64_t target_theta) {
   // Growers serialize for the whole sampling phase; the snapshot read
   // below therefore stays current until the Publish.
   MutexLock grow_lock(&grow_mu_);
-  const SampleSnapshot current = snapshot();
-  const bool mrr_below = current.mrr->theta() < target_theta;
-  const bool holdout_below = current.holdout != nullptr &&
-                             current.holdout->theta() < target_theta;
+  SampleSnapshot next = snapshot();
+  const bool mrr_below = next.mrr->theta() < target_theta;
+  const bool holdout_below =
+      next.has_holdout() && next.holdout_theta < target_theta;
   if (!mrr_below && !holdout_below) return Status::Ok();
-  if (pieces_ == nullptr || !current.mrr->extendable() ||
-      (current.holdout != nullptr && !current.holdout->extendable())) {
+  if (!CanGrow()) {
     return Status::FailedPrecondition(
         "store samples lack sampling provenance and cannot grow "
         "(collections loaded via legacy FromParts are not extendable)");
   }
+  // One sampling pass per store at a time: the pending holdout, which
+  // the next one extends, finishes before this step samples.
+  std::shared_ptr<const MrrCollection> holdout = next.holdout();
   // Copy-on-grow: grown copies (each existing sample copied once, the
   // index segments shared) are published as the next generation. The
   // superseded generation is only pinned by whatever snapshots are
@@ -630,32 +667,21 @@ Status SampleStore::Grow(int64_t target_theta) {
   // (compaction), which live_generations() observes. A collection
   // already at target (a holdout catching up to a larger in-sample
   // stream, or vice versa) is republished untouched.
-  std::shared_ptr<const MrrCollection> grown = current.mrr;
-  std::shared_ptr<const MrrCollection> grown_holdout = current.holdout;
-  std::function<void(int)> mrr_job;
-  std::function<void(int)> holdout_job;
   if (mrr_below) {
-    mrr_job = [&](int workers) {
-      grown = std::make_shared<const MrrCollection>(
-          current.mrr->ExtendedCopy(*pieces_, target_theta, workers));
-    };
+    next.mrr = std::make_shared<const MrrCollection>(next.mrr->ExtendedCopy(
+        *pieces_, target_theta, options_.sampling_threads));
   }
   if (holdout_below) {
-    holdout_job = [&](int workers) {
-      grown_holdout = std::make_shared<const MrrCollection>(
-          current.holdout->ExtendedCopy(*pieces_, target_theta, workers));
-    };
+    next.holdout_task = SampleHoldout(std::move(holdout), target_theta);
+    next.holdout_theta = target_theta;
   }
-  SideBySide(options_.sampling_threads, mrr_job, holdout_job);
-  Publish(std::move(grown), std::move(grown_holdout));
+  Publish(std::move(next));
   return Status::Ok();
 }
 
 int SampleStore::live_generations() const {
   MutexLock lock(&history_mu_);
-  auto expired = [](const std::weak_ptr<const MrrCollection>& w) {
-    return w.expired();
-  };
+  auto expired = [](const auto& w) { return w.expired(); };
   mrr_history_.erase(
       std::remove_if(mrr_history_.begin(), mrr_history_.end(), expired),
       mrr_history_.end());
@@ -669,18 +695,21 @@ SampleStore::Stats SampleStore::GetStats() const {
   Stats stats;
   const SampleSnapshot snap = snapshot();
   stats.theta = snap.mrr->theta();
-  stats.holdout_theta =
-      snap.holdout == nullptr ? 0 : snap.holdout->theta();
+  stats.holdout_theta = snap.holdout_theta;
   stats.shared = shared_;
   // One locked pass over the history so the generation count and the
   // memory sum describe the same instant.
   MutexLock lock(&history_mu_);
-  for (const auto* history : {&mrr_history_, &holdout_history_}) {
-    for (const auto& weak : *history) {
-      if (const auto live = weak.lock()) {
-        stats.memory_bytes += live->MemoryBytes();
-        if (history == &mrr_history_) ++stats.live_generations;
-      }
+  for (const auto& weak : mrr_history_) {
+    if (const auto live = weak.lock()) {
+      stats.memory_bytes += live->MemoryBytes();
+      ++stats.live_generations;
+    }
+  }
+  for (const auto& weak : holdout_history_) {
+    const auto task = weak.lock();
+    if (task != nullptr && task->ready()) {
+      stats.memory_bytes += task->Wait()->MemoryBytes();
     }
   }
   return stats;

@@ -18,18 +18,39 @@
 
 namespace oipa {
 
+/// A holdout collection that a background job may still be sampling.
+using HoldoutTask = BackgroundTask<std::shared_ptr<const MrrCollection>>;
+
 /// One published generation of a SampleStore: the in-sample MRR
 /// collection plus the (optional) holdout. Snapshots are value types —
 /// copying one is two shared_ptr bumps — and pin their generation: the
 /// collections stay valid for as long as any snapshot referencing them
 /// is alive, even after the store grows past them. Take one snapshot per
 /// solve and read it throughout; re-snapshot to see newer samples.
+///
+/// The in-sample collection is always ready. The holdout may still be
+/// sampling: a store publishes each generation as soon as its in-sample
+/// collection is built, and samples the holdout behind it (see
+/// SampleStore). Only holdout() waits for it.
 struct SampleSnapshot {
   std::shared_ptr<const MrrCollection> mrr;
   /// Null when the store was built without a holdout. A store's own
   /// holdout carries no inverted index: it only scores finished plans
   /// (EstimateAdoptionUtility), never feeds a solver.
-  std::shared_ptr<const MrrCollection> holdout;
+  std::shared_ptr<const HoldoutTask> holdout_task;
+  /// The holdout's sample count once sampled; 0 without a holdout.
+  int64_t holdout_theta = 0;
+
+  bool has_holdout() const { return holdout_task != nullptr; }
+  /// True when holdout() would return at once.
+  bool holdout_ready() const {
+    return holdout_task == nullptr || holdout_task->ready();
+  }
+  /// Waits until the holdout is sampled and returns it; null without a
+  /// holdout.
+  std::shared_ptr<const MrrCollection> holdout() const {
+    return holdout_task == nullptr ? nullptr : holdout_task->Wait();
+  }
 };
 
 /// A reference-counted, generation-published MRR sample store — the
@@ -45,6 +66,18 @@ struct SampleSnapshot {
 ///      seed) — not on the logistic adoption model — so N contexts that
 ///      differ only in alpha/beta resolve to one store and one sampling
 ///      pass through the process-wide keyed registry behind Acquire().
+///
+/// Build order: a build or a growth step samples and indexes the
+/// in-sample collection on all sampling_threads workers and publishes it
+/// at once; a background job (util/threading BackgroundTask) then
+/// samples or extends the holdout on as many workers, while the caller
+/// goes on to search. Only readers of the holdout wait for it
+/// (SampleSnapshot::holdout(): scoring a finished plan, the stopping
+/// rules, Grow, the checkpoint writer); snapshot(), GetStats() and
+/// theta() never do. Grow waits for a pending holdout before it samples,
+/// so at most sampling_threads threads sample for one store, and a
+/// store's destructor waits for its pending holdout, so the job never
+/// outlives the store's piece graphs and social graph.
 ///
 /// Concurrency: snapshot() is a pointer copy under a micro-mutex —
 /// readers never wait on sample generation, not even while a grower is
@@ -91,14 +124,20 @@ class SampleStore {
     /// under one key would silently serve one dataset's samples to
     /// another.
     std::string source_key;
+    /// The promoters requests plan over: the in-sample index covers only
+    /// these vertices (MrrCollection::Generate's index_pool). Part of the
+    /// Acquire() registry key. Empty indexes every vertex.
+    std::vector<VertexId> pool;
   };
 
   /// One row of store telemetry (surfaced in oipa_cli JSON output).
   struct Stats {
     int64_t theta = 0;
-    /// 0 when the store has no holdout.
+    /// 0 when the store has no holdout; a pending holdout reports the
+    /// size it is being sampled to.
     int64_t holdout_theta = 0;
-    /// Bytes held by every still-live generation (in-sample + holdout).
+    /// Bytes held by every still-live generation (in-sample + holdout;
+    /// a pending holdout counts once it is sampled).
     int64_t memory_bytes = 0;
     /// In-sample generations still alive (current + pinned retired).
     int live_generations = 0;
@@ -122,9 +161,10 @@ class SampleStore {
       std::shared_ptr<const MrrCollection> holdout);
 
   /// Process-wide keyed registry: returns the live store already
-  /// serving (graph, probs, campaign pieces, diffusion, seed,
+  /// serving (graph, probs, campaign pieces, pool, diffusion, seed,
   /// has-holdout) — keyed by graph/probs identity and campaign piece
-  /// content — or creates, registers, and returns a new one. Concurrent
+  /// and pool content — or creates, registers, and returns a new one.
+  /// Stores over different pools never share an index. Concurrent
   /// Acquires of the same key serialize so exactly one sampling pass
   /// happens; different keys sample concurrently.
   ///
@@ -219,20 +259,21 @@ class SampleStore {
 
   /// Current in-sample theta (== snapshot().mrr->theta()).
   int64_t theta() const { return snapshot().mrr->theta(); }
-  bool has_holdout() const { return snapshot().holdout != nullptr; }
+  bool has_holdout() const { return snapshot().has_holdout(); }
 
   /// True when Grow() can extend the store: the collections carry
   /// sampling provenance and the store knows its piece graphs.
-  bool CanGrow() const;
+  bool CanGrow() const { return pieces_ != nullptr && extendable_; }
 
   /// Grows the in-sample collection (and the holdout, when present) to
   /// at least `target_theta` samples, bit-identically to collections
   /// generated at that size up front, and publishes the result as a new
-  /// generation. Like the first build, the two collections are sampled
-  /// side by side, splitting sampling_threads between them. No-op when
-  /// already that large. Thread-safe: growers serialize, readers keep
-  /// their pinned snapshots. FailedPrecondition when CanGrow() is
-  /// false, InvalidArgument for target_theta outside
+  /// generation. Like the first build, it waits for a pending holdout,
+  /// grows the in-sample collection on sampling_threads workers, and
+  /// extends the holdout in the background (see the class comment).
+  /// No-op when already that large. Thread-safe: growers serialize,
+  /// readers keep their pinned snapshots. FailedPrecondition when
+  /// CanGrow() is false, InvalidArgument for target_theta outside
   /// [1, MrrCollection::kMaxSamples].
   Status Grow(int64_t target_theta);
 
@@ -252,6 +293,8 @@ class SampleStore {
   /// True when the store was handed out by Acquire().
   bool shared() const { return shared_; }
 
+  /// Waits for a pending holdout (see the class comment).
+  ~SampleStore();
   SampleStore(const SampleStore&) = delete;
   SampleStore& operator=(const SampleStore&) = delete;
 
@@ -272,13 +315,20 @@ class SampleStore {
   /// Swaps in a new generation and records it for live_generations().
   /// Publication is serialized by the grower lock (the construction
   /// paths take it too, so every generation swap is ordered).
-  void Publish(std::shared_ptr<const MrrCollection> mrr,
-               std::shared_ptr<const MrrCollection> holdout)
-      OIPA_REQUIRES(grow_mu_);
+  void Publish(SampleSnapshot next) OIPA_REQUIRES(grow_mu_);
+
+  /// Starts the background job that samples the holdout to `theta`
+  /// samples on the store's sampling workers: extending `base`, or from
+  /// scratch when `base` is null. The job holds only `base` and the
+  /// piece graphs.
+  std::shared_ptr<const HoldoutTask> SampleHoldout(
+      std::shared_ptr<const MrrCollection> base, int64_t theta) const;
 
   std::shared_ptr<const std::vector<InfluenceGraph>> pieces_;
   Options options_;
   bool shared_ = false;
+  /// The collections carry sampling provenance (fixed at construction).
+  bool extendable_ = false;
   /// Keep-alives for registry-shared stores. Graph/probs hold the
   /// acquirer's handles (identity-keyed; non-owning for Borrow-built
   /// contexts, whose lifetime contract covers them). The campaign is
@@ -300,11 +350,12 @@ class SampleStore {
       OIPA_GUARDED_BY(snapshot_mu_);
   /// Every generation ever published, weakly: expired entries are
   /// pruned on read, so the vectors stay as small as the number of
-  /// generations actually still pinned.
+  /// generations actually still pinned. Holdouts are recorded as their
+  /// tasks, whose collections count once sampled.
   mutable Mutex history_mu_;
   mutable std::vector<std::weak_ptr<const MrrCollection>> mrr_history_
       OIPA_GUARDED_BY(history_mu_);
-  mutable std::vector<std::weak_ptr<const MrrCollection>> holdout_history_
+  mutable std::vector<std::weak_ptr<const HoldoutTask>> holdout_history_
       OIPA_GUARDED_BY(history_mu_);
 
   friend std::shared_ptr<SampleStore> MakeStoreForAcquire(

@@ -24,6 +24,8 @@ StatusOr<ContextCache::Entry> BuildEntry(const WireRequest& request) {
   // budget-retained store with zero new samples, and contexts that
   // differ only in alpha/beta share one store.
   options.source_key = SampleKey(request);
+  // Requests plan over the dataset's pool, so only it is indexed.
+  options.pool = dataset.promoter_pool;
   StatusOr<std::shared_ptr<const PlanningContext>> context =
       PlanningContext::Create(
           std::move(dataset.graph), std::move(dataset.probs),
@@ -58,6 +60,9 @@ ContextCache::Acquire(const WireRequest& request, bool* cache_hit) {
   }
 
   std::shared_ptr<const Entry> entry;
+  // Destroyed after every lock below is released: an evicted context's
+  // store may wait for its holdout job as it dies.
+  std::vector<std::shared_ptr<Slot>> evicted;
   {
     // Serializes construction per key; concurrent same-key requests
     // block here and find the entry ready.
@@ -82,7 +87,7 @@ ContextCache::Acquire(const WireRequest& request, bool* cache_hit) {
       MutexLock lock(&mu_);
       ++misses_;
       slot->ready = true;
-      EvictOverCapacityLocked();
+      EvictOverCapacityLocked(&evicted);
     }
   }
 
@@ -97,7 +102,8 @@ ContextCache::Acquire(const WireRequest& request, bool* cache_hit) {
   return entry;
 }
 
-void ContextCache::EvictOverCapacityLocked() {
+void ContextCache::EvictOverCapacityLocked(
+    std::vector<std::shared_ptr<Slot>>* evicted) {
   int ready = 0;
   for (const auto& [key, slot] : slots_) {
     if (slot->ready) ++ready;
@@ -114,6 +120,7 @@ void ContextCache::EvictOverCapacityLocked() {
     if (victim == slots_.end()) return;
     // In-flight solves hold the Entry shared_ptr; dropping the slot
     // only stops future requests from finding it.
+    evicted->push_back(std::move(victim->second));
     slots_.erase(victim);
     --ready;
     ++evictions_;

@@ -82,8 +82,10 @@ class ContextCache {
     bool ready = false;
   };
 
-  /// Removes LRU ready slots until at most max_contexts_ remain.
-  void EvictOverCapacityLocked() OIPA_REQUIRES(mu_);
+  /// Removes LRU ready slots until at most max_contexts_ remain, moving
+  /// them to `evicted` for the caller to drop outside the locks.
+  void EvictOverCapacityLocked(std::vector<std::shared_ptr<Slot>>* evicted)
+      OIPA_REQUIRES(mu_);
 
   const int max_contexts_;
   mutable Mutex mu_;

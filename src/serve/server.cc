@@ -407,6 +407,14 @@ void PlanServer::WorkerLoop() {
   }
 }
 
+void PlanServer::FailGroup(const std::vector<Work>& group,
+                           const Status& status) {
+  for (const Work& work : group) {
+    WriteLine(work.conn.get(), ErrorResponseLine(work.request.id, status));
+    work.conn->inflight.fetch_sub(1, std::memory_order_relaxed);
+  }
+}
+
 void PlanServer::HandleGroup(std::vector<Work> group,
                              size_t queue_depth) {
   const int64_t samples_before = MrrCollection::GeneratedSampleCount();
@@ -418,15 +426,19 @@ void PlanServer::HandleGroup(std::vector<Work> group,
     spec.sampling.theta =
         std::max(spec.sampling.theta, work.request.sampling.theta);
   }
+  // An unknown solver builds no context (the merge key names the
+  // method, so the whole group shares it).
+  if (const StatusOr<const Solver*> solver =
+          SolverRegistry::Global().Find(spec.plan.method);
+      !solver.ok()) {
+    FailGroup(group, solver.status());
+    return;
+  }
   bool cache_hit = false;
   StatusOr<std::shared_ptr<const ContextCache::Entry>> acquired =
       cache_.Acquire(spec, &cache_hit);
   if (!acquired.ok()) {
-    for (const Work& work : group) {
-      WriteLine(work.conn.get(),
-                ErrorResponseLine(work.request.id, acquired.status()));
-      work.conn->inflight.fetch_sub(1, std::memory_order_relaxed);
-    }
+    FailGroup(group, acquired.status());
     return;
   }
   std::shared_ptr<const ContextCache::Entry> entry = std::move(*acquired);
@@ -460,11 +472,7 @@ void PlanServer::HandleGroup(std::vector<Work> group,
   const StatusOr<std::vector<PlanResponse>> responses =
       SolveBatch(*entry->context, plan_request);
   if (!responses.ok()) {
-    for (const Work& work : group) {
-      WriteLine(work.conn.get(),
-                ErrorResponseLine(work.request.id, responses.status()));
-      work.conn->inflight.fetch_sub(1, std::memory_order_relaxed);
-    }
+    FailGroup(group, responses.status());
     return;
   }
   const int64_t samples_generated =
@@ -660,9 +668,8 @@ void PlanServer::CheckpointNow() {
        SampleStore::RegistryStoresForCheckpoint()) {
     const std::string& key = store->options().source_key;
     const SampleSnapshot snap = store->snapshot();
-    const std::pair<int64_t, int64_t> sizes = {
-        snap.mrr->theta(),
-        snap.holdout == nullptr ? 0 : snap.holdout->theta()};
+    const std::pair<int64_t, int64_t> sizes = {snap.mrr->theta(),
+                                               snap.holdout_theta};
     const auto it = checkpointed_.find(key);
     if (it != checkpointed_.end() && it->second == sizes) continue;
 
@@ -737,12 +744,11 @@ void PlanServer::RecoverCheckpoints() {
     if (!loaded.ok()) continue;  // corrupt/unreadable: skip, resample
     const SampleSnapshot snap = (*loaded)->snapshot();
     const Status offered = SampleStore::OfferRecoveredSnapshot(
-        key->string_value(), snap.mrr, snap.holdout);
+        key->string_value(), snap.mrr, snap.holdout());
     if (!offered.ok()) continue;
     counters_.recovered_snapshots.fetch_add(1, std::memory_order_relaxed);
-    checkpointed_[key->string_value()] = {
-        snap.mrr->theta(),
-        snap.holdout == nullptr ? 0 : snap.holdout->theta()};
+    checkpointed_[key->string_value()] = {snap.mrr->theta(),
+                                          snap.holdout_theta};
   }
 }
 

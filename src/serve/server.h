@@ -146,6 +146,8 @@ class PlanServer {
   /// Answers one merge group from a single SolveBatch sweep.
   /// `queue_depth` is the depth observed at dispatch (telemetry).
   void HandleGroup(std::vector<Work> group, size_t queue_depth);
+  /// Answers every request of `group` with `status`, under its own id.
+  void FailGroup(const std::vector<Work>& group, const Status& status);
   /// Telemetry block attached to every success response.
   JsonValue ServeTelemetry(const ContextCache::Entry& entry,
                            bool cache_hit, size_t batch_size,

@@ -120,4 +120,44 @@ void ParallelFor(int64_t total, int num_threads,
   for (auto& w : workers) w.join();
 }
 
+namespace {
+
+struct BackgroundHolds {
+  Mutex mu;
+  CondVar released;
+  int count OIPA_GUARDED_BY(mu) = 0;
+};
+
+/// Never destroyed: a background thread may still pass the gate while
+/// static destructors run at exit.
+BackgroundHolds& Holds() {
+  static auto* holds = new BackgroundHolds();
+  return *holds;
+}
+
+}  // namespace
+
+HoldBackgroundTasks::HoldBackgroundTasks() {
+  BackgroundHolds& holds = Holds();
+  MutexLock lock(&holds.mu);
+  ++holds.count;
+}
+
+HoldBackgroundTasks::~HoldBackgroundTasks() {
+  BackgroundHolds& holds = Holds();
+  MutexLock lock(&holds.mu);
+  if (--holds.count == 0) holds.released.NotifyAll();
+}
+
+std::thread StartBackgroundThread(std::function<void()> body) {
+  return std::thread([body = std::move(body)] {
+    {
+      BackgroundHolds& holds = Holds();
+      MutexLock lock(&holds.mu);
+      while (holds.count > 0) holds.released.Wait(&holds.mu);
+    }
+    body();
+  });
+}
+
 }  // namespace oipa

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -159,6 +160,81 @@ void ParallelFor(int64_t total,
 void ParallelFor(int64_t total, int num_threads,
                  const std::function<void(int shard, int64_t begin,
                                           int64_t end)>& fn);
+
+/// Starts `body` on a new thread; `body` waits while any
+/// HoldBackgroundTasks is alive. BackgroundTask owns the thread.
+std::thread StartBackgroundThread(std::function<void()> body);
+
+/// While any of these is alive, a background task's job waits before it
+/// runs (see BackgroundTask). A test seam: it lets a test observe, and
+/// act on, work that is still pending. Nothing in the library takes one.
+class HoldBackgroundTasks {
+ public:
+  HoldBackgroundTasks();
+  ~HoldBackgroundTasks();
+  HoldBackgroundTasks(const HoldBackgroundTasks&) = delete;
+  HoldBackgroundTasks& operator=(const HoldBackgroundTasks&) = delete;
+};
+
+/// A value that a job computes on a thread of its own. Wait() blocks
+/// until the job has returned; ready() never blocks. The job's captures
+/// are released before any waiter wakes, and the destructor waits for
+/// the job, so the job may use anything that outlives the task. Tasks
+/// are handed out as shared_ptr; the job must not hold one to its own
+/// task.
+template <typename T>
+class BackgroundTask {
+ public:
+  /// A task that is already done.
+  static std::shared_ptr<const BackgroundTask> Done(T value) {
+    return std::shared_ptr<const BackgroundTask>(
+        new BackgroundTask(std::move(value)));
+  }
+
+  /// Starts `job` on a new thread (StartBackgroundThread).
+  static std::shared_ptr<const BackgroundTask> Start(std::function<T()> job) {
+    return std::shared_ptr<const BackgroundTask>(
+        new BackgroundTask(std::move(job)));
+  }
+
+  ~BackgroundTask() {
+    if (thread_.joinable()) thread_.join();
+  }
+  BackgroundTask(const BackgroundTask&) = delete;
+  BackgroundTask& operator=(const BackgroundTask&) = delete;
+
+  bool ready() const {
+    MutexLock lock(&mu_);
+    return done_;
+  }
+
+  T Wait() const {
+    MutexLock lock(&mu_);
+    while (!done_) done_cv_.Wait(&mu_);
+    return value_;
+  }
+
+ private:
+  explicit BackgroundTask(T value) : value_(std::move(value)), done_(true) {}
+
+  // thread_ is declared last, so the job starts after every other member
+  // is constructed.
+  explicit BackgroundTask(std::function<T()> job)
+      : thread_(StartBackgroundThread([this, job = std::move(job)]() mutable {
+          T value = job();
+          job = nullptr;
+          MutexLock lock(&mu_);
+          value_ = std::move(value);
+          done_ = true;
+          done_cv_.NotifyAll();
+        })) {}
+
+  mutable Mutex mu_;
+  mutable CondVar done_cv_;
+  T value_ OIPA_GUARDED_BY(mu_);
+  bool done_ OIPA_GUARDED_BY(mu_) = false;
+  std::thread thread_;
+};
 
 }  // namespace oipa
 

@@ -15,6 +15,7 @@
 #include "oipa/api/solver_registry.h"
 #include "topic/prob_models.h"
 #include "util/random.h"
+#include "util/threading.h"
 
 namespace oipa {
 namespace {
@@ -41,6 +42,8 @@ class ApiFixture : public ::testing::Test {
         options);
     ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
     context_ = *ctx;
+    // Sample counts a test reads start after this context's holdout.
+    context_->samples().holdout();
   }
 
   PlanRequest Request(const std::string& solver, int budget) const {
@@ -269,7 +272,7 @@ TEST_F(ApiFixture, BorrowWithSamplesValidatesShape) {
 
   auto ok = PlanningContext::BorrowWithSamples(
       *graph_, *probs_, *campaign_, LogisticAdoptionModel(2.0, 1.0),
-      snap.mrr.get(), snap.holdout.get());
+      snap.mrr.get(), snap.holdout().get());
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   const auto solved = Solve(**ok, Request("bab-p", 3));
   ASSERT_TRUE(solved.ok()) << solved.status().ToString();
@@ -515,7 +518,7 @@ TEST_F(ApiFixture, GrowSamplesIsBitIdenticalToUpFrontGeneration) {
   // The pinned snapshot still reads the retired generation...
   EXPECT_EQ(before.mrr->theta(), 4'000);
   EXPECT_EQ(context_->samples().mrr->theta(), 16'000);
-  EXPECT_EQ(context_->samples().holdout->theta(), 16'000);
+  EXPECT_EQ(context_->samples().holdout()->theta(), 16'000);
   EXPECT_EQ(context_->sample_store().live_generations(), 2);
   // ...and releasing it compacts the store down to one generation.
   before = SampleSnapshot{};
@@ -642,6 +645,7 @@ TEST_F(ApiFixture, ContextsDifferingOnlyInAdoptionModelShareOneStore) {
   auto a = PlanningContext::Create(
       graph_, probs_, campaign_, LogisticAdoptionModel(2.0, 1.0), options);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
+  (*a)->samples().holdout();
   const int64_t after_first = MrrCollection::GeneratedSampleCount();
   EXPECT_EQ(after_first - before, 2 * 2'000);  // in-sample + holdout
 
@@ -786,6 +790,182 @@ TEST_F(ApiFixture, ShardedSolveBatchHonorsCancellation) {
     EXPECT_EQ((*batch)[i].budget, request.budgets[i]);
     if (i + 1 < batch->size()) {
       EXPECT_FALSE((*batch)[i].cancelled);
+    }
+  }
+}
+
+// ------------------------------------------------ pending holdouts
+
+/// Every field of a response but its timing, as bits.
+std::vector<uint64_t> ResponseBits(const PlanResponse& r) {
+  std::vector<uint64_t> bits = {
+      std::bit_cast<uint64_t>(r.utility),
+      std::bit_cast<uint64_t>(r.holdout_utility),
+      std::bit_cast<uint64_t>(r.upper_bound),
+      std::bit_cast<uint64_t>(r.sampling_gap),
+      std::bit_cast<uint64_t>(r.certified_ratio),
+      static_cast<uint64_t>(r.nodes_expanded),
+      static_cast<uint64_t>(r.bound_calls),
+      static_cast<uint64_t>(r.tau_evals),
+      static_cast<uint64_t>(r.theta_used),
+      static_cast<uint64_t>(r.sampling_rounds),
+      static_cast<uint64_t>(r.converged) |
+          static_cast<uint64_t>(r.cancelled) << 1};
+  for (const auto& [piece, v] : r.plan.Assignments()) {
+    bits.push_back(static_cast<uint64_t>(piece));
+    bits.push_back(static_cast<uint64_t>(v));
+  }
+  return bits;
+}
+
+TEST_F(ApiFixture, SolvesOnAPendingHoldoutMatchSolvesOnAReadyOne) {
+  // A context publishes its in-sample collection before the holdout is
+  // sampled. A search started while the holdout is pending must answer
+  // bit for bit what it answers once the holdout is ready: both bound
+  // variants, plain and progressive, one search worker.
+  ContextOptions options;
+  options.theta = 2'000;
+  options.seed = 29;
+  options.share_samples = false;
+  options.pool = pool_;
+  for (const BoundVariant variant :
+       {BoundVariant::kZeroAnchored, BoundVariant::kPaperTangent}) {
+    for (const double epsilon : {0.0, 0.05}) {
+      PlanRequest request = Request("bab-p", 4);
+      request.options.variant = variant;
+      request.epsilon = epsilon;
+      request.max_theta = 16'000;
+      const auto ready = PlanningContext::Create(
+          graph_, probs_, campaign_, LogisticAdoptionModel(2.0, 1.0),
+          options);
+      ASSERT_TRUE(ready.ok()) << ready.status().ToString();
+      (*ready)->samples().holdout();
+      request.progress = [](const PlanProgress&) { return true; };
+      const auto want = Solve(**ready, request);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+      auto hold = std::make_unique<HoldBackgroundTasks>();
+      const auto pending = PlanningContext::Create(
+          graph_, probs_, campaign_, LogisticAdoptionModel(2.0, 1.0),
+          options);
+      ASSERT_TRUE(pending.ok()) << pending.status().ToString();
+      bool was_pending = false;
+      // The first poll comes before the search: the holdout is still
+      // held back there, and sampled beside the search from then on.
+      request.progress = [&](const PlanProgress&) {
+        if (hold != nullptr) {
+          was_pending = !(*pending)->samples().holdout_ready();
+          hold.reset();
+        }
+        return true;
+      };
+      const auto got = Solve(**pending, request);
+      hold.reset();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(was_pending);
+      EXPECT_EQ(ResponseBits(*got), ResponseBits(*want))
+          << static_cast<int>(variant) << " " << epsilon;
+      EXPECT_GT(got->holdout_utility, 0.0);
+    }
+  }
+}
+
+TEST_F(ApiFixture, SnapshotsStatsAndDestructionDoNotWaitForOrBreakAHoldout) {
+  ContextOptions options;
+  options.theta = 1'000;
+  options.seed = 31;
+  options.share_samples = false;
+  auto hold = std::make_unique<HoldBackgroundTasks>();
+  auto created = PlanningContext::Create(
+      graph_, probs_, campaign_, LogisticAdoptionModel(2.0, 1.0), options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::shared_ptr<const PlanningContext> ctx = *std::move(created);
+  const SampleSnapshot snap = ctx->samples();
+  EXPECT_EQ(snap.mrr->theta(), 1'000);
+  EXPECT_TRUE(snap.has_holdout());
+  EXPECT_FALSE(snap.holdout_ready());
+  EXPECT_EQ(snap.holdout_theta, 1'000);
+  const SampleStore::Stats stats = ctx->sample_store().GetStats();
+  EXPECT_EQ(stats.theta, 1'000);
+  EXPECT_EQ(stats.holdout_theta, 1'000);
+  EXPECT_EQ(stats.live_generations, 1);
+  // Dropping the last context handle waits for the holdout job (it
+  // reads the piece graphs); the snapshot's holdout outlives both.
+  std::thread drop([&ctx] { ctx.reset(); });
+  hold.reset();
+  drop.join();
+  ASSERT_NE(snap.holdout(), nullptr);
+  EXPECT_EQ(snap.holdout()->theta(), 1'000);
+  EXPECT_FALSE(snap.holdout()->indexed());
+}
+
+// ------------------------------------------------------------- pools
+
+TEST_F(ApiFixture, RequestPoolsOutsideTheContextPoolAreRefusedBeforeSearch) {
+  ContextOptions options;
+  options.theta = 1'000;
+  options.seed = 37;
+  options.pool = pool_;
+  const auto ctx = PlanningContext::Create(
+      graph_, probs_, campaign_, LogisticAdoptionModel(2.0, 1.0), options);
+  ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
+  PlanRequest request = Request("bab", 3);
+  request.pool.push_back(1);  // pool_ holds the multiples of 5
+  bool searched = false;
+  request.progress = [&searched](const PlanProgress&) {
+    searched = true;
+    return true;
+  };
+  for (const char* solver : {"bab", "bab-p", "greedy-sigma", "random"}) {
+    request.solver = solver;
+    EXPECT_EQ(Solve(**ctx, request).status().code(),
+              StatusCode::kInvalidArgument)
+        << solver;
+  }
+  EXPECT_FALSE(searched);
+  options.pool = {0, 300};
+  EXPECT_EQ(PlanningContext::Create(graph_, probs_, campaign_,
+                                    LogisticAdoptionModel(2.0, 1.0), options)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(ApiFixture, ContextsWithDifferentPoolsNeverShareAnIndex) {
+  // Same graph and sampling configuration, two pools: two stores, each
+  // indexing its own pool, each answering what an index over every
+  // vertex answers.
+  ContextOptions options;
+  options.theta = 3'000;
+  options.seed = 43;
+  std::vector<VertexId> odd;
+  for (VertexId v = 1; v < graph_->num_vertices(); v += 7) odd.push_back(v);
+  options.pool = pool_;
+  const auto a = PlanningContext::Create(
+      graph_, probs_, campaign_, LogisticAdoptionModel(2.0, 1.0), options);
+  options.pool = odd;
+  const auto b = PlanningContext::Create(
+      graph_, probs_, campaign_, LogisticAdoptionModel(2.0, 1.0), options);
+  options.pool.clear();
+  const auto every = PlanningContext::Create(
+      graph_, probs_, campaign_, LogisticAdoptionModel(2.0, 1.0), options);
+  ASSERT_TRUE(a.ok() && b.ok() && every.ok());
+  EXPECT_NE(&(*a)->sample_store(), &(*b)->sample_store());
+  EXPECT_NE(&(*a)->sample_store(), &(*every)->sample_store());
+  for (VertexId v = 0; v < graph_->num_vertices(); ++v) {
+    EXPECT_EQ((*a)->samples().mrr->IndexesVertex(v), v % 5 == 0) << v;
+    EXPECT_EQ((*b)->samples().mrr->IndexesVertex(v), v % 7 == 1) << v;
+    EXPECT_TRUE((*every)->samples().mrr->IndexesVertex(v)) << v;
+  }
+  for (const auto& [ctx, pool] :
+       {std::pair{*a, pool_}, std::pair{*b, odd}}) {
+    for (const char* solver : {"bab", "bab-p"}) {
+      PlanRequest request = Request(solver, 4);
+      request.pool = pool;
+      const auto got = Solve(*ctx, request);
+      const auto want = Solve(**every, request);
+      ASSERT_TRUE(got.ok() && want.ok());
+      EXPECT_EQ(ResponseBits(*got), ResponseBits(*want)) << solver;
     }
   }
 }

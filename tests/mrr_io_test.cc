@@ -364,11 +364,11 @@ TEST(SampleStoreIoTest, StoreSnapshotRoundTripsAndKeepsGrowing) {
   const SampleSnapshot original = store->snapshot();
   const SampleSnapshot reloaded = (*loaded)->snapshot();
   ASSERT_EQ(reloaded.mrr->theta(), 1'200);
-  ASSERT_NE(reloaded.holdout, nullptr);
-  EXPECT_EQ(reloaded.holdout->theta(), 1'200);
+  ASSERT_NE(reloaded.holdout(), nullptr);
+  EXPECT_EQ(reloaded.holdout()->theta(), 1'200);
   // Like a built store's, the loaded holdout carries no index.
   EXPECT_TRUE(reloaded.mrr->indexed());
-  EXPECT_FALSE(reloaded.holdout->indexed());
+  EXPECT_FALSE(reloaded.holdout()->indexed());
   for (int64_t i = 0; i < original.mrr->theta(); ++i) {
     ASSERT_EQ(reloaded.mrr->root(i), original.mrr->root(i));
     for (int j = 0; j < original.mrr->num_pieces(); ++j) {

@@ -451,6 +451,39 @@ TEST(MrrLayoutTest, UnindexedCollectionHoldsTheSameSamples) {
   }
 }
 
+TEST(MrrLayoutTest, PoolIndexHoldsExactlyThePoolsPostings) {
+  // An index over the dataset's pool answers every pool vertex as the
+  // full index does, through Extend and ExtendedCopy, and holds nothing
+  // for the other vertices; the samples themselves are unchanged.
+  const PinnedWorkload& w = Pinned();
+  const std::vector<VertexId>& pool = w.dataset.promoter_pool;
+  const VertexId n = w.dataset.graph->num_vertices();
+  std::vector<bool> in_pool(n, false);
+  for (const VertexId v : pool) in_pool[v] = true;
+  for (const int threads : {1, 3}) {
+    MrrCollection pooled = MrrCollection::Generate(
+        w.pieces, 3'000, 1, DiffusionModel::kIndependentCascade, threads,
+        /*indexed=*/true, pool);
+    pooled.Extend(w.pieces, 5'000, threads);
+    const MrrCollection copy = pooled.ExtendedCopy(w.pieces, 6'000, threads);
+    const MrrCollection full = MrrCollection::Generate(
+        w.pieces, 6'000, 1, DiffusionModel::kIndependentCascade, threads);
+    EXPECT_EQ(copy.num_index_segments(), 3);
+    EXPECT_TRUE(std::equal(copy.members().begin(), copy.members().end(),
+                           full.members().begin(), full.members().end()));
+    for (int j = 0; j < copy.num_pieces(); ++j) {
+      for (VertexId v = 0; v < n; ++v) {
+        EXPECT_EQ(copy.IndexesVertex(v), in_pool[v]) << v;
+        const std::vector<int64_t> want =
+            in_pool[v] ? full.SamplesContaining(j, v)
+                       : std::vector<int64_t>();
+        ASSERT_EQ(copy.SamplesContaining(j, v), want) << j << "/" << v;
+      }
+    }
+    EXPECT_LT(copy.MemoryBytes(), full.MemoryBytes());
+  }
+}
+
 TEST(MrrLayoutTest, ExtendedCopyMatchesExtendAndLeavesTheSourceAlone) {
   const PinnedWorkload& w = Pinned();
   for (const int threads : {1, 2, 7}) {

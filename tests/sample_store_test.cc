@@ -52,6 +52,13 @@ class SampleStoreFixture : public ::testing::Test {
   std::shared_ptr<const std::vector<InfluenceGraph>> pieces_;
 };
 
+/// Waits for `store`'s holdout job, so that sample counts and memory
+/// include the holdout; returns the store.
+std::shared_ptr<SampleStore> Settled(std::shared_ptr<SampleStore> store) {
+  if (store != nullptr) store->snapshot().holdout();
+  return store;
+}
+
 // --------------------------------------------------------- compaction
 
 TEST_F(SampleStoreFixture, GrowthWithoutReadersCompactsToOneGeneration) {
@@ -64,6 +71,38 @@ TEST_F(SampleStoreFixture, GrowthWithoutReadersCompactsToOneGeneration) {
   }
   EXPECT_EQ(store->theta(), 8'000);
   EXPECT_EQ(store->live_generations(), 1);
+}
+
+TEST_F(SampleStoreFixture, AHoldoutJobPinsNoInSampleGeneration) {
+  // Growth publishes the grown in-sample collection at once and extends
+  // the holdout behind it. The job holds only the holdout it extends and
+  // the piece graphs, so with no outstanding readers the store holds one
+  // in-sample generation while the job runs and after it ends; snapshot
+  // and stats answer meanwhile.
+  auto store = Settled(SampleStore::Create(pieces_, Options(500)));
+  {
+    HoldBackgroundTasks hold;
+    ASSERT_TRUE(store->Grow(1'000).ok());
+    const SampleSnapshot snap = store->snapshot();
+    EXPECT_EQ(snap.mrr->theta(), 1'000);
+    EXPECT_FALSE(snap.holdout_ready());
+    const SampleStore::Stats stats = store->GetStats();
+    EXPECT_EQ(stats.theta, 1'000);
+    EXPECT_EQ(stats.holdout_theta, 1'000);
+    // The superseded 500-sample generation is gone already.
+    EXPECT_EQ(stats.live_generations, 1);
+  }
+  EXPECT_EQ(store->live_generations(), 1);
+  // Grow waits for the pending holdout, then extends it.
+  ASSERT_TRUE(store->Grow(2'000).ok());
+  EXPECT_EQ(store->snapshot().holdout()->theta(), 2'000);
+  EXPECT_EQ(store->live_generations(), 1);
+  const SampleSnapshot grown = store->snapshot();
+  const auto reference = Settled(SampleStore::Create(pieces_, Options(2'000)));
+  const auto want = reference->snapshot().holdout();
+  EXPECT_TRUE(std::equal(grown.holdout()->members().begin(),
+                         grown.holdout()->members().end(),
+                         want->members().begin(), want->members().end()));
 }
 
 TEST_F(SampleStoreFixture, OutstandingSnapshotsPinTheirGenerations) {
@@ -151,9 +190,10 @@ TEST_F(SampleStoreFixture, StatsReportMemoryAndGenerations) {
   (void)pin;
 }
 
-TEST_F(SampleStoreFixture, SideBySideBuildsMatchAndOnlyHoldoutIsUnindexed) {
-  // The two collections are sampled side by side on split workers; no
-  // split may change a sample, and only the in-sample one is indexed.
+TEST_F(SampleStoreFixture, WorkerCountsBuildTheSameSamples) {
+  // Each collection is sampled on every worker in turn, the holdout in
+  // the background; no worker count may change a sample, and only the
+  // in-sample one is indexed.
   SampleStore::Options options = Options(900, 41);
   options.sampling_threads = 1;
   const auto reference = SampleStore::Create(pieces_, options);
@@ -164,14 +204,14 @@ TEST_F(SampleStoreFixture, SideBySideBuildsMatchAndOnlyHoldoutIsUnindexed) {
     options.sampling_threads = threads;
     const auto store = SampleStore::Create(pieces_, options);
     EXPECT_TRUE(store->snapshot().mrr->indexed());
-    EXPECT_FALSE(store->snapshot().holdout->indexed());
+    EXPECT_FALSE(store->snapshot().holdout()->indexed());
     ASSERT_TRUE(store->Grow(2'000).ok());
     const SampleSnapshot got = store->snapshot();
     EXPECT_EQ(got.mrr->num_index_segments(), 2) << threads;
-    EXPECT_EQ(got.holdout->num_index_segments(), 0) << threads;
+    EXPECT_EQ(got.holdout()->num_index_segments(), 0) << threads;
     for (const auto& [a, b] :
          {std::pair{got.mrr.get(), want.mrr.get()},
-          std::pair{got.holdout.get(), want.holdout.get()},
+          std::pair{got.holdout().get(), want.holdout().get()},
           std::pair{got.mrr.get(), &fresh}}) {
       EXPECT_TRUE(std::equal(a->members().begin(), a->members().end(),
                              b->members().begin(), b->members().end()))
@@ -209,9 +249,9 @@ TEST_F(SampleStoreFixture, GrowCopiesIntoTargetSizedStorage) {
         << threads;
     // The holdout is just offsets and members.
     const int64_t holdout_words =
-        grown.holdout->theta() * grown.holdout->num_pieces() + 1 +
-        grown.holdout->TotalSize();
-    EXPECT_LE(grown.holdout->MemoryBytes(),
+        grown.holdout()->theta() * grown.holdout()->num_pieces() + 1 +
+        grown.holdout()->TotalSize();
+    EXPECT_LE(grown.holdout()->MemoryBytes(),
               holdout_words * 4 + holdout_words * 4 / 20)
         << threads;
   }
@@ -219,10 +259,12 @@ TEST_F(SampleStoreFixture, GrowCopiesIntoTargetSizedStorage) {
 
 TEST(SampleStoreMemoryTest, LastFmBytesPerSample) {
   // The daemon's lastfm context (l = 3, theta = 100k plus a 100k
-  // holdout, 2 sampling workers), about 3.5 members per sample. Four
-  // bytes per offset, member and posting make about 40.2 bytes in-sample
-  // and 26.2 in the unindexed holdout; the bounds leave room for the
-  // member reserve's margin, and none for a doubled array.
+  // holdout, 2 sampling workers, the dataset's pool), about 3.5 members
+  // per sample, 0.35 of them pool postings. Four bytes per offset,
+  // member and posting make about 27.7 bytes in-sample (26.2 plus the
+  // pool's postings and the key offsets) and 26.2 in the unindexed
+  // holdout; the bounds leave room for the member reserve's margin, and
+  // none for a doubled array or an index over every vertex (40.2).
   for (const uint64_t dataset_seed : {1, 2}) {
     const Dataset dataset = MakeLastFmLike(dataset_seed);
     Rng rng(1);
@@ -232,6 +274,7 @@ TEST(SampleStoreMemoryTest, LastFmBytesPerSample) {
     options.theta = 100'000;
     options.holdout_theta = 100'000;
     options.sampling_threads = 2;
+    options.pool = dataset.promoter_pool;
     const auto store = SampleStore::Create(
         std::make_shared<const std::vector<InfluenceGraph>>(BuildPieceGraphs(
             *dataset.graph, *dataset.probs, campaign)),
@@ -240,9 +283,9 @@ TEST(SampleStoreMemoryTest, LastFmBytesPerSample) {
     const double mrr_bytes =
         static_cast<double>(snap.mrr->MemoryBytes()) / options.theta;
     const double holdout_bytes =
-        static_cast<double>(snap.holdout->MemoryBytes()) /
+        static_cast<double>(snap.holdout()->MemoryBytes()) /
         options.holdout_theta;
-    EXPECT_LE(mrr_bytes, 41.0) << dataset_seed;
+    EXPECT_LE(mrr_bytes, 28.5) << dataset_seed;
     EXPECT_LE(holdout_bytes, 27.0) << dataset_seed;
   }
 }
@@ -262,7 +305,7 @@ TEST_F(SampleStoreFixture, AdoptWithoutPiecesCannotGrow) {
 TEST_F(SampleStoreFixture, AcquireSharesOneStoreAndOneSamplingPass) {
   const SampleStore::Options options = Options(600, 31);
   const int64_t before = MrrCollection::GeneratedSampleCount();
-  auto a = SampleStore::Acquire(graph_, probs_, campaign_, options);
+  auto a = Settled(SampleStore::Acquire(graph_, probs_, campaign_, options));
   const int64_t after_first = MrrCollection::GeneratedSampleCount();
   EXPECT_EQ(after_first - before, 2 * 600);
   auto b = SampleStore::Acquire(graph_, probs_, campaign_, options);
@@ -291,8 +334,8 @@ TEST_F(SampleStoreFixture, AcquireDistinguishesSamplingConfigurations) {
 }
 
 TEST_F(SampleStoreFixture, AcquireServesSmallerThetaFromLiveStore) {
-  auto big = SampleStore::Acquire(graph_, probs_, campaign_,
-                                  Options(900, 53));
+  auto big = Settled(SampleStore::Acquire(graph_, probs_, campaign_,
+                                          Options(900, 53)));
   const int64_t before = MrrCollection::GeneratedSampleCount();
   auto small = SampleStore::Acquire(graph_, probs_, campaign_,
                                     Options(300, 53));
@@ -301,8 +344,8 @@ TEST_F(SampleStoreFixture, AcquireServesSmallerThetaFromLiveStore) {
   EXPECT_EQ(small.get(), big.get());
   EXPECT_EQ(MrrCollection::GeneratedSampleCount(), before);
   // A larger request grows the shared store by the delta only.
-  auto bigger = SampleStore::Acquire(graph_, probs_, campaign_,
-                                     Options(1'200, 53));
+  auto bigger = Settled(SampleStore::Acquire(graph_, probs_, campaign_,
+                                             Options(1'200, 53)));
   EXPECT_EQ(bigger.get(), big.get());
   EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before,
             2 * (1'200 - 900));
@@ -310,12 +353,14 @@ TEST_F(SampleStoreFixture, AcquireServesSmallerThetaFromLiveStore) {
 
 TEST_F(SampleStoreFixture, RegistryDropsDeadStores) {
   const SampleStore::Options options = Options(300, 41);
-  auto store = SampleStore::Acquire(graph_, probs_, campaign_, options);
+  auto store = Settled(SampleStore::Acquire(graph_, probs_, campaign_,
+                                            options));
   const SampleStore* old = store.get();
   EXPECT_GE(SampleStore::RegistrySize(), 1);
   store.reset();  // last owner: the registry's weak entry expires
   const int64_t before = MrrCollection::GeneratedSampleCount();
-  auto fresh = SampleStore::Acquire(graph_, probs_, campaign_, options);
+  auto fresh = Settled(SampleStore::Acquire(graph_, probs_, campaign_,
+                                            options));
   // A dead store is never resurrected — the samples are drawn again.
   EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before, 2 * 300);
   (void)old;  // the address may or may not be recycled; only behavior counts
@@ -325,8 +370,8 @@ TEST_F(SampleStoreFixture, RegistryDropsDeadStores) {
 
 TEST_F(SampleStoreFixture, RegistryBudgetRetainsAndEvictsLru) {
   SampleStore::SetRegistryBudget(1'000'000'000);  // effectively unbounded
-  auto a = SampleStore::Acquire(graph_, probs_, campaign_,
-                                Options(400, 61));
+  auto a = Settled(SampleStore::Acquire(graph_, probs_, campaign_,
+                                        Options(400, 61)));
   const int64_t per_store = a->GetStats().memory_bytes;
   ASSERT_GT(per_store, 0);
   a.reset();
@@ -336,8 +381,8 @@ TEST_F(SampleStoreFixture, RegistryBudgetRetainsAndEvictsLru) {
   a = SampleStore::Acquire(graph_, probs_, campaign_, Options(400, 61));
   EXPECT_EQ(MrrCollection::GeneratedSampleCount(), before);
 
-  auto b = SampleStore::Acquire(graph_, probs_, campaign_,
-                                Options(400, 62));
+  auto b = Settled(SampleStore::Acquire(graph_, probs_, campaign_,
+                                        Options(400, 62)));
   a.reset();  // a is now least recently used
   b.reset();
   SampleStore::RegistrySize();  // prune side effect only
@@ -362,7 +407,8 @@ TEST_F(SampleStoreFixture, RegistryBudgetRetainsAndEvictsLru) {
   EXPECT_EQ(MrrCollection::GeneratedSampleCount(), before);  // survivor
   b.reset();
   before = MrrCollection::GeneratedSampleCount();
-  a = SampleStore::Acquire(graph_, probs_, campaign_, Options(400, 61));
+  a = Settled(
+      SampleStore::Acquire(graph_, probs_, campaign_, Options(400, 61)));
   EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before,
             2 * 400);  // the evicted store resamples from scratch
   // Acquiring a pins it, so budget enforcement must evict b (the only
@@ -418,6 +464,7 @@ TEST_F(SampleStoreFixture, ConcurrentAcquireYieldsOneStore) {
   for (int t = 1; t < kThreads; ++t) {
     EXPECT_EQ(stores[0].get(), stores[t].get());
   }
+  Settled(stores[0]);
   // Exactly one sampling pass despite the racing acquires.
   EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before, 2 * 500);
 }
@@ -553,7 +600,7 @@ TEST_F(RecoveryFixture, RecoveredSnapshotResumesWithoutResampling) {
   original.reset();  // dead store: the registry entry expires
 
   ASSERT_TRUE(SampleStore::OfferRecoveredSnapshot("recovery/a", saved.mrr,
-                                                  saved.holdout)
+                                                  saved.holdout())
                   .ok());
   const int64_t before = MrrCollection::GeneratedSampleCount();
   const int64_t recovered_before =
@@ -587,13 +634,13 @@ TEST_F(RecoveryFixture, SmallerRecoveredSnapshotGrowsOnlyTheDelta) {
   original.reset();
 
   ASSERT_TRUE(SampleStore::OfferRecoveredSnapshot(
-                  "recovery/delta", saved.mrr, saved.holdout)
+                  "recovery/delta", saved.mrr, saved.holdout())
                   .ok());
   // Re-acquire at a larger theta: recovery seeds the first 300 samples
   // and only the extension is drawn (2x: in-sample + holdout).
   const int64_t before = MrrCollection::GeneratedSampleCount();
-  auto recovered = SampleStore::Acquire(
-      graph_, probs_, campaign_, KeyedOptions(900, 73, "recovery/delta"));
+  auto recovered = Settled(SampleStore::Acquire(
+      graph_, probs_, campaign_, KeyedOptions(900, 73, "recovery/delta")));
   ASSERT_NE(recovered, nullptr);
   EXPECT_EQ(recovered->theta(), 900);
   EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before,
@@ -607,16 +654,16 @@ TEST_F(RecoveryFixture, MismatchedProvenanceIsIgnoredAndResampled) {
   const SampleSnapshot saved = original->snapshot();
   original.reset();
   ASSERT_TRUE(SampleStore::OfferRecoveredSnapshot(
-                  "recovery/mismatch", saved.mrr, saved.holdout)
+                  "recovery/mismatch", saved.mrr, saved.holdout())
                   .ok());
 
   // Same key, different sampling seed: the snapshot's provenance no
   // longer matches, so it must NOT be adopted — correctness beats
   // recovery, and the store resamples from scratch.
   const int64_t before = MrrCollection::GeneratedSampleCount();
-  auto fresh = SampleStore::Acquire(
+  auto fresh = Settled(SampleStore::Acquire(
       graph_, probs_, campaign_,
-      KeyedOptions(400, 80, "recovery/mismatch"));
+      KeyedOptions(400, 80, "recovery/mismatch")));
   ASSERT_NE(fresh, nullptr);
   EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before, 2 * 400);
 }
@@ -638,11 +685,12 @@ TEST_F(RecoveryFixture, ClearDropsParkedSnapshots) {
   const SampleSnapshot saved = original->snapshot();
   original.reset();
   ASSERT_TRUE(SampleStore::OfferRecoveredSnapshot(
-                  "recovery/cleared", saved.mrr, saved.holdout)
+                  "recovery/cleared", saved.mrr, saved.holdout())
                   .ok());
   SampleStore::ClearRecoveredSnapshots();
   const int64_t before = MrrCollection::GeneratedSampleCount();
-  auto fresh = SampleStore::Acquire(graph_, probs_, campaign_, options);
+  auto fresh =
+      Settled(SampleStore::Acquire(graph_, probs_, campaign_, options));
   EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before, 2 * 200);
 }
 

@@ -12,6 +12,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <functional>
@@ -24,6 +26,7 @@
 #include "oipa/api/solver_registry.h"
 #include "rrset/sample_store.h"
 #include "serve/client.h"
+#include "serve/context_cache.h"
 #include "serve/json_parser.h"
 #include "serve/launcher.h"
 #include "serve/server.h"
@@ -986,6 +989,137 @@ TEST_F(ServeFixture, ContextsDifferingOnlyInAlphaShareOneSampleStore) {
   ASSERT_TRUE(fresh.Find("ok")->bool_value()) << fresh.Dump(-1);
   EXPECT_GT(fresh.Find("serve")->Find("samples_generated")->int_value(), 0);
   ExpectSameResults(*shared.Find("results"), *fresh.Find("results"));
+}
+
+TEST_F(ServeFixture, UnknownSolverBuildsNoContextAndKeepsTheRequestId) {
+  // The solver is looked up before the context cache, so a fresh daemon
+  // answers NotFound without building or caching a context.
+  StartServer({});
+  const JsonValue r =
+      Roundtrip(TinyRequest("frob", 1, "[2]", "", 1'500, "frobnicate"));
+  ASSERT_FALSE(r.Find("ok")->bool_value()) << r.Dump(-1);
+  EXPECT_EQ(r.Find("id")->string_value(), "frob");
+  EXPECT_EQ(r.Find("error")->Find("code")->string_value(), "NotFound");
+  EXPECT_EQ(HealthContextCacheField("misses"), 0);
+  EXPECT_EQ(HealthContextCacheField("live_contexts"), 0);
+  const JsonValue next = Roundtrip(TinyRequest("next", 1, "[2]"));
+  EXPECT_TRUE(next.Find("ok")->bool_value()) << next.Dump(-1);
+}
+
+TEST_F(ServeFixture, HealthAnswersWhileAHoldoutIsStillSampling) {
+  // The worker publishes the context's in-sample collection, searches,
+  // and then waits for the holdout, which the hold keeps pending: health
+  // must answer meanwhile, and the solve must finish once released.
+  StartServer({});
+  const std::string line =
+      R"({"id":"held","dataset":{"n":250,"seed":41},)"
+      R"("sampling":{"theta":1500,"holdout_theta":1500},)"
+      R"("plan":{"method":"bab","budgets":[3]}})";
+  auto hold = std::make_unique<HoldBackgroundTasks>();
+  std::vector<std::string> responses;
+  std::thread client([&] {
+    responses = SendLinesAndCollect(server_->port(), {line}, 1);
+  });
+  EXPECT_TRUE(
+      Eventually([&] { return HealthContextCacheField("live_contexts") == 1; }));
+  const std::vector<std::string> health = SendLinesAndCollect(
+      server_->port(), {R"({"id":"h","type":"health"})"}, 1);
+  ASSERT_EQ(health.size(), 1u);
+  EXPECT_TRUE(Parse(health[0]).Find("ok")->bool_value()) << health[0];
+  hold.reset();
+  client.join();
+  ASSERT_EQ(responses.size(), 1u);
+  const JsonValue r = Parse(responses[0]);
+  ASSERT_TRUE(r.Find("ok")->bool_value()) << responses[0];
+  EXPECT_GT(r.Find("results")->at(0).Find("holdout_utility")->double_value(),
+            0.0);
+  EXPECT_EQ(r.Find("serve")->Find("store")->Find("holdout_theta")->int_value(),
+            1'500);
+}
+
+/// A request for the tiny synthetic dataset `seed` with a holdout, at
+/// promoter-pool fraction `pool_fraction`.
+WireRequest HoldoutRequest(int seed, double pool_fraction) {
+  const StatusOr<WireRequest> request = ParseWireRequest(
+      R"({"id":"c","dataset":{"n":250,"seed":)" + std::to_string(seed) +
+      R"(,"pool_fraction":)" + std::to_string(pool_fraction) +
+      R"(},"sampling":{"theta":1500,"holdout_theta":1500},)"
+      R"("plan":{"method":"bab","budgets":[3]}})");
+  EXPECT_TRUE(request.ok()) << request.status().ToString();
+  return *request;
+}
+
+TEST(ContextCacheTest, EvictingAContextWhoseHoldoutIsPendingIsSafe) {
+  // The evicted context's store waits for its holdout job as it dies;
+  // that happens outside the cache's locks, so the cache keeps
+  // answering meanwhile.
+  ContextCache cache(/*max_contexts=*/1);
+  auto hold = std::make_unique<HoldBackgroundTasks>();
+  bool hit = false;
+  {
+    const StatusOr<std::shared_ptr<const ContextCache::Entry>> first =
+        cache.Acquire(HoldoutRequest(51, 0.1), &hit);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    EXPECT_FALSE((*first)->context->samples().holdout_ready());
+  }
+  std::atomic<bool> evicted{false};
+  std::thread evictor([&] {
+    bool second_hit = false;
+    const auto second = cache.Acquire(HoldoutRequest(52, 0.1), &second_hit);
+    EXPECT_TRUE(second.ok());
+    evicted.store(true);
+  });
+  EXPECT_TRUE(Eventually([&] { return cache.GetStats().evictions == 1; }));
+  EXPECT_EQ(cache.GetStats().live_contexts, 1);
+  EXPECT_FALSE(evicted.load());  // parked on the evicted store's holdout
+  hold.reset();
+  evictor.join();
+  EXPECT_TRUE(evicted.load());
+}
+
+TEST(ContextCacheTest, PoolsAreIndexedSeparatelyAndEnforced) {
+  // One graph, two promoter pools: each context indexes only its own
+  // pool, and a request pool leaving the context's pool is refused
+  // before any search.
+  ContextCache cache(/*max_contexts=*/4);
+  bool hit = false;
+  const WireRequest narrow = HoldoutRequest(61, 0.1);
+  const WireRequest wide = HoldoutRequest(61, 0.5);
+  const auto a = cache.Acquire(narrow, &hit);
+  const auto b = cache.Acquire(wide, &hit);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_EQ((*a)->context->graph().num_vertices(),
+            (*b)->context->graph().num_vertices());
+  EXPECT_NE(&(*a)->context->sample_store(), &(*b)->context->sample_store());
+  for (const std::shared_ptr<const ContextCache::Entry>& entry : {*a, *b}) {
+    const std::vector<VertexId>& pool = entry->pool;
+    const SampleSnapshot snap = entry->context->samples();
+    for (VertexId v = 0; v < snap.mrr->num_vertices(); ++v) {
+      EXPECT_EQ(snap.mrr->IndexesVertex(v),
+                std::find(pool.begin(), pool.end(), v) != pool.end())
+          << v;
+    }
+  }
+
+  std::vector<VertexId> leaving = (*a)->pool;
+  for (const VertexId v : (*b)->pool) {
+    if (!(*a)->context->InPool(v)) {
+      leaving.push_back(v);
+      break;
+    }
+  }
+  ASSERT_GT(leaving.size(), (*a)->pool.size());
+  PlanRequest request = ToPlanRequest(narrow, leaving);
+  bool searched = false;
+  request.progress = [&searched](const PlanProgress&) {
+    searched = true;
+    return true;
+  };
+  const auto refused = SolveBatch(*(*a)->context, request);
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(searched);
+  EXPECT_TRUE(SolveBatch(*(*a)->context, ToPlanRequest(narrow, (*a)->pool))
+                  .ok());
 }
 
 TEST(ServeOptionsTest, StartRejectsInvalidOptions) {

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
@@ -549,6 +550,36 @@ TEST(CondVarTest, NotifyAllWakesEveryWaiter) {
   for (auto& t : waiters) t.join();
   MutexLock lock(&mu);
   EXPECT_EQ(woken, kWaiters);
+}
+
+TEST(BackgroundTaskTest, WaitReturnsTheValueOnceTheJobHasRun) {
+  const auto done = BackgroundTask<int>::Done(7);
+  EXPECT_TRUE(done->ready());
+  EXPECT_EQ(done->Wait(), 7);
+
+  auto hold = std::make_unique<HoldBackgroundTasks>();
+  auto input = std::make_shared<int>(5);
+  const std::weak_ptr<int> watch = input;
+  const auto task = BackgroundTask<int>::Start(
+      [input = std::move(input)] { return *input + 1; });
+  EXPECT_FALSE(task->ready());  // held back
+  hold.reset();
+  EXPECT_EQ(task->Wait(), 6);
+  EXPECT_TRUE(task->ready());
+  // The job's captures are released before any waiter wakes.
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(BackgroundTaskTest, ManyWaitersSeeOneValue) {
+  const auto task = BackgroundTask<std::shared_ptr<const int>>::Start(
+      [] { return std::make_shared<const int>(11); });
+  std::vector<std::thread> waiters;
+  std::atomic<int> sum{0};
+  for (int i = 0; i < 4; ++i) {
+    waiters.emplace_back([&] { sum += *task->Wait(); });
+  }
+  for (std::thread& t : waiters) t.join();
+  EXPECT_EQ(sum.load(), 44);
 }
 
 }  // namespace
