@@ -37,6 +37,14 @@ Enforced rules (each failure names its rule id):
                     code starts threads through util/threading
                     (ParallelFor, BackgroundTask), so thread counts and
                     lifetimes stay in one place.
+  process-global    No process-wide state in src/: no namespace-scope or
+                    function-static oipa::Mutex and no leaked
+                    `static ... = new` singleton, outside the files that
+                    own the process-wide test seams (the fault injector,
+                    util/threading's HoldBackgroundTasks, and the solver
+                    registry). Caches and registries live in an object
+                    their owner constructs, so two daemons in one process
+                    share nothing.
   lock-hierarchy    Every oipa::Mutex declared in src/ (outside
                     src/util/) is documented in README.md's "Locking
                     hierarchy" table — a mutex nobody wrote an ordering
@@ -78,6 +86,17 @@ RAW_THREAD_OWNERS = (
     "src/serve/server.h",
     "src/serve/server.cc",
     "src/oipa/branch_and_bound.cc",
+    "src/oipa/api/solver_registry.cc",
+)
+# An unindented Mutex declaration is at namespace scope (members and
+# locals are indented); a static one anywhere is process-wide too.
+PROCESS_GLOBAL_RE = re.compile(
+    r"^(?:static\s+)?(?:oipa::)?Mutex\s+\w+\s*[;{]"
+    r"|^\s*static\s+(?:mutable\s+)?(?:oipa::)?Mutex\b"
+    r"|\bstatic\b[^;{}()=]*=\s*new\b", re.MULTILINE)
+PROCESS_GLOBAL_OWNERS = (
+    "src/util/fault_injector.cc",
+    "src/util/threading.cc",
     "src/oipa/api/solver_registry.cc",
 )
 NARROWED_FLAG_RE = re.compile(
@@ -214,6 +233,29 @@ def check_narrowed_flags(root: str, findings: Findings) -> None:
                 "narrowed-flag", where,
                 "integer flag narrowed by a cast — read it with "
                 f"FlagParser::ReadInt (matched '{matched}')")
+
+
+def check_process_globals(root: str, findings: Findings) -> None:
+    """A leaked singleton may break `static T* x =` and `new T` across
+    lines, so the rule matches over each src/ file's code joined into
+    one string."""
+    for path in iter_cxx_files(root, "src"):
+        rel = os.path.relpath(path, root)
+        if rel.replace(os.sep, "/") in PROCESS_GLOBAL_OWNERS:
+            continue
+        with open(path, encoding="utf-8") as f:
+            raw_lines = f.read().splitlines()
+        code = "\n".join(code_lines(raw_lines))
+        for m in PROCESS_GLOBAL_RE.finditer(code):
+            idx = code.count("\n", 0, m.start())
+            where = f"{rel}:{idx + 1}"
+            if waived("process-global", raw_lines, idx, where, findings):
+                continue
+            matched = " ".join(m.group(0).split())
+            findings.error(
+                "process-global", where,
+                "process-wide state — keep it in an object its owner "
+                f"constructs (matched '{matched}')")
 
 
 def count_suppressions(root: str, findings: Findings) -> None:
@@ -396,6 +438,7 @@ def main() -> int:
                   "oipa::MutexLock / oipa::CondVar (util/threading.h)")])
 
     check_narrowed_flags(root, findings)
+    check_process_globals(root, findings)
     check_test_registration(root, findings)
     check_bench_baselines(root, findings)
     check_lock_hierarchy(root, findings)

@@ -144,7 +144,6 @@ Status BuildContext(Pipeline* p, std::ostream& err) {
   err << "[oipa_cli] sampling " << c.request.sampling.theta
       << " MRR sets over " << d.ell << " pieces...\n";
   ContextOptions options = serve::ToContextOptions(c.request);
-  options.share_samples = c.share_samples;
   options.pool = p->dataset.promoter_pool;
   WallTimer timer;
   auto context = PlanningContext::Borrow(
@@ -183,18 +182,11 @@ JsonValue SimulateJson(const Pipeline& p, const AssignmentPlan& plan,
   return j;
 }
 
-/// Sample-store telemetry: size, live memory, generation count,
-/// whether the run resolved the store through the sharing registry, and
-/// the context build's wall-clock.
+/// Sample-store telemetry, the daemon's serve.store block, plus the
+/// context build's wall-clock.
 JsonValue SampleStoreJson(const Pipeline& p) {
-  const SampleStore::Stats stats = p.context->sample_store().GetStats();
-  JsonValue j = JsonValue::Object();
-  j.Set("theta", stats.theta)
-      .Set("holdout_theta", stats.holdout_theta)
-      .Set("memory_bytes", stats.memory_bytes)
-      .Set("live_generations", stats.live_generations)
-      .Set("shared", stats.shared)
-      .Set("seconds", p.sample_seconds);
+  JsonValue j = serve::StoreJson(p.context->sample_store().GetStats());
+  j.Set("seconds", p.sample_seconds);
   return j;
 }
 
@@ -215,7 +207,6 @@ JsonValue ConfigJson(const CliConfig& c) {
       .Set("bound", r.plan.bound)
       .Set("progressive", c.progressive)
       .Set("stopping", r.sampling.stopping)
-      .Set("share_samples", c.share_samples)
       .Set("learn", c.learn)
       .Set("threads", ResolvedSolverThreads(r))
       // The worker count sample generation actually ran with (plumbed
@@ -519,7 +510,6 @@ Status ParseCliConfig(const FlagParser& flags, CliConfig* config) {
   OIPA_RETURN_IF_ERROR(flags.ReadInt("cascades", &c.cascades));
   OIPA_RETURN_IF_ERROR(flags.ReadInt("em_iterations", &c.em_iterations));
   c.progressive = flags.GetBool("progressive", c.progressive);
-  c.share_samples = flags.GetBool("share_samples", c.share_samples);
   OIPA_RETURN_IF_ERROR(flags.ReadInt("trials", &c.trials, 1));
   c.server = flags.GetString("server", c.server);
   OIPA_RETURN_IF_ERROR(flags.ReadInt("retries", &c.retries, 0));
@@ -539,6 +529,7 @@ Status ParseCliConfig(const FlagParser& flags, CliConfig* config) {
     }
     line.Set(name, std::move(section));
   }
+  OIPA_RETURN_IF_ERROR(flags.RefuseUnknown());
   c.wire_line = line.Dump(-1);
   StatusOr<serve::WireRequest> request = serve::ParseWireRequest(c.wire_line);
   if (!request.ok()) {
@@ -605,9 +596,6 @@ std::string UsageString() {
      << "                           gap agreement, or OPIM-style bound\n"
      << "                           pair certifying a (1-1/e-eps) ratio\n"
      << "                           (holdout)\n"
-     << "  --share_samples=<bool>   resolve MRR samples through the\n"
-     << "                           process-wide shared store registry\n"
-     << "                           (true)\n"
      << "  --gap=<frac>             termination gap (0.01)\n"
      << "  --alpha --beta           logistic adoption model (2.0, 1.0)\n"
      << "  --bound=zero|paper       tangent-bound variant (zero)\n"
@@ -662,7 +650,10 @@ int RunCli(int argc, char** argv, std::ostream& out, std::ostream& err) {
     out << UsageString();
     return 0;
   }
-  if (flags.GetString("method", "") == "list") {
+  // `serve` reads the daemon's flags only, so --method is not one.
+  const bool serve =
+      !flags.positional().empty() && flags.positional().front() == "serve";
+  if (!serve && flags.GetString("method", "") == "list") {
     out << SolverRegistry::Global().DescribeAll();
     return 0;
   }

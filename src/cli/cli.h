@@ -37,10 +37,6 @@ struct CliConfig {
   int em_iterations = 5;
   /// --progressive: picks bab-p (true) or bab when --method is absent.
   bool progressive = true;
-  /// Resolve the MRR sample store through the process-wide registry so
-  /// runs sharing a sampling configuration share one sampling pass
-  /// (--share_samples=false forces a private store). Local-only.
-  bool share_samples = true;
   /// Forward Monte-Carlo trials for `simulate`.
   int trials = 2000;
 
@@ -73,8 +69,9 @@ struct CliConfig {
 
 /// Parses and validates flags into `config`. The subcommand itself comes
 /// from the first positional argument and is validated here too. A flag
-/// that is not a number of its kind ("1e5" for an integer), or a value
-/// the wire request refuses, is InvalidArgument naming the flag.
+/// that is not a number of its kind ("1e5" for an integer), a value the
+/// wire request refuses, or a flag the command does not know is
+/// InvalidArgument naming the flag.
 Status ParseCliConfig(const FlagParser& flags, CliConfig* config);
 
 /// One-screen usage text.

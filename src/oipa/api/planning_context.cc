@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "oipa/adoption.h"
-#include "util/fault_injector.h"
 
 namespace oipa {
 
@@ -61,52 +60,30 @@ SampleStore::Options StoreOptions(const ContextOptions& options) {
   store_options.seed = options.seed;
   store_options.diffusion = options.diffusion;
   store_options.sampling_threads = options.sampling_threads;
-  store_options.source_key = options.source_key;
   store_options.pool = options.pool;
   return store_options;
 }
 
 }  // namespace
 
-StatusOr<std::shared_ptr<const PlanningContext>> PlanningContext::Build(
+std::shared_ptr<PlanningContext> PlanningContext::Build(
     std::shared_ptr<const Graph> graph,
     std::shared_ptr<const EdgeTopicProbs> probs,
     std::shared_ptr<const Campaign> campaign, LogisticAdoptionModel model,
-    ContextOptions options, std::shared_ptr<const MrrCollection> mrr,
-    std::shared_ptr<const MrrCollection> holdout) {
+    ContextOptions options) {
   // Private constructor: build in place, then fill.
   std::shared_ptr<PlanningContext> ctx(new PlanningContext());
   ctx->graph_ = std::move(graph);
   ctx->probs_ = std::move(probs);
   ctx->campaign_ = std::move(campaign);
   ctx->model_ = model;
-  ctx->options_ = options;
-  ctx->sorted_pool_ = options.pool;
+  ctx->options_ = std::move(options);
+  ctx->sorted_pool_ = ctx->options_.pool;
   std::sort(ctx->sorted_pool_.begin(), ctx->sorted_pool_.end());
-  if (mrr != nullptr) {
-    ctx->pieces_ = std::make_shared<const std::vector<InfluenceGraph>>(
-        BuildPieceGraphs(*ctx->graph_, *ctx->probs_, *ctx->campaign_,
-                         options.sampling_threads));
-    ctx->store_ =
-        SampleStore::Adopt(ctx->pieces_, std::move(mrr), std::move(holdout));
-  } else if (options.share_samples) {
-    // Registry path: the store owns the piece graphs, so a registry hit
-    // skips BuildPieceGraphs along with the sampling pass.
-    ctx->store_ = SampleStore::Acquire(ctx->graph_, ctx->probs_,
-                                       ctx->campaign_, StoreOptions(options));
-    if (ctx->store_ == nullptr) {
-      // Only fault injection makes Acquire fail (util/fault_injector.h,
-      // site "store.acquire"); surface it as a transient error.
-      return InjectedFault("store.acquire");
-    }
-    ctx->pieces_ = ctx->store_->pieces();
-  } else {
-    ctx->pieces_ = std::make_shared<const std::vector<InfluenceGraph>>(
-        BuildPieceGraphs(*ctx->graph_, *ctx->probs_, *ctx->campaign_,
-                         options.sampling_threads));
-    ctx->store_ = SampleStore::Create(ctx->pieces_, StoreOptions(options));
-  }
-  return std::shared_ptr<const PlanningContext>(std::move(ctx));
+  ctx->pieces_ = std::make_shared<const std::vector<InfluenceGraph>>(
+      BuildPieceGraphs(*ctx->graph_, *ctx->probs_, *ctx->campaign_,
+                       ctx->options_.sampling_threads));
+  return ctx;
 }
 
 StatusOr<std::shared_ptr<const PlanningContext>> PlanningContext::Create(
@@ -114,6 +91,16 @@ StatusOr<std::shared_ptr<const PlanningContext>> PlanningContext::Create(
     std::shared_ptr<const EdgeTopicProbs> probs,
     std::shared_ptr<const Campaign> campaign, LogisticAdoptionModel model,
     ContextOptions options) {
+  return Resume(std::move(graph), std::move(probs), std::move(campaign),
+                model, std::move(options), SampleSnapshot(), nullptr);
+}
+
+StatusOr<std::shared_ptr<const PlanningContext>> PlanningContext::Resume(
+    std::shared_ptr<const Graph> graph,
+    std::shared_ptr<const EdgeTopicProbs> probs,
+    std::shared_ptr<const Campaign> campaign, LogisticAdoptionModel model,
+    ContextOptions options, const SampleSnapshot& checkpoint,
+    bool* resumed) {
   OIPA_RETURN_IF_ERROR(
       ValidateInputs(graph.get(), probs.get(), campaign.get()));
   const std::string max_samples = std::to_string(MrrCollection::kMaxSamples);
@@ -135,8 +122,16 @@ StatusOr<std::shared_ptr<const PlanningContext>> PlanningContext::Create(
           " is outside the graph [0, " + std::to_string(n) + ")");
     }
   }
-  return Build(std::move(graph), std::move(probs), std::move(campaign),
-               model, options, nullptr, nullptr);
+  const SampleStore::Options store_options = StoreOptions(options);
+  std::shared_ptr<PlanningContext> ctx =
+      Build(std::move(graph), std::move(probs), std::move(campaign), model,
+            std::move(options));
+  ctx->store_ = SampleStore::Resume(ctx->pieces_, store_options, checkpoint);
+  if (resumed != nullptr) *resumed = ctx->store_ != nullptr;
+  if (ctx->store_ == nullptr) {
+    ctx->store_ = SampleStore::Create(ctx->pieces_, store_options);
+  }
+  return std::shared_ptr<const PlanningContext>(std::move(ctx));
 }
 
 StatusOr<std::shared_ptr<const PlanningContext>> PlanningContext::Borrow(
@@ -183,12 +178,19 @@ PlanningContext::BorrowWithSamples(const Graph& graph,
   ContextOptions options;
   options.theta = mrr->theta();
   options.holdout_theta = holdout == nullptr ? 0 : holdout->theta();
-  options.share_samples = false;
-  return Build(Unowned(graph), Unowned(probs), Unowned(campaign), model,
-               options, Unowned(*mrr),
-               holdout == nullptr
-                   ? std::shared_ptr<const MrrCollection>()
-                   : Unowned(*holdout));
+  std::shared_ptr<PlanningContext> ctx =
+      Build(Unowned(graph), Unowned(probs), Unowned(campaign), model, options);
+  ctx->store_ =
+      SampleStore::Adopt(ctx->pieces_, Unowned(*mrr),
+                         holdout == nullptr ? nullptr : Unowned(*holdout));
+  return std::shared_ptr<const PlanningContext>(std::move(ctx));
+}
+
+std::shared_ptr<const PlanningContext> PlanningContext::WithModel(
+    LogisticAdoptionModel model) const {
+  std::shared_ptr<PlanningContext> sibling(new PlanningContext(*this));
+  sibling->model_ = model;
+  return sibling;
 }
 
 bool PlanningContext::InPool(VertexId v) const {

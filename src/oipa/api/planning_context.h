@@ -34,20 +34,12 @@ struct ContextOptions {
   /// growth: 0 defers to GetNumThreads(), N > 0 uses exactly N. Both
   /// are bit-identical at any thread count (see BuildPieceGraphs and
   /// MrrCollection::Generate), so this only changes build and sampling
-  /// wall-clock — and is excluded from the shared store's registry key.
+  /// wall-clock.
   int sampling_threads = 0;
-  /// Resolve the sample store through the process-wide SampleStore
-  /// registry (MRR samples are independent of the adoption model, so
-  /// contexts that differ only in alpha/beta share one store and one
-  /// sampling pass). Set false for a private store — e.g. when the
-  /// context must not observe growth issued through other contexts.
+  /// No effect: every context samples into a store of its own, which
+  /// only its WithModel() siblings share. Kept so that code setting it
+  /// still compiles.
   bool share_samples = true;
-  /// When non-empty, keys the registry store by this string instead of
-  /// graph/probs identity (see SampleStore::Options::source_key): a
-  /// context rebuilt from the same deterministic recipe then re-hits a
-  /// store retained under SampleStore::SetRegistryBudget(). The caller
-  /// guarantees equal source_keys imply bit-identical graph and probs.
-  std::string source_key;
   /// The promoters requests plan over. The in-sample index covers only
   /// these vertices, and a request whose pool leaves them is
   /// InvalidArgument. Empty (default) is every vertex.
@@ -55,13 +47,18 @@ struct ContextOptions {
 };
 
 /// The shared state of one (graph, probabilities, campaign, adoption
-/// model) planning configuration: the per-piece influence graphs plus a
-/// handle to the SampleStore holding the in-sample and holdout MRR
-/// collections. Everything except the store is read-only after
-/// construction; the store mutates only by growing and publishes
-/// generations atomically — so any number of threads may Solve()
-/// against one context concurrently, and a SolveBatch() budget sweep
-/// reuses the same samples for every k.
+/// model) planning configuration: the per-piece influence graphs plus
+/// the SampleStore holding the in-sample and holdout MRR collections.
+/// Everything except the store is read-only after construction; the
+/// store mutates only by growing and publishes generations atomically —
+/// so any number of threads may Solve() against one context
+/// concurrently, and a SolveBatch() budget sweep reuses the same samples
+/// for every k.
+///
+/// Each context built by a factory owns its store; WithModel() makes a
+/// sibling under another adoption model that shares the store, the
+/// piece graphs and the inputs (MRR samples do not depend on the
+/// adoption model), so alpha/beta variants sample once.
 ///
 /// Samples are read through snapshots: samples() pins the current
 /// generation (a SampleSnapshot keeps its collections alive); after a
@@ -108,16 +105,35 @@ class PlanningContext {
       const Campaign& campaign, LogisticAdoptionModel model,
       ContextOptions options = {});
 
+  /// Create, but resuming `checkpoint` — a sample stream saved by
+  /// SaveSampleStore and loaded back — instead of sampling from scratch
+  /// when SampleStore::Resume accepts it (same provenance; only the
+  /// delta is sampled when the options ask for more). Otherwise, and for
+  /// an empty checkpoint, it samples as Create does. `*resumed` (may be
+  /// null) reports which happened.
+  static StatusOr<std::shared_ptr<const PlanningContext>> Resume(
+      std::shared_ptr<const Graph> graph,
+      std::shared_ptr<const EdgeTopicProbs> probs,
+      std::shared_ptr<const Campaign> campaign, LogisticAdoptionModel model,
+      ContextOptions options, const SampleSnapshot& checkpoint,
+      bool* resumed);
+
   /// Borrows inputs AND pre-generated MRR collections instead of
   /// sampling fresh ones — for benches and tests that must share one
   /// sample set across configurations or exclude sampling from timings.
   /// `holdout` may be null and need not be indexed; `mrr` must be
   /// (InvalidArgument otherwise). All referenced objects must outlive the
-  /// context. The store is always private (never registry-shared).
+  /// context.
   static StatusOr<std::shared_ptr<const PlanningContext>> BorrowWithSamples(
       const Graph& graph, const EdgeTopicProbs& probs,
       const Campaign& campaign, LogisticAdoptionModel model,
       const MrrCollection* mrr, const MrrCollection* holdout = nullptr);
+
+  /// A sibling under `model`: the same inputs, piece graphs and sample
+  /// store, so it samples nothing, and growth through either context is
+  /// visible to both.
+  std::shared_ptr<const PlanningContext> WithModel(
+      LogisticAdoptionModel model) const;
 
   const Graph& graph() const { return *graph_; }
   const EdgeTopicProbs& probs() const { return *probs_; }
@@ -126,7 +142,7 @@ class PlanningContext {
   const ContextOptions& options() const { return options_; }
 
   /// Per-piece influence graphs (alias the context's graph; shared with
-  /// the sample store, and across contexts sharing one store).
+  /// the sample store and the WithModel siblings).
   const std::vector<InfluenceGraph>& pieces() const { return *pieces_; }
 
   /// Pins and returns the current sample generation. Hold the snapshot
@@ -142,8 +158,8 @@ class PlanningContext {
   /// True when `v` is in the context's pool (ContextOptions::pool).
   bool InPool(VertexId v) const;
 
-  /// The context's sample store (telemetry, tests; shared stores show
-  /// growth issued through any sharing context).
+  /// The context's sample store (telemetry, tests; it shows growth
+  /// issued through any WithModel sibling). Valid while the context is.
   const SampleStore& sample_store() const { return *store_; }
 
   /// True when the sample store can grow: the collections carry
@@ -154,8 +170,8 @@ class PlanningContext {
   /// bit-identically to collections generated at that size up front.
   /// No-op when the store is already that large. Thread-safe:
   /// concurrent growers serialize, concurrent solves keep reading their
-  /// pinned snapshots. For a shared store the growth is visible to
-  /// every sharing context. FailedPrecondition when the collections
+  /// pinned snapshots. The growth is visible to every WithModel
+  /// sibling. FailedPrecondition when the collections
   /// lack sampling provenance, InvalidArgument for target_theta < 1.
   Status GrowSamples(int64_t target_theta) const {
     return store_->Grow(target_theta);
@@ -186,25 +202,25 @@ class PlanningContext {
  private:
   PlanningContext() = default;
 
-  static StatusOr<std::shared_ptr<const PlanningContext>> Build(
+  /// A context over the inputs with its piece graphs built; the caller
+  /// adds the store.
+  static std::shared_ptr<PlanningContext> Build(
       std::shared_ptr<const Graph> graph,
       std::shared_ptr<const EdgeTopicProbs> probs,
       std::shared_ptr<const Campaign> campaign,
-      LogisticAdoptionModel model, ContextOptions options,
-      std::shared_ptr<const MrrCollection> mrr,
-      std::shared_ptr<const MrrCollection> holdout);
+      LogisticAdoptionModel model, ContextOptions options);
 
   std::shared_ptr<const Graph> graph_;
   std::shared_ptr<const EdgeTopicProbs> probs_;
   std::shared_ptr<const Campaign> campaign_;
   LogisticAdoptionModel model_{2.0, 1.0};
   ContextOptions options_;
-  /// Shared with the store (and with every context sharing the store).
+  /// Shared with the store and the WithModel siblings.
   std::shared_ptr<const std::vector<InfluenceGraph>> pieces_;
   /// options_.pool, sorted, for InPool().
   std::vector<VertexId> sorted_pool_;
-  /// The sample store: private, or registry-shared across contexts that
-  /// differ only in the adoption model (options_.share_samples).
+  /// Declared last, so it dies first: a dying store waits for its
+  /// holdout job, which reads the piece graphs and the graph.
   std::shared_ptr<SampleStore> store_;
 };
 

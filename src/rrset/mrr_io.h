@@ -37,7 +37,7 @@ StatusOr<MrrCollection> LoadMrrCollection(const std::string& path);
 /// its snapshot.
 Status SaveSampleStore(const SampleStore& store, const std::string& path);
 
-/// Rebuilds a private (unregistered) SampleStore from a snapshot file.
+/// Rebuilds a SampleStore from a snapshot file.
 /// Like a built store's, the loaded holdout carries no inverted index.
 /// Because sampling provenance round-trips, passing the piece graphs
 /// the store was sampled over makes the loaded store growable again:

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <map>
 #include <string>
 #include <utility>
 
@@ -58,16 +56,15 @@ std::shared_ptr<const HoldoutTask> SampleStore::SampleHoldout(
       });
 }
 
-std::shared_ptr<SampleStore> SampleStore::Build(
+std::shared_ptr<SampleStore> SampleStore::Create(
     std::shared_ptr<const std::vector<InfluenceGraph>> pieces,
-    const Options& options, bool shared) {
+    const Options& options) {
   OIPA_CHECK(pieces != nullptr && !pieces->empty());
   OIPA_CHECK_GE(options.theta, 1);
   std::shared_ptr<SampleStore> store(new SampleStore());
   store->pieces_ = std::move(pieces);
   store->options_ = options;
   store->options_.holdout_theta = ResolvedHoldoutTheta(options);
-  store->shared_ = shared;
   store->extendable_ = true;
   SampleSnapshot first;
   first.mrr = std::make_shared<const MrrCollection>(MrrCollection::Generate(
@@ -78,12 +75,6 @@ std::shared_ptr<SampleStore> SampleStore::Build(
   MutexLock grow_lock(&store->grow_mu_);
   store->Publish(std::move(first));
   return store;
-}
-
-std::shared_ptr<SampleStore> SampleStore::Create(
-    std::shared_ptr<const std::vector<InfluenceGraph>> pieces,
-    const Options& options) {
-  return Build(std::move(pieces), options, /*shared=*/false);
 }
 
 std::shared_ptr<SampleStore> SampleStore::Adopt(
@@ -110,499 +101,60 @@ std::shared_ptr<SampleStore> SampleStore::Adopt(
   return store;
 }
 
-// ----------------------------------------------------------- registry
-
-namespace {
-
-/// Identity key of a shareable sampling configuration. Graph and probs
-/// are keyed by object identity (a live store keeps them alive, so a
-/// key can never alias a recycled address of a dead object); campaign
-/// pieces are keyed by content, since equal piece topic vectors produce
-/// equal influence graphs regardless of which Campaign object carries
-/// them. Theta is deliberately absent — a live store at a larger theta
-/// strictly contains any smaller same-key request (prefix sharing), and
-/// a larger request grows the store in place. Only the presence of a
-/// holdout stream is keyed: stores with and without one have different
-/// generation histories and cannot substitute for each other. The pool
-/// is keyed by content, since it decides what the index holds.
-struct StoreKey {
-  const void* graph = nullptr;
-  const void* probs = nullptr;
-  /// Content key replacing graph/probs identity when the caller set
-  /// Options::source_key (both pointers stay null in that case, so a
-  /// source-keyed entry can never collide with an identity-keyed one).
-  std::string source;
-  uint64_t campaign_fingerprint = 0;
-  uint64_t pool_fingerprint = 0;
-  int diffusion = 0;
-  uint64_t seed = 0;
-  bool has_holdout = false;
-
-  bool operator<(const StoreKey& o) const {
-    return std::tie(graph, probs, source, campaign_fingerprint,
-                    pool_fingerprint, diffusion, seed, has_holdout) <
-           std::tie(o.graph, o.probs, o.source, o.campaign_fingerprint,
-                    o.pool_fingerprint, o.diffusion, o.seed, o.has_holdout);
-  }
-};
-
-/// Exact piece-content equality — the fingerprint routes to a slot,
-/// this guards against 64-bit hash collisions before samples are
-/// shared (a collision would silently serve one campaign's samples to
-/// another).
-bool SamePieceTopics(const Campaign& a, const Campaign& b) {
-  if (a.num_pieces() != b.num_pieces()) return false;
-  for (int j = 0; j < a.num_pieces(); ++j) {
-    if (a.piece(j).topics.values() != b.piece(j).topics.values()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// FNV-1a, one 64-bit word at a time.
-struct Fnv1a {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  void Mix(uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  }
-};
-
-uint64_t FingerprintCampaign(const Campaign& campaign) {
-  // Piece count and each topic value's bit pattern.
-  Fnv1a fnv;
-  fnv.Mix(static_cast<uint64_t>(campaign.num_pieces()));
-  for (const ViralPiece& piece : campaign.pieces()) {
-    fnv.Mix(static_cast<uint64_t>(piece.topics.num_topics()));
-    for (const double value : piece.topics.values()) {
-      uint64_t bits = 0;
-      static_assert(sizeof(bits) == sizeof(value));
-      std::memcpy(&bits, &value, sizeof(bits));
-      fnv.Mix(bits);
-    }
-  }
-  return fnv.h;
-}
-
-uint64_t FingerprintPool(const std::vector<VertexId>& pool) {
-  Fnv1a fnv;
-  fnv.Mix(pool.size());
-  for (const VertexId v : pool) fnv.Mix(static_cast<uint64_t>(v));
-  return fnv.h;
-}
-
-/// Guards the registry map, every slot's published weak_ptr, and the
-/// retention/budget bookkeeping. Lock order: a slot's mu first, then
-/// g_registry_mu — nothing takes them in the opposite order (Acquire
-/// releases g_registry_mu before locking a slot). Budget enforcement
-/// additionally takes a store's history_mu_ (inside GetStats) while
-/// holding g_registry_mu, which fixes the order g_registry_mu →
-/// history_mu_; no store method takes the registry lock, so the order
-/// cannot invert.
-Mutex g_registry_mu;
-
-/// Per-key creation slot: concurrent Acquires of one key serialize on
-/// the slot mutex (exactly one sampling pass; prefix growth also
-/// happens under it), while different keys sample concurrently. The
-/// published weak_ptr and the pin/retention state live under
-/// g_registry_mu so that PruneRegistryLocked/RegistrySize and the
-/// budget sweep can walk every slot under the one registry lock.
-struct RegistrySlot {
-  Mutex mu;
-  std::weak_ptr<SampleStore> store OIPA_GUARDED_BY(g_registry_mu);
-  /// Keeps the store alive past its last pinned handle when a nonzero
-  /// registry budget is set (null otherwise): the retention the LRU
-  /// eviction sweep trades against the byte budget.
-  std::shared_ptr<SampleStore> retained OIPA_GUARDED_BY(g_registry_mu);
-  /// Outstanding pinned handles; a pinned store is never evicted.
-  int pins OIPA_GUARDED_BY(g_registry_mu) = 0;
-  /// Global use tick at the last pin/unpin — the LRU ordering.
-  uint64_t last_use OIPA_GUARDED_BY(g_registry_mu) = 0;
-};
-
-std::map<StoreKey, std::shared_ptr<RegistrySlot>>& Registry()
-    OIPA_REQUIRES(g_registry_mu) {
-  static auto* registry =
-      new std::map<StoreKey, std::shared_ptr<RegistrySlot>>();
-  return *registry;
-}
-
-int64_t g_budget_bytes OIPA_GUARDED_BY(g_registry_mu) = 0;
-uint64_t g_use_tick OIPA_GUARDED_BY(g_registry_mu) = 0;
-int64_t g_evictions OIPA_GUARDED_BY(g_registry_mu) = 0;
-int64_t g_recovered_stores OIPA_GUARDED_BY(g_registry_mu) = 0;
-
-/// Recovery snapshots parked by OfferRecoveredSnapshot, keyed by
-/// source_key and consumed lazily by the first matching source-keyed
-/// Acquire (see SampleStore::BuildFromRecovered).
-std::map<std::string, SampleSnapshot>& RecoveryMap()
-    OIPA_REQUIRES(g_registry_mu) {
-  static auto* parked = new std::map<std::string, SampleSnapshot>();
-  return *parked;
-}
-
-/// Drops slots whose store died and which no Acquire currently holds.
-void PruneRegistryLocked() OIPA_REQUIRES(g_registry_mu) {
-  auto& registry = Registry();
-  for (auto it = registry.begin(); it != registry.end();) {
-    if (it->second.use_count() == 1 && it->second->store.expired()) {
-      it = registry.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-/// Store handles a registry operation drops. A store may die with its
-/// last handle, and its destructor waits for a pending holdout job
-/// (SampleStore::~SampleStore), so callers declare one of these before
-/// taking g_registry_mu: it is destroyed after the lock is released.
-using DroppedStores = std::vector<std::shared_ptr<SampleStore>>;
-
-/// Applies the byte budget: with budget 0, drops every retained handle
-/// (no-retention mode); otherwise evicts the least-recently-used
-/// unpinned retained store until the summed MemoryBytes() of live
-/// registered stores fits the budget or nothing evictable remains
-/// (pinned stores can legitimately hold the total above budget).
-void EnforceBudgetLocked(DroppedStores* dropped)
-    OIPA_REQUIRES(g_registry_mu) {
-  if (g_budget_bytes <= 0) {
-    for (auto& [key, slot] : Registry()) {
-      (void)key;
-      if (slot->retained != nullptr) {
-        dropped->push_back(std::move(slot->retained));
-      }
-    }
-    return;
-  }
-  // Evicted stores live on in `dropped` until the caller unlocks; they
-  // no longer count.
-  std::vector<const RegistrySlot*> evicted;
-  for (;;) {
-    int64_t total = 0;
-    RegistrySlot* victim = nullptr;
-    for (auto& [key, slot] : Registry()) {
-      (void)key;
-      if (std::find(evicted.begin(), evicted.end(), slot.get()) !=
-          evicted.end()) {
-        continue;
-      }
-      std::shared_ptr<SampleStore> live = slot->store.lock();
-      if (live == nullptr) continue;
-      total += live->GetStats().memory_bytes;
-      if (slot->retained != nullptr && slot->pins == 0 &&
-          (victim == nullptr || slot->last_use < victim->last_use)) {
-        victim = slot.get();
-      }
-      dropped->push_back(std::move(live));
-    }
-    if (total <= g_budget_bytes || victim == nullptr) return;
-    dropped->push_back(std::move(victim->retained));
-    evicted.push_back(victim);
-    ++g_evictions;
-  }
-}
-
-/// The handle Acquire returns is an aliasing shared_ptr whose control
-/// block owns one of these: the store stays pinned (and the slot's
-/// pin count raised) until the last copy of the handle dies, at which
-/// point the budget sweep may evict it.
-class PinnedHandle {
- public:
-  PinnedHandle(std::shared_ptr<RegistrySlot> slot,
-               std::shared_ptr<SampleStore> store)
-      : slot_(std::move(slot)), store_(std::move(store)) {}
-  PinnedHandle(const PinnedHandle&) = delete;
-  PinnedHandle& operator=(const PinnedHandle&) = delete;
-
-  ~PinnedHandle() {
-    DroppedStores dropped;
-    MutexLock lock(&g_registry_mu);
-    --slot_->pins;
-    slot_->last_use = ++g_use_tick;
-    EnforceBudgetLocked(&dropped);
-    // store_ itself is released after this body — outside the lock —
-    // so a store whose retention was just evicted is destroyed without
-    // g_registry_mu held.
-  }
-
-  SampleStore* get() const { return store_.get(); }
-
- private:
-  std::shared_ptr<RegistrySlot> slot_;
-  std::shared_ptr<SampleStore> store_;
-};
-
-/// Pins `store` in `slot` and wraps it in the handle described above.
-std::shared_ptr<SampleStore> PinStore(std::shared_ptr<RegistrySlot> slot,
-                                      std::shared_ptr<SampleStore> store) {
-  {
-    MutexLock lock(&g_registry_mu);
-    ++slot->pins;
-    slot->last_use = ++g_use_tick;
-    if (g_budget_bytes > 0) slot->retained = store;
-  }
-  auto holder =
-      std::make_shared<PinnedHandle>(std::move(slot), std::move(store));
-  return {holder, holder->get()};
-}
-
-}  // namespace
-
-std::shared_ptr<SampleStore> SampleStore::BuildFromRecovered(
+std::shared_ptr<SampleStore> SampleStore::Resume(
     std::shared_ptr<const std::vector<InfluenceGraph>> pieces,
-    const Options& options) {
-  SampleSnapshot parked;
-  {
-    MutexLock lock(&g_registry_mu);
-    auto it = RecoveryMap().find(options.source_key);
-    if (it == RecoveryMap().end()) return nullptr;
-    parked = it->second;
-  }
-  // Provenance gate: a parked snapshot only substitutes for fresh
-  // generation when it demonstrably came from this exact sampling
-  // configuration — otherwise fall back to sampling from scratch (a
-  // wrong checkpoint must cost cold-start time, never correctness).
-  // The entry stays parked on mismatch: a differently-configured
-  // request under the same key (e.g. with vs without holdout) is not
-  // evidence the snapshot is bad. A parked index may cover more than
-  // the pool (the loader indexes every vertex), never less.
+    const Options& options, const SampleSnapshot& checkpoint) {
+  OIPA_CHECK(pieces != nullptr && !pieces->empty());
+  // Provenance gate: a checkpoint only substitutes for fresh generation
+  // when it demonstrably came from this exact sampling configuration —
+  // otherwise fall back to sampling from scratch (a wrong checkpoint
+  // must cost cold-start time, never correctness). A checkpointed index
+  // may cover more than the pool (the loader indexes every vertex),
+  // never less.
+  if (checkpoint.mrr == nullptr) return nullptr;
   const int64_t want_holdout = ResolvedHoldoutTheta(options);
-  const std::shared_ptr<const MrrCollection> holdout = parked.holdout();
-  const auto indexes = [&parked](VertexId v) {
-    return v >= 0 && v < parked.mrr->num_vertices() &&
-           parked.mrr->IndexesVertex(v);
+  const std::shared_ptr<const MrrCollection> holdout = checkpoint.holdout();
+  const auto indexes = [&checkpoint](VertexId v) {
+    return v >= 0 && v < checkpoint.mrr->num_vertices() &&
+           checkpoint.mrr->IndexesVertex(v);
   };
   const bool usable =
-      parked.mrr != nullptr && parked.mrr->extendable() &&
-      parked.mrr->indexed() &&
+      checkpoint.mrr->extendable() && checkpoint.mrr->indexed() &&
       std::all_of(options.pool.begin(), options.pool.end(), indexes) &&
-      parked.mrr->base_seed() == options.seed &&
-      parked.mrr->model() == options.diffusion &&
-      parked.mrr->num_pieces() == static_cast<int>(pieces->size()) &&
-      parked.mrr->num_vertices() ==
+      checkpoint.mrr->base_seed() == options.seed &&
+      checkpoint.mrr->model() == options.diffusion &&
+      checkpoint.mrr->num_pieces() == static_cast<int>(pieces->size()) &&
+      checkpoint.mrr->num_vertices() ==
           pieces->front().graph().num_vertices() &&
       (want_holdout > 0) == (holdout != nullptr) &&
       (holdout == nullptr ||
        (holdout->extendable() &&
         holdout->base_seed() == (options.seed ^ kHoldoutSeedXor) &&
         holdout->model() == options.diffusion &&
-        holdout->num_pieces() == parked.mrr->num_pieces() &&
-        holdout->num_vertices() == parked.mrr->num_vertices()));
+        holdout->num_pieces() == checkpoint.mrr->num_pieces() &&
+        holdout->num_vertices() == checkpoint.mrr->num_vertices()));
   if (!usable) return nullptr;
   std::shared_ptr<SampleStore> store(new SampleStore());
   store->pieces_ = std::move(pieces);
   store->options_ = options;
-  store->options_.theta = parked.mrr->theta();
-  store->options_.holdout_theta = parked.holdout_theta;
-  store->shared_ = true;
+  store->options_.theta = checkpoint.mrr->theta();
+  store->options_.holdout_theta = checkpoint.holdout_theta;
   store->extendable_ = true;
   {
     MutexLock grow_lock(&store->grow_mu_);
-    store->Publish(parked);
+    store->Publish(checkpoint);
   }
   // A request past the checkpointed sizes resumes the sample stream
   // (growth is bit-identical to up-front generation); only the delta
-  // is sampled. A recovered store that cannot grow that far is useless
-  // for this request — discard it and sample afresh.
-  if (parked.mrr->theta() < options.theta ||
-      parked.holdout_theta < want_holdout) {
+  // is sampled. A checkpoint that cannot grow that far is useless for
+  // this request — discard it and sample afresh.
+  if (checkpoint.mrr->theta() < options.theta ||
+      checkpoint.holdout_theta < want_holdout) {
     if (!store->Grow(std::max(options.theta, want_holdout)).ok()) {
       return nullptr;
     }
   }
-  MutexLock lock(&g_registry_mu);
-  RecoveryMap().erase(options.source_key);
-  ++g_recovered_stores;
   return store;
-}
-
-Status SampleStore::OfferRecoveredSnapshot(
-    const std::string& source_key,
-    std::shared_ptr<const MrrCollection> mrr,
-    std::shared_ptr<const MrrCollection> holdout) {
-  if (source_key.empty()) {
-    return Status::InvalidArgument(
-        "recovery snapshots need a non-empty source_key");
-  }
-  if (mrr == nullptr) {
-    return Status::InvalidArgument(
-        "recovery snapshot for '" + source_key + "' has no collection");
-  }
-  SampleSnapshot parked;
-  parked.mrr = std::move(mrr);
-  if (holdout != nullptr) {
-    parked.holdout_theta = holdout->theta();
-    parked.holdout_task = HoldoutTask::Done(std::move(holdout));
-  }
-  MutexLock lock(&g_registry_mu);
-  RecoveryMap()[source_key] = std::move(parked);
-  return Status::Ok();
-}
-
-void SampleStore::ClearRecoveredSnapshots() {
-  MutexLock lock(&g_registry_mu);
-  RecoveryMap().clear();
-}
-
-std::vector<std::shared_ptr<SampleStore>>
-SampleStore::RegistryStoresForCheckpoint() {
-  MutexLock lock(&g_registry_mu);
-  std::vector<std::shared_ptr<SampleStore>> out;
-  for (const auto& [key, slot] : Registry()) {
-    (void)key;
-    std::shared_ptr<SampleStore> live = slot->store.lock();
-    if (live != nullptr && !live->options().source_key.empty()) {
-      out.push_back(std::move(live));
-    }
-  }
-  return out;
-}
-
-/// Out-of-line so the store's private constructor stays private: builds
-/// the registered store, including its piece graphs and keep-alives.
-std::shared_ptr<SampleStore> MakeStoreForAcquire(
-    std::shared_ptr<const Graph> graph,
-    std::shared_ptr<const EdgeTopicProbs> probs,
-    std::shared_ptr<const Campaign> campaign,
-    const SampleStore::Options& options) {
-  auto pieces = std::make_shared<const std::vector<InfluenceGraph>>(
-      BuildPieceGraphs(*graph, *probs, *campaign, options.sampling_threads));
-  std::shared_ptr<SampleStore> store;
-  if (!options.source_key.empty()) {
-    store = SampleStore::BuildFromRecovered(pieces, options);
-  }
-  if (store == nullptr) {
-    store = SampleStore::Build(std::move(pieces), options, /*shared=*/true);
-  }
-  // The campaign keep-alive is an owned deep copy, never the caller's
-  // pointer: campaigns are keyed by content, so a later Acquire may
-  // compare against it after the original (possibly Borrow-aliased,
-  // non-owning) object is gone. Graph/probs need no copy — they are
-  // keyed by identity, so every sharer passes the same live object.
-  store->campaign_keepalive_ = std::make_shared<const Campaign>(*campaign);
-  store->graph_keepalive_ = std::move(graph);
-  store->probs_keepalive_ = std::move(probs);
-  return store;
-}
-
-std::shared_ptr<SampleStore> SampleStore::Acquire(
-    std::shared_ptr<const Graph> graph,
-    std::shared_ptr<const EdgeTopicProbs> probs,
-    std::shared_ptr<const Campaign> campaign, const Options& options) {
-  OIPA_CHECK(graph != nullptr && probs != nullptr && campaign != nullptr);
-  if (FaultInjector::ShouldFail("store.acquire")) return nullptr;
-  StoreKey key;
-  if (options.source_key.empty()) {
-    key.graph = graph.get();
-    key.probs = probs.get();
-  } else {
-    key.source = options.source_key;
-  }
-  key.campaign_fingerprint = FingerprintCampaign(*campaign);
-  key.pool_fingerprint = FingerprintPool(options.pool);
-  key.diffusion = static_cast<int>(options.diffusion);
-  key.seed = options.seed;
-  const int64_t want_holdout = ResolvedHoldoutTheta(options);
-  key.has_holdout = want_holdout > 0;
-
-  std::shared_ptr<RegistrySlot> slot;
-  {
-    MutexLock lock(&g_registry_mu);
-    PruneRegistryLocked();
-    auto& entry = Registry()[key];
-    if (entry == nullptr) entry = std::make_shared<RegistrySlot>();
-    slot = entry;
-  }
-  // Sampling happens under the slot mutex only: a concurrent Acquire of
-  // the same key waits for (and then shares) this pass — including a
-  // prefix Grow below, so racing smaller requests see the grown store —
-  // while other keys proceed. The published weak_ptr itself lives under
-  // g_registry_mu (guard declared on RegistrySlot::store), so the read
-  // and the write below take it briefly — map-op-sized critical
-  // sections. Lock order here: slot->mu, then (briefly) g_registry_mu
-  // or the store's internal grow/snapshot locks; never the reverse.
-  MutexLock slot_lock(&slot->mu);
-  std::shared_ptr<SampleStore> existing;
-  {
-    MutexLock registry_lock(&g_registry_mu);
-    existing = slot->store.lock();
-  }
-  if (existing != nullptr) {
-    if (!SamePieceTopics(*existing->campaign_keepalive_, *campaign) ||
-        existing->options_.pool != options.pool) {
-      // Fingerprint collision between distinct campaigns or pools: never
-      // share — fall through to a store that bypasses the occupied slot.
-      return MakeStoreForAcquire(std::move(graph), std::move(probs),
-                                 std::move(campaign), options);
-    }
-    // Theta-prefix sharing: a request larger than the live store grows
-    // it in place (only the delta is sampled — bit-identical to an
-    // up-front generation at the larger size); a smaller or equal
-    // request shares as-is, zero new samples.
-    const SampleSnapshot snap = existing->snapshot();
-    if (snap.mrr->theta() < options.theta ||
-        snap.holdout_theta < want_holdout) {
-      const Status grown =
-          existing->Grow(std::max(options.theta, want_holdout));
-      if (!grown.ok()) {
-        // A registered store that cannot extend (adopted collections
-        // without provenance cannot reach this slot, but stay safe):
-        // serve the larger request from a private bypass store.
-        return MakeStoreForAcquire(std::move(graph), std::move(probs),
-                                   std::move(campaign), options);
-      }
-    }
-    return PinStore(std::move(slot), std::move(existing));
-  }
-  std::shared_ptr<SampleStore> store = MakeStoreForAcquire(
-      std::move(graph), std::move(probs), std::move(campaign), options);
-  {
-    DroppedStores dropped;
-    MutexLock registry_lock(&g_registry_mu);
-    slot->store = store;
-    EnforceBudgetLocked(&dropped);
-  }
-  return PinStore(std::move(slot), std::move(store));
-}
-
-void SampleStore::SetRegistryBudget(int64_t bytes) {
-  DroppedStores dropped;
-  MutexLock lock(&g_registry_mu);
-  g_budget_bytes = bytes < 0 ? 0 : bytes;
-  EnforceBudgetLocked(&dropped);
-}
-
-SampleStore::RegistryStats SampleStore::GetRegistryStats() {
-  DroppedStores dropped;
-  MutexLock lock(&g_registry_mu);
-  PruneRegistryLocked();
-  RegistryStats stats;
-  stats.budget_bytes = g_budget_bytes;
-  stats.evictions = g_evictions;
-  stats.recovered_stores = g_recovered_stores;
-  for (const auto& [key, slot] : Registry()) {
-    (void)key;
-    std::shared_ptr<SampleStore> live = slot->store.lock();
-    if (live == nullptr) continue;
-    ++stats.live_stores;
-    if (slot->pins > 0) ++stats.pinned_stores;
-    stats.memory_bytes += live->GetStats().memory_bytes;
-    dropped.push_back(std::move(live));
-  }
-  return stats;
-}
-
-int SampleStore::RegistrySize() {
-  MutexLock lock(&g_registry_mu);
-  PruneRegistryLocked();
-  int live = 0;
-  for (const auto& [key, slot] : Registry()) {
-    (void)key;
-    if (!slot->store.expired()) ++live;
-  }
-  return live;
 }
 
 // ---------------------------------------------------- snapshot + grow
@@ -696,7 +248,6 @@ SampleStore::Stats SampleStore::GetStats() const {
   const SampleSnapshot snap = snapshot();
   stats.theta = snap.mrr->theta();
   stats.holdout_theta = snap.holdout_theta;
-  stats.shared = shared_;
   // One locked pass over the history so the generation count and the
   // memory sum describe the same instant.
   MutexLock lock(&history_mu_);

@@ -7,10 +7,7 @@
 #include <string_view>
 #include <vector>
 
-#include "graph/graph.h"
 #include "rrset/mrr_collection.h"
-#include "topic/campaign.h"
-#include "topic/edge_topic_probs.h"
 #include "topic/influence_graph.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -61,11 +58,11 @@ struct SampleSnapshot {
 ///      SampleSnapshot and drops the store's reference to the old one,
 ///      so a retired generation is freed the moment the last outstanding
 ///      reader snapshot goes away (live_generations() observes this),
-///  (b) stores can be *shared* across contexts: MRR samples depend only
-///      on (graph, probabilities, campaign pieces, diffusion model,
-///      seed) — not on the logistic adoption model — so N contexts that
-///      differ only in alpha/beta resolve to one store and one sampling
-///      pass through the process-wide keyed registry behind Acquire().
+///  (b) one store can serve several contexts: MRR samples depend only on
+///      (graph, probabilities, campaign pieces, diffusion model, seed) —
+///      not on the logistic adoption model — so the contexts that differ
+///      only in alpha/beta (PlanningContext::WithModel siblings) read one
+///      store, sampled once.
 ///
 /// Build order: a build or a growth step samples and indexes the
 /// in-sample collection on all sampling_threads workers and publishes it
@@ -77,7 +74,11 @@ struct SampleSnapshot {
 /// theta() never do. Grow waits for a pending holdout before it samples,
 /// so at most sampling_threads threads sample for one store, and a
 /// store's destructor waits for its pending holdout, so the job never
-/// outlives the store's piece graphs and social graph.
+/// outlives the store's piece graphs.
+///
+/// Lifetime: the piece graphs alias the social graph, which the store
+/// does not own. Whoever owns the graph (a PlanningContext) must outlive
+/// the store; hold the context, never the bare store.
 ///
 /// Concurrency: snapshot() is a pointer copy under a micro-mutex —
 /// readers never wait on sample generation, not even while a grower is
@@ -89,13 +90,13 @@ struct SampleSnapshot {
 /// keeps the same no-reader-waits property with a few-ns critical
 /// section.) All methods are safe to call from any thread.
 ///
-/// Sharing semantics: a store acquired by several contexts has one
-/// sample stream. A Grow() issued through one context (e.g. its
-/// progressive ε-loop) is visible to the others' *next* snapshot —
-/// their in-flight solves keep reading the generation they pinned.
-/// Because growth is bit-identical to up-front generation
-/// (MrrCollection::Extend), the shared samples are always a valid
-/// prefix-extension of what any sharer originally requested.
+/// Sharing semantics: a store read by several contexts has one sample
+/// stream. A Grow() issued through one context (e.g. its progressive
+/// ε-loop) is visible to the others' *next* snapshot — their in-flight
+/// solves keep reading the generation they pinned. Because growth is
+/// bit-identical to up-front generation (MrrCollection::Extend), the
+/// shared samples are always a valid prefix-extension of what any
+/// sharer originally requested.
 class SampleStore {
  public:
   /// Sampling configuration of a store; mirrors the sampling slice of
@@ -109,28 +110,16 @@ class SampleStore {
     /// Worker threads for the piece-graph build, sample generation
     /// and growth (0 = the GetNumThreads() default, N > 0 = exactly N
     /// workers). Piece graphs and samples are bit-identical at any
-    /// thread count (PerSampleSeed), so this is deliberately NOT part
-    /// of the Acquire() registry key — two requests differing only in
-    /// sampling_threads share one store (the first acquirer's setting
-    /// builds and generates; growth uses the store's stored value).
+    /// thread count (PerSampleSeed); growth uses the store's value.
     int sampling_threads = 0;
-    /// When non-empty, the Acquire() registry keys graph and probs by
-    /// this string instead of by object identity. Callers that rebuild
-    /// bit-identical inputs from a deterministic recipe (the serve
-    /// daemon's dataset specs) use this so a rebuilt context re-hits a
-    /// store retained under SetRegistryBudget() — identity keying can
-    /// never match a fresh object. The caller asserts that equal
-    /// source_keys imply equal graph/probs content; unequal content
-    /// under one key would silently serve one dataset's samples to
-    /// another.
-    std::string source_key;
     /// The promoters requests plan over: the in-sample index covers only
-    /// these vertices (MrrCollection::Generate's index_pool). Part of the
-    /// Acquire() registry key. Empty indexes every vertex.
+    /// these vertices (MrrCollection::Generate's index_pool). Empty
+    /// indexes every vertex.
     std::vector<VertexId> pool;
   };
 
-  /// One row of store telemetry (surfaced in oipa_cli JSON output).
+  /// One row of store telemetry (the daemon's serve.store block and
+  /// oipa_cli's sample_store block).
   struct Stats {
     int64_t theta = 0;
     /// 0 when the store has no holdout; a pending holdout reports the
@@ -141,117 +130,35 @@ class SampleStore {
     int64_t memory_bytes = 0;
     /// In-sample generations still alive (current + pinned retired).
     int live_generations = 0;
-    /// True when the store came out of the Acquire() registry.
-    bool shared = false;
   };
 
-  /// Generates a private (unregistered) store over `pieces`.
-  /// `pieces` must be non-null and non-empty and must outlive the store
-  /// (they alias the social graph; see BuildPieceGraphs).
+  /// Generates a store over `pieces`. `pieces` must be non-null and
+  /// non-empty and their social graph must outlive the store (see
+  /// BuildPieceGraphs).
   static std::shared_ptr<SampleStore> Create(
       std::shared_ptr<const std::vector<InfluenceGraph>> pieces,
       const Options& options);
 
   /// Wraps pre-built collections (BorrowWithSamples, snapshot loads)
-  /// in a private store. `holdout` may be null. The store can grow iff
-  /// the collections carry sampling provenance and `pieces` is non-null.
+  /// in a store. `holdout` may be null. The store can grow iff the
+  /// collections carry sampling provenance and `pieces` is non-null.
   static std::shared_ptr<SampleStore> Adopt(
       std::shared_ptr<const std::vector<InfluenceGraph>> pieces,
       std::shared_ptr<const MrrCollection> mrr,
       std::shared_ptr<const MrrCollection> holdout);
 
-  /// Process-wide keyed registry: returns the live store already
-  /// serving (graph, probs, campaign pieces, pool, diffusion, seed,
-  /// has-holdout) — keyed by graph/probs identity and campaign piece
-  /// and pool content — or creates, registers, and returns a new one.
-  /// Stores over different pools never share an index. Concurrent
-  /// Acquires of the same key serialize so exactly one sampling pass
-  /// happens; different keys sample concurrently.
-  ///
-  /// Theta-prefix sharing: theta is deliberately NOT part of the key.
-  /// Because growth is bit-identical to up-front generation, a live
-  /// store at theta T strictly contains every same-key request with
-  /// theta <= T (it is served as-is, zero new samples), and a request
-  /// with theta > T grows the store in place — only the delta is
-  /// sampled. Callers therefore observe upward theta drift, which is
-  /// the documented sharing contract (see the class comment).
-  ///
-  /// Pinning and eviction: the returned handle pins the store in the
-  /// registry for the handle's lifetime (a pinned store is never
-  /// evicted). With a nonzero SetRegistryBudget(), the registry
-  /// additionally retains unpinned stores — a later Acquire of the same
-  /// key is a cache hit with zero sampling — and evicts the
-  /// least-recently-used unpinned store whenever the summed
-  /// MemoryBytes() of live registered stores exceeds the budget. With
-  /// the default budget of 0 nothing is retained: a store dies with its
-  /// last handle and a later Acquire samples afresh (the pre-budget
-  /// behavior). Retention keeps the store's graph/probs keep-alives
-  /// reachable past the last context, so only Create-style contexts
-  /// whose inputs are genuinely shared_ptr-owned (the serve daemon's)
-  /// should run with a nonzero budget — Borrow-built contexts pass
-  /// non-owning handles whose referents may die with the caller.
-  ///
-  /// Fault injection: returns null when the "store.acquire" site fires
-  /// (util/fault_injector.h). Callers on fallible paths must treat a
-  /// null handle as a transient internal error; with the injector
-  /// disabled (production) Acquire never returns null.
-  static std::shared_ptr<SampleStore> Acquire(
-      std::shared_ptr<const Graph> graph,
-      std::shared_ptr<const EdgeTopicProbs> probs,
-      std::shared_ptr<const Campaign> campaign, const Options& options);
-
-  /// Crash-recovery seam: parks a loaded snapshot (LoadSampleStore)
-  /// under `source_key` so the *next* source-keyed Acquire of that key
-  /// resumes the persisted sample stream instead of sampling from
-  /// scratch. The snapshot is consumed lazily, on first matching
-  /// Acquire, and only when its provenance matches the request (seed,
-  /// diffusion model, holdout presence, piece count, vertex count,
-  /// extendable) — a mismatch falls back to fresh generation, so a
-  /// stale or foreign checkpoint can degrade only to the cold-start
-  /// cost, never to wrong samples. `holdout` may be null. Re-offering a
-  /// key replaces the parked snapshot.
-  static Status OfferRecoveredSnapshot(
-      const std::string& source_key,
-      std::shared_ptr<const MrrCollection> mrr,
-      std::shared_ptr<const MrrCollection> holdout);
-
-  /// Drops every parked (not-yet-consumed) recovery snapshot.
-  static void ClearRecoveredSnapshots();
-
-  /// Registered live stores that carry a source_key — the stores a
-  /// serving checkpointer can persist and later recover by key. The
-  /// returned references keep the stores alive but do not pin them
-  /// (eviction bookkeeping is untouched).
-  static std::vector<std::shared_ptr<SampleStore>>
-  RegistryStoresForCheckpoint();
-
-  /// Number of live registered stores (test/diagnostic hook; prunes
-  /// dead registry entries as a side effect).
-  static int RegistrySize();
-
-  /// Registry-wide byte budget over the summed MemoryBytes() of live
-  /// registered stores. 0 (default) disables retention entirely;
-  /// negative values clamp to 0. Lowering the budget evicts immediately.
-  static void SetRegistryBudget(int64_t bytes);
-
-  /// Registry telemetry (surfaced per-response by oipa_serve).
-  struct RegistryStats {
-    /// Registered stores still alive (pinned or retained).
-    int live_stores = 0;
-    /// Live stores currently pinned by at least one handle.
-    int pinned_stores = 0;
-    /// Summed MemoryBytes() over every live registered store.
-    int64_t memory_bytes = 0;
-    /// Current SetRegistryBudget() value (0 = no retention).
-    int64_t budget_bytes = 0;
-    /// Stores evicted under memory pressure since process start.
-    int64_t evictions = 0;
-    /// Acquires satisfied from a recovered (checkpointed) snapshot
-    /// since process start — each one resumed a persisted sample
-    /// stream with zero regenerated samples.
-    int64_t recovered_stores = 0;
-  };
-  static RegistryStats GetRegistryStats();
+  /// Crash recovery: resumes `checkpoint` — a sample stream saved by
+  /// SaveSampleStore and loaded back — over `pieces`, as the store
+  /// Create(pieces, options) would have grown into. Only when its
+  /// provenance matches (seed, diffusion model, holdout presence and
+  /// stream, piece count, vertex count, extendable, an index covering
+  /// the pool); a request past the checkpointed sizes grows it by the
+  /// delta. Null on a mismatch or a failed growth: the caller samples
+  /// from scratch, so a stale or foreign checkpoint costs only the cold
+  /// start, never wrong samples.
+  static std::shared_ptr<SampleStore> Resume(
+      std::shared_ptr<const std::vector<InfluenceGraph>> pieces,
+      const Options& options, const SampleSnapshot& checkpoint);
 
   /// The current generation; never blocks on growers (the critical
   /// section is one shared_ptr copy).
@@ -285,14 +192,6 @@ class SampleStore {
 
   Stats GetStats() const;
 
-  const std::shared_ptr<const std::vector<InfluenceGraph>>& pieces()
-      const {
-    return pieces_;
-  }
-  const Options& options() const { return options_; }
-  /// True when the store was handed out by Acquire().
-  bool shared() const { return shared_; }
-
   /// Waits for a pending holdout (see the class comment).
   ~SampleStore();
   SampleStore(const SampleStore&) = delete;
@@ -300,17 +199,6 @@ class SampleStore {
 
  private:
   SampleStore() = default;
-
-  static std::shared_ptr<SampleStore> Build(
-      std::shared_ptr<const std::vector<InfluenceGraph>> pieces,
-      const Options& options, bool shared);
-
-  /// Consumes a parked recovery snapshot for options.source_key, or
-  /// returns null when none is parked or the provenance does not match
-  /// (see OfferRecoveredSnapshot).
-  static std::shared_ptr<SampleStore> BuildFromRecovered(
-      std::shared_ptr<const std::vector<InfluenceGraph>> pieces,
-      const Options& options);
 
   /// Swaps in a new generation and records it for live_generations().
   /// Publication is serialized by the grower lock (the construction
@@ -326,17 +214,8 @@ class SampleStore {
 
   std::shared_ptr<const std::vector<InfluenceGraph>> pieces_;
   Options options_;
-  bool shared_ = false;
   /// The collections carry sampling provenance (fixed at construction).
   bool extendable_ = false;
-  /// Keep-alives for registry-shared stores. Graph/probs hold the
-  /// acquirer's handles (identity-keyed; non-owning for Borrow-built
-  /// contexts, whose lifetime contract covers them). The campaign is
-  /// an owned deep copy: it is content-keyed and later Acquires
-  /// compare against it, possibly after every original object died.
-  std::shared_ptr<const Graph> graph_keepalive_;
-  std::shared_ptr<const EdgeTopicProbs> probs_keepalive_;
-  std::shared_ptr<const Campaign> campaign_keepalive_;
 
   /// Serializes growers for the whole (expensive) sampling phase.
   /// Lock order within a store: grow_mu_ first, then snapshot_mu_ /
@@ -357,12 +236,6 @@ class SampleStore {
       OIPA_GUARDED_BY(history_mu_);
   mutable std::vector<std::weak_ptr<const HoldoutTask>> holdout_history_
       OIPA_GUARDED_BY(history_mu_);
-
-  friend std::shared_ptr<SampleStore> MakeStoreForAcquire(
-      std::shared_ptr<const Graph> graph,
-      std::shared_ptr<const EdgeTopicProbs> probs,
-      std::shared_ptr<const Campaign> campaign,
-      const SampleStore::Options& options);
 };
 
 // ------------------------------------------------------ stopping rules

@@ -1,5 +1,6 @@
 #include "serve/context_cache.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "data/datasets.h"
@@ -10,28 +11,27 @@ namespace oipa {
 namespace serve {
 namespace {
 
-/// Builds the full planning state for one cache miss: dataset,
-/// campaign, and context (which runs the piece-graph build and the
-/// sampling pass), through the request builders oipa_cli shares.
-StatusOr<ContextCache::Entry> BuildEntry(const WireRequest& request) {
+LogisticAdoptionModel RequestModel(const WireRequest& request) {
+  return LogisticAdoptionModel(request.dataset.alpha, request.dataset.beta);
+}
+
+/// Builds the full planning state of a new slot: dataset, campaign, and
+/// context (which runs the piece-graph build and the sampling pass, or
+/// resumes `checkpoint`), through the request builders oipa_cli shares.
+StatusOr<ContextCache::Entry> BuildEntry(const WireRequest& request,
+                                         const SampleSnapshot& checkpoint,
+                                         bool* resumed) {
   Dataset dataset = BuildDataset(request.dataset);
   auto campaign = std::make_shared<const Campaign>(
       BuildCampaign(request.dataset, dataset.num_topics));
   ContextOptions options = ToContextOptions(request);
-  // Dataset builds are deterministic per spec, so key the store
-  // registry by the sample key (content) instead of graph identity: a
-  // context evicted from this cache and rebuilt later re-hits its
-  // budget-retained store with zero new samples, and contexts that
-  // differ only in alpha/beta share one store.
-  options.source_key = SampleKey(request);
   // Requests plan over the dataset's pool, so only it is indexed.
   options.pool = dataset.promoter_pool;
   StatusOr<std::shared_ptr<const PlanningContext>> context =
-      PlanningContext::Create(
-          std::move(dataset.graph), std::move(dataset.probs),
-          std::move(campaign),
-          LogisticAdoptionModel(request.dataset.alpha, request.dataset.beta),
-          options);
+      PlanningContext::Resume(std::move(dataset.graph),
+                              std::move(dataset.probs), std::move(campaign),
+                              RequestModel(request), options, checkpoint,
+                              resumed);
   if (!context.ok()) return context.status();
 
   ContextCache::Entry entry;
@@ -40,91 +40,163 @@ StatusOr<ContextCache::Entry> BuildEntry(const WireRequest& request) {
   return entry;
 }
 
+/// Bytes of a slot's store; 0 for a slot still being built.
+int64_t StoreBytes(const std::shared_ptr<const ContextCache::Entry>& base) {
+  return base == nullptr
+             ? 0
+             : base->context->sample_store().GetStats().memory_bytes;
+}
+
 }  // namespace
 
-ContextCache::ContextCache(int max_contexts)
-    : max_contexts_(max_contexts < 1 ? 1 : max_contexts) {}
+ContextCache::ContextCache(int max_contexts, int64_t store_budget_bytes)
+    : max_contexts_(max_contexts < 1 ? 1 : max_contexts),
+      store_budget_bytes_(store_budget_bytes < 0 ? 0 : store_budget_bytes) {}
 
 StatusOr<std::shared_ptr<const ContextCache::Entry>>
 ContextCache::Acquire(const WireRequest& request, bool* cache_hit) {
   *cache_hit = false;
   const std::string key = ContextKey(request);
-
-  std::shared_ptr<Slot> slot;
-  {
-    MutexLock lock(&mu_);
-    std::shared_ptr<Slot>& mapped = slots_[key];
-    if (mapped == nullptr) mapped = std::make_shared<Slot>();
-    slot = mapped;
-    slot->last_use = ++use_tick_;
-  }
-
-  std::shared_ptr<const Entry> entry;
+  const std::string sample_key = SampleKey(request);
   // Destroyed after every lock below is released: an evicted context's
   // store may wait for its holdout job as it dies.
-  std::vector<std::shared_ptr<Slot>> evicted;
-  {
-    // Serializes construction per key; concurrent same-key requests
-    // block here and find the entry ready.
-    MutexLock creation(&slot->mu);
-    if (slot->entry != nullptr) {
-      entry = slot->entry;
+  Dropped dropped;
+  std::shared_ptr<const Entry> entry;
+  while (entry == nullptr) {
+    std::shared_ptr<Slot> slot;
+    {
       MutexLock lock(&mu_);
-      ++hits_;
-      *cache_hit = true;
-    } else {
-      StatusOr<Entry> built = BuildEntry(request);
-      if (!built.ok()) {
-        // Not cached: drop the slot (unless a newer one replaced it)
-        // so the next request retries instead of inheriting the error.
-        MutexLock lock(&mu_);
-        auto it = slots_.find(key);
-        if (it != slots_.end() && it->second == slot) slots_.erase(it);
-        return built.status();
+      entry = FindLocked(key);
+      if (entry != nullptr) {
+        *cache_hit = true;
+        break;
       }
-      entry = std::make_shared<const Entry>(std::move(*built));
-      slot->entry = entry;
-      MutexLock lock(&mu_);
-      ++misses_;
-      slot->ready = true;
-      EvictOverCapacityLocked(&evicted);
+      std::shared_ptr<Slot>& mapped = slots_[sample_key];
+      if (mapped == nullptr) mapped = std::make_shared<Slot>();
+      slot = mapped;
+      if (slot->base != nullptr) {
+        // The slot's samples under this request's adoption model.
+        entry = std::make_shared<const Entry>(
+            Entry{slot->base->context->WithModel(RequestModel(request)),
+                  slot->base->pool});
+        InsertLocked(key, entry, std::move(slot), &dropped);
+        break;
+      }
     }
+    // Concurrent misses of one slot queue here. Whoever holds the mutex
+    // while the slot is still mapped and empty builds it; the others
+    // start over and find their context or the built slot.
+    MutexLock build(&slot->mu);
+    SampleSnapshot checkpoint;
+    {
+      MutexLock lock(&mu_);
+      const auto mapped = slots_.find(sample_key);
+      if (mapped == slots_.end() || mapped->second != slot ||
+          slot->base != nullptr) {
+        continue;
+      }
+      const auto parked = recovered_.find(sample_key);
+      if (parked != recovered_.end()) checkpoint = parked->second;
+    }
+    bool resumed = false;
+    StatusOr<Entry> built = BuildEntry(request, checkpoint, &resumed);
+    MutexLock lock(&mu_);
+    if (!built.ok()) {
+      // Not cached: an empty slot is never evicted, so it is still
+      // mapped; dropping it lets the next request retry.
+      slots_.erase(sample_key);
+      return built.status();
+    }
+    entry = std::make_shared<const Entry>(std::move(*built));
+    slot->base = entry;
+    if (resumed) {
+      recovered_.erase(sample_key);
+      ++recovered_stores_;
+    }
+    InsertLocked(key, entry, std::move(slot), &dropped);
   }
 
-  // Upward theta drift: a hit below the requested theta grows the
-  // shared store in place (delta sampling only). Done outside every
-  // cache lock — SampleStore::Grow serializes growers itself.
-  if (*cache_hit &&
-      entry->context->samples().mrr->theta() < request.sampling.theta) {
+  // Upward theta drift: an entry below the requested theta grows the
+  // store in place (delta sampling only). Done outside every cache
+  // lock — SampleStore::Grow serializes growers itself.
+  if (entry->context->samples().mrr->theta() < request.sampling.theta) {
     OIPA_RETURN_IF_ERROR(
         entry->context->GrowSamples(request.sampling.theta));
   }
   return entry;
 }
 
-void ContextCache::EvictOverCapacityLocked(
-    std::vector<std::shared_ptr<Slot>>* evicted) {
-  int ready = 0;
-  for (const auto& [key, slot] : slots_) {
-    if (slot->ready) ++ready;
+std::shared_ptr<const ContextCache::Entry> ContextCache::FindLocked(
+    const std::string& key) {
+  const auto it = contexts_.find(key);
+  if (it == contexts_.end()) return nullptr;
+  ++hits_;
+  it->second.last_use = ++use_tick_;
+  it->second.slot->last_use = use_tick_;
+  return it->second.entry;
+}
+
+void ContextCache::InsertLocked(const std::string& key,
+                                std::shared_ptr<const Entry> entry,
+                                std::shared_ptr<Slot> slot,
+                                Dropped* dropped) {
+  // `key` is not cached: its misses all wait on this slot's mutex, and
+  // a sibling is made in the critical section that missed.
+  ++misses_;
+  ++slot->contexts;
+  slot->last_use = ++use_tick_;
+  contexts_[key] = CachedContext{std::move(entry), std::move(slot), use_tick_};
+  EvictLocked(dropped);
+}
+
+void ContextCache::EvictLocked(Dropped* dropped) {
+  while (contexts_.size() > static_cast<size_t>(max_contexts_)) {
+    const auto victim = std::min_element(
+        contexts_.begin(), contexts_.end(), [](const auto& a, const auto& b) {
+          return a.second.last_use < b.second.last_use;
+        });
+    // In-flight solves hold the Entry shared_ptr; dropping it here only
+    // stops future requests from finding it.
+    --victim->second.slot->contexts;
+    dropped->push_back(std::move(victim->second.entry));
+    contexts_.erase(victim);
+    ++evictions_;
   }
-  while (ready > max_contexts_) {
+  int64_t bytes = 0;
+  for (const auto& [key, slot] : slots_) bytes += StoreBytes(slot->base);
+  while (bytes > store_budget_bytes_) {
     auto victim = slots_.end();
     for (auto it = slots_.begin(); it != slots_.end(); ++it) {
-      if (!it->second->ready) continue;
+      const Slot& candidate = *it->second;
+      if (candidate.base == nullptr || candidate.contexts > 0) continue;
       if (victim == slots_.end() ||
-          it->second->last_use < victim->second->last_use) {
+          candidate.last_use < victim->second->last_use) {
         victim = it;
       }
     }
     if (victim == slots_.end()) return;
-    // In-flight solves hold the Entry shared_ptr; dropping the slot
-    // only stops future requests from finding it.
-    evicted->push_back(std::move(victim->second));
+    bytes -= StoreBytes(victim->second->base);
+    dropped->push_back(std::move(victim->second->base));
     slots_.erase(victim);
-    --ready;
-    ++evictions_;
+    ++store_evictions_;
   }
+}
+
+void ContextCache::OfferRecovered(const std::string& sample_key,
+                                  SampleSnapshot checkpoint) {
+  MutexLock lock(&mu_);
+  recovered_[sample_key] = std::move(checkpoint);
+}
+
+std::vector<std::pair<std::string, std::shared_ptr<const PlanningContext>>>
+ContextCache::Slots() const {
+  MutexLock lock(&mu_);
+  std::vector<std::pair<std::string, std::shared_ptr<const PlanningContext>>>
+      out;
+  for (const auto& [key, slot] : slots_) {
+    if (slot->base != nullptr) out.emplace_back(key, slot->base->context);
+  }
+  return out;
 }
 
 ContextCache::Stats ContextCache::GetStats() const {
@@ -133,10 +205,37 @@ ContextCache::Stats ContextCache::GetStats() const {
   stats.hits = hits_;
   stats.misses = misses_;
   stats.evictions = evictions_;
+  stats.live_contexts = static_cast<int>(contexts_.size());
   for (const auto& [key, slot] : slots_) {
-    if (slot->ready) ++stats.live_contexts;
+    if (slot->base == nullptr) continue;
+    ++stats.live_stores;
+    if (slot->contexts > 0) ++stats.pinned_stores;
+    stats.memory_bytes += StoreBytes(slot->base);
   }
+  stats.budget_bytes = store_budget_bytes_;
+  stats.store_evictions = store_evictions_;
+  stats.recovered_stores = recovered_stores_;
   return stats;
+}
+
+JsonValue ContextCacheJson(const ContextCache::Stats& stats) {
+  JsonValue j = JsonValue::Object();
+  j.Set("hits", stats.hits)
+      .Set("misses", stats.misses)
+      .Set("evictions", stats.evictions)
+      .Set("live_contexts", stats.live_contexts);
+  return j;
+}
+
+JsonValue StoreRegistryJson(const ContextCache::Stats& stats) {
+  JsonValue j = JsonValue::Object();
+  j.Set("live_stores", stats.live_stores)
+      .Set("pinned_stores", stats.pinned_stores)
+      .Set("memory_bytes", stats.memory_bytes)
+      .Set("budget_bytes", stats.budget_bytes)
+      .Set("evictions", stats.store_evictions)
+      .Set("recovered_stores", stats.recovered_stores);
+  return j;
 }
 
 }  // namespace serve

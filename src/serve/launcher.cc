@@ -26,9 +26,10 @@ const char kServerFlagsUsage[] =
     "  --host=<addr> --port=<p> bind address (127.0.0.1:0; port 0\n"
     "                           picks a free port, printed on stdout)\n"
     "  --workers=<count>        solver worker threads (2)\n"
-    "  --max_contexts=<count>   planning contexts kept hot (8)\n"
-    "  --store_budget_mb=<mb>   sample-store retention budget; 0\n"
-    "                           retains nothing (0)\n"
+    "  --max_contexts=<count>   planning contexts cached, LRU (8)\n"
+    "  --store_budget_mb=<mb>   bytes of sample stores the context\n"
+    "                           cache keeps past their last cached\n"
+    "                           context; 0 keeps none (0)\n"
     "  --max_queue_depth=<n>    queued requests before overload\n"
     "                           rejections (256)\n"
     "  --max_inflight_per_conn=<n> requests one connection may have\n"
@@ -58,6 +59,7 @@ Status ParseServerFlags(const FlagParser& flags, ServerOptions* options) {
   o.checkpoint_dir = flags.GetString("checkpoint_dir", o.checkpoint_dir);
   OIPA_RETURN_IF_ERROR(
       flags.ReadInt("checkpoint_interval_ms", &o.checkpoint_interval_ms));
+  OIPA_RETURN_IF_ERROR(flags.RefuseUnknown());
   return ValidateServerOptions(o);
 }
 

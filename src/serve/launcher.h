@@ -16,9 +16,10 @@ extern const char kServerFlagsUsage[];
 
 /// Reads the daemon flags of kServerFlagsUsage into `options`; absent
 /// flags keep its values. InvalidArgument naming the flag for malformed
-/// text or a value outside its field's type, then ValidateServerOptions'
-/// verdict, so oipa_serve and `oipa_cli serve` refuse the same command
-/// lines. On error `options` may be partly written.
+/// text, a value outside its field's type, or a flag that no reader of
+/// `flags` knows, then ValidateServerOptions' verdict, so oipa_serve and
+/// `oipa_cli serve` refuse the same command lines. On error `options`
+/// may be partly written.
 Status ParseServerFlags(const FlagParser& flags, ServerOptions* options);
 
 /// Runs a PlanServer until SIGINT/SIGTERM, for both oipa_serve and

@@ -40,12 +40,12 @@ bool IsBlank(const std::string& line) {
   return true;
 }
 
-/// Checkpoint file for a source-keyed store: the key itself can be
-/// long and holds filesystem-hostile characters, so the name is an
-/// FNV-1a hash of it (the manifest maps names back to keys).
-std::string CheckpointFileName(const std::string& source_key) {
+/// Checkpoint file for a sample slot: its SampleKey can be long and
+/// holds filesystem-hostile characters, so the name is an FNV-1a hash
+/// of it (the manifest maps names back to keys).
+std::string CheckpointFileName(const std::string& sample_key) {
   uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : source_key) {
+  for (const char c : sample_key) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ULL;
   }
@@ -85,7 +85,8 @@ PlanServer::Connection::~Connection() {
 }
 
 PlanServer::PlanServer(const ServerOptions& options)
-    : options_(options), cache_(options.max_contexts) {}
+    : options_(options),
+      cache_(options.max_contexts, options.store_budget_bytes) {}
 
 PlanServer::~PlanServer() { Stop(); }
 
@@ -120,8 +121,6 @@ Status ValidateServerOptions(const ServerOptions& options) {
 Status PlanServer::Start() {
   if (started_) return Status::FailedPrecondition("server already started");
   OIPA_RETURN_IF_ERROR(ValidateServerOptions(options_));
-
-  SampleStore::SetRegistryBudget(options_.store_budget_bytes);
 
   if (!options_.checkpoint_dir.empty()) {
     if (::mkdir(options_.checkpoint_dir.c_str(), 0755) != 0 &&
@@ -483,10 +482,8 @@ void PlanServer::HandleGroup(std::vector<Work> group,
     by_budget[response.budget] = &response;
   }
   // Render every response first, then drop this worker's context
-  // reference BEFORE writing: once a client has read its answer, any
-  // store pin this worker held on its behalf is provably released
-  // (responses that report pin/eviction telemetry depend on that
-  // ordering — so do clients sequencing requests against it).
+  // reference BEFORE writing: once a client has read its answer, this
+  // worker keeps no evicted context's store alive.
   std::vector<std::string> lines;
   lines.reserve(group.size());
   for (const Work& work : group) {
@@ -525,32 +522,9 @@ JsonValue PlanServer::ServeTelemetry(const ContextCache::Entry& entry,
   }
 
   const ContextCache::Stats cache = cache_.GetStats();
-  JsonValue cache_json = JsonValue::Object();
-  cache_json.Set("hits", cache.hits)
-      .Set("misses", cache.misses)
-      .Set("evictions", cache.evictions)
-      .Set("live_contexts", cache.live_contexts);
-  serve.Set("context_cache", std::move(cache_json));
-
-  const SampleStore::Stats store = entry.context->sample_store().GetStats();
-  JsonValue store_json = JsonValue::Object();
-  store_json.Set("theta", store.theta)
-      .Set("holdout_theta", store.holdout_theta)
-      .Set("memory_bytes", store.memory_bytes)
-      .Set("live_generations", store.live_generations)
-      .Set("shared", store.shared);
-  serve.Set("store", std::move(store_json));
-
-  const SampleStore::RegistryStats registry =
-      SampleStore::GetRegistryStats();
-  JsonValue registry_json = JsonValue::Object();
-  registry_json.Set("live_stores", registry.live_stores)
-      .Set("pinned_stores", registry.pinned_stores)
-      .Set("memory_bytes", registry.memory_bytes)
-      .Set("budget_bytes", registry.budget_bytes)
-      .Set("evictions", registry.evictions)
-      .Set("recovered_stores", registry.recovered_stores);
-  serve.Set("store_registry", std::move(registry_json));
+  serve.Set("context_cache", ContextCacheJson(cache))
+      .Set("store", StoreJson(entry.context->sample_store().GetStats()))
+      .Set("store_registry", StoreRegistryJson(cache));
   return serve;
 }
 
@@ -583,23 +557,8 @@ std::string PlanServer::HealthResponseLine(const std::string& id) const {
       .Set("faults_injected", FaultInjector::InjectedCount());
 
   const ContextCache::Stats cache = cache_.GetStats();
-  JsonValue cache_json = JsonValue::Object();
-  cache_json.Set("hits", cache.hits)
-      .Set("misses", cache.misses)
-      .Set("evictions", cache.evictions)
-      .Set("live_contexts", cache.live_contexts);
-  health.Set("context_cache", std::move(cache_json));
-
-  const SampleStore::RegistryStats registry =
-      SampleStore::GetRegistryStats();
-  JsonValue registry_json = JsonValue::Object();
-  registry_json.Set("live_stores", registry.live_stores)
-      .Set("pinned_stores", registry.pinned_stores)
-      .Set("memory_bytes", registry.memory_bytes)
-      .Set("budget_bytes", registry.budget_bytes)
-      .Set("evictions", registry.evictions)
-      .Set("recovered_stores", registry.recovered_stores);
-  health.Set("store_registry", std::move(registry_json));
+  health.Set("context_cache", ContextCacheJson(cache))
+      .Set("store_registry", StoreRegistryJson(cache));
 
   JsonValue j = JsonValue::Object();
   j.Set("id", id).Set("ok", true).Set("health", std::move(health));
@@ -664,10 +623,10 @@ void PlanServer::CheckpointLoop() {
 void PlanServer::CheckpointNow() {
   if (options_.checkpoint_dir.empty()) return;
   bool manifest_dirty = false;
-  for (const std::shared_ptr<SampleStore>& store :
-       SampleStore::RegistryStoresForCheckpoint()) {
-    const std::string& key = store->options().source_key;
-    const SampleSnapshot snap = store->snapshot();
+  // The cache's slots as contexts, never bare stores: a context keeps
+  // the graph its store's piece graphs alias alive while it is saved.
+  for (const auto& [key, context] : cache_.Slots()) {
+    const SampleSnapshot snap = context->samples();
     const std::pair<int64_t, int64_t> sizes = {snap.mrr->theta(),
                                                snap.holdout_theta};
     const auto it = checkpointed_.find(key);
@@ -678,7 +637,7 @@ void PlanServer::CheckpointNow() {
     // SaveSampleStore writes in place, so land on a temp name and
     // rename — a crash mid-save never corrupts the previous snapshot.
     const std::string tmp = path + ".tmp";
-    Status saved = SaveSampleStore(*store, tmp);
+    Status saved = SaveSampleStore(context->sample_store(), tmp);
     if (saved.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
       saved = Status::IoError("rename " + tmp + ": " +
                               std::strerror(errno));
@@ -737,15 +696,13 @@ void PlanServer::RecoverCheckpoints() {
       continue;
     }
     // Loaded frozen (no piece graphs yet); the parked snapshot becomes
-    // growable when Acquire rebuilds the store around its own pieces.
+    // growable when the cache builds the slot around its own pieces.
     StatusOr<std::shared_ptr<SampleStore>> loaded =
         LoadSampleStore(options_.checkpoint_dir + "/" +
                         file->string_value());
     if (!loaded.ok()) continue;  // corrupt/unreadable: skip, resample
     const SampleSnapshot snap = (*loaded)->snapshot();
-    const Status offered = SampleStore::OfferRecoveredSnapshot(
-        key->string_value(), snap.mrr, snap.holdout());
-    if (!offered.ok()) continue;
+    cache_.OfferRecovered(key->string_value(), snap);
     counters_.recovered_snapshots.fetch_add(1, std::memory_order_relaxed);
     checkpointed_[key->string_value()] = {snap.mrr->theta(),
                                           snap.holdout_theta};

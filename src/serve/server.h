@@ -30,8 +30,9 @@ struct ServerOptions {
   int workers = 2;
   /// ContextCache capacity.
   int max_contexts = 8;
-  /// SampleStore registry byte budget installed at Start(); 0 keeps
-  /// the default no-retention behavior (see SampleStore::Acquire).
+  /// ContextCache byte budget over its sample stores: a slot outlives
+  /// its last cached context only while every store fits it; 0 retains
+  /// none.
   int64_t store_budget_bytes = 0;
   /// Work-queue cap: a request arriving while this many are already
   /// queued is rejected with a ResourceExhausted error carrying
@@ -45,10 +46,10 @@ struct ServerOptions {
   /// for this long has its connection severed instead of pinning the
   /// writing worker; the undeliverable response is dropped.
   int write_timeout_ms = 5000;
-  /// When non-empty, registry-resident sample stores (those with a
-  /// source_key) are checkpointed here every checkpoint_interval_ms
-  /// and on Stop(), and recovered at Start() — a restarted daemon
-  /// resumes persisted sample streams with zero regenerated samples.
+  /// When non-empty, the context cache's sample stores are checkpointed
+  /// here every checkpoint_interval_ms and on Stop(), and recovered at
+  /// Start() — a restarted daemon resumes persisted sample streams with
+  /// zero regenerated samples.
   std::string checkpoint_dir;
   int checkpoint_interval_ms = 30'000;
 };
@@ -162,15 +163,15 @@ class PlanServer {
   /// Periodic checkpointing (own thread; wakes every
   /// checkpoint_interval_ms or on shutdown via the wake pipe).
   void CheckpointLoop();
-  /// Saves every source-keyed registry store whose size changed since
-  /// its last checkpoint, then rewrites the manifest. Never throws or
+  /// Saves every cached sample store whose size changed since its last
+  /// checkpoint, then rewrites the manifest. Never throws or
   /// aborts — failures count into checkpoint_failures. Only called
   /// from the checkpoint thread and from Stop() after joining it, so
   /// checkpointed_ needs no lock.
   void CheckpointNow();
-  /// Parks every decodable checkpoint under its source_key (see
-  /// SampleStore::OfferRecoveredSnapshot); corrupt or unreadable files
-  /// are skipped. Called from Start() before the daemon goes live.
+  /// Parks every decodable checkpoint in the cache under its SampleKey
+  /// (ContextCache::OfferRecovered); corrupt or unreadable files are
+  /// skipped. Called from Start() before the daemon goes live.
   void RecoverCheckpoints();
 
   void WriteLine(Connection* conn, const std::string& line);
@@ -215,7 +216,7 @@ class PlanServer {
   mutable Counters counters_;
 
   /// (in-sample theta, holdout theta) at each store's last successful
-  /// checkpoint, keyed by source_key — unchanged stores are skipped.
+  /// checkpoint, keyed by SampleKey — unchanged stores are skipped.
   /// Single-threaded by construction (see CheckpointNow).
   std::map<std::string, std::pair<int64_t, int64_t>> checkpointed_;
 };

@@ -417,6 +417,15 @@ JsonValue ResultJson(const PlanResponse& response) {
   return j;
 }
 
+JsonValue StoreJson(const SampleStore::Stats& stats) {
+  JsonValue j = JsonValue::Object();
+  j.Set("theta", stats.theta)
+      .Set("holdout_theta", stats.holdout_theta)
+      .Set("memory_bytes", stats.memory_bytes)
+      .Set("live_generations", stats.live_generations);
+  return j;
+}
+
 std::string OkResponseLine(const std::string& id, JsonValue results,
                            bool cancelled, JsonValue serve) {
   JsonValue j = JsonValue::Object();

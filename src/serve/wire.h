@@ -41,7 +41,7 @@ namespace serve {
 ///
 /// Every field except "id" has a default (oipa_cli's flag defaults),
 /// so `{"id":"r1"}` is a valid request. Unknown keys are
-/// ignored (the FlagParser contract). Responses:
+/// ignored. Responses:
 ///
 ///   {"id": "r1", "ok": true, "results": [...], "cancelled": false,
 ///    "serve": {...telemetry...}}
@@ -148,7 +148,8 @@ StatusOr<WireRequest> ParseWireRequest(std::string_view line);
 /// changes the MRR samples, which leaves out theta/max_theta (see
 /// ContextKey) and the adoption model's alpha/beta — samples do not
 /// depend on it, so contexts differing only in alpha/beta share one
-/// store. It is the store's source_key, and so names its checkpoint.
+/// store. It keys the context cache's sample slots and names their
+/// checkpoints.
 std::string SampleKey(const WireRequest& request);
 
 /// Canonical context-cache key: SampleKey plus alpha/beta, so every
@@ -179,7 +180,7 @@ Campaign BuildCampaign(const DatasetSpec& spec, int num_topics);
 
 /// The ContextOptions of the sampling slice (theta, holdout, seed,
 /// sampling threads). Fields the wire does not carry keep their
-/// defaults: the daemon sets source_key, oipa_cli share_samples.
+/// defaults: the daemon and oipa_cli set the pool.
 ContextOptions ToContextOptions(const WireRequest& request);
 
 /// Maps the plan/sampling slices onto the in-process request type.
@@ -192,6 +193,10 @@ PlanRequest ToPlanRequest(const WireRequest& request,
 /// One solved-budget row of the "results" array — also the row oipa_cli
 /// prints for each local solve.
 JsonValue ResultJson(const PlanResponse& response);
+
+/// The store telemetry block: the daemon's serve.store and the fields
+/// of oipa_cli's sample_store.
+JsonValue StoreJson(const SampleStore::Stats& stats);
 
 /// Serializes the success envelope around pre-built result rows.
 /// `serve` carries the telemetry block (see README "Serving").

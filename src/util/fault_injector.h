@@ -13,8 +13,10 @@ namespace oipa {
 /// Deterministic fault injection for robustness testing.
 ///
 /// Code under test names its failure points with string-literal *sites*
-/// ("serve.read", "store.grow", "io.save", ...) and asks ShouldFail(site)
-/// before the fallible operation. A test or operator arms sites with
+/// and asks ShouldFail(site) before the fallible operation. The sites:
+/// "serve.accept", "serve.read" and "serve.write" (the daemon's sockets),
+/// "store.grow" (SampleStore::Grow), "io.load" and "io.save" (sample
+/// snapshot files). A test or operator arms sites with
 /// either a per-call probability or an exact call ordinal:
 ///
 ///     FaultInjector::Configure("serve.read=0.01,store.grow=@3", /*seed=*/7)

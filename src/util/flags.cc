@@ -27,42 +27,56 @@ FlagParser::FlagParser(int argc, char** argv) {
   }
 }
 
+const std::string* FlagParser::Find(const std::string& key) const {
+  read_.insert(key);
+  const auto it = values_.find(key);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
+Status FlagParser::RefuseUnknown() const {
+  for (const auto& [key, value] : values_) {
+    if (read_.count(key) == 0) {
+      return Status::InvalidArgument("unknown flag --" + key);
+    }
+  }
+  return Status::Ok();
+}
+
 bool FlagParser::Has(const std::string& key) const {
-  return values_.count(key) > 0;
+  return Find(key) != nullptr;
 }
 
 std::string FlagParser::GetString(const std::string& key,
                                   const std::string& default_value) const {
-  auto it = values_.find(key);
-  return it == values_.end() ? default_value : it->second;
+  const std::string* text = Find(key);
+  return text == nullptr ? default_value : *text;
 }
 
 int64_t FlagParser::GetInt(const std::string& key,
                            int64_t default_value) const {
-  auto it = values_.find(key);
-  return it == values_.end() ? default_value
-                             : std::strtoll(it->second.c_str(), nullptr, 10);
+  const std::string* text = Find(key);
+  return text == nullptr ? default_value
+                         : std::strtoll(text->c_str(), nullptr, 10);
 }
 
 double FlagParser::GetDouble(const std::string& key,
                              double default_value) const {
-  auto it = values_.find(key);
-  return it == values_.end() ? default_value
-                             : std::strtod(it->second.c_str(), nullptr);
+  const std::string* text = Find(key);
+  return text == nullptr ? default_value : std::strtod(text->c_str(), nullptr);
 }
 
 bool FlagParser::GetBool(const std::string& key, bool default_value) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return default_value;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* text = Find(key);
+  if (text == nullptr) return default_value;
+  return *text == "true" || *text == "1" || *text == "yes";
 }
 
 std::vector<int64_t> FlagParser::GetIntList(
     const std::string& key, const std::vector<int64_t>& default_value) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return default_value;
+  const std::string* text = Find(key);
+  if (text == nullptr) return default_value;
   std::vector<int64_t> out;
-  std::stringstream ss(it->second);
+  std::stringstream ss(*text);
   std::string item;
   while (std::getline(ss, item, ',')) {
     if (!item.empty()) out.push_back(std::strtoll(item.c_str(), nullptr, 10));
@@ -72,10 +86,10 @@ std::vector<int64_t> FlagParser::GetIntList(
 
 std::vector<double> FlagParser::GetDoubleList(
     const std::string& key, const std::vector<double>& default_value) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return default_value;
+  const std::string* text = Find(key);
+  if (text == nullptr) return default_value;
   std::vector<double> out;
-  std::stringstream ss(it->second);
+  std::stringstream ss(*text);
   std::string item;
   while (std::getline(ss, item, ',')) {
     if (!item.empty()) out.push_back(std::strtod(item.c_str(), nullptr));
@@ -103,9 +117,9 @@ Status FlagParser::ParseInt(const std::string& key, const std::string& text,
 
 Status FlagParser::ReadIntList(const std::string& key,
                                std::vector<int64_t>* out) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return Status::Ok();
-  const std::string& text = it->second;
+  const std::string* found = Find(key);
+  if (found == nullptr) return Status::Ok();
+  const std::string& text = *found;
   std::vector<int64_t> items;
   for (size_t start = 0;;) {
     const size_t comma = text.find(',', start);
@@ -123,13 +137,12 @@ Status FlagParser::ReadIntList(const std::string& key,
 }
 
 Status FlagParser::ReadDouble(const std::string& key, double* out) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return Status::Ok();
-  const char* text = it->second.c_str();
+  const std::string* text = Find(key);
+  if (text == nullptr) return Status::Ok();
   char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (it->second.empty() || *end != '\0') {
-    return Status::InvalidArgument("--" + key + " '" + it->second +
+  const double value = std::strtod(text->c_str(), &end);
+  if (text->empty() || *end != '\0') {
+    return Status::InvalidArgument("--" + key + " '" + *text +
                                    "' is not a number");
   }
   *out = value;

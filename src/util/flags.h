@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -24,7 +25,8 @@ namespace oipa {
 ///
 /// The Get* getters are lenient (strtoll/strtod: "3x" reads as 3).
 /// Front ends that must refuse such text use the strict Read* getters,
-/// which return InvalidArgument naming the flag.
+/// which return InvalidArgument naming the flag, and RefuseUnknown()
+/// once they have read every flag they know.
 class FlagParser {
  public:
   FlagParser(int argc, char** argv);
@@ -54,10 +56,10 @@ class FlagParser {
                  int64_t min = std::numeric_limits<T>::min(),
                  int64_t max = std::numeric_limits<T>::max()) const {
     static_assert(std::is_signed_v<T> && sizeof(T) <= sizeof(int64_t));
-    const auto it = values_.find(key);
-    if (it == values_.end()) return Status::Ok();
+    const std::string* text = Find(key);
+    if (text == nullptr) return Status::Ok();
     int64_t value = 0;
-    OIPA_RETURN_IF_ERROR(ParseInt(key, it->second, min, max, &value));
+    OIPA_RETURN_IF_ERROR(ParseInt(key, *text, min, max, &value));
     *out = static_cast<T>(value);
     return Status::Ok();
   }
@@ -70,9 +72,18 @@ class FlagParser {
   /// it ("0.5", "1e-3", "nan"); "0.5x" is InvalidArgument.
   Status ReadDouble(const std::string& key, double* out) const;
 
+  /// InvalidArgument naming the first given flag that no getter above
+  /// has asked about ("unknown flag --wokers"), so a misspelled flag is
+  /// refused instead of silently running with the default.
+  Status RefuseUnknown() const;
+
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:
+  /// The text of flag `key`, null when absent; records that `key` was
+  /// asked about.
+  const std::string* Find(const std::string& key) const;
+
   /// Parses `text`, one item of flag `key`, as a base-10 integer in
   /// [min, max].
   static Status ParseInt(const std::string& key, const std::string& text,
@@ -80,6 +91,8 @@ class FlagParser {
 
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
+  /// Every key a getter asked about.
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace oipa

@@ -546,9 +546,6 @@ TEST_F(ApiFixture, GrowSamplesIsBitIdenticalToUpFrontGeneration) {
 TEST_F(ApiFixture, ProgressiveSolveGrowsUntilGapMet) {
   ContextOptions small;
   small.theta = 250;  // deliberately noisy start
-  // A sampling seed distinct from the fixture's: the registry now
-  // theta-prefix-shares stores, so seed 17 would resolve to the
-  // fixture's 4'000-sample store and skip the growth under test.
   small.seed = 18;
   auto ctx = PlanningContext::Create(
       graph_, probs_, campaign_, LogisticAdoptionModel(2.0, 1.0), small);
@@ -584,7 +581,7 @@ TEST_F(ApiFixture, ProgressiveSolveGrowsUntilGapMet) {
 TEST_F(ApiFixture, ProgressiveSolveStopsAtMaxTheta) {
   ContextOptions small;
   small.theta = 200;
-  small.seed = 18;  // avoid theta-prefix sharing with the fixture store
+  small.seed = 18;
   auto ctx = PlanningContext::Create(
       graph_, probs_, campaign_, LogisticAdoptionModel(2.0, 1.0), small);
   ASSERT_TRUE(ctx.ok());
@@ -637,7 +634,7 @@ TEST_F(ApiFixture, ProgressiveSolveRequiresExtendableSamples) {
 
 // ------------------------------------------------- shared sample store
 
-TEST_F(ApiFixture, ContextsDifferingOnlyInAdoptionModelShareOneStore) {
+TEST_F(ApiFixture, WithModelSiblingsShareOneStoreAndOneSamplingPass) {
   ContextOptions options;
   options.theta = 2'000;
   options.seed = 71;
@@ -649,50 +646,66 @@ TEST_F(ApiFixture, ContextsDifferingOnlyInAdoptionModelShareOneStore) {
   const int64_t after_first = MrrCollection::GeneratedSampleCount();
   EXPECT_EQ(after_first - before, 2 * 2'000);  // in-sample + holdout
 
-  // Same sampling configuration, different logistic adoption model:
-  // resolves to the same store with zero additional samples drawn.
-  auto b = PlanningContext::Create(
-      graph_, probs_, campaign_, LogisticAdoptionModel(5.0, 0.5), options);
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  // Same samples, different logistic adoption model: the sibling reads
+  // the same store with zero additional samples drawn.
+  const std::shared_ptr<const PlanningContext> b =
+      (*a)->WithModel(LogisticAdoptionModel(5.0, 0.5));
   EXPECT_EQ(MrrCollection::GeneratedSampleCount(), after_first);
-  EXPECT_EQ(&(*a)->sample_store(), &(*b)->sample_store());
-  EXPECT_TRUE((*a)->sample_store().GetStats().shared);
+  EXPECT_EQ(&(*a)->sample_store(), &b->sample_store());
+  EXPECT_EQ(b->model().alpha(), 5.0);
+  EXPECT_EQ((*a)->model().alpha(), 2.0);
   // The contexts also share one set of piece influence graphs.
-  EXPECT_EQ(&(*a)->pieces(), &(*b)->pieces());
+  EXPECT_EQ(&(*a)->pieces(), &b->pieces());
 
   // Growth issued through one sharer is visible to the other.
   ASSERT_TRUE((*a)->GrowSamples(4'000).ok());
-  EXPECT_EQ((*b)->samples().mrr->theta(), 4'000);
+  EXPECT_EQ(b->samples().mrr->theta(), 4'000);
 
   // Solves against either context agree on the samples but score with
   // their own adoption model.
   const auto ra = Solve(**a, Request("bab-p", 3));
-  const auto rb = Solve(**b, Request("bab-p", 3));
+  const auto rb = Solve(*b, Request("bab-p", 3));
   ASSERT_TRUE(ra.ok() && rb.ok());
   EXPECT_GT(ra->utility, 0.0);
   EXPECT_GT(rb->utility, 0.0);
 }
 
-TEST_F(ApiFixture, SharedStoreSolvesAreBitIdenticalToPrivateStoreSolves) {
+TEST_F(ApiFixture, ContextsOwnTheirStores) {
+  // Two Create calls with one sampling configuration sample twice: no
+  // process-wide state joins them.
+  ContextOptions options;
+  options.theta = 1'000;
+  options.seed = 72;
+  const auto a = PlanningContext::Create(
+      graph_, probs_, campaign_, LogisticAdoptionModel(2.0, 1.0), options);
+  ASSERT_TRUE(a.ok());
+  (*a)->samples().holdout();
+  const int64_t before = MrrCollection::GeneratedSampleCount();
+  const auto b = PlanningContext::Create(
+      graph_, probs_, campaign_, LogisticAdoptionModel(2.0, 1.0), options);
+  ASSERT_TRUE(b.ok());
+  (*b)->samples().holdout();
+  EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before, 2 * 1'000);
+  EXPECT_NE(&(*a)->sample_store(), &(*b)->sample_store());
+}
+
+TEST_F(ApiFixture, SiblingSolvesAreBitIdenticalToOwnStoreSolves) {
   ContextOptions options;
   options.theta = 3'000;
   options.seed = 73;
-  auto shared_ctx = PlanningContext::Create(
+  auto base = PlanningContext::Create(
+      graph_, probs_, campaign_, LogisticAdoptionModel(5.0, 0.5), options);
+  ASSERT_TRUE(base.ok());
+  const std::shared_ptr<const PlanningContext> sibling =
+      (*base)->WithModel(LogisticAdoptionModel(2.0, 1.0));
+  auto own = PlanningContext::Create(
       graph_, probs_, campaign_, LogisticAdoptionModel(2.0, 1.0), options);
-  ASSERT_TRUE(shared_ctx.ok());
-  ContextOptions private_options = options;
-  private_options.share_samples = false;
-  auto private_ctx = PlanningContext::Create(
-      graph_, probs_, campaign_, LogisticAdoptionModel(2.0, 1.0),
-      private_options);
-  ASSERT_TRUE(private_ctx.ok());
-  EXPECT_NE(&(*shared_ctx)->sample_store(),
-            &(*private_ctx)->sample_store());
-  EXPECT_FALSE((*private_ctx)->sample_store().GetStats().shared);
+  ASSERT_TRUE(own.ok());
+  EXPECT_NE(&sibling->sample_store(), &(*own)->sample_store());
 
   for (const char* solver : {"bab-p", "tim", "greedy-sigma"}) {
-    const auto with_shared = Solve(**shared_ctx, Request(solver, 4));
-    const auto with_private = Solve(**private_ctx, Request(solver, 4));
+    const auto with_shared = Solve(*sibling, Request(solver, 4));
+    const auto with_private = Solve(**own, Request(solver, 4));
     ASSERT_TRUE(with_shared.ok() && with_private.ok()) << solver;
     EXPECT_EQ(with_shared->plan.Assignments(),
               with_private->plan.Assignments())
@@ -708,7 +721,7 @@ TEST_F(ApiFixture, SharedStoreSolvesAreBitIdenticalToPrivateStoreSolves) {
 TEST_F(ApiFixture, OpimBoundsStoppingCertifiesRatio) {
   ContextOptions small;
   small.theta = 250;  // deliberately noisy start
-  small.seed = 18;  // avoid theta-prefix sharing with the fixture store
+  small.seed = 18;
   auto ctx = PlanningContext::Create(
       graph_, probs_, campaign_, LogisticAdoptionModel(2.0, 1.0), small);
   ASSERT_TRUE(ctx.ok());
@@ -735,7 +748,7 @@ TEST_F(ApiFixture, OpimBoundsStoppingCertifiesRatio) {
 TEST_F(ApiFixture, OpimBoundsStopsNoLaterThanMaxTheta) {
   ContextOptions small;
   small.theta = 200;
-  small.seed = 18;  // avoid theta-prefix sharing with the fixture store
+  small.seed = 18;
   auto ctx = PlanningContext::Create(
       graph_, probs_, campaign_, LogisticAdoptionModel(2.0, 1.0), small);
   ASSERT_TRUE(ctx.ok());
@@ -826,7 +839,6 @@ TEST_F(ApiFixture, SolvesOnAPendingHoldoutMatchSolvesOnAReadyOne) {
   ContextOptions options;
   options.theta = 2'000;
   options.seed = 29;
-  options.share_samples = false;
   options.pool = pool_;
   for (const BoundVariant variant :
        {BoundVariant::kZeroAnchored, BoundVariant::kPaperTangent}) {
@@ -874,7 +886,6 @@ TEST_F(ApiFixture, SnapshotsStatsAndDestructionDoNotWaitForOrBreakAHoldout) {
   ContextOptions options;
   options.theta = 1'000;
   options.seed = 31;
-  options.share_samples = false;
   auto hold = std::make_unique<HoldBackgroundTasks>();
   auto created = PlanningContext::Create(
       graph_, probs_, campaign_, LogisticAdoptionModel(2.0, 1.0), options);

@@ -195,21 +195,17 @@ TEST(CliParseTest, FlagsOverrideEveryStage) {
   EXPECT_EQ(r.plan.seed, 99u);
 }
 
-TEST(CliParseTest, StoppingAndShareSamplesFlags) {
+TEST(CliParseTest, StoppingFlags) {
   CliConfig config;
   ASSERT_TRUE(ParseCliConfig(MakeFlags({"plan"}), &config).ok());
   EXPECT_EQ(config.request.sampling.stopping, "holdout");
   EXPECT_EQ(config.request.sampling.stopping_rule,
             StoppingRuleKind::kHoldoutGap);
-  EXPECT_TRUE(config.share_samples);
 
-  ASSERT_TRUE(ParseCliConfig(MakeFlags({"plan", "--stopping=opim",
-                                        "--share_samples=false"}),
-                             &config)
-                  .ok());
+  ASSERT_TRUE(
+      ParseCliConfig(MakeFlags({"plan", "--stopping=opim"}), &config).ok());
   EXPECT_EQ(config.request.sampling.stopping_rule,
             StoppingRuleKind::kOpimBounds);
-  EXPECT_FALSE(config.share_samples);
 
   EXPECT_EQ(ParseCliConfig(MakeFlags({"plan", "--stopping=psychic"}),
                            &config)
@@ -458,12 +454,7 @@ TEST(CliPipelineTest, PlanReportsSampleStoreTelemetry) {
   EXPECT_NE(run.out.find("\"sample_store\":"), std::string::npos);
   EXPECT_NE(run.out.find("\"memory_bytes\":"), std::string::npos);
   EXPECT_NE(run.out.find("\"live_generations\":1"), std::string::npos);
-  EXPECT_NE(run.out.find("\"shared\":true"), std::string::npos);
-
-  const CliRun opted_out =
-      InvokeCli(TinyArgs("plan", {"--share_samples=false"}));
-  ASSERT_EQ(opted_out.code, 0) << opted_out.err;
-  EXPECT_NE(opted_out.out.find("\"shared\":false"), std::string::npos);
+  EXPECT_NE(run.out.find("\"holdout_theta\":0"), std::string::npos);
 
   const CliRun bench = InvokeCli(TinyArgs("bench", {"--k=2,3"}));
   ASSERT_EQ(bench.code, 0) << bench.err;
@@ -739,6 +730,38 @@ TEST(CliParseTest, ServeReadsTheDaemonFlagsStrictly) {
   EXPECT_EQ(config.daemon.write_timeout_ms, 900);
   EXPECT_EQ(config.daemon.checkpoint_dir, "ckpt");
   EXPECT_EQ(config.daemon.checkpoint_interval_ms, 450);
+}
+
+TEST(CliParseTest, UnknownFlagsAreRefusedNamingTheFlag) {
+  // A flag the command does not read must not run with its default: a
+  // misspelled --theta, --share_samples, daemon flags misspelled under
+  // serve.
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"plan", "--theta=400", "--thetaa=300"},
+        {"plan", "--share_samples=false"},
+        {"bench", "--k=2,3", "--trails=5"},
+        {"serve", "--port=0", "--max_context=4"},
+        {"serve", "--port=0", "--wokers=3"}}) {
+    CliConfig config;
+    const Status status = ParseCliConfig(MakeFlags(args), &config);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << args.back();
+    const std::string flag = args.back().substr(0, args.back().find('='));
+    EXPECT_NE(status.message().find("unknown flag " + flag),
+              std::string::npos)
+        << status.message();
+  }
+  const CliRun run =
+      InvokeCli({"plan", "--dataset=synthetic", "--n=300", "--k=2",
+                 "--theta=400", "--thetaa=300"});
+  EXPECT_EQ(run.code, 2);
+  EXPECT_NE(run.err.find("unknown flag --thetaa"), std::string::npos)
+      << run.err;
+  EXPECT_TRUE(run.out.empty());
+  // --method is not a daemon flag, not even to list the solvers.
+  const CliRun serve = InvokeCli({"serve", "--port=0", "--method=list"});
+  EXPECT_EQ(serve.code, 2);
+  EXPECT_NE(serve.err.find("unknown flag --method"), std::string::npos)
+      << serve.err;
 }
 
 TEST(CliDispatchTest, LearnWithServerExits2) {

@@ -156,9 +156,9 @@ TEST_F(FaultInjectorTest, ConcurrentCallsStayConsistent) {
 }
 
 TEST_F(FaultInjectorTest, InjectedFaultStatusNamesTheSite) {
-  const Status status = InjectedFault("store.acquire");
+  const Status status = InjectedFault("store.grow");
   EXPECT_EQ(status.code(), StatusCode::kInternal);
-  EXPECT_EQ(status.message(), "injected fault at store.acquire");
+  EXPECT_EQ(status.message(), "injected fault at store.grow");
 }
 
 TEST_F(FaultInjectorTest, ConfigureFromEnvIsNoOpWhenUnset) {

@@ -1,10 +1,9 @@
 // SampleStore subsystem tests: generation compaction, snapshot
-// pinning, the process-wide sharing registry, store snapshot
-// persistence glue, and the progressive stopping rules. Context-level
-// sharing behavior (one sampling pass across adoption models,
-// shared-vs-private bit-identity) lives in api_test.cc; this suite
-// exercises the store directly plus the concurrency contract (it runs
-// under the TSan CI leg).
+// pinning, resuming checkpoints, and the progressive stopping rules.
+// Context-level sharing behavior (WithModel siblings, one sampling pass
+// across adoption models) lives in api_test.cc and the daemon cache's in
+// serve_test.cc; this suite exercises the store directly plus the
+// concurrency contract (it runs under the TSan CI leg).
 
 #include <gtest/gtest.h>
 
@@ -178,7 +177,6 @@ TEST_F(SampleStoreFixture, StatsReportMemoryAndGenerations) {
   EXPECT_EQ(before.holdout_theta, 500);  // -1 resolves to theta
   EXPECT_GT(before.memory_bytes, 0);
   EXPECT_EQ(before.live_generations, 1);
-  EXPECT_FALSE(before.shared);
 
   const SampleSnapshot pin = store->snapshot();
   ASSERT_TRUE(store->Grow(2'000).ok());
@@ -300,174 +298,7 @@ TEST_F(SampleStoreFixture, AdoptWithoutPiecesCannotGrow) {
   EXPECT_EQ(store->theta(), 200);
 }
 
-// ----------------------------------------------------------- registry
-
-TEST_F(SampleStoreFixture, AcquireSharesOneStoreAndOneSamplingPass) {
-  const SampleStore::Options options = Options(600, 31);
-  const int64_t before = MrrCollection::GeneratedSampleCount();
-  auto a = Settled(SampleStore::Acquire(graph_, probs_, campaign_, options));
-  const int64_t after_first = MrrCollection::GeneratedSampleCount();
-  EXPECT_EQ(after_first - before, 2 * 600);
-  auto b = SampleStore::Acquire(graph_, probs_, campaign_, options);
-  EXPECT_EQ(a.get(), b.get());
-  EXPECT_EQ(MrrCollection::GeneratedSampleCount(), after_first);
-  EXPECT_TRUE(a->shared());
-}
-
-TEST_F(SampleStoreFixture, AcquireDistinguishesSamplingConfigurations) {
-  auto base = SampleStore::Acquire(graph_, probs_, campaign_,
-                                   Options(400, 37));
-  auto other_seed = SampleStore::Acquire(graph_, probs_, campaign_,
-                                         Options(400, 38));
-  SampleStore::Options lt = Options(400, 37);
-  lt.diffusion = DiffusionModel::kLinearThreshold;
-  auto other_model = SampleStore::Acquire(graph_, probs_, campaign_, lt);
-  EXPECT_NE(base.get(), other_seed.get());
-  EXPECT_NE(base.get(), other_model.get());
-  // Theta is NOT part of the registry key: per-sample seeding makes a
-  // larger request a strict prefix extension, so the base store is
-  // grown in place instead of duplicated.
-  auto other_theta = SampleStore::Acquire(graph_, probs_, campaign_,
-                                          Options(800, 37));
-  EXPECT_EQ(base.get(), other_theta.get());
-  EXPECT_EQ(base->theta(), 800);
-}
-
-TEST_F(SampleStoreFixture, AcquireServesSmallerThetaFromLiveStore) {
-  auto big = Settled(SampleStore::Acquire(graph_, probs_, campaign_,
-                                          Options(900, 53)));
-  const int64_t before = MrrCollection::GeneratedSampleCount();
-  auto small = SampleStore::Acquire(graph_, probs_, campaign_,
-                                    Options(300, 53));
-  // The 300-sample request is a prefix of the live 900-sample store:
-  // served without drawing a single new sample.
-  EXPECT_EQ(small.get(), big.get());
-  EXPECT_EQ(MrrCollection::GeneratedSampleCount(), before);
-  // A larger request grows the shared store by the delta only.
-  auto bigger = Settled(SampleStore::Acquire(graph_, probs_, campaign_,
-                                             Options(1'200, 53)));
-  EXPECT_EQ(bigger.get(), big.get());
-  EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before,
-            2 * (1'200 - 900));
-}
-
-TEST_F(SampleStoreFixture, RegistryDropsDeadStores) {
-  const SampleStore::Options options = Options(300, 41);
-  auto store = Settled(SampleStore::Acquire(graph_, probs_, campaign_,
-                                            options));
-  const SampleStore* old = store.get();
-  EXPECT_GE(SampleStore::RegistrySize(), 1);
-  store.reset();  // last owner: the registry's weak entry expires
-  const int64_t before = MrrCollection::GeneratedSampleCount();
-  auto fresh = Settled(SampleStore::Acquire(graph_, probs_, campaign_,
-                                            options));
-  // A dead store is never resurrected — the samples are drawn again.
-  EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before, 2 * 300);
-  (void)old;  // the address may or may not be recycled; only behavior counts
-}
-
-// ------------------------------------------- budget retention/eviction
-
-TEST_F(SampleStoreFixture, RegistryBudgetRetainsAndEvictsLru) {
-  SampleStore::SetRegistryBudget(1'000'000'000);  // effectively unbounded
-  auto a = Settled(SampleStore::Acquire(graph_, probs_, campaign_,
-                                        Options(400, 61)));
-  const int64_t per_store = a->GetStats().memory_bytes;
-  ASSERT_GT(per_store, 0);
-  a.reset();
-  // Retained past the last handle: a same-key re-acquire is a cache
-  // hit — zero new samples.
-  int64_t before = MrrCollection::GeneratedSampleCount();
-  a = SampleStore::Acquire(graph_, probs_, campaign_, Options(400, 61));
-  EXPECT_EQ(MrrCollection::GeneratedSampleCount(), before);
-
-  auto b = Settled(SampleStore::Acquire(graph_, probs_, campaign_,
-                                        Options(400, 62)));
-  a.reset();  // a is now least recently used
-  b.reset();
-  SampleStore::RegistrySize();  // prune side effect only
-  const SampleStore::RegistryStats retained =
-      SampleStore::GetRegistryStats();
-  EXPECT_EQ(retained.live_stores, 2);
-  EXPECT_EQ(retained.pinned_stores, 0);
-  // Both stores are live (the two sample streams differ slightly in
-  // byte size, so compare against one store, not exactly two).
-  EXPECT_GT(retained.memory_bytes, per_store);
-
-  // Shrinking the budget below two stores evicts the LRU one (a);
-  // b stays retained.
-  const int64_t evictions_before = retained.evictions;
-  SampleStore::SetRegistryBudget(per_store + per_store / 2);
-  const SampleStore::RegistryStats after =
-      SampleStore::GetRegistryStats();
-  EXPECT_EQ(after.live_stores, 1);
-  EXPECT_EQ(after.evictions, evictions_before + 1);
-  before = MrrCollection::GeneratedSampleCount();
-  b = SampleStore::Acquire(graph_, probs_, campaign_, Options(400, 62));
-  EXPECT_EQ(MrrCollection::GeneratedSampleCount(), before);  // survivor
-  b.reset();
-  before = MrrCollection::GeneratedSampleCount();
-  a = Settled(
-      SampleStore::Acquire(graph_, probs_, campaign_, Options(400, 61)));
-  EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before,
-            2 * 400);  // the evicted store resamples from scratch
-  // Acquiring a pins it, so budget enforcement must evict b (the only
-  // unpinned retained store) to make room.
-  EXPECT_EQ(SampleStore::GetRegistryStats().evictions,
-            evictions_before + 2);
-  a.reset();
-  SampleStore::SetRegistryBudget(0);  // restore test isolation
-  EXPECT_EQ(SampleStore::GetRegistryStats().live_stores, 0);
-}
-
-TEST_F(SampleStoreFixture, PinnedStoresSurviveBudgetPressure) {
-  SampleStore::SetRegistryBudget(1);  // below any store's footprint
-  auto pinned = SampleStore::Acquire(graph_, probs_, campaign_,
-                                     Options(300, 63));
-  const SampleStore::RegistryStats stats =
-      SampleStore::GetRegistryStats();
-  EXPECT_EQ(stats.live_stores, 1);
-  EXPECT_EQ(stats.pinned_stores, 1);
-  EXPECT_EQ(stats.budget_bytes, 1);
-  // A pinned store is never evicted: the same key resolves to it with
-  // zero new sampling even though it exceeds the budget on its own.
-  const int64_t before = MrrCollection::GeneratedSampleCount();
-  auto again = SampleStore::Acquire(graph_, probs_, campaign_,
-                                    Options(300, 63));
-  EXPECT_EQ(again.get(), pinned.get());
-  EXPECT_EQ(MrrCollection::GeneratedSampleCount(), before);
-  again.reset();
-  pinned.reset();
-  // Unpinned, it immediately falls to the 1-byte budget.
-  EXPECT_EQ(SampleStore::GetRegistryStats().live_stores, 0);
-  SampleStore::SetRegistryBudget(0);
-}
-
 // -------------------------------------------------------- concurrency
-
-TEST_F(SampleStoreFixture, ConcurrentAcquireYieldsOneStore) {
-  const SampleStore::Options options = Options(500, 43);
-  constexpr int kThreads = 4;
-  std::vector<std::shared_ptr<SampleStore>> stores(kThreads);
-  const int64_t before = MrrCollection::GeneratedSampleCount();
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        stores[t] =
-            SampleStore::Acquire(graph_, probs_, campaign_, options);
-      });
-    }
-    for (std::thread& t : threads) t.join();
-  }
-  for (int t = 1; t < kThreads; ++t) {
-    EXPECT_EQ(stores[0].get(), stores[t].get());
-  }
-  Settled(stores[0]);
-  // Exactly one sampling pass despite the racing acquires.
-  EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before, 2 * 500);
-}
 
 TEST_F(SampleStoreFixture, ConcurrentGrowSolveAcrossSharingContexts) {
   // Two contexts differing only in the adoption model share one store;
@@ -478,10 +309,9 @@ TEST_F(SampleStoreFixture, ConcurrentGrowSolveAcrossSharingContexts) {
   options.seed = 47;
   auto a = PlanningContext::Create(
       graph_, probs_, campaign_, LogisticAdoptionModel(2.0, 1.0), options);
-  auto b = PlanningContext::Create(
-      graph_, probs_, campaign_, LogisticAdoptionModel(4.0, 0.8), options);
-  ASSERT_TRUE(a.ok() && b.ok());
-  ASSERT_EQ(&(*a)->sample_store(), &(*b)->sample_store());
+  ASSERT_TRUE(a.ok());
+  const auto b = (*a)->WithModel(LogisticAdoptionModel(4.0, 0.8));
+  ASSERT_EQ(&(*a)->sample_store(), &b->sample_store());
 
   PlanRequest request;
   request.solver = "greedy-sigma";
@@ -498,7 +328,7 @@ TEST_F(SampleStoreFixture, ConcurrentGrowSolveAcrossSharingContexts) {
   });
   std::thread solver([&] {
     for (int i = 0; i < 8; ++i) {
-      const auto r = Solve(**b, request);
+      const auto r = Solve(*b, request);
       if (!r.ok() || r->utility <= 0.0) failed.store(true);
     }
   });
@@ -506,7 +336,7 @@ TEST_F(SampleStoreFixture, ConcurrentGrowSolveAcrossSharingContexts) {
   solver.join();
   EXPECT_FALSE(failed.load());
   EXPECT_EQ((*a)->samples().mrr->theta(), 6'400);
-  EXPECT_EQ((*b)->samples().mrr->theta(), 6'400);
+  EXPECT_EQ(b->samples().mrr->theta(), 6'400);
   // Once the threads are quiet, only the final generation survives.
   EXPECT_EQ((*a)->sample_store().live_generations(), 1);
 }
@@ -576,49 +406,21 @@ TEST(StoppingRuleTest, OpimRatioTightensWithTheta) {
 
 // ------------------------------------------------------ crash recovery
 
-class RecoveryFixture : public SampleStoreFixture {
- protected:
-  void TearDown() override {
-    SampleStore::ClearRecoveredSnapshots();
-    SampleStore::SetRegistryBudget(0);
-  }
-
-  SampleStore::Options KeyedOptions(int64_t theta, uint64_t seed,
-                                    const std::string& key) const {
-    SampleStore::Options options = Options(theta, seed);
-    options.source_key = key;
-    return options;
-  }
-};
-
-TEST_F(RecoveryFixture, RecoveredSnapshotResumesWithoutResampling) {
-  const SampleStore::Options options =
-      KeyedOptions(500, 71, "recovery/a");
-  auto original = SampleStore::Acquire(graph_, probs_, campaign_, options);
-  ASSERT_NE(original, nullptr);
-  const SampleSnapshot saved = original->snapshot();
-  original.reset();  // dead store: the registry entry expires
-
-  ASSERT_TRUE(SampleStore::OfferRecoveredSnapshot("recovery/a", saved.mrr,
-                                                  saved.holdout())
-                  .ok());
+TEST_F(SampleStoreFixture, ResumedCheckpointDrawsNoSamples) {
+  const SampleSnapshot saved =
+      Settled(SampleStore::Create(pieces_, Options(500, 71)))->snapshot();
   const int64_t before = MrrCollection::GeneratedSampleCount();
-  const int64_t recovered_before =
-      SampleStore::GetRegistryStats().recovered_stores;
-  auto recovered =
-      SampleStore::Acquire(graph_, probs_, campaign_, options);
-  ASSERT_NE(recovered, nullptr);
-  // The tentpole invariant: a same-configuration re-acquire is served
-  // entirely from the parked snapshot — zero regenerated samples.
+  auto resumed = SampleStore::Resume(pieces_, Options(500, 71), saved);
+  ASSERT_NE(resumed, nullptr);
+  // A same-configuration resume is served entirely from the checkpoint:
+  // zero regenerated samples.
   EXPECT_EQ(MrrCollection::GeneratedSampleCount(), before);
-  EXPECT_EQ(recovered->theta(), 500);
-  EXPECT_EQ(SampleStore::GetRegistryStats().recovered_stores,
-            recovered_before + 1);
+  EXPECT_EQ(resumed->theta(), 500);
 
-  // Growth after recovery continues the exact sample stream (the
+  // Growth after resuming continues the exact sample stream (the
   // provenance round-trips), matching up-front generation bit-for-bit.
-  ASSERT_TRUE(recovered->Grow(1'000).ok());
-  const SampleSnapshot snap = recovered->snapshot();
+  ASSERT_TRUE(resumed->Grow(1'000).ok());
+  const SampleSnapshot snap = resumed->snapshot();
   const MrrCollection fresh = MrrCollection::Generate(*pieces_, 1'000, 71);
   ASSERT_EQ(snap.mrr->theta(), fresh.theta());
   for (int64_t i = 0; i < fresh.theta(); ++i) {
@@ -626,72 +428,62 @@ TEST_F(RecoveryFixture, RecoveredSnapshotResumesWithoutResampling) {
   }
 }
 
-TEST_F(RecoveryFixture, SmallerRecoveredSnapshotGrowsOnlyTheDelta) {
-  const SampleStore::Options small =
-      KeyedOptions(300, 73, "recovery/delta");
-  auto original = SampleStore::Acquire(graph_, probs_, campaign_, small);
-  const SampleSnapshot saved = original->snapshot();
-  original.reset();
-
-  ASSERT_TRUE(SampleStore::OfferRecoveredSnapshot(
-                  "recovery/delta", saved.mrr, saved.holdout())
-                  .ok());
-  // Re-acquire at a larger theta: recovery seeds the first 300 samples
-  // and only the extension is drawn (2x: in-sample + holdout).
+TEST_F(SampleStoreFixture, SmallerCheckpointGrowsOnlyTheDelta) {
+  const SampleSnapshot saved =
+      Settled(SampleStore::Create(pieces_, Options(300, 73)))->snapshot();
+  // Resume at a larger theta: the checkpoint seeds the first 300
+  // samples and only the extension is drawn (2x: in-sample + holdout).
   const int64_t before = MrrCollection::GeneratedSampleCount();
-  auto recovered = Settled(SampleStore::Acquire(
-      graph_, probs_, campaign_, KeyedOptions(900, 73, "recovery/delta")));
-  ASSERT_NE(recovered, nullptr);
-  EXPECT_EQ(recovered->theta(), 900);
+  auto resumed =
+      Settled(SampleStore::Resume(pieces_, Options(900, 73), saved));
+  ASSERT_NE(resumed, nullptr);
+  EXPECT_EQ(resumed->theta(), 900);
   EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before,
             2 * (900 - 300));
 }
 
-TEST_F(RecoveryFixture, MismatchedProvenanceIsIgnoredAndResampled) {
-  const SampleStore::Options options =
-      KeyedOptions(400, 79, "recovery/mismatch");
-  auto original = SampleStore::Acquire(graph_, probs_, campaign_, options);
-  const SampleSnapshot saved = original->snapshot();
-  original.reset();
-  ASSERT_TRUE(SampleStore::OfferRecoveredSnapshot(
-                  "recovery/mismatch", saved.mrr, saved.holdout())
-                  .ok());
-
-  // Same key, different sampling seed: the snapshot's provenance no
-  // longer matches, so it must NOT be adopted — correctness beats
-  // recovery, and the store resamples from scratch.
-  const int64_t before = MrrCollection::GeneratedSampleCount();
-  auto fresh = Settled(SampleStore::Acquire(
-      graph_, probs_, campaign_,
-      KeyedOptions(400, 80, "recovery/mismatch")));
-  ASSERT_NE(fresh, nullptr);
-  EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before, 2 * 400);
+TEST_F(SampleStoreFixture, MismatchedProvenanceIsNotResumed) {
+  const SampleSnapshot saved =
+      Settled(SampleStore::Create(pieces_, Options(400, 79)))->snapshot();
+  // A different sampling seed, diffusion model or holdout presence: the
+  // checkpoint's provenance does not match, so it must not be resumed —
+  // correctness beats recovery, and the caller resamples.
+  EXPECT_EQ(SampleStore::Resume(pieces_, Options(400, 80), saved), nullptr);
+  SampleStore::Options lt = Options(400, 79);
+  lt.diffusion = DiffusionModel::kLinearThreshold;
+  EXPECT_EQ(SampleStore::Resume(pieces_, lt, saved), nullptr);
+  SampleStore::Options no_holdout = Options(400, 79);
+  no_holdout.holdout_theta = 0;
+  EXPECT_EQ(SampleStore::Resume(pieces_, no_holdout, saved), nullptr);
+  EXPECT_EQ(SampleStore::Resume(pieces_, Options(400, 79), SampleSnapshot()),
+            nullptr);
+  EXPECT_NE(SampleStore::Resume(pieces_, Options(400, 79), saved), nullptr);
 }
 
-TEST_F(RecoveryFixture, OfferValidatesItsArguments) {
-  const MrrCollection mrr = MrrCollection::Generate(*pieces_, 50, 83);
-  auto shared = std::make_shared<const MrrCollection>(mrr);
-  EXPECT_EQ(SampleStore::OfferRecoveredSnapshot("", shared, nullptr).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(
-      SampleStore::OfferRecoveredSnapshot("key", nullptr, nullptr).code(),
-      StatusCode::kInvalidArgument);
-}
-
-TEST_F(RecoveryFixture, ClearDropsParkedSnapshots) {
-  const SampleStore::Options options =
-      KeyedOptions(200, 89, "recovery/cleared");
-  auto original = SampleStore::Acquire(graph_, probs_, campaign_, options);
-  const SampleSnapshot saved = original->snapshot();
-  original.reset();
-  ASSERT_TRUE(SampleStore::OfferRecoveredSnapshot(
-                  "recovery/cleared", saved.mrr, saved.holdout())
-                  .ok());
-  SampleStore::ClearRecoveredSnapshots();
-  const int64_t before = MrrCollection::GeneratedSampleCount();
-  auto fresh =
-      Settled(SampleStore::Acquire(graph_, probs_, campaign_, options));
-  EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before, 2 * 200);
+TEST_F(SampleStoreFixture, ContextResumeFallsBackToSampling) {
+  // PlanningContext::Resume resumes a matching checkpoint and samples
+  // afresh past a mismatched one, reporting which.
+  ContextOptions options;
+  options.theta = 300;
+  options.seed = 83;
+  auto original = PlanningContext::Create(
+      graph_, probs_, campaign_, LogisticAdoptionModel(2.0, 1.0), options);
+  ASSERT_TRUE(original.ok());
+  const SampleSnapshot saved = (*original)->samples();
+  saved.holdout();
+  for (const uint64_t seed : {83, 84}) {
+    options.seed = seed;
+    bool resumed = false;
+    const int64_t before = MrrCollection::GeneratedSampleCount();
+    auto context = PlanningContext::Resume(graph_, probs_, campaign_,
+                                           LogisticAdoptionModel(2.0, 1.0),
+                                           options, saved, &resumed);
+    ASSERT_TRUE(context.ok());
+    (*context)->samples().holdout();
+    EXPECT_EQ(resumed, seed == 83);
+    EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before,
+              seed == 83 ? 0 : 2 * 300);
+  }
 }
 
 }  // namespace

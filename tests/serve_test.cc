@@ -1,7 +1,7 @@
 // oipa_serve end-to-end tests: real TCP sockets against a PlanServer
 // in-process. Covers the wire protocol (parse errors -> structured
 // responses, never aborts), context caching, request batching,
-// deadlines, graceful drain, and the SampleStore registry budget. Runs
+// deadlines, graceful drain, and the context cache's store budget. Runs
 // in the TSan CI leg — the concurrent-clients test is the data-race
 // probe for the whole serve subsystem.
 
@@ -298,6 +298,20 @@ TEST(ServeLauncherTest, RefusesFlagsOutsideTheirTypeOrDomain) {
   }
 }
 
+TEST(ServeLauncherTest, RefusesUnknownFlags) {
+  // A misspelled flag must not start a daemon with the default.
+  ServerOptions options;
+  const Status status = ParseServerFlags(
+      MakeFlags({"--port=0", "--max_context=4", "--wokers=3"}), &options);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("unknown flag --max_context"),
+            std::string::npos)
+      << status.message();
+  EXPECT_EQ(ParseServerFlags(MakeFlags({"--port=0", "--wokers=3"}), &options)
+                .message(),
+            "unknown flag --wokers");
+}
+
 // ---------------------------------------------------------- fixture
 
 /// Sends `lines` on one connection, then reads until `expected`
@@ -439,12 +453,8 @@ class ServeFixture : public ::testing::Test {
     // A test that failed midway must not leave a worker parked, or the
     // server's drain would wait forever.
     Gate().Open();
-    // Tests with a nonzero store budget must not leak retention into
-    // later suites sharing the process-wide registry; chaos tests must
-    // not leak armed faults or parked recovery snapshots either.
+    // Chaos tests must not leak armed faults into later tests.
     FaultInjector::Disable();
-    SampleStore::ClearRecoveredSnapshots();
-    SampleStore::SetRegistryBudget(0);
   }
 
   /// Occupies one worker: sends a request for the gate solver from a
@@ -813,7 +823,7 @@ TEST_F(ServeFixture, StoreBudgetRetainsAndEvictsAcrossContexts) {
   StartServer(options);
 
   // Context A, then context B. max_contexts=1 evicts A's context, but
-  // the 2 MiB budget retains A's (now unpinned) sample store.
+  // the 2 MiB budget keeps A's sample slot.
   const JsonValue a1 = Roundtrip(TinyRequest("a1", 1, "[2]"));
   ASSERT_TRUE(a1.Find("ok")->bool_value());
   const JsonValue b1 = Roundtrip(TinyRequest("b1", 2, "[2]"));
@@ -823,8 +833,8 @@ TEST_F(ServeFixture, StoreBudgetRetainsAndEvictsAcrossContexts) {
   EXPECT_EQ(registry->Find("pinned_stores")->int_value(), 1);
   EXPECT_EQ(registry->Find("evictions")->int_value(), 0);
 
-  // Re-requesting A rebuilds the context (cache_hit false) but finds
-  // A's retained store in the registry: zero new samples.
+  // Re-requesting A makes a new context (cache_hit false) on A's kept
+  // slot: zero new samples.
   const JsonValue a2 = Roundtrip(TinyRequest("a2", 1, "[2]"));
   ASSERT_TRUE(a2.Find("ok")->bool_value());
   EXPECT_FALSE(a2.Find("serve")->Find("cache_hit")->bool_value());
@@ -832,22 +842,30 @@ TEST_F(ServeFixture, StoreBudgetRetainsAndEvictsAcrossContexts) {
   EXPECT_EQ(a2.Find("results")->at(0).Find("utility")->double_value(),
             a1.Find("results")->at(0).Find("utility")->double_value());
 
-  // Acceptance (d): drop the budget below two stores — the LRU
-  // unpinned store (B's) is evicted; re-requesting B resamples.
+  // Acceptance (d): a daemon whose budget holds one store but not two.
+  // B's build leaves A's slot without a context and over the budget, so
+  // A's slot is evicted; re-requesting A resamples.
   const int64_t store_bytes = a2.Find("serve")
                                   ->Find("store")
                                   ->Find("memory_bytes")
                                   ->int_value();
-  SampleStore::SetRegistryBudget(store_bytes + store_bytes / 2);
+  server_.reset();
+  options.store_budget_bytes = store_bytes + store_bytes / 2;
+  StartServer(options);
+  ASSERT_TRUE(Roundtrip(TinyRequest("a3", 1, "[2]")).Find("ok")->bool_value());
   const JsonValue b2 = Roundtrip(TinyRequest("b2", 2, "[2]"));
   ASSERT_TRUE(b2.Find("ok")->bool_value());
   const JsonValue* registry2 = b2.Find("serve")->Find("store_registry");
-  EXPECT_GE(registry2->Find("evictions")->int_value(), 1);
-  EXPECT_GT(b2.Find("serve")->Find("samples_generated")->int_value(), 0);
-  EXPECT_LE(registry2->Find("live_stores")->int_value(), 2);
+  EXPECT_EQ(registry2->Find("evictions")->int_value(), 1);
+  EXPECT_EQ(registry2->Find("live_stores")->int_value(), 1);
+  EXPECT_EQ(registry2->Find("pinned_stores")->int_value(), 1);
+  const JsonValue a4 = Roundtrip(TinyRequest("a4", 1, "[2]"));
+  ASSERT_TRUE(a4.Find("ok")->bool_value());
+  EXPECT_FALSE(a4.Find("serve")->Find("cache_hit")->bool_value());
+  EXPECT_GT(a4.Find("serve")->Find("samples_generated")->int_value(), 0);
   // Evicted-and-resampled is still deterministic per the sampling seed.
-  EXPECT_EQ(b2.Find("results")->at(0).Find("utility")->double_value(),
-            b1.Find("results")->at(0).Find("utility")->double_value());
+  EXPECT_EQ(a4.Find("results")->at(0).Find("utility")->double_value(),
+            a1.Find("results")->at(0).Find("utility")->double_value());
 }
 
 TEST_F(ServeFixture, ConcurrentClientsWithMixedContexts) {
@@ -1037,6 +1055,75 @@ TEST_F(ServeFixture, HealthAnswersWhileAHoldoutIsStillSampling) {
             1'500);
 }
 
+TEST_F(ServeFixture, DaemonsInOneProcessSampleIndependently) {
+  // Each daemon's cache owns its sample stores: a second daemon in the
+  // same process samples the context the first one holds.
+  StartServer({});
+  const JsonValue first = Roundtrip(TinyRequest("p1", 1, "[3]"));
+  ASSERT_TRUE(first.Find("ok")->bool_value()) << first.Dump(-1);
+  EXPECT_EQ(first.Find("serve")->Find("samples_generated")->int_value(),
+            1'500);
+
+  ServerOptions options;
+  options.host = "127.0.0.1";
+  options.port = 0;
+  PlanServer other(options);
+  ASSERT_TRUE(other.Start().ok());
+  const StatusOr<std::string> response = RequestOverTcp(
+      "127.0.0.1", other.port(), TinyRequest("p2", 1, "[3]"));
+  other.Stop();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  const JsonValue second = Parse(*response);
+  ASSERT_TRUE(second.Find("ok")->bool_value()) << *response;
+  EXPECT_FALSE(second.Find("serve")->Find("cache_hit")->bool_value());
+  EXPECT_EQ(second.Find("serve")->Find("samples_generated")->int_value(),
+            1'500);
+  ExpectSameResults(*second.Find("results"), *first.Find("results"));
+}
+
+TEST_F(ServeFixture, ADaemonNeverResumesAnotherDaemonsCheckpoint) {
+  ServerOptions options;
+  options.checkpoint_dir = testing::TempDir() + "/serve_ckpt_foreign";
+  options.checkpoint_interval_ms = 60'000;  // rely on the Stop() pass
+  StartServer(options);
+  const JsonValue first = Roundtrip(TinyRequest("w1", 9, "[3]"));
+  ASSERT_TRUE(first.Find("ok")->bool_value()) << first.Dump(-1);
+  server_.reset();  // stops: the final checkpoint pass writes the store
+
+  // A daemon recovering from the directory parks the checkpoint in its
+  // own cache, so a daemon without a directory samples afresh.
+  StartServer(options);
+  ServerOptions plain_options;
+  plain_options.host = "127.0.0.1";
+  plain_options.port = 0;
+  PlanServer plain(plain_options);
+  ASSERT_TRUE(plain.Start().ok());
+  const StatusOr<std::string> response = RequestOverTcp(
+      "127.0.0.1", plain.port(), TinyRequest("w2", 9, "[3]"));
+  plain.Stop();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  const JsonValue fresh = Parse(*response);
+  ASSERT_TRUE(fresh.Find("ok")->bool_value()) << *response;
+  EXPECT_EQ(fresh.Find("serve")->Find("samples_generated")->int_value(),
+            1'500);
+  EXPECT_EQ(fresh.Find("serve")
+                ->Find("store_registry")
+                ->Find("recovered_stores")
+                ->int_value(),
+            0);
+
+  const JsonValue recovered = Roundtrip(TinyRequest("w3", 9, "[3]"));
+  ASSERT_TRUE(recovered.Find("ok")->bool_value()) << recovered.Dump(-1);
+  EXPECT_EQ(recovered.Find("serve")->Find("samples_generated")->int_value(),
+            0);
+  EXPECT_EQ(recovered.Find("serve")
+                ->Find("store_registry")
+                ->Find("recovered_stores")
+                ->int_value(),
+            1);
+  ExpectSameResults(*recovered.Find("results"), *fresh.Find("results"));
+}
+
 /// A request for the tiny synthetic dataset `seed` with a holdout, at
 /// promoter-pool fraction `pool_fraction`.
 WireRequest HoldoutRequest(int seed, double pool_fraction) {
@@ -1120,6 +1207,111 @@ TEST(ContextCacheTest, PoolsAreIndexedSeparatelyAndEnforced) {
   EXPECT_FALSE(searched);
   EXPECT_TRUE(SolveBatch(*(*a)->context, ToPlanRequest(narrow, (*a)->pool))
                   .ok());
+}
+
+/// A request for the tiny synthetic dataset `seed` without a holdout,
+/// at `theta` samples, under logistic alpha `alpha`.
+WireRequest SlotRequest(int seed, int64_t theta, double alpha = 2.0) {
+  const StatusOr<WireRequest> request = ParseWireRequest(
+      R"({"id":"s","dataset":{"n":250,"seed":)" + std::to_string(seed) +
+      R"(,"alpha":)" + std::to_string(alpha) +
+      R"(},"sampling":{"theta":)" + std::to_string(theta) +
+      R"(},"plan":{"method":"bab","budgets":[2]}})");
+  EXPECT_TRUE(request.ok()) << request.status().ToString();
+  return *request;
+}
+
+TEST(ContextCacheTest, ConcurrentMissesForOneSlotSampleOnce) {
+  // Four requests race for one sample slot, alpha variants included:
+  // one sampling pass, one store, and the twin request is a hit.
+  ContextCache cache(/*max_contexts=*/8);
+  const double alphas[] = {2.0, 2.0, 3.0, 4.0};
+  std::vector<std::shared_ptr<const ContextCache::Entry>> entries(4);
+  const int64_t before = MrrCollection::GeneratedSampleCount();
+  {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        bool hit = false;
+        auto acquired = cache.Acquire(SlotRequest(71, 1'500, alphas[t]), &hit);
+        ASSERT_TRUE(acquired.ok()) << acquired.status().ToString();
+        entries[t] = *std::move(acquired);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before, 1'500);
+  for (int t = 0; t < 4; ++t) {
+    ASSERT_NE(entries[t], nullptr);
+    EXPECT_EQ(&entries[t]->context->sample_store(),
+              &entries[0]->context->sample_store());
+    EXPECT_EQ(entries[t]->context->model().alpha(), alphas[t]);
+  }
+  const ContextCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.misses, 3);
+  EXPECT_EQ(stats.hits, 1);
+  EXPECT_EQ(stats.live_contexts, 3);
+  EXPECT_EQ(stats.live_stores, 1);
+}
+
+TEST(ContextCacheTest, SmallerThetaIsServedAsIsAndLargerGrowsTheDelta) {
+  ContextCache cache(/*max_contexts=*/4);
+  bool hit = false;
+  const auto big = cache.Acquire(SlotRequest(73, 900), &hit);
+  ASSERT_TRUE(big.ok());
+  int64_t before = MrrCollection::GeneratedSampleCount();
+  // A smaller request, under another alpha: the slot's 900 samples.
+  const auto small = cache.Acquire(SlotRequest(73, 300, 3.0), &hit);
+  ASSERT_TRUE(small.ok());
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(MrrCollection::GeneratedSampleCount(), before);
+  EXPECT_EQ((*small)->context->samples().mrr->theta(), 900);
+  // A larger one grows the shared store by the delta only.
+  before = MrrCollection::GeneratedSampleCount();
+  const auto bigger = cache.Acquire(SlotRequest(73, 1'200), &hit);
+  ASSERT_TRUE(bigger.ok());
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before, 1'200 - 900);
+  EXPECT_EQ((*small)->context->samples().mrr->theta(), 1'200);
+}
+
+TEST(ContextCacheTest, BudgetEvictsLruSlotsWithoutACachedContext) {
+  bool hit = false;
+  int64_t store_bytes = 0;
+  {
+    ContextCache probe(/*max_contexts=*/1);
+    ASSERT_TRUE(probe.Acquire(SlotRequest(81, 1'500), &hit).ok());
+    store_bytes = probe.GetStats().memory_bytes;
+  }
+  ASSERT_GT(store_bytes, 0);
+
+  // A slot with a cached context stays, however far over the budget.
+  ContextCache tiny(/*max_contexts=*/1, /*store_budget_bytes=*/1);
+  ASSERT_TRUE(tiny.Acquire(SlotRequest(81, 1'500), &hit).ok());
+  EXPECT_EQ(tiny.GetStats().live_stores, 1);
+  EXPECT_EQ(tiny.GetStats().pinned_stores, 1);
+  EXPECT_EQ(tiny.GetStats().store_evictions, 0);
+
+  // Room for two and a half stores: after A, B and C only C has a
+  // context, and A, the least recently used, is evicted.
+  ContextCache cache(/*max_contexts=*/1, store_bytes * 5 / 2);
+  for (const int seed : {81, 82, 83}) {
+    ASSERT_TRUE(cache.Acquire(SlotRequest(seed, 1'500), &hit).ok());
+  }
+  ContextCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.live_contexts, 1);
+  EXPECT_EQ(stats.live_stores, 2);
+  EXPECT_EQ(stats.pinned_stores, 1);
+  EXPECT_EQ(stats.store_evictions, 1);
+  EXPECT_EQ(stats.budget_bytes, store_bytes * 5 / 2);
+  // B's kept slot serves a new context without sampling; A resamples.
+  int64_t before = MrrCollection::GeneratedSampleCount();
+  ASSERT_TRUE(cache.Acquire(SlotRequest(82, 1'500, 3.0), &hit).ok());
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(MrrCollection::GeneratedSampleCount(), before);
+  before = MrrCollection::GeneratedSampleCount();
+  ASSERT_TRUE(cache.Acquire(SlotRequest(81, 1'500), &hit).ok());
+  EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before, 1'500);
 }
 
 TEST(ServeOptionsTest, StartRejectsInvalidOptions) {
