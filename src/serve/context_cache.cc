@@ -113,7 +113,9 @@ ContextCache::Acquire(const WireRequest& request, bool* cache_hit) {
       recovered_.erase(sample_key);
       ++recovered_stores_;
     }
-    InsertLocked(key, entry, std::move(slot), &dropped);
+    // A copy: once mu_ is released, another insert may evict the slot,
+    // and the local reference keeps its mutex alive until `build` ends.
+    InsertLocked(key, entry, slot, &dropped);
   }
 
   // Upward theta drift: an entry below the requested theta grows the

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cstring>
 #include <functional>
@@ -1312,6 +1313,39 @@ TEST(ContextCacheTest, BudgetEvictsLruSlotsWithoutACachedContext) {
   before = MrrCollection::GeneratedSampleCount();
   ASSERT_TRUE(cache.Acquire(SlotRequest(81, 1'500), &hit).ok());
   EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before, 1'500);
+}
+
+TEST(ContextCacheTest, RacingColdMissesAtOneContextAreSafe) {
+  // Distinct sample slots race through their builds at one context and
+  // no retention budget: each insert evicts the previous context and
+  // its slot, possibly while that slot's builder still holds the slot's
+  // mutex. The sanitizer legs catch a slot freed under its builder.
+  ContextCache cache(/*max_contexts=*/1);
+  constexpr int kThreads = 16;
+  constexpr int kRounds = 16;
+  // Each round starts together, so the builds finish together and
+  // their inserts contend.
+  std::barrier round(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cache, &round, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        round.arrive_and_wait();
+        bool hit = true;
+        const auto acquired =
+            cache.Acquire(SlotRequest(1'000 + t * kRounds + r, 200), &hit);
+        EXPECT_TRUE(acquired.ok()) << acquired.status().ToString();
+        EXPECT_FALSE(hit);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const ContextCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.misses, kThreads * kRounds);
+  EXPECT_EQ(stats.evictions, kThreads * kRounds - 1);
+  EXPECT_EQ(stats.live_contexts, 1);
+  EXPECT_EQ(stats.live_stores, 1);
+  EXPECT_EQ(stats.store_evictions, kThreads * kRounds - 1);
 }
 
 TEST(ServeOptionsTest, StartRejectsInvalidOptions) {
