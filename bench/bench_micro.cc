@@ -189,18 +189,27 @@ BENCHMARK(BM_FixedThetaRis)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-/// One dataset build: range(0) = 0 is lastfm, 1 is synthetic n = 10k
-/// (graph generation, topic probabilities and promoter pool).
+/// One dataset build (graph generation, topic probabilities and
+/// promoter pool) on range(1) workers: range(0) = 0 is lastfm, 1 is
+/// synthetic n = 10k, 2 is dblp at scale 0.01 (5k vertices).
 void BM_MakeDataset(benchmark::State& state) {
-  const bool synthetic = state.range(0) == 1;
-  state.SetLabel(synthetic ? "synthetic-10k" : "lastfm");
+  static constexpr const char* kLabels[] = {"lastfm", "synthetic-10k",
+                                            "dblp-0.01"};
+  const int64_t dataset = state.range(0);
+  const int threads = static_cast<int>(state.range(1));
+  state.SetLabel(kLabels[dataset]);
   for (auto _ : state) {
-    const Dataset ds = synthetic ? MakeSynthetic(10'000, 10, 0.1, 1)
-                                 : MakeLastFmLike(7);
+    const Dataset ds =
+        dataset == 0   ? MakeLastFmLike(7, threads)
+        : dataset == 1 ? MakeSynthetic(10'000, 10, 0.1, 1, threads)
+                       : MakeDblpLike(0.01, 11, threads);
     benchmark::DoNotOptimize(ds.graph->num_edges());
   }
 }
-BENCHMARK(BM_MakeDataset)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MakeDataset)
+    ->ArgsProduct({{0, 1, 2}, {1, 2}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 /// The l = 3 piece graphs of a synthetic n = 10k dataset on range(0)
 /// workers.

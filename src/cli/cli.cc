@@ -248,7 +248,8 @@ int RunPipeline(const CliConfig& c, std::ostream& out, std::ostream& err) {
   err << "[oipa_cli] building dataset '" << c.request.dataset.name
       << "'...\n";
   WallTimer timer;
-  p.dataset = serve::BuildDataset(c.request.dataset);
+  p.dataset =
+      serve::BuildDataset(c.request.dataset, c.request.sampling.threads);
   p.dataset_seconds = timer.Seconds();
   result.Set("dataset", DatasetJson(p));
   if (c.command == "generate") {

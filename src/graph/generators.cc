@@ -86,15 +86,13 @@ Graph GenerateHolmeKim(VertexId n, int m_per_node, double triad_p,
   OIPA_CHECK_LE(triad_p, 1.0);
   Rng rng(seed);
   GraphBuilder builder(n);
-  // At most m(m+1)/2 seed-clique links plus m per later vertex, each
-  // two directed edges and two pool endpoints.
-  const size_t max_links =
-      static_cast<size_t>(m_per_node) * (m_per_node + 1) / 2 +
-      static_cast<size_t>(n - m_per_node - 1) * m_per_node;
-  builder.ReserveEdges(2 * max_links);
+  // Each link is two directed edges and two pool endpoints.
+  const size_t max_edges =
+      static_cast<size_t>(HolmeKimMaxEdges(n, m_per_node));
+  builder.ReserveEdges(max_edges);
 
   std::vector<VertexId> endpoint_pool;
-  endpoint_pool.reserve(2 * max_links);
+  endpoint_pool.reserve(max_edges);
   std::vector<std::vector<VertexId>> adj(n);
   auto connect = [&](VertexId a, VertexId b) {
     builder.AddUndirectedEdge(a, b);
@@ -139,6 +137,11 @@ Graph GenerateHolmeKim(VertexId n, int m_per_node, double triad_p,
     }
   }
   return builder.Build();
+}
+
+EdgeId HolmeKimMaxEdges(VertexId n, int m_per_node) {
+  const EdgeId m = m_per_node;
+  return 2 * (m * (m + 1) / 2 + (static_cast<EdgeId>(n) - m - 1) * m);
 }
 
 Graph GenerateWattsStrogatz(VertexId n, int k_ring, double rewire_p,

@@ -28,6 +28,11 @@ Graph GenerateBarabasiAlbert(VertexId n, int m_per_node, uint64_t seed);
 Graph GenerateHolmeKim(VertexId n, int m_per_node, double triad_p,
                        uint64_t seed);
 
+/// Most directed edges GenerateHolmeKim(n, m_per_node, ...) can return:
+/// the seed clique's links plus m_per_node links per later vertex, each
+/// in both directions.
+EdgeId HolmeKimMaxEdges(VertexId n, int m_per_node);
+
 /// Watts–Strogatz small world: ring lattice with `k_ring` neighbors per
 /// side, each edge rewired with probability `rewire_p`. Undirected.
 Graph GenerateWattsStrogatz(VertexId n, int k_ring, double rewire_p,

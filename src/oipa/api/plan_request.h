@@ -129,6 +129,9 @@ struct PlanResponse {
   /// Solve-grow rounds performed: 1 for a plain solve; > 1 when
   /// PlanRequest::epsilon made the sample store grow.
   int sampling_rounds = 1;
+  /// Samples this solve's own growth of the store drew: in-sample plus
+  /// the holdout it scheduled. 0 for a plain solve.
+  int64_t samples_drawn = 0;
   /// Relative in-sample/holdout gap of the returned plan (0 when the
   /// context has no holdout). Progressive solving under kHoldoutGap
   /// drives this to PlanRequest::epsilon unless max_theta stops growth

@@ -173,8 +173,10 @@ class PlanningContext {
   /// pinned snapshots. The growth is visible to every WithModel
   /// sibling. FailedPrecondition when the collections
   /// lack sampling provenance, InvalidArgument for target_theta < 1.
-  Status GrowSamples(int64_t target_theta) const {
-    return store_->Grow(target_theta);
+  /// Adds the samples this call draws to `*drawn` when given
+  /// (SampleStore::Grow).
+  Status GrowSamples(int64_t target_theta, int64_t* drawn = nullptr) const {
+    return store_->Grow(target_theta, drawn);
   }
 
   /// In-sample MRR estimate of `plan` (what solvers maximize), on the

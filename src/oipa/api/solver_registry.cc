@@ -462,6 +462,7 @@ StatusOr<PlanResponse> SolveOneProgressive(const PlanningContext& context,
                                            int budget) {
   WallTimer total_timer;
   int rounds = 0;
+  int64_t drawn = 0;
   for (;;) {
     StoppingVerdict stopping;
     StatusOr<PlanResponse> response =
@@ -469,6 +470,7 @@ StatusOr<PlanResponse> SolveOneProgressive(const PlanningContext& context,
     if (!response.ok()) return response.status();
     ++rounds;
     response->sampling_rounds = rounds;
+    response->samples_drawn = drawn;
     if (response->cancelled) return response;
     if (stopping.satisfied) {
       response->seconds = total_timer.Seconds();
@@ -486,7 +488,7 @@ StatusOr<PlanResponse> SolveOneProgressive(const PlanningContext& context,
       response->seconds = total_timer.Seconds();
       return response;
     }
-    OIPA_RETURN_IF_ERROR(context.GrowSamples(target));
+    OIPA_RETURN_IF_ERROR(context.GrowSamples(target, &drawn));
   }
 }
 

@@ -187,7 +187,7 @@ SampleSnapshot SampleStore::snapshot() const {
   return *current;
 }
 
-Status SampleStore::Grow(int64_t target_theta) {
+Status SampleStore::Grow(int64_t target_theta, int64_t* drawn) {
   if (target_theta < 1 || target_theta > MrrCollection::kMaxSamples) {
     return Status::InvalidArgument(
         "Grow target must be in [1, " +
@@ -200,6 +200,7 @@ Status SampleStore::Grow(int64_t target_theta) {
   // below therefore stays current until the Publish.
   MutexLock grow_lock(&grow_mu_);
   SampleSnapshot next = snapshot();
+  const int64_t sampled_before = next.mrr->theta() + next.holdout_theta;
   const bool mrr_below = next.mrr->theta() < target_theta;
   const bool holdout_below =
       next.has_holdout() && next.holdout_theta < target_theta;
@@ -226,6 +227,9 @@ Status SampleStore::Grow(int64_t target_theta) {
   if (holdout_below) {
     next.holdout_task = SampleHoldout(std::move(holdout), target_theta);
     next.holdout_theta = target_theta;
+  }
+  if (drawn != nullptr) {
+    *drawn += next.mrr->theta() + next.holdout_theta - sampled_before;
   }
   Publish(std::move(next));
   return Status::Ok();

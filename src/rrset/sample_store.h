@@ -181,8 +181,9 @@ class SampleStore {
   /// No-op when already that large. Thread-safe: growers serialize,
   /// readers keep their pinned snapshots. FailedPrecondition when
   /// CanGrow() is false, InvalidArgument for target_theta outside
-  /// [1, MrrCollection::kMaxSamples].
-  Status Grow(int64_t target_theta);
+  /// [1, MrrCollection::kMaxSamples]. Adds the samples this call draws
+  /// (in-sample plus the holdout it schedules) to `*drawn` when given.
+  Status Grow(int64_t target_theta, int64_t* drawn = nullptr);
 
   /// In-sample generations still alive: the current one plus any
   /// retired generation pinned by an outstanding snapshot. With no

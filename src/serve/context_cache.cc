@@ -18,10 +18,11 @@ LogisticAdoptionModel RequestModel(const WireRequest& request) {
 /// Builds the full planning state of a new slot: dataset, campaign, and
 /// context (which runs the piece-graph build and the sampling pass, or
 /// resumes `checkpoint`), through the request builders oipa_cli shares.
+/// Adds the samples the build drew to `*drawn`.
 StatusOr<ContextCache::Entry> BuildEntry(const WireRequest& request,
                                          const SampleSnapshot& checkpoint,
-                                         bool* resumed) {
-  Dataset dataset = BuildDataset(request.dataset);
+                                         bool* resumed, int64_t* drawn) {
+  Dataset dataset = BuildDataset(request.dataset, request.sampling.threads);
   auto campaign = std::make_shared<const Campaign>(
       BuildCampaign(request.dataset, dataset.num_topics));
   ContextOptions options = ToContextOptions(request);
@@ -33,6 +34,11 @@ StatusOr<ContextCache::Entry> BuildEntry(const WireRequest& request,
                               RequestModel(request), options, checkpoint,
                               resumed);
   if (!context.ok()) return context.status();
+  // The new store is this build's alone until it is cached: what it
+  // holds past the resumed checkpoint, this build drew.
+  const SampleSnapshot built = (*context)->samples();
+  *drawn += built.mrr->theta() + built.holdout_theta;
+  if (*resumed) *drawn -= checkpoint.mrr->theta() + checkpoint.holdout_theta;
 
   ContextCache::Entry entry;
   entry.context = std::move(*context);
@@ -54,8 +60,10 @@ ContextCache::ContextCache(int max_contexts, int64_t store_budget_bytes)
       store_budget_bytes_(store_budget_bytes < 0 ? 0 : store_budget_bytes) {}
 
 StatusOr<std::shared_ptr<const ContextCache::Entry>>
-ContextCache::Acquire(const WireRequest& request, bool* cache_hit) {
+ContextCache::Acquire(const WireRequest& request, bool* cache_hit,
+                      int64_t* samples_drawn) {
   *cache_hit = false;
+  int64_t drawn = 0;
   const std::string key = ContextKey(request);
   const std::string sample_key = SampleKey(request);
   // Destroyed after every lock below is released: an evicted context's
@@ -99,7 +107,8 @@ ContextCache::Acquire(const WireRequest& request, bool* cache_hit) {
       if (parked != recovered_.end()) checkpoint = parked->second;
     }
     bool resumed = false;
-    StatusOr<Entry> built = BuildEntry(request, checkpoint, &resumed);
+    StatusOr<Entry> built =
+        BuildEntry(request, checkpoint, &resumed, &drawn);
     MutexLock lock(&mu_);
     if (!built.ok()) {
       // Not cached: an empty slot is never evicted, so it is still
@@ -123,8 +132,9 @@ ContextCache::Acquire(const WireRequest& request, bool* cache_hit) {
   // lock — SampleStore::Grow serializes growers itself.
   if (entry->context->samples().mrr->theta() < request.sampling.theta) {
     OIPA_RETURN_IF_ERROR(
-        entry->context->GrowSamples(request.sampling.theta));
+        entry->context->GrowSamples(request.sampling.theta, &drawn));
   }
+  if (samples_drawn != nullptr) *samples_drawn += drawn;
   return entry;
 }
 

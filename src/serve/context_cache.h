@@ -89,10 +89,13 @@ class ContextCache {
   /// Returns the cached entry for the request's ContextKey(), building
   /// it on a miss. `*cache_hit` reports which happened. An entry whose
   /// store is below the requested theta is grown to it before returning.
-  /// Errors (dataset or context construction, growth) are not cached —
-  /// the next request retries.
+  /// Adds the samples this call drew (its build and its growth,
+  /// in-sample plus the holdout they schedule) to `*samples_drawn` when
+  /// given. Errors (dataset or context construction, growth) are not
+  /// cached — the next request retries.
   StatusOr<std::shared_ptr<const Entry>> Acquire(
-      const WireRequest& request, bool* cache_hit);
+      const WireRequest& request, bool* cache_hit,
+      int64_t* samples_drawn = nullptr);
 
   /// Parks `checkpoint` for the slot `sample_key`, replacing any parked
   /// one; the slot's next build resumes it when the provenance matches,

@@ -18,7 +18,6 @@
 #include <utility>
 
 #include "oipa/api/solver_registry.h"
-#include "rrset/mrr_collection.h"
 #include "rrset/mrr_io.h"
 #include "rrset/sample_store.h"
 #include "serve/json_parser.h"
@@ -416,8 +415,6 @@ void PlanServer::FailGroup(const std::vector<Work>& group,
 
 void PlanServer::HandleGroup(std::vector<Work> group,
                              size_t queue_depth) {
-  const int64_t samples_before = MrrCollection::GeneratedSampleCount();
-
   // The whole group shares one ContextKey(); acquire with the largest
   // theta seen so every member's samples are covered by one store.
   WireRequest spec = group.front().request;
@@ -433,9 +430,12 @@ void PlanServer::HandleGroup(std::vector<Work> group,
     FailGroup(group, solver.status());
     return;
   }
+  // Only what this group's own context build and growth draw: other
+  // workers may sample at the same time.
   bool cache_hit = false;
+  int64_t samples_generated = 0;
   StatusOr<std::shared_ptr<const ContextCache::Entry>> acquired =
-      cache_.Acquire(spec, &cache_hit);
+      cache_.Acquire(spec, &cache_hit, &samples_generated);
   if (!acquired.ok()) {
     FailGroup(group, acquired.status());
     return;
@@ -474,12 +474,10 @@ void PlanServer::HandleGroup(std::vector<Work> group,
     FailGroup(group, responses.status());
     return;
   }
-  const int64_t samples_generated =
-      MrrCollection::GeneratedSampleCount() - samples_before;
-
   std::map<int, const PlanResponse*> by_budget;
   for (const PlanResponse& response : *responses) {
     by_budget[response.budget] = &response;
+    samples_generated += response.samples_drawn;
   }
   // Render every response first, then drop this worker's context
   // reference BEFORE writing: once a client has read its answer, this

@@ -347,11 +347,12 @@ std::string MergeKey(const WireRequest& request) {
   return key;
 }
 
-Dataset BuildDataset(const DatasetSpec& spec) {
+Dataset BuildDataset(const DatasetSpec& spec, int num_threads) {
   return spec.name == "synthetic"
              ? MakeSynthetic(static_cast<VertexId>(spec.n), spec.num_topics,
-                             spec.pool_fraction, spec.seed)
-             : MakeDatasetByName(spec.name, spec.scale, spec.seed);
+                             spec.pool_fraction, spec.seed, num_threads)
+             : MakeDatasetByName(spec.name, spec.scale, spec.seed,
+                                 num_threads);
 }
 
 Campaign BuildCampaign(const DatasetSpec& spec, int num_topics) {

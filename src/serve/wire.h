@@ -171,8 +171,9 @@ std::string MergeKey(const WireRequest& request);
 // them with the three functions below, whose arguments must have passed
 // ParseWireRequest.
 
-/// The dataset `spec` names.
-Dataset BuildDataset(const DatasetSpec& spec);
+/// The dataset `spec` names, built on `num_threads` workers (the
+/// request's sampling.threads): bit-identical at any count.
+Dataset BuildDataset(const DatasetSpec& spec, int num_threads);
 
 /// The request's campaign: `spec.ell` uniform pieces over the dataset's
 /// `num_topics`, drawn from spec.seed + 4.

@@ -1,6 +1,7 @@
 #include "topic/edge_topic_probs.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -13,6 +14,19 @@ EdgeTopicProbs::EdgeTopicProbs(EdgeId num_edges, int num_topics)
   offsets_.assign(num_edges + 1, 0);
 }
 
+EdgeTopicProbs::EdgeTopicProbs(int num_topics, std::vector<int64_t> offsets,
+                               std::vector<TopicProb> entries)
+    : num_topics_(num_topics),
+      offsets_(std::move(offsets)),
+      entries_(std::move(entries)) {
+  OIPA_CHECK_GT(num_topics, 0);
+  OIPA_CHECK(!offsets_.empty() && offsets_.front() == 0);
+  OIPA_CHECK(std::is_sorted(offsets_.begin(), offsets_.end()));
+  OIPA_CHECK_EQ(offsets_.back(), static_cast<int64_t>(entries_.size()));
+  for (EdgeId e = 0; e < num_edges(); ++e) CheckEdgeEntries(EdgeEntries(e));
+  next_edge_ = num_edges();
+}
+
 void EdgeTopicProbs::SetEdge(EdgeId e, std::span<const TopicProb> entries) {
   OIPA_CHECK_EQ(e, next_edge_) << "SetEdge must be called in EdgeId order";
   OIPA_CHECK_LT(e, num_edges());
@@ -22,15 +36,20 @@ void EdgeTopicProbs::SetEdge(EdgeId e, std::span<const TopicProb> entries) {
             [](const TopicProb& a, const TopicProb& b) {
               return a.topic < b.topic;
             });
-  for (auto it = first; it != entries_.end(); ++it) {
-    OIPA_CHECK_GE(it->topic, 0);
-    OIPA_CHECK_LT(it->topic, num_topics_);
-    OIPA_CHECK_GE(it->prob, 0.0f);
-    OIPA_CHECK_LE(it->prob, 1.0f);
-    if (it != first) OIPA_CHECK_NE(it->topic, (it - 1)->topic);
-  }
+  CheckEdgeEntries(std::span<const TopicProb>(entries_).last(entries.size()));
   offsets_[e + 1] = static_cast<int64_t>(entries_.size());
   ++next_edge_;
+}
+
+void EdgeTopicProbs::CheckEdgeEntries(
+    std::span<const TopicProb> entries) const {
+  for (size_t i = 0; i < entries.size(); ++i) {
+    OIPA_CHECK_GE(entries[i].topic, 0);
+    OIPA_CHECK_LT(entries[i].topic, num_topics_);
+    OIPA_CHECK_GE(entries[i].prob, 0.0f);
+    OIPA_CHECK_LE(entries[i].prob, 1.0f);
+    if (i > 0) OIPA_CHECK_LT(entries[i - 1].topic, entries[i].topic);
+  }
 }
 
 double EdgeTopicProbs::AverageNonZeros() const {

@@ -25,6 +25,14 @@ class EdgeTopicProbs {
  public:
   EdgeTopicProbs(EdgeId num_edges, int num_topics);
 
+  /// Takes a whole CSR layout at once: edge e's entries are
+  /// entries[offsets[e], offsets[e + 1]), sorted by topic. `offsets`
+  /// starts at 0, never decreases and ends at entries.size(); every
+  /// entry passes SetEdge's checks (valid topic, distinct within its
+  /// edge, probability in [0, 1]).
+  EdgeTopicProbs(int num_topics, std::vector<int64_t> offsets,
+                 std::vector<TopicProb> entries);
+
   /// Builder-style population: call once per edge in increasing EdgeId
   /// order; entries must have valid, distinct topic ids and probs in
   /// [0, 1]. They are appended and sorted by topic in place, so callers
@@ -67,6 +75,9 @@ class EdgeTopicProbs {
   double MeanProb(EdgeId e) const;
 
  private:
+  /// SetEdge's per-entry checks on one edge's topic-sorted entries.
+  void CheckEdgeEntries(std::span<const TopicProb> entries) const;
+
   int num_topics_;
   std::vector<int64_t> offsets_;
   std::vector<TopicProb> entries_;

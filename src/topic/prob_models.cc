@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
+#include <utility>
 
 #include "util/logging.h"
 #include "util/random.h"
+#include "util/threading.h"
 
 namespace oipa {
 
@@ -41,39 +44,105 @@ void SampleTopics(int num_topics, int count, Rng* rng,
   }
 }
 
+bool ByTopic(const TopicProb& a, const TopicProb& b) {
+  return a.topic < b.topic;
+}
+
+/// The weighted-cascade mass of edge e: 1 / in-degree of its target.
+double WeightedCascadeBase(const Graph& graph, EdgeId e) {
+  const int64_t indeg = graph.InDegree(graph.edge(e).dst);
+  return indeg > 0 ? 1.0 / static_cast<double>(indeg) : 0.0;
+}
+
+/// One topic drawn for an edge, with its Dirichlet weight and jitter.
+struct TopicDraw {
+  int topic;
+  double weight;
+  double jitter;
+};
+
+/// Writes one edge's weighted-cascade entries from its draws to
+/// out[0, draws.size()), sorted by topic.
+void WriteWeightedCascadeEdge(double base, std::span<const TopicDraw> draws,
+                              TopicProb* out) {
+  const int count = static_cast<int>(draws.size());
+  for (int i = 0; i < count; ++i) {
+    const double p =
+        std::clamp(base * draws[i].weight * count * draws[i].jitter, 0.0, 1.0);
+    out[i] = {draws[i].topic, static_cast<float>(p)};
+  }
+  std::sort(out, out + count, ByTopic);
+}
+
 }  // namespace
 
 EdgeTopicProbs AssignWeightedCascadeTopics(const Graph& graph,
                                            int num_topics,
                                            double avg_nonzeros,
                                            uint64_t seed) {
+  return AssignWeightedCascadeTopics([&graph](EdgeId) { return &graph; },
+                                     num_topics, avg_nonzeros, seed,
+                                     /*num_threads=*/1);
+}
+
+EdgeTopicProbs AssignWeightedCascadeTopics(const GraphPoll& graph,
+                                           int num_topics,
+                                           double avg_nonzeros,
+                                           uint64_t seed, int num_threads) {
   Rng rng(seed);
-  EdgeTopicProbs probs(graph.num_edges(), num_topics);
-  probs.Reserve(graph.num_edges() *
-                MaxNonZeroCount(avg_nonzeros, num_topics));
   // Per-edge scratch, reused: it grows to the largest topic count.
   std::vector<int> topics;
   std::vector<double> weights;
-  std::vector<TopicProb> entries;
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    const int64_t indeg = graph.InDegree(graph.edge(e).dst);
-    const double base = indeg > 0 ? 1.0 / static_cast<double>(indeg) : 0.0;
+  std::vector<TopicDraw> draws;
+  const auto draw_edge = [&] {
     const int count = SampleNonZeroCount(avg_nonzeros, num_topics, &rng);
     SampleTopics(num_topics, count, &rng, &topics);
     weights.resize(count);
     rng.NextDirichlet(1.0, weights);
-    entries.clear();
+    draws.clear();
     for (int i = 0; i < count; ++i) {
       // The jitter keeps per-topic probabilities heterogeneous even for
       // edges with equal in-degree.
-      const double jitter = 0.5 + rng.NextDouble();
-      const double p =
-          std::clamp(base * weights[i] * count * jitter, 0.0, 1.0);
-      entries.push_back({topics[i], static_cast<float>(p)});
+      draws.push_back({topics[i], weights[i], 0.5 + rng.NextDouble()});
     }
-    probs.SetEdge(e, entries);
+    return count;
+  };
+
+  // Edge e's entries are entries[offsets[e], offsets[e + 1]); the
+  // draws of an edge reached before the graph sit at the same
+  // positions of `staged`.
+  std::vector<int64_t> offsets = {0};
+  std::vector<TopicDraw> staged;
+  const Graph* g = nullptr;
+  for (EdgeId e = 0; (g = graph(e)) == nullptr; ++e) {
+    const int count = draw_edge();
+    staged.insert(staged.end(), draws.begin(), draws.end());
+    offsets.push_back(offsets.back() + count);
   }
-  return probs;
+  const EdgeId num_edges = g->num_edges();
+  const EdgeId num_staged =
+      std::min(static_cast<EdgeId>(offsets.size()) - 1, num_edges);
+  offsets.resize(num_edges + 1);
+  std::vector<TopicProb> entries;
+  entries.reserve(num_edges * MaxNonZeroCount(avg_nonzeros, num_topics));
+  entries.resize(offsets[num_staged]);
+  for (EdgeId e = num_staged; e < num_edges; ++e) {
+    const int count = draw_edge();
+    entries.resize(entries.size() + count);
+    WriteWeightedCascadeEdge(WeightedCascadeBase(*g, e), draws,
+                             entries.data() + entries.size() - count);
+    offsets[e + 1] = static_cast<int64_t>(entries.size());
+  }
+  ParallelFor(num_staged, num_threads, [&](int, int64_t begin, int64_t end) {
+    for (EdgeId e = begin; e < end; ++e) {
+      WriteWeightedCascadeEdge(
+          WeightedCascadeBase(*g, e),
+          std::span<const TopicDraw>(staged).subspan(
+              offsets[e], offsets[e + 1] - offsets[e]),
+          entries.data() + offsets[e]);
+    }
+  });
+  return EdgeTopicProbs(num_topics, std::move(offsets), std::move(entries));
 }
 
 EdgeTopicProbs AssignTrivalencyTopics(const Graph& graph, int num_topics,
@@ -99,7 +168,7 @@ EdgeTopicProbs AssignTrivalencyTopics(const Graph& graph, int num_topics,
 
 EdgeTopicProbs AssignAffinityTopics(
     const Graph& graph, const std::vector<TopicVector>& node_topics,
-    int top_k, double scale, double min_rel) {
+    int top_k, double scale, double min_rel, int num_threads) {
   OIPA_CHECK_EQ(static_cast<VertexId>(node_topics.size()),
                 graph.num_vertices());
   OIPA_CHECK_GE(top_k, 1);
@@ -108,46 +177,69 @@ EdgeTopicProbs AssignAffinityTopics(
   OIPA_CHECK_LE(min_rel, 1.0);
   const int num_topics =
       node_topics.empty() ? 1 : node_topics[0].num_topics();
-  EdgeTopicProbs probs(graph.num_edges(), num_topics);
-  probs.Reserve(graph.num_edges() * std::min(top_k, num_topics));
-  std::vector<std::pair<double, int>> affinity;
-  std::vector<TopicProb> entries;
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    const Edge& edge = graph.edge(e);
-    const TopicVector& tu = node_topics[edge.src];
-    const TopicVector& tv = node_topics[edge.dst];
-    affinity.clear();
-    for (int z = 0; z < num_topics; ++z) {
-      // Arithmetic mean: an edge carries a topic if either endpoint
-      // cares about it (a pure geometric mean would leave edges between
-      // users with disjoint interests topicless and thus unusable).
-      const double a = 0.5 * (tu[z] + tv[z]);
-      if (a > 0.0) affinity.emplace_back(a, z);
-    }
-    std::sort(affinity.begin(), affinity.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
-    if (static_cast<int>(affinity.size()) > top_k) affinity.resize(top_k);
-    while (affinity.size() > 1 &&
-           affinity.back().first < min_rel * affinity.front().first) {
-      affinity.pop_back();
-    }
+  const EdgeId num_edges = graph.num_edges();
+  // Each worker appends its edge range's entries to a part of its own,
+  // with offsets counted from the part's start; the parts are then
+  // joined in edge order.
+  const int workers = ResolveThreadCount(num_threads);
+  std::vector<int64_t> offsets(num_edges + 1, 0);
+  std::vector<std::vector<TopicProb>> parts(workers);
+  std::vector<EdgeId> part_end(workers, 0);
+  ParallelFor(num_edges, workers, [&](int part, int64_t begin,
+                                      int64_t end) {
+    std::vector<TopicProb>& entries = parts[part];
+    entries.reserve((end - begin) * std::min(top_k, num_topics));
+    std::vector<std::pair<double, int>> affinity;
+    for (EdgeId e = begin; e < end; ++e) {
+      const Edge& edge = graph.edge(e);
+      const TopicVector& tu = node_topics[edge.src];
+      const TopicVector& tv = node_topics[edge.dst];
+      affinity.clear();
+      for (int z = 0; z < num_topics; ++z) {
+        // Arithmetic mean: an edge carries a topic if either endpoint
+        // cares about it (a pure geometric mean would leave edges
+        // between users with disjoint interests topicless and thus
+        // unusable).
+        const double a = 0.5 * (tu[z] + tv[z]);
+        if (a > 0.0) affinity.emplace_back(a, z);
+      }
+      std::sort(affinity.begin(), affinity.end(),
+                [](const auto& a, const auto& b) {
+                  return a.first > b.first;
+                });
+      if (static_cast<int>(affinity.size()) > top_k) affinity.resize(top_k);
+      while (affinity.size() > 1 &&
+             affinity.back().first < min_rel * affinity.front().first) {
+        affinity.pop_back();
+      }
 
-    double total = 0.0;
-    for (const auto& [a, z] : affinity) total += a;
-    const int64_t indeg = graph.InDegree(edge.dst);
-    const double mass =
-        indeg > 0 ? scale / static_cast<double>(indeg) : scale;
-    entries.clear();
-    for (const auto& [a, z] : affinity) {
-      const double p =
-          total > 0.0 ? std::clamp(mass * a / total * affinity.size(), 0.0,
-                                   1.0)
-                      : 0.0;
-      entries.push_back({z, static_cast<float>(p)});
+      double total = 0.0;
+      for (const auto& [a, z] : affinity) total += a;
+      const int64_t indeg = graph.InDegree(edge.dst);
+      const double mass =
+          indeg > 0 ? scale / static_cast<double>(indeg) : scale;
+      const size_t first = entries.size();
+      for (const auto& [a, z] : affinity) {
+        const double p =
+            total > 0.0 ? std::clamp(mass * a / total * affinity.size(),
+                                     0.0, 1.0)
+                        : 0.0;
+        entries.push_back({z, static_cast<float>(p)});
+      }
+      std::sort(entries.begin() + first, entries.end(), ByTopic);
+      offsets[e + 1] = static_cast<int64_t>(entries.size());
     }
-    probs.SetEdge(e, entries);
+    part_end[part] = end;
+  });
+  std::vector<TopicProb> entries = std::move(parts[0]);
+  for (size_t part = 1; part < parts.size() && part_end[part] > 0; ++part) {
+    const int64_t shift = static_cast<int64_t>(entries.size());
+    for (EdgeId e = part_end[part - 1]; e < part_end[part]; ++e) {
+      offsets[e + 1] += shift;
+    }
+    entries.insert(entries.end(), parts[part].begin(), parts[part].end());
   }
-  return probs;
+  return EdgeTopicProbs(num_topics, std::move(offsets), std::move(entries));
 }
 
 std::vector<TopicVector> SampleNodeTopicProfiles(VertexId n, int num_topics,

@@ -1,7 +1,9 @@
 #ifndef OIPA_TOPIC_PROB_MODELS_H_
 #define OIPA_TOPIC_PROB_MODELS_H_
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "graph/graph.h"
@@ -25,6 +27,56 @@ EdgeTopicProbs AssignWeightedCascadeTopics(const Graph& graph,
                                            double avg_nonzeros,
                                            uint64_t seed);
 
+/// How a topic stream finds a graph that another task is still
+/// building: asked before edge `next_edge` is drawn, it returns the
+/// graph once it exists and null before. By the time `next_edge`
+/// reaches the most edges the graph can have, it must return the graph,
+/// waiting for it if need be.
+using GraphPoll = std::function<const Graph*(EdgeId next_edge)>;
+
+/// Hands a graph from the task that generates it to a topic stream
+/// drawing beside it: Poll is the stream's GraphPoll. It answers at once
+/// until the stream has drawn `max_edges` edges, the most the graph can
+/// have, and then waits for Publish. Lock-free: one atomic pointer.
+class GraphHandoff {
+ public:
+  explicit GraphHandoff(EdgeId max_edges) : max_edges_(max_edges) {}
+  GraphHandoff(const GraphHandoff&) = delete;
+  GraphHandoff& operator=(const GraphHandoff&) = delete;
+
+  /// Makes `graph` visible to Poll; call once. `graph` must outlive
+  /// every Poll.
+  void Publish(const Graph* graph) {
+    graph_.store(graph, std::memory_order_release);
+    graph_.notify_all();
+  }
+
+  const Graph* Poll(EdgeId next_edge) const {
+    if (next_edge >= max_edges_) {
+      graph_.wait(nullptr, std::memory_order_acquire);
+    }
+    return graph_.load(std::memory_order_acquire);
+  }
+
+ private:
+  const EdgeId max_edges_;
+  std::atomic<const Graph*> graph_{nullptr};
+};
+
+/// The same probabilities, drawn while the graph is still being built.
+/// The stream draws every edge's topic count, topics, Dirichlet weights
+/// and jitters from one `seed` stream in edge order, as above. It keeps
+/// the draws of the edges it reaches before `graph` returns the graph,
+/// writes every later edge's entries at once, and then finishes the
+/// kept edges on `num_threads` workers (ResolveThreadCount). Draws past
+/// the graph's edge count are dropped. The result is bit-identical to
+/// the overload above, wherever the graph arrives and at any worker
+/// count.
+EdgeTopicProbs AssignWeightedCascadeTopics(const GraphPoll& graph,
+                                           int num_topics,
+                                           double avg_nonzeros,
+                                           uint64_t seed, int num_threads);
+
 /// Trivalency flavored: each selected (edge, topic) pair draws its
 /// probability uniformly from {0.1, 0.01, 0.001}.
 EdgeTopicProbs AssignTrivalencyTopics(const Graph& graph, int num_topics,
@@ -38,10 +90,12 @@ EdgeTopicProbs AssignTrivalencyTopics(const Graph& graph, int num_topics,
 /// `scale`/in-degree(v). This mirrors how the paper derives dblp
 /// probabilities from conference fields and tweet probabilities from
 /// LDA; raising `min_rel` thins secondary topics (the paper's tweet
-/// table averages ~1.5 non-zero probabilities per edge).
+/// table averages ~1.5 non-zero probabilities per edge). It draws
+/// nothing, so `num_threads` workers (ResolveThreadCount) each fill one
+/// edge range, with the same result at any worker count.
 EdgeTopicProbs AssignAffinityTopics(
     const Graph& graph, const std::vector<TopicVector>& node_topics,
-    int top_k, double scale, double min_rel = 0.0);
+    int top_k, double scale, double min_rel = 0.0, int num_threads = 1);
 
 /// Per-node topic profiles drawn from a sparse Dirichlet: every node gets
 /// Dirichlet(alpha) over `num_topics` truncated to its `keep` largest

@@ -99,17 +99,26 @@ uint64_t DatasetHash(const Dataset& ds) {
 
 /// Hashes of the datasets as built before the linear graph assembly and
 /// the allocation-free topic models: any change to a generator's draw
-/// stream, the edge order, or an entry's bits moves them.
+/// stream, the edge order, or an entry's bits moves them. Every worker
+/// count builds the same bits.
 TEST(DatasetTest, BuildsMatchThePinnedHashes) {
-  EXPECT_EQ(DatasetHash(MakeLastFmLike(1)), 17316850983909218046ull);
-  EXPECT_EQ(DatasetHash(MakeLastFmLike(2)), 10974890596837018878ull);
-  EXPECT_EQ(DatasetHash(MakeLastFmLike(99)), 15462318040020937245ull);
-  EXPECT_EQ(DatasetHash(MakeSynthetic(10'000, 10, 0.1, 1)),
-            6222182370504032631ull);
-  EXPECT_EQ(DatasetHash(MakeSynthetic(20'000, 10, 0.1, 1000)),
-            7646643224224133755ull);
-  EXPECT_EQ(DatasetHash(MakeDblpLike(0.01, 11)), 11326695040064876059ull);
-  EXPECT_EQ(DatasetHash(MakeTweetLike(0.001, 13)), 4292899155303823257ull);
+  for (const int workers : {1, 2, 3, 8}) {
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    EXPECT_EQ(DatasetHash(MakeLastFmLike(1, workers)),
+              17316850983909218046ull);
+    EXPECT_EQ(DatasetHash(MakeLastFmLike(2, workers)),
+              10974890596837018878ull);
+    EXPECT_EQ(DatasetHash(MakeLastFmLike(99, workers)),
+              15462318040020937245ull);
+    EXPECT_EQ(DatasetHash(MakeSynthetic(10'000, 10, 0.1, 1, workers)),
+              6222182370504032631ull);
+    EXPECT_EQ(DatasetHash(MakeSynthetic(20'000, 10, 0.1, 1000, workers)),
+              7646643224224133755ull);
+    EXPECT_EQ(DatasetHash(MakeDblpLike(0.01, 11, workers)),
+              11326695040064876059ull);
+    EXPECT_EQ(DatasetHash(MakeTweetLike(0.001, 13, workers)),
+              4292899155303823257ull);
+  }
 }
 
 TEST(SerializationTest, RoundtripPreservesEverything) {

@@ -1056,6 +1056,36 @@ TEST_F(ServeFixture, HealthAnswersWhileAHoldoutIsStillSampling) {
             1'500);
 }
 
+TEST_F(ServeFixture, SamplesGeneratedCountsOnlyTheRequestsOwnSamples) {
+  // Request A's holdout is held back, so A is still solving while
+  // request B, for another dataset, samples on the other worker and
+  // answers. A reports its own in-sample and holdout samples, not B's.
+  ServerOptions options;
+  options.workers = 2;
+  StartServer(options);
+  const std::string a =
+      R"({"id":"a","dataset":{"n":250,"seed":43},)"
+      R"("sampling":{"theta":1500,"holdout_theta":1500},)"
+      R"("plan":{"method":"bab","budgets":[3]}})";
+  auto hold = std::make_unique<HoldBackgroundTasks>();
+  std::vector<std::string> a_responses;
+  std::thread client([&] {
+    a_responses = SendLinesAndCollect(server_->port(), {a}, 1);
+  });
+  EXPECT_TRUE(
+      Eventually([&] { return HealthContextCacheField("misses") == 1; }));
+  const JsonValue b = Roundtrip(TinyRequest("b", 44, "[3]", "", 2'000));
+  ASSERT_TRUE(b.Find("ok")->bool_value()) << b.Dump(-1);
+  EXPECT_EQ(b.Find("serve")->Find("samples_generated")->int_value(), 2'000);
+  hold.reset();
+  client.join();
+  ASSERT_EQ(a_responses.size(), 1u);
+  const JsonValue ra = Parse(a_responses[0]);
+  ASSERT_TRUE(ra.Find("ok")->bool_value()) << a_responses[0];
+  EXPECT_EQ(ra.Find("serve")->Find("samples_generated")->int_value(),
+            1'500 + 1'500);
+}
+
 TEST_F(ServeFixture, DaemonsInOneProcessSampleIndependently) {
   // Each daemon's cache owns its sample stores: a second daemon in the
   // same process samples the context the first one holds.

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <thread>
+#include <vector>
 
 #include "data/datasets.h"
 #include "graph/generators.h"
@@ -123,6 +128,40 @@ TEST(EdgeTopicProbsTest, PieceProbClampedToOne) {
   EXPECT_DOUBLE_EQ(probs.PieceProb(0, piece), 1.0);
 }
 
+TEST(EdgeTopicProbsTest, CsrPartsMatchEdgeByEdgeBuilds) {
+  EdgeTopicProbs built(3, 4);
+  built.SetEdge(0, std::vector<TopicProb>{{3, 0.1f}, {1, 0.2f}});
+  built.SetEdge(1, {});
+  built.SetEdge(2, std::vector<TopicProb>{{0, 1.0f}});
+  const EdgeTopicProbs parts(
+      4, {0, 2, 2, 3}, {{1, 0.2f}, {3, 0.1f}, {0, 1.0f}});
+  ASSERT_EQ(parts.num_edges(), built.num_edges());
+  ASSERT_EQ(parts.num_entries(), built.num_entries());
+  for (EdgeId e = 0; e < built.num_edges(); ++e) {
+    const auto a = built.EdgeEntries(e);
+    const auto b = parts.EdgeEntries(e);
+    ASSERT_EQ(a.size(), b.size()) << e;
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].topic, b[i].topic) << e;
+      EXPECT_EQ(a[i].prob, b[i].prob) << e;
+    }
+  }
+}
+
+TEST(EdgeTopicProbsDeathTest, CsrPartsAreCheckedLikeSetEdge) {
+  const auto build = [](std::vector<int64_t> offsets,
+                        std::vector<TopicProb> entries) {
+    EdgeTopicProbs probs(4, std::move(offsets), std::move(entries));
+  };
+  EXPECT_DEATH(build({0, 2}, {{3, 0.1f}, {1, 0.2f}}), "topic");  // unsorted
+  EXPECT_DEATH(build({0, 2}, {{1, 0.1f}, {1, 0.2f}}), "topic");  // repeated
+  EXPECT_DEATH(build({0, 1}, {{4, 0.1f}}), "num_topics");
+  EXPECT_DEATH(build({0, 1}, {{0, 1.5f}}), "prob");
+  EXPECT_DEATH(build({0, 2, 1}, {{0, 0.1f}}), "is_sorted");
+  EXPECT_DEATH(build({0, 1}, {{0, 0.1f}, {1, 0.1f}}), "size");
+  EXPECT_DEATH(build({1, 1}, {{0, 0.1f}}), "front");
+}
+
 // ---------------------------------------------------------- Campaign
 
 TEST(CampaignTest, UniformPiecesAreOneHot) {
@@ -228,6 +267,85 @@ TEST(ProbModelsTest, WeightedCascadeAverageNonZeros) {
       AssignWeightedCascadeTopics(g, 10, 2.5, 17);
   EXPECT_EQ(probs.num_edges(), g.num_edges());
   EXPECT_NEAR(probs.AverageNonZeros(), 2.5, 0.2);
+}
+
+/// True when both models hold the same entries, bit for bit.
+bool SameProbs(const EdgeTopicProbs& a, const EdgeTopicProbs& b) {
+  if (a.num_topics() != b.num_topics() || a.num_edges() != b.num_edges()) {
+    return false;
+  }
+  for (EdgeId e = 0; e < a.num_edges(); ++e) {
+    const auto x = a.EdgeEntries(e);
+    const auto y = b.EdgeEntries(e);
+    if (x.size() != y.size()) return false;
+    for (size_t i = 0; i < x.size(); ++i) {
+      if (x[i].topic != y[i].topic ||
+          std::bit_cast<uint32_t>(x[i].prob) !=
+              std::bit_cast<uint32_t>(y[i].prob)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(ProbModelsTest, WeightedCascadeStreamIsTheSequentialBuild) {
+  // The graph arrives before the first edge, midway, at the last edge
+  // and after it (the draws past the end are dropped); the staged edges
+  // are finished on 1, 2, 3 and 8 workers.
+  const Graph g = GenerateHolmeKim(3'000, 4, 0.4, 7);
+  const EdgeId m = g.num_edges();
+  const EdgeTopicProbs sequential = AssignWeightedCascadeTopics(g, 10, 2.5, 8);
+  ASSERT_EQ(sequential.num_edges(), m);
+  for (const EdgeId arrives : {EdgeId{0}, m / 2, m, m + 7}) {
+    for (const int workers : {1, 2, 3, 8}) {
+      EdgeId polled = 0;
+      const EdgeTopicProbs streamed = AssignWeightedCascadeTopics(
+          [&](EdgeId next) {
+            EXPECT_EQ(next, polled++);
+            return next < arrives ? nullptr : &g;
+          },
+          10, 2.5, 8, workers);
+      EXPECT_EQ(polled, arrives + 1) << arrives << " " << workers;
+      EXPECT_TRUE(SameProbs(streamed, sequential))
+          << "graph at edge " << arrives << ", " << workers << " workers";
+    }
+  }
+}
+
+TEST(ProbModelsTest, WeightedCascadeStreamWaitsForAHandedOffGraph) {
+  // The handoff makes the stream wait after 50 edges until the graph is
+  // published from another thread.
+  const Graph g = GenerateHolmeKim(2'000, 4, 0.4, 3);
+  const EdgeTopicProbs sequential = AssignWeightedCascadeTopics(g, 6, 2.0, 5);
+  GraphHandoff handoff(50);
+  EdgeTopicProbs streamed(0, 1);
+  std::thread stream([&] {
+    streamed = AssignWeightedCascadeTopics(
+        [&handoff](EdgeId next) { return handoff.Poll(next); }, 6, 2.0, 5,
+        2);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  handoff.Publish(&g);
+  stream.join();
+  EXPECT_TRUE(SameProbs(streamed, sequential));
+}
+
+TEST(ProbModelsTest, AffinityIsTheSameAtAnyWorkerCount) {
+  const Graph g = GenerateErdosRenyi(300, 0.03, 43);
+  const auto profiles = SampleNodeTopicProfiles(300, 9, 0.25, 3, 47);
+  const EdgeTopicProbs one = AssignAffinityTopics(g, profiles, 3, 1.0, 0.2);
+  for (const int workers : {2, 3, 8}) {
+    EXPECT_TRUE(SameProbs(
+        AssignAffinityTopics(g, profiles, 3, 1.0, 0.2, workers), one))
+        << workers << " workers";
+  }
+  // More workers than edges.
+  const Graph tiny = MakePath(4);
+  const auto tiny_profiles = SampleNodeTopicProfiles(4, 9, 0.25, 3, 53);
+  EXPECT_TRUE(SameProbs(AssignAffinityTopics(tiny, tiny_profiles, 3, 1.0, 0.0,
+                                             8),
+                        AssignAffinityTopics(tiny, tiny_profiles, 3, 1.0)));
 }
 
 TEST(ProbModelsTest, TrivalencyUsesOnlyThreeLevels) {
