@@ -238,6 +238,20 @@ BENCHMARK(BM_BuildPieceGraphs)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
+/// The overhead of an empty ParallelFor on range(0) workers: shard 0
+/// on the caller, the others handed to pooled workers and joined.
+void BM_ParallelFor(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    ParallelFor(threads, threads, [](int, int64_t, int64_t) {});
+  }
+}
+BENCHMARK(BM_ParallelFor)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
 /// Non-owning handle on the shared lastfm pieces, for SampleStore.
 std::shared_ptr<const std::vector<InfluenceGraph>> EnvPieces() {
   return {std::shared_ptr<const std::vector<InfluenceGraph>>(),

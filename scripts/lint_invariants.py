@@ -40,11 +40,12 @@ Enforced rules (each failure names its rule id):
   process-global    No process-wide state in src/: no namespace-scope or
                     function-static oipa::Mutex and no leaked
                     `static ... = new` singleton, outside the files that
-                    own the process-wide test seams (the fault injector,
-                    util/threading's HoldBackgroundTasks, and the solver
-                    registry). Caches and registries live in an object
-                    their owner constructs, so two daemons in one process
-                    share nothing.
+                    own the process-wide test seams and threads (the fault
+                    injector, util/threading's HoldBackgroundTasks and
+                    worker pool, which holds no request state between
+                    jobs, and the solver registry). Caches and registries
+                    live in an object their owner constructs, so two
+                    daemons in one process share nothing.
   lock-hierarchy    Every oipa::Mutex declared in src/ (outside
                     src/util/) is documented in README.md's "Locking
                     hierarchy" table — a mutex nobody wrote an ordering

@@ -29,8 +29,8 @@ std::vector<VertexId> SamplePromoterPool(VertexId n, double fraction,
 namespace {
 
 /// Runs `graph_task` and `topic_task` as the two tasks of one
-/// ParallelFor: side by side on two or more workers, the graph first on
-/// one.
+/// ParallelFor: side by side on two or more workers (the graph on the
+/// calling thread), the graph first on one.
 void GraphBesideTopics(int num_threads,
                        const std::function<void()>& graph_task,
                        const std::function<void()>& topic_task) {
@@ -57,9 +57,8 @@ void BuildHolmeKimWeightedCascade(VertexId n, int m_per_node, double triad_p,
       },
       [&] {
         ds->probs = std::make_unique<EdgeTopicProbs>(
-            AssignWeightedCascadeTopics(
-                [&handoff](EdgeId next) { return handoff.Poll(next); },
-                ds->num_topics, avg_nonzeros, seed + 1, num_threads));
+            AssignWeightedCascadeTopics(&handoff, ds->num_topics,
+                                        avg_nonzeros, seed + 1, num_threads));
       });
   ds->promoter_pool =
       SamplePromoterPool(ds->graph->num_vertices(), pool_fraction, seed + 2);

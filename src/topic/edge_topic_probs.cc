@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "util/logging.h"
+#include "util/threading.h"
 
 namespace oipa {
 
@@ -15,7 +16,8 @@ EdgeTopicProbs::EdgeTopicProbs(EdgeId num_edges, int num_topics)
 }
 
 EdgeTopicProbs::EdgeTopicProbs(int num_topics, std::vector<int64_t> offsets,
-                               std::vector<TopicProb> entries)
+                               std::vector<TopicProb> entries,
+                               int num_threads)
     : num_topics_(num_topics),
       offsets_(std::move(offsets)),
       entries_(std::move(entries)) {
@@ -23,7 +25,10 @@ EdgeTopicProbs::EdgeTopicProbs(int num_topics, std::vector<int64_t> offsets,
   OIPA_CHECK(!offsets_.empty() && offsets_.front() == 0);
   OIPA_CHECK(std::is_sorted(offsets_.begin(), offsets_.end()));
   OIPA_CHECK_EQ(offsets_.back(), static_cast<int64_t>(entries_.size()));
-  for (EdgeId e = 0; e < num_edges(); ++e) CheckEdgeEntries(EdgeEntries(e));
+  ParallelFor(num_edges(), num_threads, [this](int, int64_t begin,
+                                               int64_t end) {
+    for (EdgeId e = begin; e < end; ++e) CheckEdgeEntries(EdgeEntries(e));
+  });
   next_edge_ = num_edges();
 }
 
@@ -87,12 +92,26 @@ double EdgeTopicProbs::PieceProb(EdgeId e, const TopicVector& piece) const {
 
 std::vector<float> EdgeTopicProbs::PieceProbs(
     const TopicVector& piece) const {
-  OIPA_CHECK_EQ(piece.num_topics(), num_topics_);
   std::vector<float> out(static_cast<size_t>(num_edges()));
-  for (EdgeId e = 0; e < num_edges(); ++e) {
-    out[e] = static_cast<float>(ClampedDot(EdgeEntries(e), piece));
-  }
+  const TopicVector* pieces[] = {&piece};
+  float* outs[] = {out.data()};
+  PieceProbs(pieces, 0, num_edges(), outs);
   return out;
+}
+
+void EdgeTopicProbs::PieceProbs(std::span<const TopicVector* const> pieces,
+                                EdgeId begin, EdgeId end,
+                                std::span<float* const> out) const {
+  OIPA_CHECK_EQ(pieces.size(), out.size());
+  for (const TopicVector* piece : pieces) {
+    OIPA_CHECK_EQ(piece->num_topics(), num_topics_);
+  }
+  for (EdgeId e = begin; e < end; ++e) {
+    const std::span<const TopicProb> entries = EdgeEntries(e);
+    for (size_t j = 0; j < pieces.size(); ++j) {
+      out[j][e] = static_cast<float>(ClampedDot(entries, *pieces[j]));
+    }
+  }
 }
 
 double EdgeTopicProbs::MeanProb(EdgeId e) const {

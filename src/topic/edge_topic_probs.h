@@ -29,9 +29,10 @@ class EdgeTopicProbs {
   /// entries[offsets[e], offsets[e + 1]), sorted by topic. `offsets`
   /// starts at 0, never decreases and ends at entries.size(); every
   /// entry passes SetEdge's checks (valid topic, distinct within its
-  /// edge, probability in [0, 1]).
+  /// edge, probability in [0, 1]), which run over edge ranges on
+  /// `num_threads` workers (ResolveThreadCount).
   EdgeTopicProbs(int num_topics, std::vector<int64_t> offsets,
-                 std::vector<TopicProb> entries);
+                 std::vector<TopicProb> entries, int num_threads = 1);
 
   /// Builder-style population: call once per edge in increasing EdgeId
   /// order; entries must have valid, distinct topic ids and probs in
@@ -68,6 +69,12 @@ class EdgeTopicProbs {
   /// PieceProb of every edge, as floats (a piece's influence graph);
   /// the piece's topic count is checked once, not per edge.
   std::vector<float> PieceProbs(const TopicVector& piece) const;
+
+  /// PieceProb of edges [begin, end) for several pieces at once:
+  /// out[j][e] for pieces[j], reading each edge's entries once. Each
+  /// piece's topic count is checked once per call.
+  void PieceProbs(std::span<const TopicVector* const> pieces, EdgeId begin,
+                  EdgeId end, std::span<float* const> out) const;
 
   /// Topic-blind probability: mean of p(e|z) over all |Z| topics (zeros
   /// included). This is the edge weight the topic-agnostic IM baseline

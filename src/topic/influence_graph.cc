@@ -71,12 +71,26 @@ std::vector<InfluenceGraph> BuildPieceGraphs(const Graph& graph,
                                              const EdgeTopicProbs& probs,
                                              const Campaign& campaign,
                                              int num_threads) {
+  OIPA_CHECK_EQ(probs.num_edges(), graph.num_edges());
   const int ell = campaign.num_pieces();
+  std::vector<const TopicVector*> pieces(ell);
+  std::vector<std::vector<float>> edge_probs(ell);
+  std::vector<float*> outs(ell);
+  for (int j = 0; j < ell; ++j) {
+    pieces[j] = &campaign.piece(j).topics;
+    edge_probs[j].resize(graph.num_edges());
+    outs[j] = edge_probs[j].data();
+  }
+  // Every piece's edge probabilities, by edge range; then each piece
+  // builds its live in-adjacency.
+  ParallelFor(graph.num_edges(), num_threads,
+              [&](int, int64_t begin, int64_t end) {
+                probs.PieceProbs(pieces, begin, end, outs);
+              });
   std::vector<std::optional<InfluenceGraph>> built(ell);
   ParallelFor(ell, num_threads, [&](int, int64_t lo, int64_t hi) {
     for (int64_t j = lo; j < hi; ++j) {
-      built[j].emplace(InfluenceGraph::ForPiece(
-          graph, probs, campaign.piece(static_cast<int>(j)).topics));
+      built[j].emplace(&graph, std::move(edge_probs[j]));
     }
   });
   std::vector<InfluenceGraph> out;

@@ -68,9 +68,10 @@ class InfluenceGraph {
 };
 
 /// Builds one InfluenceGraph per campaign piece. The returned graphs alias
-/// `graph`, which must outlive them. The pieces are independent and are
-/// built on up to `num_threads` workers (ResolveThreadCount convention:
-/// 0 = GetNumThreads()); the result is the same at any count.
+/// `graph`, which must outlive them. Up to `num_threads` workers
+/// (ResolveThreadCount convention: 0 = GetNumThreads()) compute every
+/// piece's edge probabilities over edge ranges, then build the pieces'
+/// live in-adjacencies; the result is the same at any count.
 std::vector<InfluenceGraph> BuildPieceGraphs(const Graph& graph,
                                              const EdgeTopicProbs& probs,
                                              const Campaign& campaign,

@@ -74,18 +74,155 @@ void WriteWeightedCascadeEdge(double base, std::span<const TopicDraw> draws,
   std::sort(out, out + count, ByTopic);
 }
 
+/// New batches the stream may take once the graph is there; past them
+/// it waits for the writer to recycle one.
+constexpr int kSpareBatches = 2;
+
 }  // namespace
+
+/// Consecutive edges' draws: counts[i] topics for edge first_edge + i,
+/// their draws in edge order.
+struct GraphHandoff::Batch {
+  EdgeId first_edge = 0;
+  std::vector<int> counts;
+  std::vector<TopicDraw> draws;
+};
+
+GraphHandoff::GraphHandoff(EdgeId max_edges)
+    : max_edges_(max_edges), spares_(kSpareBatches) {}
+
+GraphHandoff::~GraphHandoff() = default;
+
+void GraphHandoff::Publish(const Graph* graph) {
+  int max_topics_per_edge = 0;
+  {
+    MutexLock lock(&mu_);
+    graph_ = graph;
+    changed_.NotifyAll();
+    if (!started_) return;
+    worker_writes_ = true;
+    max_topics_per_edge = max_topics_per_edge_;
+  }
+  ReserveOutput(graph->num_edges(), max_topics_per_edge);
+  ReleasableMutexLock lock(&mu_);
+  while (true) {
+    while (queued_.empty() && !ended_) changed_.Wait(&mu_);
+    if (queued_.empty()) break;
+    std::unique_ptr<Batch> batch = std::move(queued_.front());
+    queued_.pop_front();
+    lock.Unlock();
+    Write(*graph, *batch);
+    lock.Lock();
+    free_.push_back(std::move(batch));
+    changed_.NotifyAll();
+  }
+  written_ = true;
+  changed_.NotifyAll();
+}
+
+bool GraphHandoff::stream_waiting() const {
+  MutexLock lock(&mu_);
+  return waiting_;
+}
+
+const Graph* GraphHandoff::Start(int max_topics_per_edge) {
+  const Graph* graph = nullptr;
+  {
+    MutexLock lock(&mu_);
+    started_ = true;
+    max_topics_per_edge_ = max_topics_per_edge;
+    graph = graph_;
+  }
+  // With the graph already there, the stream writes every batch.
+  if (graph != nullptr) ReserveOutput(graph->num_edges(), max_topics_per_edge);
+  return graph;
+}
+
+std::unique_ptr<GraphHandoff::Batch> GraphHandoff::NextBatch(
+    EdgeId first_edge) {
+  MutexLock lock(&mu_);
+  while (free_.empty() && graph_ != nullptr && spares_ == 0) {
+    changed_.Wait(&mu_);
+  }
+  std::unique_ptr<Batch> batch;
+  if (!free_.empty()) {
+    batch = std::move(free_.back());
+    free_.pop_back();
+  } else {
+    if (graph_ != nullptr) --spares_;
+    batch = std::make_unique<Batch>();
+    batch->counts.reserve(kBatchEdges);
+    batch->draws.reserve(kBatchEdges * max_topics_per_edge_);
+  }
+  batch->first_edge = first_edge;
+  batch->counts.clear();
+  batch->draws.clear();
+  return batch;
+}
+
+const Graph* GraphHandoff::Hand(std::unique_ptr<Batch> batch, bool last) {
+  ReleasableMutexLock lock(&mu_);
+  if (graph_ != nullptr && !worker_writes_) {
+    const Graph* graph = graph_;
+    lock.Unlock();
+    Write(*graph, *batch);
+    lock.Lock();
+    free_.push_back(std::move(batch));
+    return graph;
+  }
+  queued_.push_back(std::move(batch));
+  ended_ = last;
+  changed_.NotifyAll();
+  while (last && !written_) changed_.Wait(&mu_);
+  return graph_;
+}
+
+const Graph* GraphHandoff::AwaitGraph() {
+  MutexLock lock(&mu_);
+  waiting_ = true;
+  while (graph_ == nullptr) changed_.Wait(&mu_);
+  waiting_ = false;
+  return graph_;
+}
+
+void GraphHandoff::ReserveOutput(EdgeId num_edges, int max_topics_per_edge) {
+  offsets_.reserve(num_edges + 1);
+  offsets_.push_back(0);
+  entries_.reserve(num_edges * max_topics_per_edge);
+}
+
+void GraphHandoff::Write(const Graph& graph, const Batch& batch) {
+  // Draws past the graph's edge count are dropped.
+  const EdgeId count = std::clamp<EdgeId>(
+      graph.num_edges() - batch.first_edge, 0,
+      static_cast<EdgeId>(batch.counts.size()));
+  size_t kept = 0;
+  for (EdgeId i = 0; i < count; ++i) kept += batch.counts[i];
+  size_t at = entries_.size();
+  entries_.resize(at + kept);
+  const TopicDraw* draws = batch.draws.data();
+  for (EdgeId i = 0; i < count; ++i) {
+    const int topics = batch.counts[i];
+    WriteWeightedCascadeEdge(
+        WeightedCascadeBase(graph, batch.first_edge + i),
+        std::span<const TopicDraw>(draws, topics), entries_.data() + at);
+    draws += topics;
+    at += topics;
+    offsets_.push_back(static_cast<int64_t>(at));
+  }
+}
 
 EdgeTopicProbs AssignWeightedCascadeTopics(const Graph& graph,
                                            int num_topics,
                                            double avg_nonzeros,
                                            uint64_t seed) {
-  return AssignWeightedCascadeTopics([&graph](EdgeId) { return &graph; },
-                                     num_topics, avg_nonzeros, seed,
-                                     /*num_threads=*/1);
+  GraphHandoff handoff(graph.num_edges());
+  handoff.Publish(&graph);
+  return AssignWeightedCascadeTopics(&handoff, num_topics, avg_nonzeros,
+                                     seed, /*num_threads=*/1);
 }
 
-EdgeTopicProbs AssignWeightedCascadeTopics(const GraphPoll& graph,
+EdgeTopicProbs AssignWeightedCascadeTopics(GraphHandoff* handoff,
                                            int num_topics,
                                            double avg_nonzeros,
                                            uint64_t seed, int num_threads) {
@@ -93,56 +230,34 @@ EdgeTopicProbs AssignWeightedCascadeTopics(const GraphPoll& graph,
   // Per-edge scratch, reused: it grows to the largest topic count.
   std::vector<int> topics;
   std::vector<double> weights;
-  std::vector<TopicDraw> draws;
-  const auto draw_edge = [&] {
+  const Graph* graph =
+      handoff->Start(MaxNonZeroCount(avg_nonzeros, num_topics));
+  std::unique_ptr<GraphHandoff::Batch> batch = handoff->NextBatch(0);
+  for (EdgeId e = 0;; ++e) {
+    if (graph == nullptr && e == handoff->max_edges_) {
+      graph = handoff->AwaitGraph();
+    }
+    if (graph != nullptr && e >= graph->num_edges()) break;
+    if (static_cast<EdgeId>(batch->counts.size()) ==
+        GraphHandoff::kBatchEdges) {
+      graph = handoff->Hand(std::move(batch), /*last=*/false);
+      batch = handoff->NextBatch(e);
+      if (graph != nullptr && e >= graph->num_edges()) break;
+    }
     const int count = SampleNonZeroCount(avg_nonzeros, num_topics, &rng);
     SampleTopics(num_topics, count, &rng, &topics);
     weights.resize(count);
     rng.NextDirichlet(1.0, weights);
-    draws.clear();
     for (int i = 0; i < count; ++i) {
       // The jitter keeps per-topic probabilities heterogeneous even for
       // edges with equal in-degree.
-      draws.push_back({topics[i], weights[i], 0.5 + rng.NextDouble()});
+      batch->draws.push_back({topics[i], weights[i], 0.5 + rng.NextDouble()});
     }
-    return count;
-  };
-
-  // Edge e's entries are entries[offsets[e], offsets[e + 1]); the
-  // draws of an edge reached before the graph sit at the same
-  // positions of `staged`.
-  std::vector<int64_t> offsets = {0};
-  std::vector<TopicDraw> staged;
-  const Graph* g = nullptr;
-  for (EdgeId e = 0; (g = graph(e)) == nullptr; ++e) {
-    const int count = draw_edge();
-    staged.insert(staged.end(), draws.begin(), draws.end());
-    offsets.push_back(offsets.back() + count);
+    batch->counts.push_back(count);
   }
-  const EdgeId num_edges = g->num_edges();
-  const EdgeId num_staged =
-      std::min(static_cast<EdgeId>(offsets.size()) - 1, num_edges);
-  offsets.resize(num_edges + 1);
-  std::vector<TopicProb> entries;
-  entries.reserve(num_edges * MaxNonZeroCount(avg_nonzeros, num_topics));
-  entries.resize(offsets[num_staged]);
-  for (EdgeId e = num_staged; e < num_edges; ++e) {
-    const int count = draw_edge();
-    entries.resize(entries.size() + count);
-    WriteWeightedCascadeEdge(WeightedCascadeBase(*g, e), draws,
-                             entries.data() + entries.size() - count);
-    offsets[e + 1] = static_cast<int64_t>(entries.size());
-  }
-  ParallelFor(num_staged, num_threads, [&](int, int64_t begin, int64_t end) {
-    for (EdgeId e = begin; e < end; ++e) {
-      WriteWeightedCascadeEdge(
-          WeightedCascadeBase(*g, e),
-          std::span<const TopicDraw>(staged).subspan(
-              offsets[e], offsets[e + 1] - offsets[e]),
-          entries.data() + offsets[e]);
-    }
-  });
-  return EdgeTopicProbs(num_topics, std::move(offsets), std::move(entries));
+  handoff->Hand(std::move(batch), /*last=*/true);
+  return EdgeTopicProbs(num_topics, std::move(handoff->offsets_),
+                        std::move(handoff->entries_), num_threads);
 }
 
 EdgeTopicProbs AssignTrivalencyTopics(const Graph& graph, int num_topics,
@@ -239,7 +354,8 @@ EdgeTopicProbs AssignAffinityTopics(
     }
     entries.insert(entries.end(), parts[part].begin(), parts[part].end());
   }
-  return EdgeTopicProbs(num_topics, std::move(offsets), std::move(entries));
+  return EdgeTopicProbs(num_topics, std::move(offsets), std::move(entries),
+                        workers);
 }
 
 std::vector<TopicVector> SampleNodeTopicProfiles(VertexId n, int num_topics,

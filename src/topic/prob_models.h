@@ -1,14 +1,16 @@
 #ifndef OIPA_TOPIC_PROB_MODELS_H_
 #define OIPA_TOPIC_PROB_MODELS_H_
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
+#include <deque>
+#include <memory>
 #include <vector>
 
 #include "graph/graph.h"
 #include "topic/edge_topic_probs.h"
 #include "topic/topic_vector.h"
+#include "util/thread_annotations.h"
+#include "util/threading.h"
 
 namespace oipa {
 
@@ -27,52 +29,96 @@ EdgeTopicProbs AssignWeightedCascadeTopics(const Graph& graph,
                                            double avg_nonzeros,
                                            uint64_t seed);
 
-/// How a topic stream finds a graph that another task is still
-/// building: asked before edge `next_edge` is drawn, it returns the
-/// graph once it exists and null before. By the time `next_edge`
-/// reaches the most edges the graph can have, it must return the graph,
-/// waiting for it if need be.
-using GraphPoll = std::function<const Graph*(EdgeId next_edge)>;
-
-/// Hands a graph from the task that generates it to a topic stream
-/// drawing beside it: Poll is the stream's GraphPoll. It answers at once
-/// until the stream has drawn `max_edges` edges, the most the graph can
-/// have, and then waits for Publish. Lock-free: one atomic pointer.
+/// Hands a graph from the task that generates it to a weighted-cascade
+/// topic stream drawing beside it (the overload below), and writes the
+/// stream's draws once both exist. The stream draws at most `max_edges`
+/// edges, the most the graph can have, before it waits for the graph.
+/// It collects its draws into fixed-size batches and hands each full
+/// batch over. The graph task calls Publish, which makes the graph
+/// visible and then writes the queued batches until the stream ends;
+/// if the stream has not started, Publish returns at once and the
+/// stream writes every batch itself (one worker, graph first). Either
+/// way one thread writes every batch, in stream order, so each entry
+/// lands where the stream's running count puts it. Written batches are
+/// recycled: beyond the backlog drawn before the graph exists, at most
+/// two more batches are ever allocated.
 class GraphHandoff {
  public:
-  explicit GraphHandoff(EdgeId max_edges) : max_edges_(max_edges) {}
+  /// Edges per batch.
+  static constexpr EdgeId kBatchEdges = 1024;
+
+  explicit GraphHandoff(EdgeId max_edges);
+  ~GraphHandoff();
   GraphHandoff(const GraphHandoff&) = delete;
   GraphHandoff& operator=(const GraphHandoff&) = delete;
 
-  /// Makes `graph` visible to Poll; call once. `graph` must outlive
-  /// every Poll.
-  void Publish(const Graph* graph) {
-    graph_.store(graph, std::memory_order_release);
-    graph_.notify_all();
-  }
+  /// Makes `graph` visible to the stream and writes its batches until
+  /// it ends (see above); call once. `graph` must outlive the stream.
+  void Publish(const Graph* graph) OIPA_EXCLUDES(mu_);
 
-  const Graph* Poll(EdgeId next_edge) const {
-    if (next_edge >= max_edges_) {
-      graph_.wait(nullptr, std::memory_order_acquire);
-    }
-    return graph_.load(std::memory_order_acquire);
-  }
+  /// True while the stream, having drawn `max_edges` edges, waits for
+  /// the graph.
+  bool stream_waiting() const OIPA_EXCLUDES(mu_);
 
  private:
+  friend EdgeTopicProbs AssignWeightedCascadeTopics(GraphHandoff* handoff,
+                                                    int num_topics,
+                                                    double avg_nonzeros,
+                                                    uint64_t seed,
+                                                    int num_threads);
+  struct Batch;
+
+  /// The stream's side. Start returns the graph if it is already there.
+  const Graph* Start(int max_topics_per_edge) OIPA_EXCLUDES(mu_);
+  /// A free batch whose first edge is `first_edge`: a recycled one, a
+  /// new one while the graph is missing or spares remain, or else the
+  /// next one the writer recycles.
+  std::unique_ptr<Batch> NextBatch(EdgeId first_edge) OIPA_EXCLUDES(mu_);
+  /// Hands `batch` over (`last`: the stream's final one) and returns the
+  /// graph if it is there. Writes it at once when the graph is there
+  /// and no worker writes; after the last batch, returns once every
+  /// batch is written.
+  const Graph* Hand(std::unique_ptr<Batch> batch, bool last)
+      OIPA_EXCLUDES(mu_);
+  const Graph* AwaitGraph() OIPA_EXCLUDES(mu_);
+
+  /// The writer's side: sizes the output once, then appends each
+  /// batch's edges below the graph's edge count to it.
+  void ReserveOutput(EdgeId num_edges, int max_topics_per_edge);
+  void Write(const Graph& graph, const Batch& batch);
+
   const EdgeId max_edges_;
-  std::atomic<const Graph*> graph_{nullptr};
+  mutable Mutex mu_;
+  /// Signals every change below: the graph, a queued, recycled or
+  /// last-written batch, and the stream's state.
+  CondVar changed_;
+  const Graph* graph_ OIPA_GUARDED_BY(mu_) = nullptr;
+  bool started_ OIPA_GUARDED_BY(mu_) = false;
+  bool waiting_ OIPA_GUARDED_BY(mu_) = false;
+  bool ended_ OIPA_GUARDED_BY(mu_) = false;
+  /// The graph's worker is in Publish, writing until the stream ends.
+  bool worker_writes_ OIPA_GUARDED_BY(mu_) = false;
+  bool written_ OIPA_GUARDED_BY(mu_) = false;
+  int max_topics_per_edge_ OIPA_GUARDED_BY(mu_) = 0;
+  /// New batches the stream may still take once the graph is there.
+  int spares_ OIPA_GUARDED_BY(mu_);
+  std::deque<std::unique_ptr<Batch>> queued_ OIPA_GUARDED_BY(mu_);
+  std::vector<std::unique_ptr<Batch>> free_ OIPA_GUARDED_BY(mu_);
+  /// The CSR output. Only the one writer touches it, outside mu_; the
+  /// stream takes it after the last batch is written.
+  std::vector<int64_t> offsets_;
+  std::vector<TopicProb> entries_;
 };
 
-/// The same probabilities, drawn while the graph is still being built.
-/// The stream draws every edge's topic count, topics, Dirichlet weights
-/// and jitters from one `seed` stream in edge order, as above. It keeps
-/// the draws of the edges it reaches before `graph` returns the graph,
-/// writes every later edge's entries at once, and then finishes the
-/// kept edges on `num_threads` workers (ResolveThreadCount). Draws past
-/// the graph's edge count are dropped. The result is bit-identical to
-/// the overload above, wherever the graph arrives and at any worker
-/// count.
-EdgeTopicProbs AssignWeightedCascadeTopics(const GraphPoll& graph,
+/// The same probabilities, drawn while the graph is still being built:
+/// the stream draws every edge's topic count, topics, Dirichlet weights
+/// and jitters from one `seed` stream in edge order, as above, and
+/// hands them to `handoff`, which writes them (see GraphHandoff). Draws
+/// past the graph's edge count are dropped. The entries are checked on
+/// `num_threads` workers (ResolveThreadCount). The result is
+/// bit-identical to the overload above, wherever the graph arrives and
+/// at any worker count.
+EdgeTopicProbs AssignWeightedCascadeTopics(GraphHandoff* handoff,
                                            int num_topics,
                                            double avg_nonzeros,
                                            uint64_t seed, int num_threads);
@@ -91,8 +137,8 @@ EdgeTopicProbs AssignTrivalencyTopics(const Graph& graph, int num_topics,
 /// probabilities from conference fields and tweet probabilities from
 /// LDA; raising `min_rel` thins secondary topics (the paper's tweet
 /// table averages ~1.5 non-zero probabilities per edge). It draws
-/// nothing, so `num_threads` workers (ResolveThreadCount) each fill one
-/// edge range, with the same result at any worker count.
+/// nothing, so `num_threads` workers (ResolveThreadCount) each fill and
+/// check one edge range, with the same result at any worker count.
 EdgeTopicProbs AssignAffinityTopics(
     const Graph& graph, const std::vector<TopicVector>& node_topics,
     int top_k, double scale, double min_rel = 0.0, int num_threads = 1);

@@ -1,8 +1,11 @@
 #include "util/threading.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -92,6 +95,111 @@ int ResolveThreadCount(int num_threads) {
   return GetNumThreads();
 }
 
+namespace {
+
+/// The long-lived workers behind ParallelFor and BackgroundTask. A
+/// worker runs one job, then parks on a mailbox of its own in `idle_`
+/// until the next job is posted to it, or exits when GetNumThreads()
+/// workers are parked already. Workers are detached and the pool is
+/// never destroyed, so a parked worker may outlive main(). It holds no
+/// state between jobs.
+class WorkerPool {
+ public:
+  /// Runs `job` on the most recently parked worker, or on a new one.
+  void Run(std::function<void()> job) {
+    {
+      MutexLock lock(&mu_);
+      if (!idle_.empty()) {
+        Mailbox* box = idle_.back();
+        idle_.pop_back();
+        box->job = std::move(job);
+        box->posted.NotifyOne();
+        return;
+      }
+    }
+    std::thread([this, job = std::move(job)]() mutable {
+      Work(std::move(job));
+    }).detach();
+  }
+
+  int idle() {
+    MutexLock lock(&mu_);
+    return static_cast<int>(idle_.size());
+  }
+
+  // pthread_atfork handlers. The forking thread holds mu_ across the
+  // fork, so the child never inherits it mid-update; the child has none
+  // of its parent's threads, so it forgets the parked ones and starts
+  // its own. The lock spans two handlers, which the analysis cannot
+  // follow.
+  void BeforeFork() OIPA_NO_THREAD_SAFETY_ANALYSIS { mu_.Lock(); }
+  void AfterForkInParent() OIPA_NO_THREAD_SAFETY_ANALYSIS { mu_.Unlock(); }
+  void AfterForkInChild() OIPA_NO_THREAD_SAFETY_ANALYSIS {
+    idle_.clear();
+    mu_.Unlock();
+  }
+
+ private:
+  /// A parked worker's slot: Run posts the next job into it. Lives on
+  /// its worker's stack; `job` is read and written under mu_.
+  struct Mailbox {
+    CondVar posted;
+    std::function<void()> job;
+  };
+
+  void Work(std::function<void()> job) {
+    Mailbox box;
+    while (true) {
+      job();
+      job = nullptr;
+      MutexLock lock(&mu_);
+      if (static_cast<int>(idle_.size()) >= GetNumThreads()) return;
+      idle_.push_back(&box);
+      while (!box.job) box.posted.Wait(&mu_);
+      job = std::move(box.job);
+      box.job = nullptr;
+    }
+  }
+
+  Mutex mu_;
+  std::vector<Mailbox*> idle_ OIPA_GUARDED_BY(mu_);
+};
+
+WorkerPool& Pool() {
+  static WorkerPool* const pool = [] {
+    auto* created = new WorkerPool();
+    pthread_atfork([] { Pool().BeforeFork(); },
+                   [] { Pool().AfterForkInParent(); },
+                   [] { Pool().AfterForkInChild(); });
+    return created;
+  }();
+  return *pool;
+}
+
+/// Counts down the shards a ParallelFor handed to the pool.
+class ShardCountdown {
+ public:
+  explicit ShardCountdown(int shards) : pending_(shards) {}
+
+  /// A worker's last touch of the countdown: the notify, under mu_.
+  void Done() {
+    MutexLock lock(&mu_);
+    if (--pending_ == 0) zero_.NotifyAll();
+  }
+
+  void Wait() {
+    MutexLock lock(&mu_);
+    while (pending_ > 0) zero_.Wait(&mu_);
+  }
+
+ private:
+  Mutex mu_;
+  CondVar zero_;
+  int pending_ OIPA_GUARDED_BY(mu_);
+};
+
+}  // namespace
+
 void ParallelFor(int64_t total,
                  const std::function<void(int shard, int64_t begin,
                                           int64_t end)>& fn) {
@@ -109,16 +217,23 @@ void ParallelFor(int64_t total, int num_threads,
     return;
   }
   const int64_t chunk = (total + threads - 1) / threads;
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (int t = 0; t < threads; ++t) {
+  const int shards = static_cast<int>((total + chunk - 1) / chunk);
+  ShardCountdown pooled(shards - 1);
+  for (int t = 1; t < shards; ++t) {
     const int64_t begin = static_cast<int64_t>(t) * chunk;
     const int64_t end = std::min(total, begin + chunk);
-    if (begin >= end) break;
-    workers.emplace_back([&fn, t, begin, end] { fn(t, begin, end); });
+    Pool().Run([&fn, &pooled, t, begin, end] {
+      fn(t, begin, end);
+      pooled.Done();
+    });
   }
-  for (auto& w : workers) w.join();
+  // The pooled shards still use `fn` and `pooled`: like an exception in
+  // theirs, one in shard 0 ends the program rather than unwind them.
+  [&]() noexcept { fn(0, 0, chunk); }();
+  pooled.Wait();
 }
+
+int IdlePoolWorkers() { return Pool().idle(); }
 
 namespace {
 
@@ -128,7 +243,7 @@ struct BackgroundHolds {
   int count OIPA_GUARDED_BY(mu) = 0;
 };
 
-/// Never destroyed: a background thread may still pass the gate while
+/// Never destroyed: a pooled worker may still pass the gate while
 /// static destructors run at exit.
 BackgroundHolds& Holds() {
   static auto* holds = new BackgroundHolds();
@@ -149,8 +264,8 @@ HoldBackgroundTasks::~HoldBackgroundTasks() {
   if (--holds.count == 0) holds.released.NotifyAll();
 }
 
-std::thread StartBackgroundThread(std::function<void()> body) {
-  return std::thread([body = std::move(body)] {
+void StartBackgroundJob(std::function<void()> body) {
+  Pool().Run([body = std::move(body)] {
     {
       BackgroundHolds& holds = Holds();
       MutexLock lock(&holds.mu);

@@ -144,11 +144,16 @@ void SetNumThreads(int n);
 int ResolveThreadCount(int num_threads);
 
 /// Runs fn(shard, begin, end) on `shards` contiguous slices of [0, total),
-/// one slice per worker thread. Blocks until all shards finish. `fn` must be
+/// one slice per worker. Blocks until all shards finish. `fn` must be
 /// safe to call concurrently on disjoint ranges.
 ///
-/// With GetNumThreads() == 1 (or total small) the call is executed inline,
-/// which keeps single-threaded runs fully deterministic and debuggable.
+/// Shard 0 runs on the calling thread and every other shard on a pooled
+/// worker: an idle one if there is one, a new one otherwise. A worker
+/// returns to the pool after its shard; at most GetNumThreads() idle
+/// workers stay alive, and any worker above that cap exits. A shard may
+/// itself call ParallelFor. With GetNumThreads() == 1 (or total small)
+/// the call runs inline, which keeps single-threaded runs fully
+/// deterministic and debuggable.
 void ParallelFor(int64_t total,
                  const std::function<void(int shard, int64_t begin,
                                           int64_t end)>& fn);
@@ -161,9 +166,12 @@ void ParallelFor(int64_t total, int num_threads,
                  const std::function<void(int shard, int64_t begin,
                                           int64_t end)>& fn);
 
-/// Starts `body` on a new thread; `body` waits while any
-/// HoldBackgroundTasks is alive. BackgroundTask owns the thread.
-std::thread StartBackgroundThread(std::function<void()> body);
+/// Pooled workers waiting for work right now (at most GetNumThreads()).
+int IdlePoolWorkers();
+
+/// Runs `body` on a pooled worker (see ParallelFor); `body` waits while
+/// any HoldBackgroundTasks is alive. BackgroundTask's job runner.
+void StartBackgroundJob(std::function<void()> body);
 
 /// While any of these is alive, a background task's job waits before it
 /// runs (see BackgroundTask). A test seam: it lets a test observe, and
@@ -176,12 +184,12 @@ class HoldBackgroundTasks {
   HoldBackgroundTasks& operator=(const HoldBackgroundTasks&) = delete;
 };
 
-/// A value that a job computes on a thread of its own. Wait() blocks
-/// until the job has returned; ready() never blocks. The job's captures
-/// are released before any waiter wakes, and the destructor waits for
-/// the job, so the job may use anything that outlives the task. Tasks
-/// are handed out as shared_ptr; the job must not hold one to its own
-/// task.
+/// A value that a job computes on a pooled worker. Wait() blocks until
+/// the job has returned; ready() never blocks. The job's captures are
+/// released before any waiter wakes, and the destructor waits until the
+/// worker has let go of the task, so the job may use anything that
+/// outlives the task. Tasks are handed out as shared_ptr; the job must
+/// not hold one to its own task.
 template <typename T>
 class BackgroundTask {
  public:
@@ -191,14 +199,16 @@ class BackgroundTask {
         new BackgroundTask(std::move(value)));
   }
 
-  /// Starts `job` on a new thread (StartBackgroundThread).
+  /// Starts `job` on a pooled worker (StartBackgroundJob).
   static std::shared_ptr<const BackgroundTask> Start(std::function<T()> job) {
     return std::shared_ptr<const BackgroundTask>(
         new BackgroundTask(std::move(job)));
   }
 
+  /// The worker's last touch of the task is its notify, under mu_.
   ~BackgroundTask() {
-    if (thread_.joinable()) thread_.join();
+    MutexLock lock(&mu_);
+    while (!done_) done_cv_.Wait(&mu_);
   }
   BackgroundTask(const BackgroundTask&) = delete;
   BackgroundTask& operator=(const BackgroundTask&) = delete;
@@ -217,23 +227,21 @@ class BackgroundTask {
  private:
   explicit BackgroundTask(T value) : value_(std::move(value)), done_(true) {}
 
-  // thread_ is declared last, so the job starts after every other member
-  // is constructed.
-  explicit BackgroundTask(std::function<T()> job)
-      : thread_(StartBackgroundThread([this, job = std::move(job)]() mutable {
-          T value = job();
-          job = nullptr;
-          MutexLock lock(&mu_);
-          value_ = std::move(value);
-          done_ = true;
-          done_cv_.NotifyAll();
-        })) {}
+  explicit BackgroundTask(std::function<T()> job) {
+    StartBackgroundJob([this, job = std::move(job)]() mutable {
+      T value = job();
+      job = nullptr;
+      MutexLock lock(&mu_);
+      value_ = std::move(value);
+      done_ = true;
+      done_cv_.NotifyAll();
+    });
+  }
 
   mutable Mutex mu_;
   mutable CondVar done_cv_;
   T value_ OIPA_GUARDED_BY(mu_);
   bool done_ OIPA_GUARDED_BY(mu_) = false;
-  std::thread thread_;
 };
 
 }  // namespace oipa

@@ -235,25 +235,29 @@ TEST(InfluenceGraphTest, BuildPieceGraphsOnePerPiece) {
 }
 
 TEST(InfluenceGraphTest, BuildPieceGraphsIsThreadCountInvariant) {
+  // Each piece built alone is the reference for the pieces built
+  // together on 1, 2, 3 and 8 workers.
   const Dataset ds = MakeLastFmLike(1);
   Rng rng(3);
   const Campaign c = Campaign::SampleUniformPieces(5, ds.num_topics, &rng);
-  const std::vector<InfluenceGraph> serial =
-      BuildPieceGraphs(*ds.graph, *ds.probs, c, 1);
-  const std::vector<InfluenceGraph> parallel =
-      BuildPieceGraphs(*ds.graph, *ds.probs, c, 4);
-  ASSERT_EQ(serial.size(), 5u);
-  ASSERT_EQ(parallel.size(), 5u);
-  for (size_t j = 0; j < serial.size(); ++j) {
-    EXPECT_EQ(&parallel[j].graph(), ds.graph.get());
-    EXPECT_EQ(serial[j].edge_probs(), parallel[j].edge_probs()) << j;
-    for (VertexId v = 0; v < ds.graph->num_vertices(); ++v) {
-      const auto a = serial[j].LiveInEdges(v);
-      const auto b = parallel[j].LiveInEdges(v);
-      ASSERT_EQ(a.size(), b.size()) << j << "," << v;
-      for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].src, b[i].src) << j << "," << v;
-        EXPECT_EQ(a[i].prob, b[i].prob) << j << "," << v;
+  for (const int workers : {1, 2, 3, 8}) {
+    const std::vector<InfluenceGraph> pieces =
+        BuildPieceGraphs(*ds.graph, *ds.probs, c, workers);
+    ASSERT_EQ(pieces.size(), 5u);
+    for (size_t j = 0; j < pieces.size(); ++j) {
+      const InfluenceGraph alone = InfluenceGraph::ForPiece(
+          *ds.graph, *ds.probs, c.piece(static_cast<int>(j)).topics);
+      EXPECT_EQ(&pieces[j].graph(), ds.graph.get());
+      EXPECT_EQ(alone.edge_probs(), pieces[j].edge_probs())
+          << j << ", " << workers << " workers";
+      for (VertexId v = 0; v < ds.graph->num_vertices(); ++v) {
+        const auto a = alone.LiveInEdges(v);
+        const auto b = pieces[j].LiveInEdges(v);
+        ASSERT_EQ(a.size(), b.size()) << j << "," << v;
+        for (size_t i = 0; i < a.size(); ++i) {
+          EXPECT_EQ(a[i].src, b[i].src) << j << "," << v;
+          EXPECT_EQ(a[i].prob, b[i].prob) << j << "," << v;
+        }
       }
     }
   }
@@ -290,23 +294,27 @@ bool SameProbs(const EdgeTopicProbs& a, const EdgeTopicProbs& b) {
 }
 
 TEST(ProbModelsTest, WeightedCascadeStreamIsTheSequentialBuild) {
-  // The graph arrives before the first edge, midway, at the last edge
-  // and after it (the draws past the end are dropped); the staged edges
-  // are finished on 1, 2, 3 and 8 workers.
+  // The stream draws `arrives` edges and waits; another thread then
+  // hands it the graph and writes its batches. The graph arrives before
+  // the first edge, inside the first batch, exactly at a batch boundary,
+  // midway, at the last edge and after it (the draws past the end are
+  // dropped); the entries are checked on 1, 2, 3 and 8 workers.
   const Graph g = GenerateHolmeKim(3'000, 4, 0.4, 7);
   const EdgeId m = g.num_edges();
   const EdgeTopicProbs sequential = AssignWeightedCascadeTopics(g, 10, 2.5, 8);
   ASSERT_EQ(sequential.num_edges(), m);
-  for (const EdgeId arrives : {EdgeId{0}, m / 2, m, m + 7}) {
+  ASSERT_GT(m / 2, 2 * GraphHandoff::kBatchEdges);
+  for (const EdgeId arrives : {EdgeId{0}, EdgeId{5}, GraphHandoff::kBatchEdges,
+                               m / 2, m, m + 7}) {
     for (const int workers : {1, 2, 3, 8}) {
-      EdgeId polled = 0;
-      const EdgeTopicProbs streamed = AssignWeightedCascadeTopics(
-          [&](EdgeId next) {
-            EXPECT_EQ(next, polled++);
-            return next < arrives ? nullptr : &g;
-          },
-          10, 2.5, 8, workers);
-      EXPECT_EQ(polled, arrives + 1) << arrives << " " << workers;
+      GraphHandoff handoff(arrives);
+      std::thread graph_task([&] {
+        while (!handoff.stream_waiting()) std::this_thread::yield();
+        handoff.Publish(&g);
+      });
+      const EdgeTopicProbs streamed =
+          AssignWeightedCascadeTopics(&handoff, 10, 2.5, 8, workers);
+      graph_task.join();
       EXPECT_TRUE(SameProbs(streamed, sequential))
           << "graph at edge " << arrives << ", " << workers << " workers";
     }
@@ -321,9 +329,7 @@ TEST(ProbModelsTest, WeightedCascadeStreamWaitsForAHandedOffGraph) {
   GraphHandoff handoff(50);
   EdgeTopicProbs streamed(0, 1);
   std::thread stream([&] {
-    streamed = AssignWeightedCascadeTopics(
-        [&handoff](EdgeId next) { return handoff.Poll(next); }, 6, 2.0, 5,
-        2);
+    streamed = AssignWeightedCascadeTopics(&handoff, 6, 2.0, 5, 2);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   handoff.Publish(&g);

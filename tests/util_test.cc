@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -412,6 +416,128 @@ TEST(ThreadingTest, SingleThreadOverrideRunsInline) {
   SetNumThreads(0);  // restore auto
 }
 
+/// Waits (up to 10 s) until at least `count` pooled workers are parked.
+bool AwaitIdlePoolWorkers(int count) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (IdlePoolWorkers() < count) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(ThreadingTest, ShardZeroRunsOnTheCallingThread) {
+  std::vector<std::thread::id> ran_on(3);
+  ParallelFor(3, 3, [&](int shard, int64_t, int64_t) {
+    ran_on[shard] = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+  EXPECT_NE(ran_on[1], std::this_thread::get_id());
+  EXPECT_NE(ran_on[2], std::this_thread::get_id());
+}
+
+TEST(ThreadingTest, PooledWorkersAreReused) {
+  // Let workers that earlier tests used finish parking.
+  int parked = IdlePoolWorkers();
+  for (int settled = 0; settled < 20;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const int now = IdlePoolWorkers();
+    settled = now == parked ? settled + 1 : 0;
+    parked = now;
+  }
+  // Shards this thread has run: a reused worker remembers the first call.
+  static thread_local int shards_run = 0;
+  std::thread::id first;
+  ParallelFor(2, 2, [&](int shard, int64_t, int64_t) {
+    if (shard == 1) {
+      ++shards_run;
+      first = std::this_thread::get_id();
+    }
+  });
+  // The worker parks again after its shard; the next call takes the
+  // most recently parked worker.
+  ASSERT_TRUE(AwaitIdlePoolWorkers(std::max(parked, 1)));
+  std::thread::id second;
+  int second_runs = 0;
+  ParallelFor(2, 2, [&](int shard, int64_t, int64_t) {
+    if (shard == 1) {
+      second_runs = ++shards_run;
+      second = std::this_thread::get_id();
+    }
+  });
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(second_runs, 2);
+}
+
+TEST(ThreadingTest, NestedParallelForCompletes) {
+  std::vector<std::atomic<int>> hits(4 * 100);
+  ParallelFor(4, 4, [&](int, int64_t lo, int64_t hi) {
+    for (int64_t outer = lo; outer < hi; ++outer) {
+      ParallelFor(100, 2, [&](int, int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i) hits[outer * 100 + i] += 1;
+      });
+    }
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadingTest, ConcurrentCallersEachCoverTheirRangeOnce) {
+  constexpr int kCallers = 8;
+  constexpr int kCalls = 50;
+  std::vector<int> failures(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&failures, c] {
+      for (int call = 0; call < kCalls; ++call) {
+        std::vector<std::atomic<int>> hits(1000 + call);
+        ParallelFor(static_cast<int64_t>(hits.size()), 4,
+                    [&](int, int64_t lo, int64_t hi) {
+                      for (int64_t i = lo; i < hi; ++i) hits[i] += 1;
+                    });
+        for (const auto& h : hits) failures[c] += h.load() != 1;
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) EXPECT_EQ(failures[c], 0) << c;
+}
+
+TEST(ThreadingTest, IdleWorkersAboveTheCapExit) {
+  SetNumThreads(2);
+  // All 32 shards run at once, so 31 pooled workers exist together.
+  std::atomic<int> running{0};
+  ParallelFor(32, 32, [&](int, int64_t, int64_t) {
+    ++running;
+    while (running.load() < 32) std::this_thread::yield();
+  });
+  ASSERT_TRUE(AwaitIdlePoolWorkers(2));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(IdlePoolWorkers(), GetNumThreads());
+  SetNumThreads(0);  // restore auto
+}
+
+TEST(ThreadingTest, BackgroundTaskOnThePoolWaitsForTheHold) {
+  auto hold = std::make_unique<HoldBackgroundTasks>();
+  std::atomic<bool> ran{false};
+  const auto task = BackgroundTask<std::thread::id>::Start([&ran] {
+    ran = true;
+    return std::this_thread::get_id();
+  });
+  // The held job keeps its worker; other work still gets workers.
+  std::vector<std::atomic<int>> hits(100);
+  ParallelFor(100, 4, [&](int, int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) hits[i] += 1;
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(ran.load());
+  EXPECT_FALSE(task->ready());
+  hold.reset();
+  EXPECT_NE(task->Wait(), std::this_thread::get_id());
+  EXPECT_TRUE(ran.load());
+}
+
 // ----------------------------------------------------- Mutex / CondVar
 
 TEST(MutexTest, MutualExclusionUnderContention) {
@@ -580,6 +706,38 @@ TEST(BackgroundTaskTest, ManyWaitersSeeOneValue) {
   }
   for (std::thread& t : waiters) t.join();
   EXPECT_EQ(sum.load(), 44);
+}
+
+// Under ThreadSanitizer, a thread started in the child of a
+// multi-threaded fork kills the child with TSan's own message: it still
+// dies rather than hangs.
+#if defined(__SANITIZE_THREAD__)
+#define OIPA_UTIL_TEST_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define OIPA_UTIL_TEST_TSAN 1
+#endif
+#endif
+#ifdef OIPA_UTIL_TEST_TSAN
+constexpr char kForkedShardsDeath[] =
+    "ran 2 shards|starting new threads after multi-threaded fork";
+#else
+constexpr char kForkedShardsDeath[] = "ran 2 shards";
+#endif
+
+TEST(ThreadingDeathTest, ForkedChildStartsWorkersOfItsOwn) {
+  // A parked worker exists in this process when the death test forks;
+  // the child has no thread behind it, so it must not post work to it.
+  ParallelFor(2, 2, [](int, int64_t, int64_t) {});
+  ASSERT_TRUE(AwaitIdlePoolWorkers(1));
+  EXPECT_DEATH(
+      {
+        std::atomic<int> shards{0};
+        ParallelFor(2, 2, [&shards](int, int64_t, int64_t) { ++shards; });
+        std::fprintf(stderr, "ran %d shards\n", shards.load());
+        std::abort();
+      },
+      kForkedShardsDeath);
 }
 
 }  // namespace
