@@ -1,4 +1,5 @@
-// Ablation: the tangent-surrogate design choices DESIGN.md calls out.
+// Ablation: the tangent-surrogate design choices that BoundVariant
+// (oipa/tangent_bound.h) documents.
 //
 //  (1) Bound anchoring: the paper's Figure-2 construction anchors
 //      uncovered samples at sigmoid(-alpha) > 0, inflating the bound by
@@ -103,6 +104,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\nNote: the paper-tangent row shows why gap-based termination\n"
       "cannot fire under the Figure-2 anchoring — its bound includes a\n"
-      "constant ~n*sigmoid(-alpha) no plan can reach (see DESIGN.md).\n");
+      "constant ~n*sigmoid(-alpha) no plan can reach (see BoundVariant\n"
+      "in oipa/tangent_bound.h).\n");
   return 0;
 }

@@ -35,10 +35,11 @@ std::vector<VertexId> SamplePromoterPool(VertexId n, double fraction,
 
 /// lastfm-like (Table III row 1): ~1.3K vertices, ~15K directed edges,
 /// 20 topics. Clustered power-law social graph; weighted-cascade style
-/// topic probabilities (the paper learns these with TIC from the lastfm
-/// action log — see DESIGN.md §4 for the substitution argument and
-/// examples/learning_pipeline.cc for the full generate->log->learn
-/// pipeline run end to end).
+/// topic probabilities. The paper learns these with TIC from the lastfm
+/// action log, which the repo does not ship; planning reads only each
+/// edge's topic mixture, so a generated one exercises the same paths,
+/// and examples/learning_pipeline.cpp runs the generate->log->learn
+/// pipeline end to end.
 Dataset MakeLastFmLike(uint64_t seed = 7, int num_threads = 1);
 
 /// dblp-like (Table III row 2): co-authorship-style clustered power-law

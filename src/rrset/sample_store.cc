@@ -21,6 +21,13 @@ int64_t ResolvedHoldoutTheta(const SampleStore::Options& options) {
   return options.holdout_theta < 0 ? options.theta : options.holdout_theta;
 }
 
+/// True when the holdout pass may sample beside the in-sample one: the
+/// two passes' workers together fit GetNumThreads() (see SampleStore's
+/// build order).
+bool BothPassesFit(int sampling_threads) {
+  return 2 * ResolveThreadCount(sampling_threads) <= GetNumThreads();
+}
+
 }  // namespace
 
 SampleStore::~SampleStore() {
@@ -67,11 +74,19 @@ std::shared_ptr<SampleStore> SampleStore::Create(
   store->options_.holdout_theta = ResolvedHoldoutTheta(options);
   store->extendable_ = true;
   SampleSnapshot first;
+  first.holdout_theta = store->options_.holdout_theta;
+  // The holdout samples beside the in-sample pass when both fit the
+  // machine, and behind it otherwise.
+  const bool overlap = BothPassesFit(options.sampling_threads);
+  if (overlap) {
+    first.holdout_task = store->SampleHoldout(nullptr, first.holdout_theta);
+  }
   first.mrr = std::make_shared<const MrrCollection>(MrrCollection::Generate(
       *store->pieces_, options.theta, options.seed, options.diffusion,
       options.sampling_threads, /*indexed=*/true, options.pool));
-  first.holdout_theta = store->options_.holdout_theta;
-  first.holdout_task = store->SampleHoldout(nullptr, first.holdout_theta);
+  if (!overlap) {
+    first.holdout_task = store->SampleHoldout(nullptr, first.holdout_theta);
+  }
   MutexLock grow_lock(&store->grow_mu_);
   store->Publish(std::move(first));
   return store;
@@ -210,8 +225,8 @@ Status SampleStore::Grow(int64_t target_theta, int64_t* drawn) {
         "store samples lack sampling provenance and cannot grow "
         "(collections loaded via legacy FromParts are not extendable)");
   }
-  // One sampling pass per store at a time: the pending holdout, which
-  // the next one extends, finishes before this step samples.
+  // The pending holdout, which this step extends, finishes before this
+  // step samples: at most this step's two passes sample for the store.
   std::shared_ptr<const MrrCollection> holdout = next.holdout();
   // Copy-on-grow: grown copies (each existing sample copied once, the
   // index segments shared) are published as the next generation. The
@@ -219,15 +234,20 @@ Status SampleStore::Grow(int64_t target_theta, int64_t* drawn) {
   // still outstanding — once the last one drops, it is freed
   // (compaction), which live_generations() observes. A collection
   // already at target (a holdout catching up to a larger in-sample
-  // stream, or vice versa) is republished untouched.
+  // stream, or vice versa) is republished untouched. The holdout's pass
+  // starts first when both passes fit the machine, as in Create.
+  const auto sample_holdout = [&] {
+    if (!holdout_below) return;
+    next.holdout_task = SampleHoldout(std::move(holdout), target_theta);
+    next.holdout_theta = target_theta;
+  };
+  const bool overlap = BothPassesFit(options_.sampling_threads);
+  if (overlap) sample_holdout();
   if (mrr_below) {
     next.mrr = std::make_shared<const MrrCollection>(next.mrr->ExtendedCopy(
         *pieces_, target_theta, options_.sampling_threads));
   }
-  if (holdout_below) {
-    next.holdout_task = SampleHoldout(std::move(holdout), target_theta);
-    next.holdout_theta = target_theta;
-  }
+  if (!overlap) sample_holdout();
   if (drawn != nullptr) {
     *drawn += next.mrr->theta() + next.holdout_theta - sampled_before;
   }

@@ -27,7 +27,7 @@ using HoldoutTask = BackgroundTask<std::shared_ptr<const MrrCollection>>;
 ///
 /// The in-sample collection is always ready. The holdout may still be
 /// sampling: a store publishes each generation as soon as its in-sample
-/// collection is built, and samples the holdout behind it (see
+/// collection is built, and samples the holdout beside or behind it (see
 /// SampleStore). Only holdout() waits for it.
 struct SampleSnapshot {
   std::shared_ptr<const MrrCollection> mrr;
@@ -65,16 +65,22 @@ struct SampleSnapshot {
 ///      store, sampled once.
 ///
 /// Build order: a build or a growth step samples and indexes the
-/// in-sample collection on all sampling_threads workers and publishes it
-/// at once; a background job (util/threading BackgroundTask) then
-/// samples or extends the holdout on as many workers, while the caller
+/// in-sample collection on sampling_threads workers and publishes it at
+/// once; a background job (util/threading BackgroundTask) samples or
+/// extends the holdout on as many workers. When both passes fit the
+/// machine, 2 x ResolveThreadCount(sampling_threads) <= GetNumThreads(),
+/// the job starts first and samples beside the in-sample pass;
+/// otherwise (always at the default sampling_threads = 0, which samples
+/// on every core) it starts once that pass is done, while the caller
 /// goes on to search. Only readers of the holdout wait for it
 /// (SampleSnapshot::holdout(): scoring a finished plan, the stopping
 /// rules, Grow, the checkpoint writer); snapshot(), GetStats() and
 /// theta() never do. Grow waits for a pending holdout before it samples,
-/// so at most sampling_threads threads sample for one store, and a
-/// store's destructor waits for its pending holdout, so the job never
-/// outlives the store's piece graphs.
+/// so at most 2 x sampling_threads threads sample for one store, and
+/// only when that fits GetNumThreads() (an explicit 1,024-thread request
+/// overlaps nothing). A store's destructor waits for its pending
+/// holdout, so the job never outlives the store's piece graphs. Either
+/// order draws the same samples: sample i reads only PerSampleSeed.
 ///
 /// Lifetime: the piece graphs alias the social graph, which the store
 /// does not own. Whoever owns the graph (a PlanningContext) must outlive
@@ -177,7 +183,8 @@ class SampleStore {
   /// generated at that size up front, and publishes the result as a new
   /// generation. Like the first build, it waits for a pending holdout,
   /// grows the in-sample collection on sampling_threads workers, and
-  /// extends the holdout in the background (see the class comment).
+  /// extends the holdout in the background, beside that pass when both
+  /// fit the machine (see the class comment).
   /// No-op when already that large. Thread-safe: growers serialize,
   /// readers keep their pinned snapshots. FailedPrecondition when
   /// CanGrow() is false, InvalidArgument for target_theta outside

@@ -15,10 +15,11 @@
 namespace oipa {
 
 /// Synthetic topic-aware probability assignments. These stand in for the
-/// TIC-learned probabilities of the paper's datasets (see DESIGN.md §4);
-/// all give each edge a small set of non-zero topics so that different
-/// pieces have genuinely different influence graphs — the heterogeneity
-/// OIPA exploits.
+/// TIC-learned probabilities of the paper's datasets, whose action logs
+/// the repo does not ship (learn/ recovers such probabilities from a
+/// generated log); all give each edge a small set of non-zero topics so
+/// that different pieces have genuinely different influence graphs —
+/// the heterogeneity OIPA exploits.
 
 /// Weighted-cascade flavored: the total mass on edge (u,v) is
 /// 1/in-degree(v), split across `avg_nonzeros` (on average, >= 1) randomly

@@ -273,9 +273,12 @@ TEST(ParallelBabTest, FourThreadProgressHookCancels) {
 
 TEST(ParallelBabTest, RequestThreadsFlowThroughTheApi) {
   ParInstance inst(30, 0.1, 2, 4, 223);
-  auto context = PlanningContext::Borrow(
-      inst.graph, inst.probs, inst.campaign, inst.model,
-      {.theta = 4000, .holdout_theta = 0, .seed = 41});
+  ContextOptions options;
+  options.theta = 4000;
+  options.holdout_theta = 0;
+  options.seed = 41;
+  auto context = PlanningContext::Borrow(inst.graph, inst.probs,
+                                         inst.campaign, inst.model, options);
   ASSERT_TRUE(context.ok()) << context.status().ToString();
 
   PlanRequest request;
@@ -303,9 +306,12 @@ TEST(ParallelBabTest, RequestThreadsFlowThroughTheApi) {
 
 TEST(ParallelBabTest, FourThreadCancellationThroughTheApi) {
   ParInstance inst(30, 0.1, 3, 5, 227);
-  auto context = PlanningContext::Borrow(
-      inst.graph, inst.probs, inst.campaign, inst.model,
-      {.theta = 4000, .holdout_theta = 0, .seed = 43});
+  ContextOptions options;
+  options.theta = 4000;
+  options.holdout_theta = 0;
+  options.seed = 43;
+  auto context = PlanningContext::Borrow(inst.graph, inst.probs,
+                                         inst.campaign, inst.model, options);
   ASSERT_TRUE(context.ok()) << context.status().ToString();
 
   PlanRequest request;

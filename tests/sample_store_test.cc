@@ -21,6 +21,7 @@
 #include "rrset/sample_store.h"
 #include "topic/prob_models.h"
 #include "util/random.h"
+#include "util/threading.h"
 
 namespace oipa {
 namespace {
@@ -58,6 +59,17 @@ std::shared_ptr<SampleStore> Settled(std::shared_ptr<SampleStore> store) {
   return store;
 }
 
+/// Pins GetNumThreads() for a scope, then restores the default. A store
+/// samples its holdout beside the in-sample collection only when both
+/// passes fit: 2 x sampling_threads <= GetNumThreads().
+class ScopedNumThreads {
+ public:
+  explicit ScopedNumThreads(int n) { SetNumThreads(n); }
+  ~ScopedNumThreads() { SetNumThreads(0); }
+  ScopedNumThreads(const ScopedNumThreads&) = delete;
+  ScopedNumThreads& operator=(const ScopedNumThreads&) = delete;
+};
+
 // --------------------------------------------------------- compaction
 
 TEST_F(SampleStoreFixture, GrowthWithoutReadersCompactsToOneGeneration) {
@@ -73,35 +85,49 @@ TEST_F(SampleStoreFixture, GrowthWithoutReadersCompactsToOneGeneration) {
 }
 
 TEST_F(SampleStoreFixture, AHoldoutJobPinsNoInSampleGeneration) {
-  // Growth publishes the grown in-sample collection at once and extends
-  // the holdout behind it. The job holds only the holdout it extends and
-  // the piece graphs, so with no outstanding readers the store holds one
-  // in-sample generation while the job runs and after it ends; snapshot
-  // and stats answer meanwhile.
-  auto store = Settled(SampleStore::Create(pieces_, Options(500)));
-  {
-    HoldBackgroundTasks hold;
-    ASSERT_TRUE(store->Grow(1'000).ok());
-    const SampleSnapshot snap = store->snapshot();
-    EXPECT_EQ(snap.mrr->theta(), 1'000);
-    EXPECT_FALSE(snap.holdout_ready());
-    const SampleStore::Stats stats = store->GetStats();
-    EXPECT_EQ(stats.theta, 1'000);
-    EXPECT_EQ(stats.holdout_theta, 1'000);
-    // The superseded 500-sample generation is gone already.
-    EXPECT_EQ(stats.live_generations, 1);
-  }
-  EXPECT_EQ(store->live_generations(), 1);
-  // Grow waits for the pending holdout, then extends it.
-  ASSERT_TRUE(store->Grow(2'000).ok());
-  EXPECT_EQ(store->snapshot().holdout()->theta(), 2'000);
-  EXPECT_EQ(store->live_generations(), 1);
-  const SampleSnapshot grown = store->snapshot();
+  // A build or a growth step publishes its in-sample collection at once,
+  // whether the holdout job samples beside that pass (8 cores: two
+  // 2-worker passes fit) or behind it (1 core). The job holds only the
+  // holdout it extends and the piece graphs, so with no outstanding
+  // readers the store holds one in-sample generation while the job runs
+  // and after it ends; snapshot and stats answer meanwhile.
   const auto reference = Settled(SampleStore::Create(pieces_, Options(2'000)));
   const auto want = reference->snapshot().holdout();
-  EXPECT_TRUE(std::equal(grown.holdout()->members().begin(),
-                         grown.holdout()->members().end(),
-                         want->members().begin(), want->members().end()));
+  for (const int cores : {1, 8}) {
+    const ScopedNumThreads machine(cores);
+    SampleStore::Options options = Options(500);
+    options.sampling_threads = 2;
+    std::shared_ptr<SampleStore> store;
+    {
+      HoldBackgroundTasks hold;
+      store = SampleStore::Create(pieces_, options);
+      EXPECT_EQ(store->snapshot().mrr->theta(), 500) << cores;
+      EXPECT_FALSE(store->snapshot().holdout_ready()) << cores;
+    }
+    Settled(store);
+    {
+      HoldBackgroundTasks hold;
+      ASSERT_TRUE(store->Grow(1'000).ok());
+      const SampleSnapshot snap = store->snapshot();
+      EXPECT_EQ(snap.mrr->theta(), 1'000) << cores;
+      EXPECT_FALSE(snap.holdout_ready()) << cores;
+      const SampleStore::Stats stats = store->GetStats();
+      EXPECT_EQ(stats.theta, 1'000) << cores;
+      EXPECT_EQ(stats.holdout_theta, 1'000) << cores;
+      // The superseded 500-sample generation is gone already.
+      EXPECT_EQ(stats.live_generations, 1) << cores;
+    }
+    EXPECT_EQ(store->live_generations(), 1) << cores;
+    // Grow waits for the pending holdout, then extends it.
+    ASSERT_TRUE(store->Grow(2'000).ok());
+    EXPECT_EQ(store->snapshot().holdout()->theta(), 2'000) << cores;
+    EXPECT_EQ(store->live_generations(), 1) << cores;
+    const SampleSnapshot grown = store->snapshot();
+    EXPECT_TRUE(std::equal(grown.holdout()->members().begin(),
+                           grown.holdout()->members().end(),
+                           want->members().begin(), want->members().end()))
+        << cores;
+  }
 }
 
 TEST_F(SampleStoreFixture, OutstandingSnapshotsPinTheirGenerations) {
@@ -190,35 +216,50 @@ TEST_F(SampleStoreFixture, StatsReportMemoryAndGenerations) {
 
 TEST_F(SampleStoreFixture, WorkerCountsBuildTheSameSamples) {
   // Each collection is sampled on every worker in turn, the holdout in
-  // the background; no worker count may change a sample, and only the
-  // in-sample one is indexed.
-  SampleStore::Options options = Options(900, 41);
-  options.sampling_threads = 1;
-  const auto reference = SampleStore::Create(pieces_, options);
-  ASSERT_TRUE(reference->Grow(2'000).ok());
-  const SampleSnapshot want = reference->snapshot();
-  const MrrCollection fresh = MrrCollection::Generate(*pieces_, 2'000, 41);
-  for (const int threads : {2, 3, 5}) {
-    options.sampling_threads = threads;
-    const auto store = SampleStore::Create(pieces_, options);
-    EXPECT_TRUE(store->snapshot().mrr->indexed());
-    EXPECT_FALSE(store->snapshot().holdout()->indexed());
-    ASSERT_TRUE(store->Grow(2'000).ok());
-    const SampleSnapshot got = store->snapshot();
-    EXPECT_EQ(got.mrr->num_index_segments(), 2) << threads;
-    EXPECT_EQ(got.holdout()->num_index_segments(), 0) << threads;
-    for (const auto& [a, b] :
-         {std::pair{got.mrr.get(), want.mrr.get()},
-          std::pair{got.holdout().get(), want.holdout().get()},
-          std::pair{got.mrr.get(), &fresh}}) {
-      EXPECT_TRUE(std::equal(a->members().begin(), a->members().end(),
-                             b->members().begin(), b->members().end()))
-          << threads;
-      EXPECT_TRUE(std::equal(a->set_offsets().begin(),
-                             a->set_offsets().end(),
-                             b->set_offsets().begin(),
-                             b->set_offsets().end()))
-          << threads;
+  // the background: beside the in-sample pass when both passes fit the
+  // machine (at 8 cores, 2 and 3 workers; 5 do not), behind it otherwise
+  // (every count at 1 core). No worker count or order may change a
+  // sample, under either model, and only the in-sample collection is
+  // indexed. The reference samples on one worker, one pass at a time.
+  for (const DiffusionModel model : {DiffusionModel::kIndependentCascade,
+                                     DiffusionModel::kLinearThreshold}) {
+    SampleStore::Options options = Options(900, 41);
+    options.diffusion = model;
+    options.sampling_threads = 1;
+    std::shared_ptr<SampleStore> reference;
+    {
+      const ScopedNumThreads machine(1);
+      reference = SampleStore::Create(pieces_, options);
+      ASSERT_TRUE(reference->Grow(2'000).ok());
+    }
+    const SampleSnapshot want = reference->snapshot();
+    const MrrCollection fresh =
+        MrrCollection::Generate(*pieces_, 2'000, 41, model);
+    for (const int cores : {1, 8}) {
+      const ScopedNumThreads machine(cores);
+      for (const int threads : {2, 3, 5}) {
+        options.sampling_threads = threads;
+        const auto store = SampleStore::Create(pieces_, options);
+        EXPECT_TRUE(store->snapshot().mrr->indexed());
+        EXPECT_FALSE(store->snapshot().holdout()->indexed());
+        ASSERT_TRUE(store->Grow(2'000).ok());
+        const SampleSnapshot got = store->snapshot();
+        EXPECT_EQ(got.mrr->num_index_segments(), 2) << threads;
+        EXPECT_EQ(got.holdout()->num_index_segments(), 0) << threads;
+        for (const auto& [a, b] :
+             {std::pair{got.mrr.get(), want.mrr.get()},
+              std::pair{got.holdout().get(), want.holdout().get()},
+              std::pair{got.mrr.get(), &fresh}}) {
+          EXPECT_TRUE(std::equal(a->members().begin(), a->members().end(),
+                                 b->members().begin(), b->members().end()))
+              << threads << " workers, " << cores << " cores";
+          EXPECT_TRUE(std::equal(a->set_offsets().begin(),
+                                 a->set_offsets().end(),
+                                 b->set_offsets().begin(),
+                                 b->set_offsets().end()))
+              << threads << " workers, " << cores << " cores";
+        }
+      }
     }
   }
 }

@@ -881,9 +881,11 @@ TEST_F(ServeFixture, ConcurrentClientsWithMixedContexts) {
     for (int i = 0; i < kClients; ++i) {
       clients.emplace_back([&, i] {
         // Two contexts interleaved across clients, varying budgets.
+        // (Appends: GCC 12's -Wrestrict misreads the inlined
+        // const char* + std::string here.)
         const std::string request = TinyRequest(
-            "c" + std::to_string(i), 1 + (i % 2),
-            "[" + std::to_string(2 + i / 2) + "]");
+            std::string("c").append(std::to_string(i)), 1 + (i % 2),
+            std::string("[").append(std::to_string(2 + i / 2)).append("]"));
         const StatusOr<std::string> response =
             RequestOverTcp("127.0.0.1", server_->port(), request);
         ASSERT_TRUE(response.ok()) << response.status().ToString();
@@ -895,7 +897,8 @@ TEST_F(ServeFixture, ConcurrentClientsWithMixedContexts) {
   for (int i = 0; i < kClients; ++i) {
     const JsonValue r = Parse(responses[i]);
     EXPECT_TRUE(r.Find("ok")->bool_value()) << responses[i];
-    EXPECT_EQ(r.Find("id")->string_value(), "c" + std::to_string(i));
+    EXPECT_EQ(r.Find("id")->string_value(),
+              std::string("c").append(std::to_string(i)));
     EXPECT_GT(
         r.Find("results")->at(0).Find("utility")->double_value(), 0.0);
   }

@@ -594,6 +594,12 @@ TEST(MutexDeathTest, AssertHeldAbortsAfterUnlock) {
 TEST(MutexDeathTest, AssertHeldAbortsForANonHolderThread) {
   // The owner tag must identify the holding *thread*, not merely a
   // locked state: a different thread asserting on a held mutex dies.
+  // The child starts a thread, and once an earlier test has parked
+  // pooled workers this process is multi-threaded, so the child
+  // re-executes the binary instead of running on from a multi-threaded
+  // fork (where TSan refuses to start threads). gtest restores the
+  // style after the test.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   EXPECT_DEATH(
       {
         Mutex mu;
