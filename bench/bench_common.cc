@@ -69,16 +69,14 @@ PlanRequest BaseRequest(const BenchEnv& env, const std::string& solver,
 }  // namespace
 
 MethodResult RunIm(const BenchEnv& env, const LogisticAdoptionModel& model,
-                   int k, int64_t theta, uint64_t seed) {
-  (void)theta;  // the registry IM solver samples at the env's theta
+                   int k, uint64_t seed) {
   PlanRequest request = BaseRequest(env, "im", k);
   request.seed = seed;
   return RunSolver(env, model, request);
 }
 
 MethodResult RunTim(const BenchEnv& env, const LogisticAdoptionModel& model,
-                    int k, int64_t theta, uint64_t seed) {
-  (void)theta;
+                    int k, uint64_t seed) {
   PlanRequest request = BaseRequest(env, "tim", k);
   request.seed = seed;
   return RunSolver(env, model, request);

@@ -81,9 +81,9 @@ void EvaluateOnHoldout(const MrrCollection& holdout,
 /// configuration (theta fixed and shared; the RR-sampling time excluded
 /// from method runtimes, as in the paper).
 MethodResult RunIm(const BenchEnv& env, const LogisticAdoptionModel& model,
-                   int k, int64_t theta, uint64_t seed);
+                   int k, uint64_t seed);
 MethodResult RunTim(const BenchEnv& env, const LogisticAdoptionModel& model,
-                    int k, int64_t theta, uint64_t seed);
+                    int k, uint64_t seed);
 MethodResult RunBab(const BenchEnv& env, const LogisticAdoptionModel& model,
                     int k, const BabOptions& base_options);
 MethodResult RunBabP(const BenchEnv& env,

@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
     double speedup_max = 0.0;
     for (int64_t k64 : ks) {
       const int k = static_cast<int>(k64);
-      MethodResult im = RunIm(env, model, k, theta, 17);
-      MethodResult tim = RunTim(env, model, k, theta, 19);
+      MethodResult im = RunIm(env, model, k, 17);
+      MethodResult tim = RunTim(env, model, k, 19);
       MethodResult bab = RunBab(env, model, k, base);
       MethodResult babp = RunBabP(env, model, k, epsilon, base);
       EvaluateOnHoldout(holdout, model, {&im, &tim, &bab, &babp});

@@ -44,8 +44,8 @@ int main(int argc, char** argv) {
       const BenchEnv env = MakeEnv(name, scales, ell, theta, 23);
       const MrrCollection holdout =
           MrrCollection::Generate(env.pieces, theta, 777);
-      MethodResult im = RunIm(env, model, k, theta, 29);
-      MethodResult tim = RunTim(env, model, k, theta, 31);
+      MethodResult im = RunIm(env, model, k, 29);
+      MethodResult tim = RunTim(env, model, k, 31);
       MethodResult bab = RunBab(env, model, k, base);
       MethodResult babp = RunBabP(env, model, k, epsilon, base);
       EvaluateOnHoldout(holdout, model, {&im, &tim, &bab, &babp});

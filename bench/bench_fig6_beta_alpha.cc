@@ -41,8 +41,8 @@ int main(int argc, char** argv) {
         {"beta/alpha", "IM", "TIM", "BAB", "BAB-P", "BAB/TIM"});
     for (double ratio : ratios) {
       const LogisticAdoptionModel model(1.0 / ratio, 1.0);
-      MethodResult im = RunIm(env, model, k, theta, 41);
-      MethodResult tim = RunTim(env, model, k, theta, 43);
+      MethodResult im = RunIm(env, model, k, 41);
+      MethodResult tim = RunTim(env, model, k, 43);
       MethodResult bab = RunBab(env, model, k, base);
       MethodResult babp = RunBabP(env, model, k, epsilon, base);
       EvaluateOnHoldout(holdout, model, {&im, &tim, &bab, &babp});

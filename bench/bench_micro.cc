@@ -366,15 +366,11 @@ BENCHMARK(BM_EstimateAdoptionUtility)
 
 /// The three coverage kernels on one 32-bit posting span of 4096
 /// random sample ids over 100k samples (l = 3): range(0) selects the
-/// kernel (0 gain, 1 gain + bound, 2 tangent gain) and range(1) the
-/// path — 1 the dispatched entry point (AVX2 clones on capable CPUs
-/// unless OIPA_NO_SIMD is set), 0 the scalar reference kernels that
-/// OIPA_NO_SIMD forces.
+/// kernel (0 gain, 1 gain + bound, 2 tangent gain).
 void BM_CoverageKernels(benchmark::State& state) {
   constexpr int64_t kSamples = 100'000;
   constexpr int kEll = 3;
   const int kernel = static_cast<int>(state.range(0));
-  const bool dispatched = state.range(1) == 1;
   Rng rng(41);
   std::vector<uint32_t> ids(4096);
   for (uint32_t& id : ids) {
@@ -398,35 +394,27 @@ void BM_CoverageKernels(benchmark::State& state) {
   const std::vector<double> anchor = {0.1, 0.4, 0.7, 0.9};
   const std::vector<double> slope = {0.3, 0.25, 0.2, 0.1};
   const std::span<const uint32_t> span(ids);
-  state.SetLabel(dispatched && SimdKernelsActive() ? "simd" : "scalar");
   for (auto _ : state) {
     double acc = 0.0;
     double bound = 0.0;
     if (kernel == 0) {
-      acc = dispatched ? CoverageGainSum(span, mult.data(),
-                                         cover_count.data(),
-                                         delta_f.data(), 0.0)
-                       : CoverageGainSumScalar(span, mult.data(),
-                                               cover_count.data(),
-                                               delta_f.data(), 0.0);
+      acc = CoverageGainSum(span, mult.data(), cover_count.data(),
+                            delta_f.data(), 0.0);
     } else if (kernel == 1) {
-      (dispatched ? CoverageGainBoundSum : CoverageGainBoundSumScalar)(
-          span, mult.data(), cover_count.data(), delta_f.data(),
-          sufmax.data(), &acc, &bound);
+      CoverageGainBoundSum(span, mult.data(), cover_count.data(),
+                           delta_f.data(), sufmax.data(), &acc, &bound);
     } else {
-      acc = (dispatched ? TangentGainSum : TangentGainSumScalar)(
-          span, mult.data(), greedy_epoch.data(), 1, line_epoch.data(),
-          line_value.data(), cover_count.data(), anchor.data(),
-          slope.data(), 0.0);
+      acc = TangentGainSum(span, mult.data(), greedy_epoch.data(), 1,
+                           line_epoch.data(), line_value.data(),
+                           cover_count.data(), anchor.data(), slope.data(),
+                           0.0);
     }
     benchmark::DoNotOptimize(acc);
     benchmark::DoNotOptimize(bound);
   }
   state.SetItemsProcessed(state.iterations() * ids.size());
 }
-BENCHMARK(BM_CoverageKernels)
-    ->ArgsProduct({{0, 1, 2}, {0, 1}})
-    ->ArgNames({"kernel", "dispatched"});
+BENCHMARK(BM_CoverageKernels)->DenseRange(0, 2)->ArgName("kernel");
 
 void BM_CoverageAddRemove(benchmark::State& state) {
   MicroEnv& env = Env();

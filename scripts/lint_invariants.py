@@ -52,6 +52,12 @@ Enforced rules (each failure names its rule id):
                     rule for is where the next deadlock hides. Matching
                     is by declared name, so renaming a lock without
                     updating the table also fails.
+  env-read          No getenv in src/ outside the files that own the
+                    runtime environment knobs: util/threading.cc
+                    (OIPA_THREADS) and util/fault_injector.cc
+                    (OIPA_FAULTS, OIPA_FAULTS_SEED). A new knob is
+                    added to that list and to README.md's
+                    "Environment variables", not read in passing.
 
 Suppressions: a finding may be waived with a comment on the same line
 or the line directly above it:
@@ -99,6 +105,11 @@ PROCESS_GLOBAL_OWNERS = (
     "src/util/fault_injector.cc",
     "src/util/threading.cc",
     "src/oipa/api/solver_registry.cc",
+)
+ENV_READ_RE = re.compile(r"\b(?:secure_)?getenv\s*\(")
+ENV_READ_OWNERS = (
+    "src/util/threading.cc",
+    "src/util/fault_injector.cc",
 )
 NARROWED_FLAG_RE = re.compile(
     r"static_cast\s*<[^>]*>\s*\(\s*(?:[\w:]+(?:\.|->))*GetInt(?:List)?\s*\(")
@@ -411,6 +422,12 @@ def main() -> int:
                 ("raw-thread", RAW_THREAD_RE,
                  "thread started outside util/threading — use ParallelFor "
                  "or BackgroundTask (util/threading.h)"))
+        if rel.replace(os.sep, "/") not in ENV_READ_OWNERS:
+            rules.append(
+                ("env-read", ENV_READ_RE,
+                 "environment read outside the knob owners — list a new "
+                 "knob in ENV_READ_OWNERS and README.md's Environment "
+                 "variables"))
         if not rel.startswith(os.path.join("src", "util") + os.sep):
             rules.append(
                 ("raw-sync", RAW_SYNC_RE,

@@ -510,9 +510,8 @@ StatusOr<PlanResponse> SolveBudget(const PlanningContext& context,
 StatusOr<std::vector<PlanResponse>> SolveBatchSharded(
     const PlanningContext& context, const PlanRequest& request,
     const Solver& solver) {
-  const int workers = std::min<int>(
-      request.num_threads == 0 ? GetNumThreads() : request.num_threads,
-      static_cast<int>(request.budgets.size()));
+  const int workers = std::min(ResolveThreadCount(request.num_threads),
+                               static_cast<int>(request.budgets.size()));
 
   PlanRequest worker_request = request;
   worker_request.num_threads = 1;

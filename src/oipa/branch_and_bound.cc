@@ -262,8 +262,7 @@ BoundResult ComputeNodeBound(BoundEvaluator* evaluator,
                              const std::vector<Assignment>& excluded) {
   if (options.progressive) {
     return evaluator->ComputeBoundPro(state, budget_remaining, excluded,
-                                      options.epsilon,
-                                      options.progressive_fill);
+                                      options.epsilon);
   }
   if (options.lazy_greedy) {
     return evaluator->ComputeBoundLazy(state, budget_remaining, excluded);
@@ -298,9 +297,8 @@ BabSolver::BabSolver(const MrrCollection* mrr,
 BabResult BabSolver::Solve() {
   WallTimer timer;
   const int num_pieces = mrr_->num_pieces();
-  const int num_workers = std::clamp(
-      options_.num_threads == 0 ? GetNumThreads() : options_.num_threads, 1,
-      kMaxBabWorkers);
+  const int num_workers =
+      std::min(ResolveThreadCount(options_.num_threads), kMaxBabWorkers);
   // Theorem-2 pruning uses tau(greedy) directly; exact pruning inflates
   // the bound by e/(e-1) so no subspace that could beat the incumbent
   // under the MRR objective is ever dropped.

@@ -48,11 +48,6 @@ struct SolverOptions {
   /// w.r.t. the MRR objective (exact search); the paper prunes against
   /// tau(greedy) directly, which yields the (1-1/e) guarantee instead.
   bool exact_pruning = false;
-  /// BAB-P: keep the threshold schedule running past the Line-14 cutoff
-  /// so candidate plans always use the full budget (see
-  /// BoundEvaluator::ComputeBoundPro). False reproduces Algorithm 3
-  /// verbatim.
-  bool progressive_fill = true;
   /// Safety cap on expanded nodes; the search reports converged=false if
   /// it trips.
   int64_t max_nodes = 100'000;

@@ -14,13 +14,11 @@ CoverageState::CoverageState(const MrrCollection* mrr,
       f_by_count_(std::move(f_by_count)) {
   OIPA_CHECK_EQ(static_cast<int>(f_by_count_.size()), num_pieces_ + 1);
   OIPA_CHECK(mrr_->indexed()) << "CoverageState needs an indexed collection";
-  // One zero pad entry at index l keeps the kernels' unmasked gathers
-  // in bounds for fully covered samples (see the header).
-  delta_f_.assign(num_pieces_ + 1, 0.0);
+  delta_f_.assign(num_pieces_, 0.0);
   for (int c = 0; c < num_pieces_; ++c) {
     delta_f_[c] = f_by_count_[c + 1] - f_by_count_[c];
   }
-  delta_f_sufmax_.assign(num_pieces_ + 1, 0.0);
+  delta_f_sufmax_.assign(num_pieces_, 0.0);
   double running = 0.0;
   for (int c = num_pieces_ - 1; c >= 0; --c) {
     running = c == num_pieces_ - 1 ? delta_f_[c]

@@ -120,10 +120,9 @@ class CoverageState {
   const MrrCollection* mrr_;  // not owned
   int num_pieces_;
   std::vector<double> f_by_count_;
-  /// delta_f_[c] = f[c+1] - f[c] and its suffix max. Sized l+1 with a
-  /// zero pad at index l: the branchless kernels gather
-  /// delta_f_[cover_count_[i]] before masking covered samples, and a
-  /// fully covered sample legitimately carries cover_count_ == l.
+  /// delta_f_[c] = f[c+1] - f[c] and its suffix max, for c < l. A
+  /// sample is read at its cover count only while some piece leaves it
+  /// uncovered, so that count is below l.
   std::vector<double> delta_f_;
   std::vector<double> delta_f_sufmax_;
   /// Piece-major seed multiplicities: multiplicity_[j][i] counts the

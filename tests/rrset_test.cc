@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <set>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "data/datasets.h"
@@ -815,9 +816,10 @@ TEST_F(CoverageFixture, GainBoundIsForwardValidUnderIncreasingMarginals) {
 
 // ----------------------------------------------------- CoverageKernels
 
-// Randomized posting arrays for the kernel equivalence suite: sizes
-// deliberately straddle the SIMD block width (full blocks, a ragged
-// tail, and tiny spans the vector path never touches).
+// Randomized posting arrays for the kernel suite: arbitrary tables,
+// not a reachable CoverageState (a posting may be uncovered at
+// cover_count == l), so the kernels must read exactly the entries the
+// reference reads.
 struct KernelArrays {
   std::vector<uint32_t> ids;
   std::vector<uint16_t> mult;
@@ -859,12 +861,48 @@ struct KernelArrays {
       anchor_by_count[c] = static_cast<double>(rng.Next() % 1500) / 1024.0;
       slope_by_count[c] = static_cast<double>(rng.Next() % 1000) / 1024.0;
     }
-    delta_f.back() = 0.0;  // the padded "fully covered" entry
     double run = 0.0;
     for (int c = ell; c >= 0; --c) {
       run = std::max(run, delta_f[c]);
       delta_f_sufmax[c] = run;
     }
+  }
+
+  // References for the kernels: one branchless term per posting, an
+  // exact 0.0 for a skipped one, summed in posting order. The kernels
+  // skip those postings instead, which must give the same bits.
+  double GainSum(std::span<const uint32_t> span, double acc) const {
+    for (const uint32_t id : span) {
+      const double d = delta_f[cover_count[id]];
+      acc += mult[id] == 0 ? d : 0.0;
+    }
+    return acc;
+  }
+
+  std::pair<double, double> GainBoundSum(std::span<const uint32_t> span,
+                                         double gain, double bound) const {
+    for (const uint32_t id : span) {
+      const int c = cover_count[id];
+      const bool uncovered = mult[id] == 0;
+      gain += uncovered ? delta_f[c] : 0.0;
+      bound += uncovered ? delta_f_sufmax[c] : 0.0;
+    }
+    return {gain, bound};
+  }
+
+  double TangentSum(std::span<const uint32_t> span, uint32_t epoch,
+                    double acc) const {
+    for (const uint32_t id : span) {
+      const int c = cover_count[id];
+      const bool skip = mult[id] != 0 || greedy_epoch[id] == epoch;
+      const double lv =
+          line_epoch[id] == epoch ? line_value[id] : anchor_by_count[c];
+      const double headroom = 1.0 - lv;
+      const double slope = slope_by_count[c];
+      const double g = slope < headroom ? slope : headroom;
+      acc += (skip || headroom <= 0.0) ? 0.0 : g;
+    }
+    return acc;
   }
 };
 
@@ -873,12 +911,8 @@ struct KernelArrays {
 // accumulators must never produce a negative zero.
 uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
-TEST(CoverageKernelsTest, DispatchedKernelsMatchScalarBitForBit) {
-  // Spans: empty, singleton, sub-block, exactly one block, block+tail,
-  // several blocks. On AVX2 hardware the dispatched side runs the
-  // vector clones (SimdKernelsActive() unless OIPA_NO_SIMD is set); on
-  // anything else both sides are the same scalar code and the test
-  // degenerates to a tautology — CI's release leg covers the real case.
+TEST(CoverageKernelsTest, KernelsMatchBranchlessReferenceBitForBit) {
+  // Spans: empty, singleton, and several lengths up to 1000 postings.
   for (const int64_t span : {0, 1, 37, 128, 131, 1000}) {
     for (const uint64_t seed : {7u, 21u, 63u}) {
       KernelArrays a(std::max<int64_t>(span, 1), 3, seed ^ span);
@@ -886,33 +920,27 @@ TEST(CoverageKernelsTest, DispatchedKernelsMatchScalarBitForBit) {
           a.ids.data(), std::min<size_t>(span, a.ids.size()));
       const double acc = 0.625;  // nonzero carried-in accumulator
 
-      const double gain_simd = CoverageGainSum(
+      const double gain = CoverageGainSum(
           ids, a.mult.data(), a.cover_count.data(), a.delta_f.data(), acc);
-      const double gain_ref = CoverageGainSumScalar(
-          ids, a.mult.data(), a.cover_count.data(), a.delta_f.data(), acc);
-      EXPECT_EQ(Bits(gain_simd), Bits(gain_ref)) << span << "/" << seed;
+      EXPECT_EQ(Bits(gain), Bits(a.GainSum(ids, acc)))
+          << span << "/" << seed;
 
-      double g1 = acc, b1 = acc, g2 = acc, b2 = acc;
+      double g = acc, b = acc;
       CoverageGainBoundSum(ids, a.mult.data(), a.cover_count.data(),
-                           a.delta_f.data(), a.delta_f_sufmax.data(), &g1,
-                           &b1);
-      CoverageGainBoundSumScalar(ids, a.mult.data(), a.cover_count.data(),
-                                 a.delta_f.data(), a.delta_f_sufmax.data(),
-                                 &g2, &b2);
-      EXPECT_EQ(Bits(g1), Bits(g2)) << span << "/" << seed;
-      EXPECT_EQ(Bits(b1), Bits(b2)) << span << "/" << seed;
-      EXPECT_EQ(Bits(g1), Bits(gain_simd)) << "gain paths diverged";
+                           a.delta_f.data(), a.delta_f_sufmax.data(), &g,
+                           &b);
+      const auto [g_ref, b_ref] = a.GainBoundSum(ids, acc, acc);
+      EXPECT_EQ(Bits(g), Bits(g_ref)) << span << "/" << seed;
+      EXPECT_EQ(Bits(b), Bits(b_ref)) << span << "/" << seed;
+      EXPECT_EQ(Bits(g), Bits(gain)) << "gain paths diverged";
 
       for (const uint32_t epoch : {0u, 1u, 2u}) {
-        const double t1 = TangentGainSum(
+        const double t = TangentGainSum(
             ids, a.mult.data(), a.greedy_epoch.data(), epoch,
             a.line_epoch.data(), a.line_value.data(), a.cover_count.data(),
             a.anchor_by_count.data(), a.slope_by_count.data(), acc);
-        const double t2 = TangentGainSumScalar(
-            ids, a.mult.data(), a.greedy_epoch.data(), epoch,
-            a.line_epoch.data(), a.line_value.data(), a.cover_count.data(),
-            a.anchor_by_count.data(), a.slope_by_count.data(), acc);
-        EXPECT_EQ(Bits(t1), Bits(t2)) << span << "/" << seed << "@" << epoch;
+        EXPECT_EQ(Bits(t), Bits(a.TangentSum(ids, epoch, acc)))
+            << span << "/" << seed << "@" << epoch;
       }
     }
   }
@@ -920,7 +948,7 @@ TEST(CoverageKernelsTest, DispatchedKernelsMatchScalarBitForBit) {
 
 TEST(CoverageKernelsTest, AccumulatorCarriesAcrossSplitSpans) {
   // Splitting one posting span at an arbitrary point and chaining the
-  // accumulator must reproduce the unsplit sum exactly — the property
+  // accumulators must reproduce the unsplit sums exactly — the property
   // that makes grown (segmented) collections bit-identical to fresh
   // ones.
   KernelArrays a(500, 3, 11);
@@ -928,14 +956,42 @@ TEST(CoverageKernelsTest, AccumulatorCarriesAcrossSplitSpans) {
   const double whole = CoverageGainSum(all, a.mult.data(),
                                        a.cover_count.data(),
                                        a.delta_f.data(), 0.0);
+  double whole_gain = 0.0, whole_bound = 0.0;
+  CoverageGainBoundSum(all, a.mult.data(), a.cover_count.data(),
+                       a.delta_f.data(), a.delta_f_sufmax.data(),
+                       &whole_gain, &whole_bound);
+  const auto tangent = [&](std::span<const uint32_t> ids, uint32_t epoch,
+                           double acc) {
+    return TangentGainSum(ids, a.mult.data(), a.greedy_epoch.data(), epoch,
+                          a.line_epoch.data(), a.line_value.data(),
+                          a.cover_count.data(), a.anchor_by_count.data(),
+                          a.slope_by_count.data(), acc);
+  };
   for (const size_t cut : {size_t{1}, size_t{100}, size_t{128}, size_t{200}}) {
-    const double head = CoverageGainSum(all.subspan(0, cut), a.mult.data(),
+    const std::span<const uint32_t> head_ids = all.subspan(0, cut);
+    const std::span<const uint32_t> tail_ids = all.subspan(cut);
+    const double head = CoverageGainSum(head_ids, a.mult.data(),
                                         a.cover_count.data(),
                                         a.delta_f.data(), 0.0);
-    const double chained = CoverageGainSum(all.subspan(cut), a.mult.data(),
+    const double chained = CoverageGainSum(tail_ids, a.mult.data(),
                                            a.cover_count.data(),
                                            a.delta_f.data(), head);
     EXPECT_EQ(Bits(chained), Bits(whole)) << "cut at " << cut;
+
+    double gain = 0.0, bound = 0.0;
+    for (const std::span<const uint32_t> part : {head_ids, tail_ids}) {
+      CoverageGainBoundSum(part, a.mult.data(), a.cover_count.data(),
+                           a.delta_f.data(), a.delta_f_sufmax.data(), &gain,
+                           &bound);
+    }
+    EXPECT_EQ(Bits(gain), Bits(whole_gain)) << "cut at " << cut;
+    EXPECT_EQ(Bits(bound), Bits(whole_bound)) << "cut at " << cut;
+
+    for (const uint32_t epoch : {0u, 1u, 2u}) {
+      EXPECT_EQ(Bits(tangent(tail_ids, epoch, tangent(head_ids, epoch, 0.0))),
+                Bits(tangent(all, epoch, 0.0)))
+          << "cut at " << cut << "@" << epoch;
+    }
   }
 }
 
