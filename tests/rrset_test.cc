@@ -845,7 +845,7 @@ struct KernelArrays {
       greedy_epoch[i] = static_cast<uint32_t>(rng.Next() % 3);
       line_epoch[i] = static_cast<uint32_t>(rng.Next() % 3);
       line_value[i] =
-          static_cast<double>(rng.Next() % 2048) / 1024.0;  // may exceed 1
+          static_cast<double>(rng.Next() % 2048) / 1000.0;  // may exceed 1
     }
     // Non-uniform postings with duplicates and arbitrary order — the
     // kernels must not assume sorted or unique sample ids.
@@ -858,8 +858,8 @@ struct KernelArrays {
     slope_by_count.resize(ell + 1);
     for (int c = 0; c <= ell; ++c) {
       delta_f[c] = static_cast<double>(rng.Next() % 1000) / 997.0;
-      anchor_by_count[c] = static_cast<double>(rng.Next() % 1500) / 1024.0;
-      slope_by_count[c] = static_cast<double>(rng.Next() % 1000) / 1024.0;
+      anchor_by_count[c] = static_cast<double>(rng.Next() % 1500) / 1000.0;
+      slope_by_count[c] = static_cast<double>(rng.Next() % 1000) / 1000.0;
     }
     double run = 0.0;
     for (int c = ell; c >= 0; --c) {
